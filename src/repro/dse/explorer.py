@@ -34,7 +34,6 @@ from .. import obs
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import Estimate, Estimator
 from ..runtime import (
-    DEFAULT_BATCH_SIZE,
     CheckpointStore,
     merge_outcomes,
     outcomes_from_states,
@@ -133,7 +132,6 @@ def explore(
     workers: int = 1,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     shard_range: Optional[Tuple[int, int]] = None,
     tail_split: bool = True,
 ) -> ExplorationResult:
@@ -157,11 +155,11 @@ def explore(
     points/Pareto cover just that range; conservation is enforced over
     the range.
 
-    When the estimator caches (the default), each shard estimates fresh
-    designs in blocks of ``batch_size`` through the vectorized
-    ``estimate_many`` path and dedupes repeat points via the shared
-    design-point cache; results are bit-identical to per-point
-    estimation (``--no-cache``).
+    Each shard prices its points in blocks through
+    :meth:`~repro.estimation.estimator.Estimator.estimate_points`: with
+    caching on (the default) that means compiled per-class plans plus
+    the shared design-point cache, with results bit-identical to
+    building and estimating every design (``--no-cache``).
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -197,8 +195,7 @@ def explore(
         run = run_plan(
             benchmark, estimator, dataset, plan,
             workers=workers, store=store, resume=resume,
-            progress_every=progress_every, batch_size=batch_size,
-            tail_split=tail_split,
+            progress_every=progress_every, tail_split=tail_split,
         )
         records, conservation = merge_outcomes(plan, run.outcomes)
         conservation.verify()

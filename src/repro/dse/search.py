@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.registry import Benchmark, Dataset
-from ..estimation.cache import DEFAULT_POINT_ENTRIES, MISS, LRUCache, point_key
+from ..estimation.cache import point_key
 from ..estimation.estimator import Estimate, Estimator
-from ..ir.node import IRError
 from ..params import BoolParam, IntParam, ParamSpace
 from .explorer import DesignPoint
 
@@ -75,23 +74,17 @@ def local_search(
 ) -> SearchResult:
     """Randomized hill climbing on runtime over the legal space.
 
-    Point dedupe is two-level: a per-search ``seen`` map preserves the
-    walk's budget/trajectory semantics (each distinct point costs one
-    evaluation per search), while the estimator's shared design-point
-    cache (:class:`~repro.estimation.cache.EstimationCaches`) skips the
-    build+estimate work for points any earlier search or exploration
-    already priced — sharing dedupe logic and hit/miss counters with the
-    sharded explore runner. Illegal points cache as ``None``.
+    A per-search ``seen`` map preserves the walk's budget/trajectory
+    semantics (each distinct point costs one evaluation per search).
+    Unseen points go through
+    :meth:`~repro.estimation.estimator.Estimator.estimate_points`, whose
+    shared design-point cache skips points any earlier search or
+    exploration already priced.
     """
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)
     rng = random.Random(seed)
     result = SearchResult(benchmark.name, dataset)
-    caches = getattr(estimator, "caches", None)
-    point_cache: LRUCache = (
-        caches.points if caches is not None
-        else LRUCache("points", DEFAULT_POINT_ENTRIES)  # local, uncached run
-    )
     seen: Dict[Tuple, Optional[Estimate]] = {}
 
     def evaluate(point: Point) -> Optional[Estimate]:
@@ -101,17 +94,7 @@ def local_search(
         if result.evaluations >= budget:
             return None
         result.evaluations += 1
-        cached = point_cache.get(key)
-        if cached is not MISS:
-            estimate: Optional[Estimate] = cached  # type: ignore[assignment]
-        else:
-            try:
-                design = benchmark.build(dataset, **point)
-            except IRError:
-                estimate = None
-            else:
-                estimate = estimator.estimate(design)
-            point_cache.put(key, estimate)
+        (estimate,) = estimator.estimate_points(benchmark, dataset, [point])
         seen[key] = estimate
         if estimate is None:
             return None

@@ -1,6 +1,6 @@
 """Estimation: fast cycle-count and hybrid area models (paper Section IV)."""
 
-from .area import AreaEstimate, RawArea, hybrid_area, hybrid_area_many, raw_area
+from .area import AreaEstimate, RawArea, hybrid_area, raw_area
 from .cache import (
     CachedTemplateModels,
     EstimationCaches,
@@ -14,6 +14,7 @@ from .cycles import CycleEstimate, estimate_cycles, transfer_cycles
 from .estimator import Estimate, Estimator, default_estimator
 from .features import N_FEATURES, design_features
 from .nn import MLP, MLPConfig, fit_linear
+from .plan import ClassPlan
 from .power import PowerEstimate, estimate_power
 from .samples import generate_sample_design
 from .store import load_estimator, save_estimator
@@ -23,6 +24,7 @@ from .validation import CrossValidationReport, cross_validate
 __all__ = [
     "AreaEstimate",
     "CachedTemplateModels",
+    "ClassPlan",
     "CorrectionModels",
     "CrossValidationReport",
     "cross_validate",
@@ -47,7 +49,6 @@ __all__ = [
     "fit_linear",
     "generate_sample_design",
     "hybrid_area",
-    "hybrid_area_many",
     "load_estimator",
     "point_key",
     "raw_area",

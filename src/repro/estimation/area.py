@@ -285,13 +285,19 @@ def delay_contributions(body: List[Node], times) -> List[Counts]:
             slack = start - times[inp.nid][1]
             if slack <= 0:
                 continue
-            bits = inp.tp.bits * max(inp.width, 1)
-            if slack > DELAY_BRAM_THRESHOLD:
-                blocks = max(1.0, bits * slack / (20 * 1024 * 0.8))
-                out.append(Counts(brams=blocks))
-            else:
-                out.append(Counts(regs=bits * slack))
+            out.append(delay_counts(inp.tp.bits * max(inp.width, 1), slack))
     return out
+
+
+def delay_counts(bits: int, slack: int) -> Counts:
+    """Balancing ``slack`` cycles of a ``bits``-wide edge (slack > 0).
+
+    Short delays are shift registers; beyond ``DELAY_BRAM_THRESHOLD``
+    cycles the delay line moves into block RAM.
+    """
+    if slack > DELAY_BRAM_THRESHOLD:
+        return Counts(brams=max(1.0, bits * slack / (20 * 1024 * 0.8)))
+    return Counts(regs=bits * slack)
 
 
 def _count_delays(
@@ -310,10 +316,9 @@ def _count_memory(
     mem: OnChipMemory, models: TemplateModels, raw: RawArea, device
 ) -> None:
     if isinstance(mem, BRAM):
-        words_per_bank = -(-mem.size // max(mem.banks, 1))
-        blocks = mem.banks * device.bram_blocks_for(words_per_bank, mem.tp.bits)
-        if mem.double_buffered:
-            blocks *= 2
+        blocks = bram_blocks(
+            mem.size, mem.banks, mem.tp.bits, mem.double_buffered, device
+        )
         counts = models.predict(
             "bram",
             {
@@ -322,7 +327,7 @@ def _count_memory(
                 "double": mem.double_buffered,
             },
         )
-        counts.brams = float(blocks)
+        counts.brams = blocks
         raw.add("bram", counts)
     elif isinstance(mem, PriorityQueue):
         raw.add(
@@ -338,6 +343,15 @@ def _count_memory(
         )
 
 
+def bram_blocks(size: int, banks: int, bits: int, double: bool, device) -> float:
+    """M20K blocks of a banked (and maybe double-buffered) BRAM."""
+    words_per_bank = -(-size // max(banks, 1))
+    blocks = banks * device.bram_blocks_for(words_per_bank, bits)
+    if double:
+        blocks *= 2
+    return float(blocks)
+
+
 # -- hybrid estimate ---------------------------------------------------------------
 
 
@@ -351,8 +365,9 @@ def _finalize_area(
 ) -> AreaEstimate:
     """LUT packing + register overflow: corrections -> final AreaEstimate.
 
-    Shared by the single-design and batched paths so both produce
-    bit-identical results from the same corrections.
+    Shared by the per-design path and the class-plan path
+    (:mod:`repro.estimation.plan`) so both produce bit-identical results
+    from the same corrections.
     """
     # Routing LUTs are assumed always packable (paper Section IV-B2).
     packable = raw_counts.luts_packable + routing
@@ -417,47 +432,3 @@ def hybrid_area(
         return _finalize_area(
             raw.counts, device, routing, dup_regs, unavailable, dup_brams
         )
-
-
-def hybrid_area_many(
-    designs: List[Design],
-    models: TemplateModels,
-    corrections,
-    board: Board = MAIA,
-    caches=None,
-) -> List[AreaEstimate]:
-    """Batched :func:`hybrid_area`: raw counting per design, NN once.
-
-    Raw counting stays sequential (it walks each IR graph), but the four
-    correction models run as one vectorized forward pass over the whole
-    block. The MLP forward is batch-size invariant
-    (:meth:`repro.estimation.nn.MLP.predict`), so results are
-    bit-identical to estimating each design alone.
-    """
-    from .features import design_features  # local import to avoid cycle
-
-    device = board.device
-    raws = []
-    feats = []
-    for design in designs:
-        with obs.timed(
-            "area.raw", "pass.area_raw_s", design=design.name
-        ):
-            raw = raw_area(design, models, caches)
-            feats.append(design_features(design, raw.counts, raw.wire_bits))
-        raws.append(raw)
-    with obs.timed("area.nn", "pass.area_nn_s", batch=len(designs)):
-        routing, dup_regs, unavailable, dup_brams = corrections.predict_batch(
-            feats, [raw.counts for raw in raws]
-        )
-    return [
-        _finalize_area(
-            raws[i].counts,
-            device,
-            float(routing[i]),
-            float(dup_regs[i]),
-            float(unavailable[i]),
-            float(dup_brams[i]),
-        )
-        for i in range(len(designs))
-    ]

@@ -226,6 +226,9 @@ class EstimationCaches:
         self.template = LRUCache("template", template_entries)
         self.schedule = LRUCache("schedule", schedule_entries)
         self.points = LRUCache("points", point_entries)
+        # Compiled class plans per (benchmark, dataset); see
+        # repro.estimation.plan. A handful of entries, so unbounded.
+        self.plans: Dict[tuple, object] = {}
 
     def wrap_templates(self, models: TemplateModels) -> CachedTemplateModels:
         """A memoizing predict view over ``models`` backed by this bundle."""
@@ -254,6 +257,7 @@ class EstimationCaches:
         self.template.clear()
         self.schedule.clear()
         self.points.clear()
+        self.plans.clear()
 
     def caches(self) -> List[LRUCache]:
         """The individual caches, in display order."""

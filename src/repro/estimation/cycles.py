@@ -82,34 +82,26 @@ def _controller_cycles(
     elif isinstance(ctrl, Parallel):
         # Children run concurrently: each child's transfers compete with
         # every *other* child's transfers (plus anything already active).
-        cycles = max(
-            (
-                _controller_cycles(
-                    child, board, _overlap_contention(ctrl, child, contention),
-                    estimate, caches,
-                )
-                for child in ctrl.stages
-            ),
-            default=0.0,
-        )
-        cycles += PARALLEL_SYNC
-    elif isinstance(ctrl, MetaPipe):
-        # Stages overlap in steady state: their transfers compete for DRAM.
-        stage_cycles = [
+        cycles = parallel_cycles(
             _controller_cycles(
                 child, board, _overlap_contention(ctrl, child, contention),
                 estimate, caches,
             )
             for child in ctrl.stages
-        ]
-        stage_cycles = [c + METAPIPE_STAGE_SYNC for c in stage_cycles]
-        n = ctrl.iterations
-        body = (n - 1) * max(stage_cycles, default=0.0) + sum(stage_cycles)
-        cycles = body
+        )
+    elif isinstance(ctrl, MetaPipe):
+        # Stages overlap in steady state: their transfers compete for DRAM.
+        cycles = metapipe_cycles(ctrl.iterations, [
+            _controller_cycles(
+                child, board, _overlap_contention(ctrl, child, contention),
+                estimate, caches,
+            )
+            for child in ctrl.stages
+        ])
     elif isinstance(ctrl, Sequential):
         # Stages run one at a time, but replicated loop bodies (par > 1)
         # execute concurrently and compete for DRAM.
-        stage_cycles = [
+        cycles = sequential_cycles(ctrl.iterations, [
             _controller_cycles(
                 child,
                 board,
@@ -118,13 +110,39 @@ def _controller_cycles(
                 caches,
             )
             for child in ctrl.stages
-        ]
-        per_iter = sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
-        cycles = ctrl.iterations * per_iter
+        ])
     else:  # pragma: no cover - exhaustive over controller kinds
         cycles = 0.0
     estimate.per_controller[f"{ctrl.name}#{ctrl.nid}"] = cycles
     return cycles
+
+
+# The per-kind formulas below take plain numbers so the class-plan path
+# (repro.estimation.plan) evaluates exactly the same float operations.
+
+
+def parallel_cycles(child_cycles) -> float:
+    """A Parallel waits for its slowest child, plus the barrier."""
+    return max(child_cycles, default=0.0) + PARALLEL_SYNC
+
+
+def metapipe_cycles(iterations: int, stage_cycles) -> float:
+    """The paper's MetaPipe formula over synchronized stages."""
+    stage_cycles = [c + METAPIPE_STAGE_SYNC for c in stage_cycles]
+    return (
+        (iterations - 1) * max(stage_cycles, default=0.0) + sum(stage_cycles)
+    )
+
+
+def sequential_cycles(iterations: int, stage_cycles) -> float:
+    """Stages one after another, every iteration."""
+    return iterations * sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
+
+
+def pipe_latency(body) -> int:
+    """Critical-path latency of a Pipe body (1 for an empty body)."""
+    times = asap_schedule(body)
+    return max((end for _, end in times.values()), default=1)
 
 
 def _pipe_cycles(pipe: Pipe, caches=None) -> float:
@@ -133,15 +151,25 @@ def _pipe_cycles(pipe: Pipe, caches=None) -> float:
     if caches is not None:
         latency = caches.pipe_info(pipe, body).latency
     else:
-        times = asap_schedule(body)
-        latency = max((end for _, end in times.values()), default=1)
-    n = pipe.iterations
-    cycles = PIPE_STARTUP + latency + max(n - 1, 0)
+        latency = pipe_latency(body)
+    return pipe_cycles(latency, pipe.iterations, pipe.par, drain_latency(pipe))
+
+
+def drain_latency(pipe: Pipe):
+    """Per-level latency of a reduce Pipe's tree drain, or None."""
     if pipe.accum is not None and pipe.result is not None:
         tp = getattr(pipe.result, "tp", None)
         if tp is not None:
-            tree_depth = math.ceil(math.log2(pipe.par)) if pipe.par > 1 else 0
-            cycles += (tree_depth + 1) * op_latency(pipe.accum[0], tp)
+            return op_latency(pipe.accum[0], tp)
+    return None
+
+
+def pipe_cycles(latency: int, iterations: int, par: int, drain) -> int:
+    """PIPE_STARTUP + critical path + (N-1) at II=1, plus the tree drain."""
+    cycles = PIPE_STARTUP + latency + max(iterations - 1, 0)
+    if drain is not None:
+        tree_depth = math.ceil(math.log2(par)) if par > 1 else 0
+        cycles += (tree_depth + 1) * drain
     return cycles
 
 
@@ -157,18 +185,32 @@ def transfer_cycles(
     non-contiguous row) pays an issue gap; the DRAM round-trip latency is
     paid once.
     """
-    word_bits = transfer.offchip.tp.bits
+    return stream_cycles(
+        transfer.offchip.tp.bits, transfer.contiguous_words,
+        transfer.num_commands, transfer.par, board, contention,
+    )
+
+
+def stream_cycles(
+    word_bits: int,
+    contiguous_words: int,
+    num_commands: int,
+    par: int,
+    board: Board,
+    contention: int,
+) -> float:
+    """:func:`transfer_cycles` on the transfer's plain numbers."""
     # Each command moves one contiguous row, rounded up to whole bursts
     # (the estimator models "the number and length of memory commands").
-    row_bits = transfer.contiguous_words * word_bits
+    row_bits = contiguous_words * word_bits
     row_bytes = board.burst_aligned_bytes(-(-row_bits // 8))
-    total_bytes = transfer.num_commands * row_bytes
+    total_bytes = num_commands * row_bytes
 
     bw_words_per_cycle = board.bytes_per_cycle * 8.0 / word_bits
-    rate = min(float(transfer.par), bw_words_per_cycle / max(contention, 1))
+    rate = min(float(par), bw_words_per_cycle / max(contention, 1))
     rate = max(rate, 1e-9)
     stream = (total_bytes * 8.0 / word_bits) / rate
-    issue = transfer.num_commands * CMD_ISSUE_GAP
+    issue = num_commands * CMD_ISSUE_GAP
     return board.dram_latency_cycles + max(stream, issue)
 
 

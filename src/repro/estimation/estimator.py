@@ -15,10 +15,12 @@ from typing import Dict, List, Optional, Sequence
 from .. import obs
 from ..ir.graph import Design
 from ..target.board import MAIA, Board
-from .area import AreaEstimate, hybrid_area, hybrid_area_many
-from .cache import EstimationCaches
+from ..ir.node import IRError
+from .area import AreaEstimate, hybrid_area
+from .cache import MISS, EstimationCaches, point_key
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
+from .plan import price_points
 from .train import CorrectionModels, train_corrections
 
 
@@ -58,10 +60,11 @@ class Estimator:
 
     With ``cache=True`` (the default) the estimator owns an
     :class:`~repro.estimation.cache.EstimationCaches` bundle that
-    memoizes template predictions, Pipe schedules, and whole design
-    points across estimates. Cached results are bit-identical to the
-    cold path; pass ``cache=False`` (the ``--no-cache`` CLI flag) to
-    estimate from scratch every time.
+    memoizes template predictions, Pipe schedules, whole design points,
+    and the compiled per-class plans behind :meth:`estimate_points`.
+    Cached results are bit-identical to the cold path; pass
+    ``cache=False`` (the ``--no-cache`` CLI flag) to build and estimate
+    every design from scratch.
     """
 
     def __init__(
@@ -119,39 +122,49 @@ class Estimator:
             board=self.board,
         )
 
-    def estimate_many(self, designs: Sequence[Design]) -> List[Estimate]:
-        """Batched estimates: per-design cycles, one vectorized NN pass.
+    def estimate_points(
+        self, benchmark, dataset, params_list: Sequence[Dict[str, object]]
+    ) -> List[Optional[Estimate]]:
+        """Estimates for parameter points of one benchmark, in order.
 
-        Raw counting and cycle analysis run per design (reusing this
-        estimator's caches), while the four correction networks evaluate
-        the whole block in a single forward pass each. Every returned
-        :class:`Estimate` is bit-identical to calling :meth:`estimate`
-        on that design alone.
+        ``None`` marks an IR-illegal point (its build raises
+        :class:`~repro.ir.IRError`). With caching on, repeat points are
+        served from the ``points`` cache and fresh ones are priced from
+        per-class plans (:mod:`repro.estimation.plan`) without building
+        their IR; every estimate is bit-identical to building the design
+        and calling :meth:`estimate`. With ``cache=False`` each point is
+        built and estimated that way.
         """
-        if not designs:
-            return []
-        with obs.timed(
-            "estimate.batch", "estimate.batch_latency_s", batch=len(designs)
-        ):
-            for _ in designs:
-                obs.counter("estimate.calls").inc()
-            cycles = [
-                estimate_cycles(d, self.board, self.caches) for d in designs
+        if self.caches is None:
+            return [
+                self._estimate_built(benchmark, dataset, params)
+                for params in params_list
             ]
-            areas = hybrid_area_many(
-                list(designs), self.templates, self.corrections,
-                self.board, self.caches,
+        points = self.caches.points
+        out: List[Optional[Estimate]] = []
+        misses = []
+        for params in params_list:
+            key = point_key(benchmark.name, dataset, params)
+            hit = points.get(key)
+            if hit is MISS:
+                misses.append((len(out), key, params))
+            out.append(hit)  # type: ignore[arg-type]
+        if misses:
+            priced = price_points(
+                self, benchmark, dataset, [params for _, _, params in misses]
             )
-        return [
-            Estimate(
-                design_name=design.name,
-                cycles=cyc.total,
-                seconds=cyc.seconds,
-                area=area,
-                board=self.board,
-            )
-            for design, cyc, area in zip(designs, cycles, areas)
-        ]
+            for (index, key, _), estimate in zip(misses, priced):
+                points.put(key, estimate)
+                out[index] = estimate
+        return out
+
+    def _estimate_built(self, benchmark, dataset, params) -> Optional[Estimate]:
+        """The per-point path: build the design, then :meth:`estimate` it."""
+        try:
+            design = benchmark.build(dataset, **params)
+        except IRError:
+            return None
+        return self.estimate(design)
 
 
 @functools.lru_cache(maxsize=4)

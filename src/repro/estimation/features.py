@@ -15,7 +15,6 @@ from typing import List
 from ..ir.controllers import MetaPipe
 from ..ir.graph import Design
 from ..ir.memops import TileTransfer
-from ..ir.node import Value
 from .counts import Counts
 
 N_FEATURES = 11
@@ -24,12 +23,28 @@ N_FEATURES = 11
 def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float]:
     """The 11-element feature vector for one design instance."""
     controllers = list(design.controllers())
-    num_metapipes = sum(1 for c in controllers if isinstance(c, MetaPipe))
-    num_transfers = sum(1 for c in controllers if isinstance(c, TileTransfer))
-    widths = [n.width for n in design.nodes if isinstance(n, Value)] or [1]
-    banks = [m.banks for m in design.onchip_mems()] or [1]
-    depth = _max_depth(design)
+    return feature_vector(
+        raw,
+        wire_bits,
+        n_controllers=len(controllers),
+        n_metapipes=sum(1 for c in controllers if isinstance(c, MetaPipe)),
+        n_transfers=sum(1 for c in controllers if isinstance(c, TileTransfer)),
+        depth=_max_depth(design),
+        # A design without on-chip memories counts as one bank.
+        total_banks=sum(m.banks for m in design.onchip_mems()) or 1,
+    )
 
+
+def feature_vector(
+    raw: Counts,
+    wire_bits: float,
+    n_controllers: int,
+    n_metapipes: int,
+    n_transfers: int,
+    depth: int,
+    total_banks: int,
+) -> List[float]:
+    """:func:`design_features` from the numbers it reads off the design."""
     return [
         math.log10(1.0 + raw.luts_packable),
         math.log10(1.0 + raw.luts_unpackable),
@@ -37,11 +52,11 @@ def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float
         math.log10(1.0 + raw.dsps),
         math.log10(1.0 + raw.brams),
         math.log10(1.0 + wire_bits),
-        float(len(controllers)),
-        float(num_metapipes),
-        float(num_transfers),
+        float(n_controllers),
+        float(n_metapipes),
+        float(n_transfers),
         float(depth),
-        math.log2(1.0 + sum(banks)),
+        math.log2(1.0 + total_banks),
     ]
 
 

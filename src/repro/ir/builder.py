@@ -17,6 +17,13 @@ All functions operate on the innermost active design
 (:func:`repro.ir.graph.current_design`), so the same builder code can be
 called with different concrete parameter values to instantiate different
 design points — the paper's metaprogramming model.
+
+A builder called with :class:`Param` integers instead of plain ones also
+records which IR fields come straight from a parameter — loop dims,
+parallelization factors, BRAM dims and tile sizes — in
+:attr:`Design.bindings <repro.ir.graph.Design.bindings>`. The class-plan
+compiler (:mod:`repro.estimation.plan`) reads that map to re-price the
+same controller tree at other parameter values without rebuilding it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,27 @@ from .primitives import make_mux
 from .types import HWType
 
 DimSpec = Union[int, Tuple[int, int]]
+
+
+class Param(int):
+    """An integer ``build()`` keyword that remembers its parameter name.
+
+    Arithmetic on a Param yields a plain ``int``, so only values passed
+    through unchanged are recorded; anything derived stays an ordinary
+    field of the IR.
+    """
+
+    def __new__(cls, value: int, name: str) -> "Param":
+        self = super().__new__(cls, value)
+        self.name = name
+        return self
+
+
+def _bind(node, path: Tuple, value: object) -> None:
+    """Record ``node``'s field at ``path`` as bound to a :class:`Param`."""
+    if isinstance(value, Param):
+        node.design.bindings[(node.nid, path)] = value.name
+
 
 def _fresh(prefix: str) -> str:
     """A design-local fresh name, deterministic across identical builds."""
@@ -58,7 +86,10 @@ def offchip(name: str, tp: HWType, *dims: int) -> mem.OffChipMem:
 
 def bram(name: str, tp: HWType, *dims: int) -> mem.BRAM:
     """Declare an on-chip scratchpad buffer."""
-    return mem.BRAM(current_design(), name, tp, dims)
+    buf = mem.BRAM(current_design(), name, tp, dims)
+    for i, value in enumerate(dims):
+        _bind(buf, ("dims", i), value)
+    return buf
 
 
 def reg(name: str, tp: HWType) -> mem.Reg:
@@ -82,7 +113,19 @@ def pqueue(name: str, tp: HWType, depth: int, ascending: bool = True) -> mem.Pri
 def _counter(dims: Optional[Sequence[DimSpec]]) -> Optional[ctl.CounterChain]:
     if dims is None:
         return None
-    return ctl.CounterChain(current_design(), _norm_dims(dims))
+    chain = ctl.CounterChain(current_design(), _norm_dims(dims))
+    for i, d in enumerate(dims):
+        for j, value in enumerate(d if isinstance(d, tuple) else (d,)):
+            _bind(chain, ("dims", i, j), value)
+    return chain
+
+
+def _bind_par(ctrl: ctl.Controller, par: int) -> ctl.Controller:
+    """Record a controller's (and its counter chain's) par binding."""
+    _bind(ctrl, ("par",), par)
+    if ctrl.cchain is not None:
+        _bind(ctrl.cchain, ("par",), par)
+    return ctrl
 
 
 def pipe(
@@ -95,6 +138,7 @@ def pipe(
     """A fine-grained pipeline over primitive operations (innermost loop)."""
     d = current_design()
     p = ctl.Pipe(d, name or _fresh("pipe"), _counter(dims), par, pattern)
+    _bind_par(p, par)
     if accum is not None:
         p.accum = accum
         p.pattern = "reduce"
@@ -111,6 +155,7 @@ def metapipe(
     """A coarse-grained pipeline whose stages are nested controllers."""
     d = current_design()
     p = ctl.MetaPipe(d, name or _fresh("mpipe"), _counter(dims), par, pattern)
+    _bind_par(p, par)
     if accum is not None:
         p.accum = accum
         p.pattern = "reduce"
@@ -126,6 +171,7 @@ def sequential(
     """Unpipelined sequential execution (optionally a loop)."""
     d = current_design()
     p = ctl.Sequential(d, name or _fresh("seq"), _counter(dims), par)
+    _bind_par(p, par)
     if accum is not None:
         p.accum = accum
         p.pattern = "reduce"
@@ -158,6 +204,15 @@ def parallel(name: Optional[str] = None) -> ctl.Parallel:
 # -- memory command generators -------------------------------------------------------
 
 
+def _bind_transfer(
+    transfer: mop.TileTransfer, sizes: Sequence[int], par: int
+) -> mop.TileTransfer:
+    for i, value in enumerate(sizes):
+        _bind(transfer, ("sizes", i), value)
+    _bind(transfer, ("par",), par)
+    return transfer
+
+
 def tile_load(
     offchip_mem: mem.OffChipMem,
     bram_mem: mem.BRAM,
@@ -167,10 +222,10 @@ def tile_load(
     name: Optional[str] = None,
 ) -> mop.TileLd:
     """Load a tile ``offchip[starts : starts+sizes]`` into a BRAM."""
-    return mop.TileLd(
+    return _bind_transfer(mop.TileLd(
         current_design(), name or _fresh("tld"), offchip_mem, bram_mem,
         starts, sizes, par,
-    )
+    ), sizes, par)
 
 
 def tile_store(
@@ -182,10 +237,10 @@ def tile_store(
     name: Optional[str] = None,
 ) -> mop.TileSt:
     """Store a BRAM tile back to ``offchip[starts : starts+sizes]``."""
-    return mop.TileSt(
+    return _bind_transfer(mop.TileSt(
         current_design(), name or _fresh("tst"), offchip_mem, bram_mem,
         starts, sizes, par,
-    )
+    ), sizes, par)
 
 
 # -- primitive helpers ------------------------------------------------------------------

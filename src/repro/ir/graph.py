@@ -54,6 +54,9 @@ class Design:
         self.top_controllers: List[Controller] = []
         self._scope_stack: List[Controller] = []
         self.finalized = False
+        # (node id, field path) -> parameter name, for fields the builder
+        # API received as a ``builder.Param`` (see repro.ir.builder).
+        self.bindings: Dict[Tuple[int, Tuple], str] = {}
 
     # -- construction protocol --------------------------------------------------
     def __enter__(self) -> "Design":

@@ -48,12 +48,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import obs
-from ..estimation.cache import MISS, point_key
-from ..ir.node import IRError
 from .checkpoint import CheckpointStore, PointRecord, ShardState
 from .sharding import DEFAULT_COST_MODEL, MIN_POINTS_PER_SHARD, Shard, ShardPlan
 
-# Designs estimated per estimate_many() call on the cached/batched path.
+# Points priced per Estimator.estimate_points() call (one NN pass each).
 DEFAULT_BATCH_SIZE = 32
 
 # An in-flight tail re-split only happens when the straggler still has at
@@ -109,7 +107,6 @@ def run_shard(
     writer=None,
     skip: Optional[Set[int]] = None,
     on_point: Optional[Callable[[PointRecord], None]] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     mark_done: bool = True,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
@@ -121,103 +118,37 @@ def run_shard(
     for pieces of a split shard, whose completion only the parent can
     declare.
 
-    When the estimator carries an
-    :class:`~repro.estimation.cache.EstimationCaches` bundle, points are
-    deduplicated against its design-point cache and fresh designs are
-    estimated in blocks of ``batch_size`` through
-    :meth:`~repro.estimation.estimator.Estimator.estimate_many` (one
-    vectorized NN pass per block). Estimates are bit-identical to the
-    per-point path either way.
+    Points are priced in blocks of :data:`DEFAULT_BATCH_SIZE` through
+    :meth:`~repro.estimation.estimator.Estimator.estimate_points`; each
+    record's latency is an even share of its block's time.
     """
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
     start = time.perf_counter()
-
-    def emit(record: PointRecord) -> None:
-        outcome.records.append(record)
-        outcome.estimated += 1
-        if writer is not None:
-            writer.write(record)
-        if on_point is not None:
-            on_point(record)
-
-    caches = getattr(estimator, "caches", None)
-    if caches is not None and batch_size > 1:
-        _run_points_batched(
-            benchmark, estimator, dataset, shard, skip, emit,
-            caches, batch_size,
+    todo = [
+        (shard.start + offset, params)
+        for offset, params in enumerate(shard.points)
+        if shard.start + offset not in skip
+    ]
+    for lo in range(0, len(todo), DEFAULT_BATCH_SIZE):
+        block = todo[lo:lo + DEFAULT_BATCH_SIZE]
+        t0 = time.perf_counter()
+        estimates = estimator.estimate_points(
+            benchmark, dataset, [params for _, params in block]
         )
-    else:
-        for offset, params in enumerate(shard.points):
-            index = shard.start + offset
-            if index in skip:
-                continue
-            t0 = time.perf_counter()
-            try:
-                design = benchmark.build(dataset, **params)
-            except IRError:
-                record = PointRecord(index, dict(params), None,
-                                     time.perf_counter() - t0)
-            else:
-                estimate = estimator.estimate(design)
-                record = PointRecord(index, dict(params), estimate,
-                                     time.perf_counter() - t0)
-            emit(record)
-    outcome.records.sort(key=lambda r: r.index)
+        share = (time.perf_counter() - t0) / len(block)
+        for (index, params), estimate in zip(block, estimates):
+            record = PointRecord(index, dict(params), estimate, share)
+            outcome.records.append(record)
+            if writer is not None:
+                writer.write(record)
+            if on_point is not None:
+                on_point(record)
+    outcome.estimated = len(todo)
     if writer is not None and mark_done:
         writer.done(shard)
     outcome.elapsed_s = time.perf_counter() - start
     return outcome
-
-
-def _run_points_batched(
-    benchmark, estimator, dataset, shard, skip, emit, caches, batch_size
-) -> None:
-    """Cached shard path: dedupe via the points cache, estimate in blocks.
-
-    Cache hits (including cached-illegal points, stored as ``None``) emit
-    immediately; fresh legal designs are buffered and flushed through
-    ``estimate_many``. Per-point latency for batched points is the build
-    time plus an even share of the batch's estimation time.
-    """
-    pending: List[tuple] = []  # (index, params, key, design, build_s)
-
-    def flush() -> None:
-        if not pending:
-            return
-        t0 = time.perf_counter()
-        estimates = estimator.estimate_many([p[3] for p in pending])
-        share = (time.perf_counter() - t0) / len(pending)
-        for (index, params, key, _, build_s), estimate in zip(
-            pending, estimates
-        ):
-            caches.points.put(key, estimate)
-            emit(PointRecord(index, dict(params), estimate, build_s + share))
-        pending.clear()
-
-    for offset, params in enumerate(shard.points):
-        index = shard.start + offset
-        if index in skip:
-            continue
-        t0 = time.perf_counter()
-        key = point_key(benchmark.name, dataset, params)
-        cached = caches.points.get(key)
-        if cached is not MISS:
-            emit(PointRecord(index, dict(params), cached,
-                             time.perf_counter() - t0))
-            continue
-        try:
-            design = benchmark.build(dataset, **params)
-        except IRError:
-            caches.points.put(key, None)
-            emit(PointRecord(index, dict(params), None,
-                             time.perf_counter() - t0))
-            continue
-        pending.append((index, params, key, design,
-                        time.perf_counter() - t0))
-        if len(pending) >= batch_size:
-            flush()
-    flush()
 
 
 # -- forked-worker plumbing -------------------------------------------------
@@ -270,9 +201,7 @@ def _worker_run_piece(
     try:
         outcome = run_shard(
             state["benchmark"], state["estimator"], state["dataset"],
-            piece, writer=writer, skip=skip,
-            batch_size=state["batch_size"],  # type: ignore[arg-type]
-            mark_done=not split,
+            piece, writer=writer, skip=skip, mark_done=not split,
         )
     finally:
         if writer is not None:
@@ -360,16 +289,13 @@ def run_plan(
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
     progress_every: int = 1000,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     tail_split: bool = True,
 ) -> RunOutcome:
     """Execute ``plan``: estimate every non-restored point, in order.
 
     Returns one :class:`ShardOutcome` per shard (in shard order) whose
     records include both fresh and checkpoint-restored points, sorted by
-    global index — the merge layer's input. ``batch_size`` controls the
-    cached/batched estimation block size (see :func:`run_shard`);
-    ``tail_split`` enables the in-flight re-split of the final straggler
+    global index — the merge layer's input. ``tail_split`` enables the in-flight re-split of the final straggler
     tail on the parallel path. Completed shards feed the process-wide
     :data:`~repro.runtime.sharding.DEFAULT_COST_MODEL`, which future
     ``shards="auto"`` plans consult.
@@ -413,13 +339,12 @@ def run_plan(
         for shard in pending:
             outcomes[shard.index] = _run_shard_inline(
                 benchmark, estimator, dataset, shard, store,
-                skip.get(shard.index, set()), heartbeat, batch_size,
+                skip.get(shard.index, set()), heartbeat,
             )
     elif pending:
         run.steals, run.requeued = _run_shards_forked(
             benchmark, estimator, dataset, plan, pending, store, skip,
-            effective_workers, heartbeat, outcomes, batch_size,
-            tail_split=tail_split,
+            effective_workers, heartbeat, outcomes, tail_split=tail_split,
         )
 
     # Fold restored records back in and finish per-shard bookkeeping.
@@ -442,7 +367,6 @@ def run_plan(
 
 def _run_shard_inline(
     benchmark, estimator, dataset, shard, store, skip, heartbeat,
-    batch_size=DEFAULT_BATCH_SIZE,
 ) -> ShardOutcome:
     """Serial path: run one shard in-process with live per-point obs."""
     writer = store.writer(shard, append=bool(skip)) if store else None
@@ -450,7 +374,6 @@ def _run_shard_inline(
         outcome = run_shard(
             benchmark, estimator, dataset, shard,
             writer=writer, skip=skip, on_point=heartbeat.point,
-            batch_size=batch_size,
         )
     finally:
         if writer is not None:
@@ -617,8 +540,7 @@ class _Scheduler:
 
 def _run_shards_forked(
     benchmark, estimator, dataset, plan, pending, store, skip,
-    workers, heartbeat, outcomes, batch_size=DEFAULT_BATCH_SIZE,
-    tail_split: bool = True,
+    workers, heartbeat, outcomes, tail_split: bool = True,
 ) -> Tuple[int, int]:
     """Parallel path: fork workers after training, replay obs in parent.
 
@@ -637,7 +559,6 @@ def _run_shards_forked(
         "shards": shards_by_index,
         "store": store,
         "skip": skip,
-        "batch_size": batch_size,
     }
     # Tail splitting can turn one pending shard into several pieces, so
     # only cap the pool by the pending count when splitting is off.

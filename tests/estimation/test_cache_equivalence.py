@@ -1,10 +1,11 @@
-"""Bit-identity of cached/batched estimates vs the cold path.
+"""Bit-identity of cached and class-plan estimates vs the cold path.
 
-The memoization layer's contract is exact: enabling caches or batching
-must not change a single bit of any Estimate. These tests pickle both
-paths' results and compare the bytes — covering randomized benchmarks,
-datasets, and parameter points (hypothesis), the batched API against
-single estimates, and a sharded ``explore --workers 2 --resume`` run.
+The memoization layer's contract is exact: enabling caches or pricing
+points from class plans must not change a single bit of any Estimate.
+These tests pickle both paths' results and compare the bytes — covering
+randomized benchmarks, datasets, and parameter points (hypothesis), the
+block API against single points, and a sharded
+``explore --workers 2 --resume`` run.
 """
 
 from __future__ import annotations
@@ -33,11 +34,17 @@ def cold(estimator) -> Estimator:
     )
 
 
-def _sample_designs(bench_name: str, seed: int, count: int, small: bool):
-    """Legal built designs for ``count`` sampled points of one benchmark."""
+def _sample_points(bench_name: str, seed: int, count: int, small: bool):
+    """``(bench, dataset, points)`` for a seeded sample of one benchmark."""
     bench = get_benchmark(bench_name)
     dataset = bench.small_dataset() if small else bench.default_dataset()
     points = bench.param_space(dataset).sample(random.Random(seed), count)
+    return bench, dataset, points
+
+
+def _sample_designs(bench_name: str, seed: int, count: int, small: bool):
+    """Legal built designs for ``count`` sampled points of one benchmark."""
+    bench, dataset, points = _sample_points(bench_name, seed, count, small)
     designs = []
     for point in points:
         try:
@@ -64,31 +71,38 @@ class TestBitIdentity:
     def test_cached_and_batched_match_cold_path(
         self, estimator, cold, bench_name, seed, small
     ):
-        """Cold, warm-cached, re-cached, and batched estimates agree
+        """Cold, warm-cached, re-cached, and class-plan estimates agree
         byte-for-byte across random benchmarks/datasets/points."""
+        bench, dataset, points = _sample_points(bench_name, seed, 4, small)
         designs = _sample_designs(bench_name, seed, 4, small)
         if not designs:
             return
         cold_fps = [_fingerprint(cold.estimate(d)) for d in designs]
         warm_fps = [_fingerprint(estimator.estimate(d)) for d in designs]
         hit_fps = [_fingerprint(estimator.estimate(d)) for d in designs]
-        batch_fps = [
-            _fingerprint(e) for e in estimator.estimate_many(designs)
+        estimator.caches.points.clear()
+        plan_fps = [
+            _fingerprint(e)
+            for e in estimator.estimate_points(bench, dataset, points)
+            if e is not None
         ]
-        assert cold_fps == warm_fps == hit_fps == batch_fps
+        assert cold_fps == warm_fps == hit_fps == plan_fps
 
-    def test_estimate_many_is_order_and_batchsize_invariant(
+    def test_estimate_points_is_order_and_batchsize_invariant(
         self, estimator
     ):
-        """A design's estimate doesn't depend on its batch companions."""
-        designs = _sample_designs("gda", 99, 6, small=True)
-        assert len(designs) >= 2
-        singles = [_fingerprint(e) for e in
-                   (estimator.estimate_many([d])[0] for d in designs)]
-        together = [_fingerprint(e)
-                    for e in estimator.estimate_many(designs)]
-        reversed_fps = [_fingerprint(e) for e in
-                        estimator.estimate_many(list(reversed(designs)))]
+        """A point's estimate doesn't depend on its block companions."""
+        bench, dataset, points = _sample_points("gda", 99, 6, small=True)
+        assert len(points) >= 2
+
+        def fingerprints(block):
+            estimator.caches.clear()
+            return [_fingerprint(e) for e in
+                    estimator.estimate_points(bench, dataset, block)]
+
+        singles = [fingerprints([p])[0] for p in points]
+        together = fingerprints(points)
+        reversed_fps = fingerprints(list(reversed(points)))
         assert singles == together == list(reversed(reversed_fps))
 
     def test_eviction_does_not_change_results(self, estimator):

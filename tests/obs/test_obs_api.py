@@ -107,8 +107,9 @@ class TestPipelineInstrumentation:
         assert progress and progress[0].attrs["points_per_sec"] > 0
 
     def test_explore_batched_spans_and_cache_counters(self, estimator):
-        """The cached estimator traces estimate.batch blocks instead of
-        per-point estimate spans, plus estimation.cache.* counters."""
+        """The cached estimator compiles each class once and traces one
+        estimate.plan span per evaluated block instead of per-point
+        estimate spans, plus estimation.cache.* counters."""
         assert estimator.caches is not None
         estimator.caches.clear()  # session fixture may be warm already
         obs.enable()
@@ -117,23 +118,24 @@ class TestPipelineInstrumentation:
         tracer = obs.tracer()
 
         (exp,) = tracer.find("explore")
-        batches = tracer.find("estimate.batch")
-        assert batches and all(
-            s.parent_id == exp.span_id for s in batches
-        )
-        assert sum(s.attrs["batch"] for s in batches) == len(result.points)
-        batch_ids = {s.span_id for s in batches}
-        for name in ("cycles", "area.raw"):
-            spans = tracer.find(name)
-            assert len(spans) == len(result.points)
-            assert all(s.parent_id in batch_ids for s in spans)
+        compiles = tracer.find("estimate.compile")
+        plans = tracer.find("estimate.plan")
+        assert compiles and plans
+        for span in compiles:
+            assert span.attrs["bench"] == "dotproduct"
+            assert span.attrs["nodes"] > 0 and span.attrs["terms"] > 0
+        assert {s.attrs["class"] for s in plans} == {
+            s.attrs["class"] for s in compiles
+        }
+        assert sum(s.attrs["n"] for s in plans) == len(result.points)
+        # Points are priced without per-design cycle/area passes.
+        assert not tracer.find("cycles") and not tracer.find("area.raw")
         # One vectorized NN pass per block, not one per design.
-        nn = tracer.find("area.nn")
-        assert len(nn) == len(batches)
+        assert len(tracer.find("area.nn")) == 1
 
         counts = obs.metrics().to_dict()["counters"]
         assert counts["estimate.calls"] == len(result.points)
-        assert counts.get("estimation.cache.hit", 0) > 0
+        assert counts["estimate.plans.compiled"] == len(compiles)
         assert counts.get("estimation.cache.miss", 0) > 0
         hist = obs.metrics().to_dict()["histograms"]["dse.point_latency_s"]
         assert hist["count"] == len(result.points)

@@ -147,8 +147,8 @@ class TestObservabilityFlags:
     def test_explore_trace_has_nested_pipeline_spans(
         self, estimator, tmp_path
     ):
-        # The cached estimator estimates in batches: explore nests
-        # estimate.batch blocks with per-design cycles/area.raw passes.
+        # The cached estimator compiles each structural class once and
+        # prices blocks of points from the plans inside explore.
         estimator.caches.clear()
         trace = tmp_path / "trace.json"
         code, _ = run_cli(
@@ -159,9 +159,9 @@ class TestObservabilityFlags:
         doc = json.loads(trace.read_text())
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in spans}
-        assert {"explore", "estimate.batch", "cycles", "area.raw"} <= names
+        assert {"explore", "estimate.compile", "estimate.plan"} <= names
         explore_span = next(e for e in spans if e["name"] == "explore")
-        est = next(e for e in spans if e["name"] == "estimate.batch")
+        est = next(e for e in spans if e["name"] == "estimate.plan")
         assert explore_span["ts"] <= est["ts"]
         assert (est["ts"] + est["dur"]
                 <= explore_span["ts"] + explore_span["dur"] + 1e-6)
@@ -185,7 +185,7 @@ class TestObservabilityFlags:
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"explore", "estimate", "cycles", "area"} <= names
-        assert "estimate.batch" not in names
+        assert "estimate.plan" not in names
 
     def test_explore_metrics_prints_counters_and_histogram(
         self, estimator
@@ -310,7 +310,7 @@ class TestStreamingTraceFlag:
         assert "streamed" in text and str(stream) in text
         docs = [json.loads(l) for l in stream.read_text().splitlines()]
         assert any(d["name"] == "explore" for d in docs)
-        assert any(d["name"] == "estimate.batch" for d in docs)
+        assert any(d["name"] == "estimate.plan" for d in docs)
 
     def test_span_cap_bounds_memory(self, estimator, tmp_path):
         estimator.caches.clear()
