@@ -5,8 +5,7 @@ Subcommands mirror the paper's flow:
 * ``repro list`` — Table II benchmark inventory;
 * ``repro estimate BENCH [--set k=v ...]`` — estimate one design point;
 * ``repro explore BENCH --points N`` — design space exploration + Pareto,
-  with ``--workers``/``--shards``/``--auto-shards`` for the parallel
-  engine, ``--checkpoint-dir``/``--resume`` for kill/resume, and
+  with ``--workers``/``--shards N|auto`` for the parallel engine, ``--checkpoint-dir``/``--resume`` for kill/resume, and
   ``--shard-range A:B`` for multi-host range sweeps (see
   ``docs/runtime.md``);
 * ``repro merge-checkpoints DIR`` — reunite a (multi-host) checkpoint
@@ -22,9 +21,12 @@ Subcommands mirror the paper's flow:
 ``--trace-jsonl FILE`` (stream spans incrementally with bounded memory,
 optionally capped via ``--span-cap N``), and ``--metrics`` (print
 counter/histogram summaries); see ``docs/observability.md``. The
-estimating commands also accept ``--no-cache`` to disable the estimation
-memoization/batching layer (bit-identical results; see
-``docs/estimation_performance.md``).
+estimating commands also accept ``--no-cache`` to build and estimate
+every design point instead of pricing it from compiled class plans and
+caches (bit-identical results; see ``docs/estimation_performance.md``).
+
+Bad input (an unknown benchmark, a non-positive count, a malformed
+flag) is a one-line ``repro: error: ...`` on stderr and exit status 2.
 
 Invoke as ``python -m repro ...``.
 """
@@ -41,15 +43,53 @@ from .codegen import generate_maxj
 from .dse import explore, merge_checkpoints
 from .estimation import Estimator, default_estimator
 from .estimation.power import estimate_power
+from .ir import IRError
 from .runtime import CheckpointError, ConservationError
 from .sim import simulate
+
+
+class UsageError(SystemExit):
+    """Bad command-line input: one ``repro: error:`` line, exit status 2.
+
+    ``str(error)`` is the message; :func:`main` prints it before the
+    exit propagates.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.code = 2
+
+
+def _benchmark(name: str):
+    """The named benchmark, or a usage error listing the valid names."""
+    try:
+        return get_benchmark(name)
+    except KeyError:
+        names = ", ".join(b.name for b in all_benchmarks())
+        raise UsageError(
+            f"unknown benchmark {name!r} (choose from: {names})"
+        ) from None
+
+
+def _build(bench, params: Dict[str, object]):
+    """The default-dataset design at ``params``, or a usage error."""
+    try:
+        return bench.build(bench.default_dataset(), **params)
+    except IRError as exc:
+        raise UsageError(f"illegal design point {params}: {exc}") from None
+
+
+def _positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} expects a positive integer (got {value})")
+    return value
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise UsageError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         if value.lower() in ("true", "false"):
             out[key] = value.lower() == "true"
@@ -63,7 +103,7 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
                 # reject it downstream via the space's legality check.
                 out[key] = float(value)
             except ValueError:
-                raise SystemExit(
+                raise UsageError(
                     f"--set {key}: expected an integer, float, or "
                     f"true/false, got {value!r}"
                 ) from None
@@ -88,7 +128,7 @@ def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
     params = bench.default_params(dataset)
     unknown = set(overrides) - set(params)
     if unknown:
-        raise SystemExit(
+        raise UsageError(
             f"unknown parameters for {bench.name}: {sorted(unknown)} "
             f"(valid: {sorted(params)})"
         )
@@ -101,7 +141,7 @@ def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
             and not isinstance(default, bool)
         ):
             if not value.is_integer():
-                raise SystemExit(
+                raise UsageError(
                     f"--set {key}: {bench.name} expects an integer "
                     f"(got {value!r})"
                 )
@@ -121,9 +161,9 @@ def cmd_list(args, out) -> int:
 
 def cmd_estimate(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro estimate``: estimate one design point."""
-    bench = get_benchmark(args.benchmark)
+    bench = _benchmark(args.benchmark)
     params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    design = _build(bench, params)
     estimator = _estimator_for(args, estimator)
     est = estimator.estimate(design)
     util = est.utilization()
@@ -140,43 +180,50 @@ def _parse_shard_range(text: str):
     """Parse ``--shard-range A:B`` into an ``(A, B)`` half-open tuple."""
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise SystemExit(
+        raise UsageError(
             f"--shard-range expects A:B (half-open, e.g. 0:4), got {text!r}"
         )
     try:
         bounds = (int(lo), int(hi))
     except ValueError:
-        raise SystemExit(
+        raise UsageError(
             f"--shard-range expects integer bounds A:B, got {text!r}"
         ) from None
     if bounds[0] < 0 or bounds[1] <= bounds[0]:
-        raise SystemExit(
+        raise UsageError(
             f"--shard-range expects 0 <= A < B, got {text!r}"
         )
     return bounds
 
 
-def _parse_parallel_args(args):
-    """Validate the --workers/--shards/--checkpoint-dir/... combinations."""
+def _check_workers(args) -> None:
     if args.workers < 1:
-        raise SystemExit(
+        raise UsageError(
             f"--workers expects a positive integer (got {args.workers}); "
             "use --workers 1 for the serial path"
         )
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(
-            f"--shards expects a positive integer (got {args.shards}); "
-            "omit it to default to one shard per worker, or use "
-            "--auto-shards for cost-model micro-sharding"
+
+
+def _parse_shards(text: Optional[str]):
+    """``--shards``: None (one per worker), ``"auto"``, or a positive int."""
+    if text is None or text == "auto":
+        return text
+    try:
+        shards = int(text)
+    except ValueError:
+        shards = 0
+    if shards < 1:
+        raise UsageError(
+            f"--shards expects a positive integer or 'auto' (got {text!r}); "
+            "omit it to default to one shard per worker"
         )
-    shards = args.shards
-    if getattr(args, "auto_shards", False):
-        if shards is not None:
-            raise SystemExit(
-                "--auto-shards and --shards are mutually exclusive: "
-                "pick a fixed shard count or let the cost model size them"
-            )
-        shards = "auto"
+    return shards
+
+
+def _parse_parallel_args(args):
+    """Validate the --workers/--shards/--checkpoint-dir/... combinations."""
+    _check_workers(args)
+    shards = _parse_shards(args.shards)
     shard_range = None
     if getattr(args, "shard_range", None):
         shard_range = _parse_shard_range(args.shard_range)
@@ -184,14 +231,14 @@ def _parse_parallel_args(args):
     resume = False
     if args.resume:
         if checkpoint_dir and checkpoint_dir != args.resume:
-            raise SystemExit(
+            raise UsageError(
                 "--resume DIR already names the checkpoint directory; "
                 "drop --checkpoint-dir (or make them match)"
             )
         checkpoint_dir = args.resume
         resume = True
     if shard_range is not None and checkpoint_dir is None:
-        raise SystemExit(
+        raise UsageError(
             "--shard-range requires --checkpoint-dir: ranged sweeps only "
             "make sense when their shards land somewhere "
             "'repro merge-checkpoints' can reunite them"
@@ -212,8 +259,9 @@ def _print_pareto(result, show: int, out) -> None:
 
 def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro explore``: sample the design space and print the Pareto front."""
+    _positive(args.points, "--points")
     shards, shard_range, checkpoint_dir, resume = _parse_parallel_args(args)
-    bench = get_benchmark(args.benchmark)
+    bench = _benchmark(args.benchmark)
     estimator = _estimator_for(args, estimator)
     try:
         result = explore(
@@ -291,7 +339,8 @@ def cmd_merge_checkpoints(
 
 def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro speedup``: best design vs the modeled CPU baseline."""
-    bench = get_benchmark(args.benchmark)
+    _positive(args.points, "--points")
+    bench = _benchmark(args.benchmark)
     estimator = _estimator_for(args, estimator)
     result = explore(bench, estimator, max_points=args.points, seed=args.seed)
     best = result.best
@@ -310,9 +359,9 @@ def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
 
 def cmd_codegen(args, out) -> int:
     """``repro codegen``: emit MaxJ for one design point."""
-    bench = get_benchmark(args.benchmark)
+    bench = _benchmark(args.benchmark)
     params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    design = _build(bench, params)
     source = generate_maxj(design)
     if args.output:
         with open(args.output, "w") as fh:
@@ -326,9 +375,9 @@ def cmd_codegen(args, out) -> int:
 
 def cmd_power(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro power``: power/energy estimate (extension)."""
-    bench = get_benchmark(args.benchmark)
+    bench = _benchmark(args.benchmark)
     params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = bench.build(bench.default_dataset(), **params)
+    design = _build(bench, params)
     estimator = _estimator_for(args, estimator)
     area = estimator.estimate_area(design)
     cycles = estimator.estimate_cycles(design)
@@ -348,10 +397,10 @@ def cmd_analyze(args, out, estimator: Optional[Estimator] = None) -> int:
     from .analysis import analyze, diagnose
     from .sim import simulate as _simulate
 
-    bench = get_benchmark(args.benchmark)
+    bench = _benchmark(args.benchmark)
     params = _resolve_params(bench, _parse_overrides(args.set or []))
     dataset = bench.default_dataset()
-    design = bench.build(dataset, **params)
+    design = _build(bench, params)
     estimator = _estimator_for(args, estimator)
     diag = diagnose(design, estimator)
     print(diag.summary(), file=out)
@@ -374,11 +423,8 @@ def cmd_report(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro report``: consolidated evaluation report."""
     from .report import build_report
 
-    if args.workers < 1:
-        raise SystemExit(
-            f"--workers expects a positive integer (got {args.workers}); "
-            "use --workers 1 for the serial path"
-        )
+    _check_workers(args)
+    _positive(args.points, "--points")
     estimator = _estimator_for(args, estimator)
     text = build_report(estimator, dse_points=args.points,
                         workers=args.workers)
@@ -426,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument(
         "--no-cache", action="store_true",
-        help="disable the estimation memoization/batching layer "
-        "(bit-identical results, cold hot path; see "
-        "docs/estimation_performance.md)",
+        help="build and estimate every design point instead of pricing "
+        "it from compiled class plans and caches (bit-identical results; "
+        "see docs/estimation_performance.md)",
     )
 
     sub.add_parser("list", help="list the Table II benchmarks")
@@ -453,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (forked after estimator "
                    "training; 1 = serial in-process)")
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", default=None, metavar="N|auto",
                    help="sampling shards (default: one per worker; any "
-                   "value yields identical points for a fixed seed)")
-    p.add_argument("--auto-shards", action="store_true",
-                   help="size micro-shards from the runtime cost model "
+                   "count yields identical points for a fixed seed); "
+                   "'auto' sizes micro-shards from the runtime cost model "
                    "(shards >> workers, enables work stealing)")
     p.add_argument("--shard-range", metavar="A:B",
                    help="sweep only shards A..B-1 of the full partition "
@@ -544,6 +589,14 @@ def _dispatch(args, out, estimator: Optional[Estimator]) -> int:
 def main(argv: Optional[List[str]] = None, out=None,
          estimator: Optional[Estimator] = None) -> int:
     """CLI entry point; ``out`` and ``estimator`` are injectable for tests."""
+    try:
+        return _main(argv, out, estimator)
+    except UsageError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise
+
+
+def _main(argv, out, estimator) -> int:
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
     trace_file = getattr(args, "trace", None)
@@ -551,7 +604,7 @@ def main(argv: Optional[List[str]] = None, out=None,
     sim_trace_file = getattr(args, "sim_trace", None)
     span_cap = getattr(args, "span_cap", None)
     if span_cap is not None and span_cap < 0:
-        raise SystemExit(
+        raise UsageError(
             f"--span-cap expects a non-negative integer (got {span_cap})"
         )
     want_metrics = bool(getattr(args, "metrics", False))

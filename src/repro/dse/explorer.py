@@ -143,7 +143,8 @@ def explore(
     micro-shards ≫ workers from the runtime's cost model so the
     streaming scheduler can work-steal around expensive regions
     (``tail_split`` additionally re-splits the final straggler in
-    flight). ``workers > 1`` forks a process pool after the estimator is
+    flight); resuming an ``"auto"`` sweep reuses the shard count in the
+    checkpoint's manifest. ``workers > 1`` forks a process pool after the estimator is
     trained. ``checkpoint_dir`` writes per-shard JSONL checkpoints
     there; ``resume=True`` restores completed work from that directory
     instead of re-estimating it.
@@ -174,6 +175,11 @@ def explore(
             "shard_range requires checkpoint_dir — a ranged sweep is only "
             "useful if its shards land somewhere a merge can find them"
         )
+
+    if resume and shards == "auto":
+        # "auto" follows this process's cost history; a resumed sweep must
+        # re-plan the partition its checkpoint was written with.
+        shards = int(read_manifest(checkpoint_dir)["shards"])
 
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)

@@ -100,3 +100,34 @@ def test_resume_requires_checkpoint_dir(estimator):
     bench = get_benchmark("tpchq6")
     with pytest.raises(ValueError, match="resume=True requires"):
         explore(bench, estimator, max_points=12, resume=True)
+
+
+def test_auto_shards_resume_after_another_auto_sweep(
+    estimator, serial, tmp_path, monkeypatch
+):
+    """Resuming an "auto" sweep re-plans the checkpoint's partition even
+    after other sweeps in the process moved the cost model's suggestion
+    (it used to raise CheckpointError: shards checkpoint=8 vs run=16)."""
+    from repro.runtime.sharding import DEFAULT_COST_MODEL, resolve_shard_count
+
+    monkeypatch.setattr(DEFAULT_COST_MODEL, "_costs", [])
+    bench = get_benchmark("tpchq6")
+    ckpt = tmp_path / "ckpt"
+    first = explore(
+        bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
+        checkpoint_dir=ckpt,
+    )
+    # Another sweep in this process with skewed per-shard costs.
+    other = get_benchmark("dotproduct")
+    explore(other, estimator, max_points=POINTS, seed=SEED, shards="auto")
+    for cost in (1e-5, 1e-2) * 8:
+        DEFAULT_COST_MODEL.observe(1, cost)
+    assert resolve_shard_count("auto", POINTS) != first.shards
+
+    resumed = explore(
+        bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
+        checkpoint_dir=ckpt, resume=True,
+    )
+    assert resumed.shards == first.shards
+    assert resumed.restored == len(first.points)
+    assert fingerprint(resumed) == fingerprint(serial)

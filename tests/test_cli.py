@@ -298,6 +298,69 @@ class TestParallelExploreFlags:
         assert "20 restored from checkpoint" in text
 
 
+class TestHostileInput:
+    """Bad input: one ``repro: error:`` line and exit status 2."""
+
+    def assert_usage_error(self, estimator, capsys, argv, match):
+        with pytest.raises(SystemExit, match=match) as exc:
+            run_cli(estimator, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unknown_benchmark(self, estimator, capsys):
+        self.assert_usage_error(
+            estimator, capsys, ["estimate", "nosuch"],
+            "unknown benchmark 'nosuch'.*dotproduct",
+        )
+
+    def test_negative_points(self, estimator, capsys):
+        self.assert_usage_error(
+            estimator, capsys, ["explore", "gda", "--points", "-5"],
+            "--points expects a positive integer",
+        )
+
+    def test_zero_points_speedup(self, estimator, capsys):
+        self.assert_usage_error(
+            estimator, capsys, ["speedup", "gda", "--points", "0"],
+            "--points expects a positive integer",
+        )
+
+    def test_illegal_design_point(self, estimator, capsys):
+        self.assert_usage_error(
+            estimator, capsys, ["estimate", "dotproduct", "--set", "tile=0"],
+            "illegal design point",
+        )
+
+    def test_non_numeric_shards(self, estimator, capsys):
+        self.assert_usage_error(
+            estimator, capsys, ["explore", "gda", "--shards", "many"],
+            "--shards expects a positive integer or 'auto'",
+        )
+
+    def test_auto_shards_flag_is_gone(self, estimator, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(estimator, "explore", "gda", "--auto-shards")
+        assert exc.value.code == 2  # argparse: unrecognized argument
+
+    def test_subprocess_exit_status(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "estimate", "nosuch"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro: error: unknown benchmark")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestStreamingTraceFlag:
     def test_trace_jsonl_streams_spans(self, estimator, tmp_path):
         estimator.caches.clear()
@@ -358,15 +421,10 @@ class TestShardRangeFlags:
             run_cli(estimator, "explore", "tpchq6", "--points", "10",
                     "--shards", "4", "--shard-range", "0:2")
 
-    def test_auto_shards_conflicts_with_shards(self, estimator):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            run_cli(estimator, "explore", "tpchq6",
-                    "--auto-shards", "--shards", "4")
-
     def test_auto_shards_micro_shards(self, estimator):
         code, text = run_cli(
             estimator, "explore", "tpchq6", "--points", "24", "--seed", "2",
-            "--auto-shards",
+            "--shards", "auto",
         )
         assert code == 0
         assert "shards x 1 workers" in text
