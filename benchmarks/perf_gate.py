@@ -4,8 +4,10 @@ Gates three sections of ``BENCH_table4.json``, all as *ratios* (never
 absolute points/sec: both the committed number and the fresh one divide
 two wall times on the same host, so slow CI runners cancel out):
 
-* ``estimation_cache`` — cached-vs-``--no-cache`` speedup per benchmark
-  (a cache stops hitting, batching degrades to per-point work);
+* ``estimation_cache`` — end-to-end ``explore`` speedup per benchmark of
+  the default estimator (compiled class plans) over ``--no-cache``
+  (building and estimating every design): a class stops compiling, a
+  plan grows slow, or plan compilation starts to dominate;
 * ``parallel_dse`` — the ``workers=2`` sharded sweep's
   ``speedup_vs_serial`` (fork/scheduler overhead creeping in);
 * ``work_stealing`` — adaptive micro-shards vs the static split on the
@@ -26,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import random
 import sys
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from typing import Dict, List, Tuple
 
 REGRESSION_TOLERANCE = 0.30
 SKIP_ENV = "REPRO_SKIP_PERF_GATE"
-N_GATE_POINTS = 80
+N_GATE_POINTS = 300
 SAMPLE_SEED = 17
 REPEATS = 3  # best-of-N wall times; noise only ever slows a run down
 
@@ -73,78 +74,63 @@ def evaluate(
     return ok, lines
 
 
-def _gate_designs(bench_name: str, count: int):
-    """Pre-built legal designs for one benchmark's default dataset."""
-    from repro.apps import get_benchmark
-    from repro.ir import IRError
-
-    bench = get_benchmark(bench_name)
-    ds = bench.default_dataset()
-    points = bench.param_space(ds).sample(random.Random(SAMPLE_SEED), count)
-    designs = []
-    for params in points:
-        try:
-            designs.append(bench.build(ds, **params))
-        except IRError:
-            continue
-    return designs
-
-
 def measure_speedups(
-    bench_names, n_points: int = N_GATE_POINTS
-) -> Dict[str, float]:
-    """Fresh cached-vs-uncached speedup per benchmark.
+    bench_names, n_points: int = N_GATE_POINTS, estimator=None
+) -> Dict[str, Dict[str, float]]:
+    """Fresh class-plan vs ``--no-cache`` explore rows per benchmark.
 
-    Mirrors the ``estimation_cache`` section of the Table IV benchmark:
-    identical pre-built designs through the ``--no-cache`` per-point
-    path and through ``estimate_many`` on an estimator with empty
-    caches, with bit-identity of every estimate asserted.
+    Both sides run the same seeded ``n_points`` serial ``explore``, each
+    repeat on a fresh estimator sharing ``estimator``'s trained models
+    (default: the shared default estimator's), so the class-plan side
+    compiles its plans inside the timed call just as every CLI sweep
+    does. Bit-identity of every estimate is asserted; ``speedup`` is the
+    gated ratio. The Table IV benchmark records its committed
+    ``estimation_cache`` section with this same function.
     """
+    from repro.apps import get_benchmark
+    from repro.dse import explore
     from repro.estimation import Estimator, default_estimator
-    from repro.runtime import DEFAULT_BATCH_SIZE
 
-    warm_models = default_estimator()
-    cold = Estimator(
-        warm_models.board, templates=warm_models.templates,
-        corrections=warm_models.corrections, cache=False,
-    )
-    speedups: Dict[str, float] = {}
-    for name in bench_names:
-        designs = _gate_designs(name, n_points)
-        if len(designs) < 2:
-            continue
-        uncached_s = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            cold_estimates = [cold.estimate(d) for d in designs]
-            uncached_s = min(uncached_s, time.perf_counter() - start)
+    models = estimator or default_estimator()
 
-        cached_s = float("inf")
+    def best_sweep(bench, cache: bool):
+        best, result = float("inf"), None
         for _ in range(REPEATS):
-            cached = Estimator(
-                warm_models.board, templates=warm_models.templates,
-                corrections=warm_models.corrections,
+            fresh = Estimator(
+                models.board, templates=models.templates,
+                corrections=models.corrections, cache=cache,
             )
             start = time.perf_counter()
-            cached_estimates = []
-            for lo in range(0, len(designs), DEFAULT_BATCH_SIZE):
-                cached_estimates.extend(
-                    cached.estimate_many(designs[lo:lo + DEFAULT_BATCH_SIZE])
-                )
-            cached_s = min(cached_s, time.perf_counter() - start)
+            result = explore(bench, fresh, max_points=n_points,
+                             seed=SAMPLE_SEED)
+            best = min(best, time.perf_counter() - start)
+        return best, result
 
-        if [pickle.dumps(e) for e in cold_estimates] != [
-            pickle.dumps(e) for e in cached_estimates
+    rows: Dict[str, Dict[str, float]] = {}
+    for name in bench_names:
+        bench = get_benchmark(name)
+        uncached_s, cold = best_sweep(bench, cache=False)
+        cached_s, warm = best_sweep(bench, cache=True)
+        if [pickle.dumps(p.estimate) for p in cold.points] != [
+            pickle.dumps(p.estimate) for p in warm.points
         ]:
             raise AssertionError(
-                f"{name}: cached estimates diverged from --no-cache"
+                f"{name}: class-plan estimates diverged from --no-cache"
             )
-        speedups[name] = uncached_s / cached_s
-    return speedups
+        points = len(warm.points)
+        rows[name] = {
+            "points": points,
+            "uncached_s": uncached_s,
+            "cached_s": cached_s,
+            "uncached_points_per_sec": points / uncached_s,
+            "cached_points_per_sec": points / cached_s,
+            "speedup": uncached_s / cached_s,
+        }
+    return rows
 
 
 def load_baseline(path: Path = BENCH_JSON) -> Dict[str, float]:
-    """Committed estimation-cache speedups from BENCH_table4.json."""
+    """Committed class-plan explore speedups from BENCH_table4.json."""
     if not path.exists():
         return {}
     doc = json.loads(path.read_text())
@@ -219,11 +205,12 @@ def main(argv=None) -> int:
         return 0
     ok = True
     if cache_baseline:
-        measured = measure_speedups(sorted(cache_baseline))
+        rows = measure_speedups(sorted(cache_baseline))
+        measured = {name: row["speedup"] for name, row in rows.items()}
         cache_ok, lines = evaluate(cache_baseline, measured)
         ok = ok and cache_ok
         print(
-            "estimation hot-path perf gate "
+            "class-plan explore perf gate "
             f"(tolerance {REGRESSION_TOLERANCE:.0%} of committed speedup):"
         )
         for line in lines:

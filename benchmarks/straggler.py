@@ -4,10 +4,10 @@ Two measurement helpers, both committed to ``BENCH_table4.json`` as
 host-independent *ratios* (never absolute points/sec, so 1-core CI
 runners and 32-core workstations gate the same way):
 
-* :func:`measure_work_stealing` — wraps a benchmark so a contiguous
+* :func:`measure_work_stealing` — wraps the estimator so a contiguous
   early slice of the seeded sample is artificially slow (``time.sleep``
-  inside ``build``, so the skew overlaps across forked workers even on
-  a single core), then times a static ``shards == workers`` split
+  while pricing those points, so the skew overlaps across forked
+  workers even on a single core), then times a static ``shards == workers`` split
   against the adaptive ``shards="auto"`` micro-shard + work-stealing +
   tail-split schedule.  Static assignment hands one worker every
   straggler; the streaming scheduler spreads them, and the wall-clock
@@ -31,7 +31,7 @@ from repro.dse import explore
 from repro.estimation import Estimator
 
 # Work-stealing skew defaults: 48 points, the first quarter of the
-# sample sleeping 50 ms each.  Sleeps dominate estimation (~3 ms/point)
+# sample sleeping 50 ms each.  Sleeps dominate estimation (<1 ms/point)
 # and overlap across forked processes, so the adaptive-vs-fixed ratio is
 # meaningful even on a 1-core host.
 WS_BENCH = "tpchq6"
@@ -60,24 +60,27 @@ def _fingerprint(result):
     return [(p.params, p.cycles, p.alms) for p in result.points]
 
 
-class SkewedBenchmark:
-    """Delegating benchmark wrapper with an artificially slow region.
+class SkewedEstimator(Estimator):
+    """Estimator whose prices cost extra time in one region of a sample.
 
-    The first ``slow_fraction`` of the seeded sample order sleeps
-    ``slow_s`` inside :meth:`build` — a contiguous expensive region at
-    the head of the sample, the worst case for a static
-    ``shards == workers`` split (the first shard inherits every
-    straggler) and the target case for micro-shards + work stealing.
-    Estimates are untouched, so skewed sweeps remain bit-identical to
-    unskewed ones.
+    The first ``slow_fraction`` of ``bench``'s seeded sample order
+    sleeps ``slow_s`` per point inside :meth:`estimate_points` — a
+    contiguous expensive region at the head of the sample, the worst
+    case for a static ``shards == workers`` split (the first shard
+    inherits every straggler) and the target case for micro-shards +
+    work stealing. Estimates are untouched, so skewed sweeps remain
+    bit-identical to unskewed ones.
     """
 
-    def __init__(self, base, seed: int, max_points: int,
-                 slow_fraction: float = WS_SLOW_FRACTION,
+    def __init__(self, estimator: Estimator, bench, seed: int,
+                 max_points: int, slow_fraction: float = WS_SLOW_FRACTION,
                  slow_s: float = WS_SLOW_S) -> None:
-        self._base = base
+        super().__init__(
+            estimator.board, templates=estimator.templates,
+            corrections=estimator.corrections,
+        )
         self.slow_s = slow_s
-        sample = base.param_space(base.default_dataset()).sample(
+        sample = bench.param_space(bench.default_dataset()).sample(
             random.Random(seed), max_points
         )
         n_slow = max(1, int(len(sample) * slow_fraction))
@@ -87,27 +90,11 @@ class SkewedBenchmark:
     def _key(params: Dict[str, object]) -> Tuple:
         return tuple(sorted(params.items()))
 
-    @property
-    def name(self) -> str:
-        return self._base.name
-
-    @property
-    def description(self) -> str:
-        return self._base.description
-
-    def default_dataset(self):
-        return self._base.default_dataset()
-
-    def param_space(self, dataset):
-        return self._base.param_space(dataset)
-
-    def default_params(self, dataset):
-        return self._base.default_params(dataset)
-
-    def build(self, dataset, **params):
-        if self._key(params) in self.slow_keys:
-            time.sleep(self.slow_s)
-        return self._base.build(dataset, **params)
+    def estimate_points(self, benchmark, dataset, params_list):
+        for params in params_list:
+            if self._key(params) in self.slow_keys:
+                time.sleep(self.slow_s)
+        return super().estimate_points(benchmark, dataset, params_list)
 
 
 def measure_work_stealing(
@@ -127,21 +114,21 @@ def measure_work_stealing(
     adaptive run's steal/requeue counts, and ``speedup`` =
     fixed / adaptive.  Point sets are asserted identical first.
     """
-    skewed = SkewedBenchmark(
-        get_benchmark(bench_name), seed, points, slow_fraction, slow_s
-    )
+    bench = get_benchmark(bench_name)
 
     def run(shards, tail_split: bool):
-        fresh = _fresh_estimator(estimator)
+        skewed = SkewedEstimator(
+            estimator, bench, seed, points, slow_fraction, slow_s
+        )
         start = time.perf_counter()
         result = explore(
-            skewed, fresh, max_points=points, seed=seed,
+            bench, skewed, max_points=points, seed=seed,
             shards=shards, workers=workers, tail_split=tail_split,
         )
-        return time.perf_counter() - start, result
+        return time.perf_counter() - start, result, skewed
 
-    fixed_s, fixed = run(workers, False)
-    adaptive_s, adaptive = run("auto", True)
+    fixed_s, fixed, skewed = run(workers, False)
+    adaptive_s, adaptive, _ = run("auto", True)
     assert _fingerprint(fixed) == _fingerprint(adaptive), (
         "work-stealing sweep diverged from the static schedule"
     )
@@ -162,7 +149,7 @@ def measure_work_stealing(
         "speedup": fixed_s / adaptive_s,
         "note": (
             "straggler-skewed sweep (first quarter of the sample sleeps "
-            "in build); static shards==workers vs auto micro-shards with "
+            "while priced); static shards==workers vs auto micro-shards with "
             "work stealing + tail split; ratio is host-independent"
         ),
     }

@@ -18,9 +18,10 @@ corrections), so future performance PRs can diff against a committed
 baseline.  A ``parallel_dse`` section records sharded-explore throughput
 per worker count (with the host cpu count, so speedups stay honest) and
 asserts every parallel sweep enumerates exactly the serial point set.
-An ``estimation_cache`` section records the memoized+batched hot path
-against ``--no-cache`` on identical pre-built designs (bit-identical
-estimates, >=2x floor), and a ``work_stealing`` section records the
+An ``estimation_cache`` section records end-to-end ``explore`` with
+compiled class plans against ``--no-cache`` (bit-identical estimates,
+>=3x floor, host cpu count alongside), and a ``work_stealing`` section
+records the
 adaptive micro-shard scheduler against a static ``shards == workers``
 split on a straggler-skewed sweep (>=1.2x floor; see
 ``benchmarks/straggler.py``); ``benchmarks/perf_gate.py`` diffs fresh
@@ -29,7 +30,6 @@ speedup ratios against the committed ones in CI.
 
 import json
 import os
-import pickle
 import platform
 import random
 import time
@@ -41,10 +41,10 @@ from repro import obs
 from repro.apps import all_benchmarks, get_benchmark
 from repro.estimation import Estimator
 from repro.hls import HLSExplosionError, HLSTool
-from repro.ir import IRError
-from repro.runtime import DEFAULT_BATCH_SIZE, fork_available
+from repro.runtime import fork_available
 
 from conftest import write_result
+from perf_gate import N_GATE_POINTS, measure_speedups
 from straggler import measure_parallel_dse, measure_work_stealing
 
 N_OURS = 250
@@ -60,15 +60,13 @@ PARALLEL_WORKERS = (1, 2, 4)
 PARALLEL_SHARDS = 8
 PARALLEL_BENCH = "dotproduct"
 
-# Memoized + batched hot path: points per benchmark and the minimum
-# speedup the cached/batched sweep must show over --no-cache. The CI
-# perf gate (benchmarks/perf_gate.py) diffs fresh runs against the
-# committed ratios, so only the ratio — not absolute wall time — must
-# reproduce across hosts.
-N_CACHE = 120
-CACHE_BENCHES = ("dotproduct", "gda")
-MIN_CACHE_SPEEDUP = 2.0
-CACHE_REPEATS = 3  # best-of-N wall times; scheduler noise never favors
+# Class plans end to end: benchmarks swept and the minimum speedup a
+# serial explore with the default estimator must show over --no-cache.
+# The CI perf gate (benchmarks/perf_gate.py) diffs fresh runs against
+# the committed ratios, so only the ratio — not absolute wall time —
+# must reproduce across hosts.
+CACHE_BENCHES = ("dotproduct", "gda", "kmeans")
+MIN_CACHE_SPEEDUP = 3.0
 
 # Work-stealing floor: the adaptive schedule must beat the static
 # shards==workers split by at least this much on the straggler-skewed
@@ -152,11 +150,6 @@ def _parallel_dse_section(estimator):
     are honest: on a 1-core host all worker counts land at roughly 1.0x,
     so the host cpu count is committed alongside.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-
     rows = measure_parallel_dse(
         estimator, PARALLEL_BENCH, N_PARALLEL,
         workers_list=PARALLEL_WORKERS, shards=PARALLEL_SHARDS,
@@ -165,7 +158,7 @@ def _parallel_dse_section(estimator):
         "benchmark": PARALLEL_BENCH,
         "points": N_PARALLEL,
         "shards": PARALLEL_SHARDS,
-        "cpus": cpus,
+        "cpus": _cpus(),
         "fork_available": fork_available(),
         "note": "speedup_vs_serial saturates at the committed cpu count",
         "workers": rows,
@@ -192,89 +185,36 @@ def _work_stealing_section(estimator):
     return section
 
 
-def _build_designs(bench_name, seed, count):
-    """Sampled legal designs for one benchmark (IR-illegal points skipped)."""
-    bench = get_benchmark(bench_name)
-    ds = bench.default_dataset()
-    points = bench.param_space(ds).sample(random.Random(seed), count)
-    designs = []
-    for params in points:
-        try:
-            designs.append(bench.build(ds, **params))
-        except IRError:
-            continue
-    return designs
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _estimation_cache_section(estimator):
-    """Measure the memoized+batched hot path against ``--no-cache``.
+    """Serial ``explore`` with class plans against ``--no-cache``.
 
-    Both paths estimate the same pre-built designs, so the comparison
-    isolates estimation (no IR build time).  The cached estimator starts
-    from empty caches on every repeat — the speedup comes from
-    intra-sweep template and schedule reuse plus the vectorized NN
-    correction pass, not from a pre-warmed run.  Each path takes the
-    best of ``CACHE_REPEATS`` wall times (scheduler noise only ever
-    slows a run down).  Bit-identity of every Estimate is asserted, and
-    the >=2x floor is the PR's acceptance criterion.
+    Delegates to :func:`perf_gate.measure_speedups` (so the gate's fresh
+    ratios come from the same protocol): each side runs the same seeded
+    sweep on a fresh estimator, best of three, with plan compilation
+    inside the timed call and every estimate asserted bit-identical.
     """
-    cold = Estimator(
-        estimator.board, templates=estimator.templates,
-        corrections=estimator.corrections, cache=False,
-    )
-    rows = {}
-    for name in CACHE_BENCHES:
-        designs = _build_designs(name, 17, N_CACHE)
-        assert len(designs) >= 2
-
-        uncached_s = float("inf")
-        for _ in range(CACHE_REPEATS):
-            start = time.perf_counter()
-            cold_estimates = [cold.estimate(d) for d in designs]
-            uncached_s = min(uncached_s, time.perf_counter() - start)
-
-        cached_s = float("inf")
-        for _ in range(CACHE_REPEATS):
-            warm = Estimator(
-                estimator.board, templates=estimator.templates,
-                corrections=estimator.corrections,
-            )
-            start = time.perf_counter()
-            warm_estimates = []
-            for lo in range(0, len(designs), DEFAULT_BATCH_SIZE):
-                warm_estimates.extend(
-                    warm.estimate_many(designs[lo:lo + DEFAULT_BATCH_SIZE])
-                )
-            cached_s = min(cached_s, time.perf_counter() - start)
-
-        # The cache layer's contract: not a single bit may change.
-        assert (
-            [pickle.dumps(e) for e in cold_estimates]
-            == [pickle.dumps(e) for e in warm_estimates]
-        ), f"{name}: cached estimates diverged from --no-cache"
-
-        speedup = uncached_s / cached_s
-        assert speedup >= MIN_CACHE_SPEEDUP, (
-            f"{name}: cached+batched path only {speedup:.2f}x faster than "
-            f"--no-cache (floor {MIN_CACHE_SPEEDUP}x)"
+    rows = measure_speedups(CACHE_BENCHES, estimator=estimator)
+    for name, row in rows.items():
+        assert row["speedup"] >= MIN_CACHE_SPEEDUP, (
+            f"{name}: class-plan explore only {row['speedup']:.2f}x faster "
+            f"than --no-cache (floor {MIN_CACHE_SPEEDUP}x)"
         )
-        template = warm.caches.template.stats()
-        rows[name] = {
-            "designs": len(designs),
-            "uncached_s": uncached_s,
-            "cached_s": cached_s,
-            "uncached_points_per_sec": len(designs) / uncached_s,
-            "cached_points_per_sec": len(designs) / cached_s,
-            "speedup": speedup,
-            "template_hit_rate": template["hit_rate"],
-        }
     return {
-        "batch_size": DEFAULT_BATCH_SIZE,
+        "points": N_GATE_POINTS,
+        "cpus": _cpus(),
+        "python": platform.python_version(),
         "min_speedup": MIN_CACHE_SPEEDUP,
         "note": (
-            "cached+batched estimate_many from empty caches vs the "
-            "--no-cache per-point path on identical pre-built designs; "
-            "estimates verified bit-identical"
+            "serial explore from a fresh estimator (class plans compiled "
+            "inside the call) vs --no-cache building and estimating every "
+            "design; best of 3; estimates verified bit-identical"
         ),
         "benchmarks": rows,
     }

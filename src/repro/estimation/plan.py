@@ -283,7 +283,7 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
             second = _build_tagged(family, other)
         except IRError:
             continue
-        if _shape(design) != _shape(second):
+        if not _same_shape(design, second):
             return None
         estimator = family.estimator
         return _Lowering(design, estimator.templates, estimator.board).plan(
@@ -292,32 +292,55 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
     return None  # a one-point class: nothing to check the shape against
 
 
-def _shape(design: Design) -> tuple:
-    """Every IR field except parameter-bound and width/banking ones."""
-    bound = design.bindings
-    nodes = []
-    for node in design.nodes:
-        fields = tuple(
-            (name, _norm(value, node.nid, (name,), bound))
-            for name, value in sorted(vars(node).items())
-            if name not in ("design", "width", "banks")
-            and not name.startswith("_")
-        )
-        nodes.append((type(node).__name__, fields))
-    return design.name, tuple(nodes), tuple(sorted(bound.items()))
+#: Node fields a plan re-derives from parameters, never compared.
+_DERIVED = frozenset(("design", "width", "banks"))
 
 
-def _norm(value, nid: int, path: tuple, bound) -> object:
+def _same_shape(a: Design, b: Design) -> bool:
+    """Whether every IR field except bound and derived ones matches."""
+    if a.name != b.name or a.bindings != b.bindings:
+        return False
+    if len(a.nodes) != len(b.nodes):
+        return False
+    bound = a.bindings
+    bound_fields = {(nid, path[0]) for nid, path in bound}
+    for x, y in zip(a.nodes, b.nodes):
+        if type(x) is not type(y):
+            return False
+        fx, fy = vars(x), vars(y)
+        if fx.keys() != fy.keys():
+            return False
+        for name, value in fx.items():
+            if name in _DERIVED or name[0] == "_":
+                continue
+            other = fy[name]
+            if (x.nid, name) in bound_fields:
+                value = _masked(value, x.nid, (name,), bound)
+                other = _masked(other, x.nid, (name,), bound)
+            if not _same(value, other):
+                return False
+    return True
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, Node):
+        return isinstance(y, Node) and x.nid == y.nid
+    if isinstance(x, (list, tuple)):
+        return (type(x) is type(y) and len(x) == len(y)
+                and all(map(_same, x, y)))
+    return type(x) is type(y) and x == y
+
+
+def _masked(value, nid: int, path: tuple, bound) -> object:
+    """``value`` with every parameter-bound entry replaced by its name."""
     name = bound.get((nid, path))
     if name is not None:
         return ("param", name)
-    if isinstance(value, Node):
-        return ("node", value.nid)
     if isinstance(value, (list, tuple)):
         return tuple(
-            _norm(v, nid, path + (i,), bound) for i, v in enumerate(value)
+            _masked(v, nid, path + (i,), bound) for i, v in enumerate(value)
         )
-    return (type(value).__name__, value)
+    return value
 
 
 # -- lowering -----------------------------------------------------------------

@@ -160,9 +160,12 @@ def _metrics_section(estimator: Optional[Estimator] = None) -> List[str]:
         "## Observability — metrics collected during this report",
         "",
         "Per-pass latency histograms (`pass.*`) decompose Table IV's",
-        "per-design estimation time; `dse.*` counters census the sampled",
-        "spaces; `estimator.cache.*` and `estimation.cache.*` counters",
-        "explain how much of the sweep the memoization layer absorbed;",
+        "per-design estimation time; sweeps price points from compiled",
+        "class plans instead (`estimate.plans.compiled` counts the classes,",
+        "`estimate.plan_s` times the evaluated blocks); `dse.*` counters",
+        "census the sampled spaces; `estimator.cache.*` and",
+        "`estimation.cache.*` counters explain how much of the sweep the",
+        "memoization layer absorbed;",
         "`dram.*` counters/histograms (transfers, bytes, contention",
         "cycles, interleave efficiency) show how much simulated memory",
         "time was queueing behind sibling streams.",
