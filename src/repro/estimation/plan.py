@@ -231,7 +231,8 @@ def _family(estimator, benchmark, dataset) -> _Family:
     plans = estimator.caches.plans
     key = (benchmark.name, tuple(sorted(dataset.items())))
     family = plans.get(key)
-    if family is None or family.benchmark is not benchmark:
+    if (family is None or family.benchmark is not benchmark
+            or family.estimator is not estimator):
         family = plans[key] = _Family(benchmark, dataset, estimator)
     return family
 
@@ -868,7 +869,8 @@ class _Lowering:
         controllers = list(design.controllers())
         banks = self.total([self.banks(m) for m in mems]) if mems else _const(1)
         feats = self.op(
-            "feature_vector(raw, {}, {}, {}, {}, {}, {})",
+            "feature_vector({}, {}, {}, {}, {}, {}, {})",
+            _Sym("raw"),
             self.wire_bits(),
             _const(len(controllers)),
             _const(sum(isinstance(c, MetaPipe) for c in controllers)),
