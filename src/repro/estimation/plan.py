@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .. import obs
 from ..ir.builder import Param
@@ -91,6 +94,7 @@ _SECOND_POINT_TRIES = 64
 Row = Tuple[float, Counts, List[float]]
 
 
+@dataclass(frozen=True)
 class ClassPlan:
     """The compiled estimate of one structural class.
 
@@ -99,21 +103,12 @@ class ClassPlan:
     ``source`` is the generated function, kept for inspection.
     """
 
-    def __init__(
-        self,
-        label: str,
-        design_name: str,
-        nodes: int,
-        terms: int,
-        source: str,
-        evaluate: Callable[[Dict[str, object]], Optional[Row]],
-    ) -> None:
-        self.label = label
-        self.design_name = design_name
-        self.nodes = nodes
-        self.terms = terms
-        self.source = source
-        self.evaluate = evaluate
+    label: str
+    design_name: str
+    nodes: int
+    terms: int
+    source: str
+    evaluate: Callable[[Dict[str, object]], Optional[Row]]
 
 
 # -- pricing ------------------------------------------------------------------
@@ -347,15 +342,12 @@ def _masked(value, nid: int, path: tuple, bound) -> object:
 # -- lowering -----------------------------------------------------------------
 
 
-class _Sym:
+class _Sym(NamedTuple):
     """A value in the generated code: a folded constant or an expression."""
 
-    __slots__ = ("src", "value", "const")
-
-    def __init__(self, src: str, value: object = None, const: bool = False):
-        self.src = src
-        self.value = value
-        self.const = const
+    src: str
+    value: object = None
+    const: bool = False
 
 
 def _const(value: object) -> _Sym:
@@ -390,6 +382,8 @@ class _Lowering:
         self._memo: Dict[object, _Sym] = {}
         self._seen: Dict[str, _Sym] = {}
         self._width: Dict[int, _Sym] = {}
+        # Compiled constant folders, one per (template, arity).
+        self._folders: Dict[Tuple[str, int], Callable] = {}
 
     # -- expression helpers ----------------------------------------------------
 
@@ -397,10 +391,10 @@ class _Lowering:
         """Evaluate ``template`` now if every argument is a constant."""
         if not all(a.const for a in args):
             return None
-        fn = _FOLDERS.get((template, len(args)))
+        fn = self._folders.get((template, len(args)))
         if fn is None:
             names = [f"a{i}" for i in range(len(args))]
-            fn = _FOLDERS[(template, len(args))] = eval(
+            fn = self._folders[(template, len(args))] = eval(
                 f"lambda {', '.join(names)}: {template.format(*names)}",
                 dict(_HELPERS),
             )
@@ -498,11 +492,8 @@ class _Lowering:
     def width(self, node: Node) -> _Sym:
         return self._width.get(node.nid, _const(1))
 
-    def lanes(self, node: Node) -> _Sym:
-        """``max(node.width, 1)``."""
-        return self.lanes_of(self.width(node))
-
-    def lanes_of(self, width: _Sym) -> _Sym:
+    def lanes(self, width: _Sym) -> _Sym:
+        """``max(width, 1)``, as the oracle sizes wires and delays."""
         return self.op("max({}, 1)", width)
 
     def banks(self, mem: OnChipMemory) -> _Sym:
@@ -593,10 +584,8 @@ class _Lowering:
     def overlap(self, parent: Controller, child: Controller, contention):
         stages = self.total([self.weighted(c) for c in parent.stages])
         others = self.product([self.par(parent), stages])
-        return self.total([contention, others, self.negate(self.weighted(child))])
-
-    def negate(self, sym: _Sym) -> _Sym:
-        return self.op("-{}", sym)
+        mine = self.op("-{}", self.weighted(child))
+        return self.total([contention, others, mine])
 
     def cycles(self, ctrl: Controller, contention: _Sym) -> _Sym:
         """:func:`~repro.estimation.cycles._controller_cycles`."""
@@ -794,7 +783,9 @@ class _Lowering:
                 slack = start - times[inp.nid][1]
                 if slack <= 0:
                     continue
-                bits = self.product([_const(inp.tp.bits), self.lanes(inp)])
+                bits = self.product(
+                    [_const(inp.tp.bits), self.lanes(self.width(inp))]
+                )
                 if bits.const:
                     counts = delay_counts(bits.value, slack)
                     regs, brams = _const(counts.regs), _const(counts.brams)
@@ -844,7 +835,7 @@ class _Lowering:
                 group = groups.setdefault((width.src, rep.src), [0, width, rep])
                 group[0] += node.tp.bits
         total = self.total([
-            self.product([_const(bits), self.lanes_of(width), rep])
+            self.product([_const(bits), self.lanes(width), rep])
             for bits, width, rep in groups.values()
         ])
         return self.op("0.0 + {}", total)
@@ -907,9 +898,6 @@ _HELPERS: Dict[str, object] = {
     "bram_blocks": bram_blocks,
     "feature_vector": feature_vector,
 }
-
-#: Compiled constant folders, one per (template, arity); shared by plans.
-_FOLDERS: Dict[Tuple[str, int], Callable] = {}
 
 
 def _tuple(n: int) -> str:

@@ -1,7 +1,7 @@
 """Differential test: class plans against the per-design oracle.
 
-Every benchmark, every toggle class, the default and small datasets, and
-IR-illegal points: :meth:`Estimator.estimate_points` (compiled class
+Every benchmark (plus the extension apps), every toggle class, the
+default and small datasets, and IR-illegal points: :meth:`Estimator.estimate_points` (compiled class
 plans) must return exactly what building each design and calling the
 uncached :meth:`Estimator.estimate` returns — ``None`` for the same
 illegal points and a pickle-identical :class:`Estimate` otherwise, so
@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.apps import all_benchmarks
+from repro.apps.extras import all_extras
 from repro.dse import explore, local_search
 from repro.estimation import Estimator
 from repro.params import BoolParam, IntParam
@@ -78,7 +79,9 @@ def assert_same(bench, dataset, points, got, want):
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
-@pytest.mark.parametrize("bench", BENCHES, ids=lambda b: b.name)
+@pytest.mark.parametrize(
+    "bench", BENCHES + all_extras(), ids=lambda b: b.name
+)
 def test_every_class_matches_oracle(bench, small, fresh, cold):
     dataset = bench.small_dataset() if small else bench.default_dataset()
     space = bench.param_space(dataset)

@@ -106,8 +106,9 @@ def test_auto_shards_resume_after_another_auto_sweep(
     estimator, serial, tmp_path, monkeypatch
 ):
     """Resuming an "auto" sweep re-plans the checkpoint's partition even
-    after other sweeps in the process moved the cost model's suggestion
-    (it used to raise CheckpointError: shards checkpoint=8 vs run=16)."""
+    after other sweeps in the process moved the cost model's suggestion;
+    asking the model again would plan another shard count and fail the
+    manifest check with CheckpointError."""
     from repro.runtime.sharding import DEFAULT_COST_MODEL, resolve_shard_count
 
     monkeypatch.setattr(DEFAULT_COST_MODEL, "_costs", [])
