@@ -39,7 +39,6 @@ import pytest
 
 from repro import obs
 from repro.apps import all_benchmarks, get_benchmark
-from repro.estimation import Estimator
 from repro.hls import HLSExplosionError, HLSTool
 from repro.runtime import fork_available
 

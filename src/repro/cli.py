@@ -5,7 +5,8 @@ Subcommands mirror the paper's flow:
 * ``repro list`` — Table II benchmark inventory;
 * ``repro estimate BENCH [--set k=v ...]`` — estimate one design point;
 * ``repro explore BENCH --points N`` — design space exploration + Pareto,
-  with ``--workers``/``--shards N|auto`` for the parallel engine, ``--checkpoint-dir``/``--resume`` for kill/resume, and
+  with ``--workers``/``--shards N|auto`` for the parallel engine,
+  ``--checkpoint-dir``/``--resume`` for kill/resume, and
   ``--shard-range A:B`` for multi-host range sweeps (see
   ``docs/runtime.md``);
 * ``repro merge-checkpoints DIR`` — reunite a (multi-host) checkpoint
@@ -79,10 +80,9 @@ def _build(bench, params: Dict[str, object]):
         raise UsageError(f"illegal design point {params}: {exc}") from None
 
 
-def _positive(value: int, flag: str) -> int:
+def _positive(value: int, flag: str) -> None:
     if value < 1:
         raise UsageError(f"{flag} expects a positive integer (got {value})")
-    return value
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:

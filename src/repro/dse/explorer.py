@@ -144,10 +144,10 @@ def explore(
     streaming scheduler can work-steal around expensive regions
     (``tail_split`` additionally re-splits the final straggler in
     flight); resuming an ``"auto"`` sweep reuses the shard count in the
-    checkpoint's manifest. ``workers > 1`` forks a process pool after the estimator is
-    trained. ``checkpoint_dir`` writes per-shard JSONL checkpoints
-    there; ``resume=True`` restores completed work from that directory
-    instead of re-estimating it.
+    checkpoint's manifest. ``workers > 1`` forks a process pool after
+    the estimator is trained. ``checkpoint_dir`` writes per-shard JSONL
+    checkpoints there; ``resume=True`` restores completed work from that
+    directory instead of re-estimating it.
 
     ``shard_range=(lo, hi)`` sweeps only shards ``lo..hi-1`` of the full
     partition — the multi-host knob: disjoint ranges on different hosts,

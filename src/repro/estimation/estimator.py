@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..ir.graph import Design
-from ..target.board import MAIA, Board
 from ..ir.node import IRError
+from ..target.board import MAIA, Board
 from .area import AreaEstimate, hybrid_area
 from .cache import MISS, EstimationCaches, point_key
 from .characterize import TemplateModels, characterize_templates

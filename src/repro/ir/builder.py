@@ -120,12 +120,11 @@ def _counter(dims: Optional[Sequence[DimSpec]]) -> Optional[ctl.CounterChain]:
     return chain
 
 
-def _bind_par(ctrl: ctl.Controller, par: int) -> ctl.Controller:
+def _bind_par(ctrl: ctl.Controller, par: int) -> None:
     """Record a controller's (and its counter chain's) par binding."""
     _bind(ctrl, ("par",), par)
     if ctrl.cchain is not None:
         _bind(ctrl.cchain, ("par",), par)
-    return ctrl
 
 
 def pipe(
