@@ -20,14 +20,16 @@ single estimated bit:
   :class:`~repro.estimation.estimator.Estimator` owns: template
   predictions, per-Pipe ASAP schedule/delay-balancing reuse keyed on a
   structural hash (:func:`repro.synth.netlist.structural_signature`),
-  and a design-point estimate cache shared by guided search and the
-  sharded explore runner.
+  a design-point estimate cache shared by guided search and the
+  sharded explore runner, and the compiled class plans.
 
-Everything stored here is plain data (tuples, floats,
+The LRU caches hold plain data (tuples, floats,
 :class:`~repro.estimation.counts.Counts`, pickled-tested
-:class:`~repro.estimation.estimator.Estimate` records), so caches
-survive the fork-after-training worker pool: children inherit the warm
-parent cache copy-on-write and keep private statistics.
+:class:`~repro.estimation.estimator.Estimate` records); the bundle also
+keeps the compiled class plans (:mod:`repro.estimation.plan`), which
+hold generated functions. None of it is ever pickled: the
+fork-after-training worker pool hands children the warm parent bundle
+copy-on-write, and they keep private statistics.
 
 Exactness contract: a cached value is always the object (or a
 value-equal reconstruction) the cold path would have computed, and the
@@ -212,9 +214,11 @@ class EstimationCaches:
     * ``schedule`` — per-Pipe ASAP latency + delay-balancing counts,
       keyed on :func:`~repro.synth.netlist.structural_signature`;
     * ``points`` — full design-point estimates keyed on
-      :func:`point_key`, shared by guided search
-      (:func:`repro.dse.search.local_search`) and the sharded explore
-      runner for duplicate-point dedupe.
+      :func:`point_key`, consulted by
+      :meth:`~repro.estimation.estimator.Estimator.estimate_points` for
+      guided search and the sharded explore runner;
+    * ``plans`` — compiled class plans per (benchmark, dataset), see
+      :mod:`repro.estimation.plan`.
     """
 
     def __init__(
@@ -226,8 +230,7 @@ class EstimationCaches:
         self.template = LRUCache("template", template_entries)
         self.schedule = LRUCache("schedule", schedule_entries)
         self.points = LRUCache("points", point_entries)
-        # Compiled class plans per (benchmark, dataset); see
-        # repro.estimation.plan. A handful of entries, so unbounded.
+        # One entry per (benchmark, dataset) swept, so unbounded.
         self.plans: Dict[tuple, object] = {}
 
     def wrap_templates(self, models: TemplateModels) -> CachedTemplateModels:
