@@ -121,6 +121,7 @@ class TestPipelineInstrumentation:
         compiles = tracer.find("estimate.compile")
         plans = tracer.find("estimate.plan")
         assert compiles and plans
+        assert all(s.parent_id == exp.span_id for s in compiles + plans)
         for span in compiles:
             assert span.attrs["bench"] == "dotproduct"
             assert span.attrs["nodes"] > 0 and span.attrs["terms"] > 0
