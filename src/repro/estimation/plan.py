@@ -282,9 +282,11 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
         if not _same_shape(design, second):
             return None
         estimator = family.estimator
-        return _Lowering(design, estimator.templates, estimator.board).plan(
-            f"{family.benchmark.name}:{label}", label
-        )
+        return _Lowering(
+            design, estimator.templates,
+            estimator.caches.wrap_templates(estimator.templates),
+            estimator.board,
+        ).plan(f"{family.benchmark.name}:{label}", label)
     return None  # a one-point class: nothing to check the shape against
 
 
@@ -362,9 +364,12 @@ class _Lowering:
     a line (or an inline expression) of the generated function.
     """
 
-    def __init__(self, design: Design, models, board) -> None:
+    def __init__(self, design: Design, models, predictor, board) -> None:
         self.design = design
         self.models = models
+        # Template values come from ``predictor.predict``: the estimator's
+        # memoized view, so classes of a family share their predictions.
+        self.predictor = predictor
         self.bound = design.bindings
         self.env: Dict[str, object] = dict(
             _HELPERS, BOARD=board, DEVICE=board.device,
@@ -645,14 +650,14 @@ class _Lowering:
         names = tuple(params)
         args = [params[n] for n in names]
         if all(a.const for a in args):
-            counts = self.models.predict(
+            counts = self.predictor.predict(
                 key, {n: a.value for n, a in zip(names, args)}
             )
             return [_const(getattr(counts, f)) for f in _FIELDS]
         table = self._tables.get((key, names))
         if table is None:
             table = self._tables[(key, names)] = f"T{len(self._tables)}"
-            self.env[table] = _table_lookup(self.models, key, names)
+            self.env[table] = _table_lookup(self.predictor, key, names)
         call = f"{table}(" + _tuple(len(args)).format(*(a.src for a in args))
         call += ")" if guard is None else f") if {guard.src} else ZERO"
         prefix = self._seen.get(call)
@@ -905,15 +910,15 @@ def _tuple(n: int) -> str:
     return "(" + "".join("{}, " for _ in range(n)) + ")"
 
 
-def _table_lookup(models, key: str, names: Tuple[str, ...]):
-    """Memoized ``models.predict(key, ...)`` on positional values."""
+def _table_lookup(predictor, key: str, names: Tuple[str, ...]):
+    """Memoized ``predictor.predict(key, ...)`` on positional values."""
     table: Dict[tuple, Tuple[float, ...]] = {}
 
     def lookup(args: tuple) -> Tuple[float, ...]:
         try:
             return table[args]
         except KeyError:
-            counts = models.predict(key, dict(zip(names, args)))
+            counts = predictor.predict(key, dict(zip(names, args)))
             values = table[args] = tuple(getattr(counts, f) for f in _FIELDS)
             return values
 
