@@ -85,7 +85,7 @@ from .cycles import (
 )
 from .features import _max_depth, feature_vector
 
-#: The Counts fields, in the order the oracle accumulates them.
+#: The Counts fields, in constructor order.
 _FIELDS = ("luts_packable", "luts_unpackable", "regs", "dsps", "brams")
 
 #: Attempts at drawing a second point that differs in every parameter.

@@ -220,3 +220,27 @@ class TestStats:
     def test_const_nodes_present(self):
         d = build_minimal()
         assert any(isinstance(n, Const) for n in d.nodes)
+
+
+class TestParamBindings:
+    def test_plain_ints_record_nothing(self):
+        assert build_minimal().bindings == {}
+
+    def test_params_record_the_fields_they_feed(self):
+        d = build_minimal(tile=hw.Param(16, "tile"), par=hw.Param(2, "par"))
+        bound = {
+            (d.nodes[nid].kind, path): name
+            for (nid, path), name in d.bindings.items()
+        }
+        assert bound[("BRAM", ("dims", 0))] == "tile"
+        assert bound[("TileLd", ("sizes", 0))] == "tile"
+        assert bound[("TileLd", ("par",))] == "par"
+        assert bound[("Pipe", ("par",))] == "par"
+        # The tile loop steps by `tile`; the body pipe counts to `tile`.
+        assert bound[("CounterChain", ("dims", 0, 1))] == "tile"
+        assert bound[("CounterChain", ("dims", 0, 0))] == "tile"
+
+    def test_derived_values_stay_unrecorded(self):
+        tile = hw.Param(16, "tile")
+        d = build_minimal(tile=tile + 0)  # arithmetic yields a plain int
+        assert d.bindings == {}
