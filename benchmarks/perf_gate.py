@@ -10,7 +10,8 @@ two wall times on the same host, so slow CI runners cancel out):
   plan grows slow, or plan compilation starts to dominate;
 * ``parallel_dse`` — the ``workers=2`` sharded sweep's
   ``speedup_vs_serial`` (fork/scheduler overhead creeping in);
-* ``work_stealing`` — adaptive micro-shards vs the static split on the
+* ``work_stealing`` — ``shards="auto"`` micro-shards, streamed whole to
+  free workers, vs the static ``shards == workers`` split on the
   straggler-skewed sweep (the streaming scheduler stops stealing; see
   ``benchmarks/straggler.py``).
 

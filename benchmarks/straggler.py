@@ -7,11 +7,11 @@ runners and 32-core workstations gate the same way):
 * :func:`measure_work_stealing` — wraps the estimator so a contiguous
   early slice of the seeded sample is artificially slow (``time.sleep``
   while pricing those points, so the skew overlaps across forked
-  workers even on a single core), then times a static ``shards == workers`` split
-  against the adaptive ``shards="auto"`` micro-shard + work-stealing +
-  tail-split schedule.  Static assignment hands one worker every
+  workers even on a single core), then times a static ``shards == workers``
+  split against the adaptive ``shards="auto"`` micro-shard +
+  work-stealing schedule.  Static assignment hands one worker every
   straggler; the streaming scheduler spreads them, and the wall-clock
-  ratio is the PR's headline number.
+  ratio is the committed headline number.
 * :func:`measure_parallel_dse` — sharded-explore wall time per worker
   count, each run on a fresh empty-cache estimator (same trained
   models) so the ratio reflects the engine, not cache warmth.
@@ -108,27 +108,27 @@ def measure_work_stealing(
 ) -> Dict[str, object]:
     """Fixed vs adaptive wall clock on a straggler-skewed sweep.
 
-    ``fixed`` is the static schedule (``shards == workers``, no tail
-    split); ``adaptive`` is ``shards="auto"`` micro-shards with work
-    stealing and in-flight tail re-split.  Returns both timings, the
-    adaptive run's steal/requeue counts, and ``speedup`` =
-    fixed / adaptive.  Point sets are asserted identical first.
+    ``fixed`` is the static schedule (``shards == workers``);
+    ``adaptive`` is ``shards="auto"`` micro-shards with work stealing.
+    Returns both timings, the adaptive run's steal count, and
+    ``speedup`` = fixed / adaptive.  Point sets are asserted identical
+    first.
     """
     bench = get_benchmark(bench_name)
 
-    def run(shards, tail_split: bool):
+    def run(shards):
         skewed = SkewedEstimator(
             estimator, bench, seed, points, slow_fraction, slow_s
         )
         start = time.perf_counter()
         result = explore(
             bench, skewed, max_points=points, seed=seed,
-            shards=shards, workers=workers, tail_split=tail_split,
+            shards=shards, workers=workers,
         )
         return time.perf_counter() - start, result, skewed
 
-    fixed_s, fixed, skewed = run(workers, False)
-    adaptive_s, adaptive, _ = run("auto", True)
+    fixed_s, fixed, skewed = run(workers)
+    adaptive_s, adaptive, _ = run("auto")
     assert _fingerprint(fixed) == _fingerprint(adaptive), (
         "work-stealing sweep diverged from the static schedule"
     )
@@ -144,13 +144,12 @@ def measure_work_stealing(
             "shards": adaptive.shards,
             "elapsed_s": adaptive_s,
             "steals": adaptive.steals,
-            "requeued": adaptive.requeued,
         },
         "speedup": fixed_s / adaptive_s,
         "note": (
             "straggler-skewed sweep (first quarter of the sample sleeps "
             "while priced); static shards==workers vs auto micro-shards with "
-            "work stealing + tail split; ratio is host-independent"
+            "work stealing; ratio is host-independent"
         ),
     }
 

@@ -280,10 +280,8 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
             parallel += (
                 f" (range {lo}:{hi} of {result.total_shards} shards)"
             )
-        if result.steals or result.requeued:
-            parallel += (
-                f"; {result.steals} steals, {result.requeued} requeued"
-            )
+        if result.steals:
+            parallel += f"; {result.steals} steals"
         if result.restored:
             parallel += f"; {result.restored} restored from checkpoint"
     print(
@@ -502,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default=None, metavar="N|auto",
                    help="sampling shards (default: one per worker; any "
                    "count yields identical points for a fixed seed); "
-                   "'auto' sizes micro-shards from the runtime cost model "
-                   "(shards >> workers, enables work stealing)")
+                   "'auto' plans 8 micro-shards per worker (at least 4 "
+                   "points each, at most 512) so workers steal queued work")
     p.add_argument("--shard-range", metavar="A:B",
                    help="sweep only shards A..B-1 of the full partition "
                    "(multi-host: disjoint ranges into one "

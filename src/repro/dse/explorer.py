@@ -86,7 +86,6 @@ class ExplorationResult:
     total_shards: int = 0  # full partition size (== shards unless ranged)
     shard_range: Optional[Tuple[int, int]] = None
     steals: int = 0
-    requeued: int = 0
 
     @property
     def valid_points(self) -> List[DesignPoint]:
@@ -133,19 +132,18 @@ def explore(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     shard_range: Optional[Tuple[int, int]] = None,
-    tail_split: bool = True,
 ) -> ExplorationResult:
     """Explore ``benchmark``'s design space with ``estimator``.
 
     ``shards`` defaults to ``workers`` (one shard per worker); any
     explicit value yields the same points and Pareto front, only
-    different heartbeat/checkpoint granularity. ``shards="auto"`` sizes
-    micro-shards ≫ workers from the runtime's cost model so the
-    streaming scheduler can work-steal around expensive regions
-    (``tail_split`` additionally re-splits the final straggler in
-    flight); resuming an ``"auto"`` sweep reuses the shard count in the
-    checkpoint's manifest. ``workers > 1`` forks a process pool after
-    the estimator is trained. ``checkpoint_dir`` writes per-shard JSONL
+    different heartbeat/checkpoint granularity. ``shards="auto"`` plans
+    ``8 × workers`` micro-shards (at least 4 points each, at most 512)
+    so the streaming scheduler can work-steal around expensive regions;
+    resuming an ``"auto"`` sweep reuses the shard count in the
+    checkpoint's manifest, so the resume may use another ``workers``.
+    ``workers > 1`` forks a process pool after the estimator is
+    trained. ``checkpoint_dir`` writes per-shard JSONL
     checkpoints there; ``resume=True`` restores completed work from that
     directory instead of re-estimating it.
 
@@ -177,8 +175,8 @@ def explore(
         )
 
     if resume and shards == "auto":
-        # "auto" follows this process's cost history; a resumed sweep must
-        # re-plan the partition its checkpoint was written with.
+        # "auto" follows ``workers``; a resumed sweep must re-plan the
+        # partition its checkpoint was written with.
         shards = int(read_manifest(checkpoint_dir)["shards"])
 
     dataset = dataset or benchmark.default_dataset()
@@ -201,7 +199,7 @@ def explore(
         run = run_plan(
             benchmark, estimator, dataset, plan,
             workers=workers, store=store, resume=resume,
-            progress_every=progress_every, tail_split=tail_split,
+            progress_every=progress_every,
         )
         records, conservation = merge_outcomes(plan, run.outcomes)
         conservation.verify()
@@ -218,7 +216,6 @@ def explore(
             total_shards=plan.planned_shards,
             shard_range=plan.shard_range,
             steals=run.steals,
-            requeued=run.requeued,
         )
         result.points = [
             DesignPoint(r.params, r.estimate)
@@ -282,8 +279,5 @@ def merge_checkpoints(
             DesignPoint(r.params, r.estimate)
             for r in records if not r.illegal
         ]
-        sp.set(
-            points=len(result.points),
-            hosts=len(store.host_manifests()),
-        )
+        sp.set(points=len(result.points))
     return result

@@ -8,12 +8,12 @@ job engine:
 * :mod:`~repro.runtime.sharding` — one central seeded sample, split into
   N disjoint contiguous shards (bit-identical to serial for every N);
 * :mod:`~repro.runtime.pool` — serial in-process execution or a
-  fork-after-training process pool, with heartbeats into
-  :mod:`repro.obs`;
+  fork-after-training process pool that streams whole shards to free
+  workers, with heartbeats into :mod:`repro.obs`;
 * :mod:`~repro.runtime.checkpoint` — per-shard JSONL checkpoints and
   kill/resume;
 * :mod:`~repro.runtime.merge` — global reassembly with conservation
-  checks plus streaming Pareto-front merging.
+  checks.
 
 See ``docs/runtime.md`` for the architecture and the determinism and
 resume guarantees.
@@ -33,7 +33,6 @@ from .merge import (
     Conservation,
     ConservationError,
     merge_outcomes,
-    merge_pareto_fronts,
     outcomes_from_states,
 )
 from .pool import (
@@ -45,28 +44,23 @@ from .pool import (
     run_shard,
 )
 from .sharding import (
-    DEFAULT_COST_MODEL,
     DEFAULT_OVERSUBSCRIPTION,
     Shard,
-    ShardCostModel,
     ShardPlan,
     plan_shards,
     resolve_shard_count,
-    shard_seed,
 )
 
 __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_COST_MODEL",
     "DEFAULT_OVERSUBSCRIPTION",
     "Conservation",
     "ConservationError",
     "PointRecord",
     "RunOutcome",
     "Shard",
-    "ShardCostModel",
     "ShardOutcome",
     "ShardPlan",
     "ShardWriter",
@@ -75,12 +69,10 @@ __all__ = [
     "fork_available",
     "load_summary",
     "merge_outcomes",
-    "merge_pareto_fronts",
     "outcomes_from_states",
     "plan_shards",
     "read_manifest",
     "resolve_shard_count",
     "run_plan",
     "run_shard",
-    "shard_seed",
 ]

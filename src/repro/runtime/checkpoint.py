@@ -3,10 +3,10 @@
 A checkpointed explore writes one ``shard-NNNN.jsonl`` file per shard
 plus a ``manifest.json`` describing the run (benchmark, dataset, seed,
 budget, shard count). Shard files are append-only: each estimated point
-becomes one JSON line carrying its global index, parameters, and the
-full estimate, flushed every ``flush_every`` points so a killed sweep
-loses at most that many estimates. A terminal ``done`` line marks the
-shard complete.
+becomes one JSON line carrying its global index, parameters, the full
+estimate and a CRC-32 of the line, flushed every :data:`FLUSH_EVERY`
+points so a killed sweep loses at most that many estimates. A terminal
+``done`` line marks the shard complete.
 
 Resume (``explore(..., resume=True)`` / ``repro explore --resume DIR``)
 validates the manifest against the requested run — resuming a different
@@ -15,23 +15,25 @@ silent wrong answer — then loads every readable record. Complete shards
 are never re-estimated; partial shards re-estimate only their missing
 global indices and append to the same file. JSON round-trips floats
 exactly (shortest-repr), so a resumed Pareto front is byte-identical to
-an uninterrupted run's.
+an uninterrupted run's. A record that fails its CRC, is malformed, or
+names parameters other than the plan's point at its index is refused
+with :class:`CheckpointError`; only a half-written final line (the kill
+point) is silently dropped.
 
 The manifest always describes the *global* run (full shard partition and
 point count), even when the writing plan covers only a shard range: N
 hosts sweeping disjoint ``--shard-range`` subsets into one directory all
-write/validate the same manifest, and each additionally drops a
-host-tagged sidecar (``host-<lo>-<hi>.json``) recording which range it
-owned. ``repro merge-checkpoints`` reads the manifest back, re-plans the
-full partition, and merges every shard file under the Conservation
-ledger — the multi-host merge protocol (see ``docs/runtime.md``).
+write/validate the same manifest. ``repro merge-checkpoints`` reads the
+manifest back, re-plans the full partition, and merges every shard file
+under the Conservation ledger — the multi-host merge protocol (see
+``docs/runtime.md``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, IO, List, Optional, Tuple, Union
@@ -44,8 +46,12 @@ from .sharding import Shard, ShardPlan
 
 MANIFEST_NAME = "manifest.json"
 
-#: Flush shard files after this many newly written records by default.
-DEFAULT_FLUSH_EVERY = 100
+#: Flush shard files after this many newly written records.
+FLUSH_EVERY = 100
+
+# Every shard-file line ends with this key; its value is the CRC-32 of
+# the line's JSON with the key left out.
+_CRC_KEY = ', "crc": '
 
 
 class CheckpointError(RuntimeError):
@@ -105,38 +111,58 @@ def estimate_from_doc(doc: Dict[str, object], board: Board) -> Estimate:
     """Rebuild an :class:`Estimate` written by :func:`estimate_to_doc`.
 
     The board is not serialized (it is run configuration, not data);
-    the caller supplies the estimator's board.
+    the caller supplies the estimator's board. A doc of any other shape
+    raises :class:`CheckpointError`.
     """
-    area = dict(doc["area"])  # type: ignore[arg-type]
-    raw = Counts(**area.pop("raw"))
-    return Estimate(
-        design_name=doc["design"],  # type: ignore[arg-type]
-        cycles=doc["cycles"],  # type: ignore[arg-type]
-        seconds=doc["seconds"],  # type: ignore[arg-type]
-        area=AreaEstimate(raw=raw, **area),
-        board=board,
-    )
+    try:
+        area = dict(doc["area"])  # type: ignore[arg-type]
+        raw = Counts(**area.pop("raw"))
+        return Estimate(
+            design_name=doc["design"],  # type: ignore[arg-type]
+            cycles=doc["cycles"],  # type: ignore[arg-type]
+            seconds=doc["seconds"],  # type: ignore[arg-type]
+            area=AreaEstimate(raw=raw, **area),
+            board=board,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed estimate in checkpoint: {exc!r}")
+
+
+def _line(doc: Dict[str, object]) -> str:
+    """One shard-file line: ``doc`` as JSON, closed by its CRC-32."""
+    body = json.dumps(doc)
+    return f"{body[:-1]}{_CRC_KEY}{zlib.crc32(body.encode())}}}\n"
+
+
+def _parse_line(line: str) -> Optional[Dict[str, object]]:
+    """Inverse of :func:`_line`; ``None`` for a line that is not JSON.
+
+    A JSON line that is not an object or fails its CRC raises
+    :class:`CheckpointError`.
+    """
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    cut = line.rfind(_CRC_KEY)
+    crc = zlib.crc32((line[:cut] + "}").encode())
+    if not isinstance(doc, dict) or cut < 0 or doc.pop("crc", None) != crc:
+        raise CheckpointError(f"corrupt checkpoint line: {line[:80]!r}")
+    return doc
 
 
 class ShardWriter:
     """Append-only JSONL writer for one shard's checkpoint file."""
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        append: bool = False,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], append: bool = False) -> None:
         self.path = Path(path)
         self._fh: Optional[IO[str]] = open(
             self.path, "a" if append else "w"
         )
-        self._flush_every = max(int(flush_every), 1)
         self._pending = 0
-        self.written = 0
 
     def write(self, record: PointRecord) -> None:
-        """Append one point record (flushed every ``flush_every`` writes)."""
+        """Append one point record (flushed every :data:`FLUSH_EVERY`)."""
         assert self._fh is not None, "writer already closed"
         doc = {
             "t": "p",
@@ -146,18 +172,16 @@ class ShardWriter:
             "est": None if record.estimate is None
             else estimate_to_doc(record.estimate),
         }
-        self._fh.write(json.dumps(doc) + "\n")
-        self.written += 1
+        self._fh.write(_line(doc))
         self._pending += 1
-        if self._pending >= self._flush_every:
+        if self._pending >= FLUSH_EVERY:
             self.flush()
 
     def done(self, shard: Shard) -> None:
         """Write the terminal marker declaring the shard complete."""
         assert self._fh is not None, "writer already closed"
         self._fh.write(
-            json.dumps({"t": "done", "shard": shard.index,
-                        "points": len(shard)}) + "\n"
+            _line({"t": "done", "shard": shard.index, "points": len(shard)})
         )
         self.flush()
 
@@ -175,31 +199,25 @@ class ShardWriter:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "ShardWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 @dataclass
 class ShardState:
-    """What a checkpoint directory already knows about one shard."""
+    """What a checkpoint directory already knows about one shard.
+
+    ``size`` is the byte length of the file's readable prefix: everything
+    from the first torn or unreadable line on is lost work.
+    """
 
     records: Dict[int, PointRecord] = field(default_factory=dict)
     complete: bool = False
+    size: int = 0
 
 
 class CheckpointStore:
     """One run's checkpoint directory: manifest plus per-shard files."""
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.flush_every = flush_every
 
     def shard_path(self, index: int) -> Path:
         """Path of shard ``index``'s JSONL file."""
@@ -219,7 +237,7 @@ class CheckpointStore:
         # as every other host of the same split, so any of them (or the
         # merge tool) can validate against it.
         return {
-            "schema": 2,
+            "schema": 3,
             "benchmark": benchmark,
             "dataset": dict(dataset),
             "seed": plan.seed,
@@ -228,38 +246,6 @@ class CheckpointStore:
             "total_points": plan.global_points,
             "space_cardinality": plan.space_cardinality,
         }
-
-    def _host_tag(self, plan: ShardPlan) -> str:
-        lo, hi = plan.shard_range or (0, plan.planned_shards)
-        return f"{lo:04d}-{hi:04d}"
-
-    def host_manifest_path(self, plan: ShardPlan) -> Path:
-        """Path of the host sidecar for ``plan``'s shard range."""
-        return self.directory / f"host-{self._host_tag(plan)}.json"
-
-    def _write_host_manifest(self, plan: ShardPlan) -> None:
-        lo, hi = plan.shard_range or (0, plan.planned_shards)
-        doc = {
-            "schema": 2,
-            "host": platform.node() or "local",
-            "pid": os.getpid(),
-            "shard_range": [lo, hi],
-            "shards": [s.index for s in plan.shards],
-            "points": plan.total_points,
-        }
-        self.host_manifest_path(plan).write_text(
-            json.dumps(doc, indent=2) + "\n"
-        )
-
-    def host_manifests(self) -> List[Dict[str, object]]:
-        """All host sidecars in the directory, ordered by shard range."""
-        docs = []
-        for path in sorted(self.directory.glob("host-*.json")):
-            try:
-                docs.append(json.loads(path.read_text()))
-            except json.JSONDecodeError:
-                continue  # a torn sidecar never blocks a merge
-        return docs
 
     def begin(
         self,
@@ -278,12 +264,15 @@ class CheckpointStore:
         :class:`CheckpointError` rather than a silent overwrite. Resumed
         runs require a matching manifest and load every readable record;
         a trailing half-written line (the kill point) is ignored, not an
-        error.
+        error, and cut off so appended records start on a fresh line.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if resume:
-            states = self._load(benchmark, dataset, plan)
-            self._write_host_manifest(plan)
+            states = self.load(benchmark, dataset, plan)
+            for index, state in states.items():
+                path = self.shard_path(index)
+                if path.exists():
+                    os.truncate(path, state.size)
             return states
         expected = self._manifest_doc(benchmark, dataset, plan)
         if self.manifest_path.exists():
@@ -298,7 +287,6 @@ class CheckpointStore:
         self.manifest_path.write_text(
             json.dumps(expected, indent=2) + "\n"
         )
-        self._write_host_manifest(plan)
         for shard in plan.shards:
             path = self.shard_path(shard.index)
             if path.exists():
@@ -328,13 +316,8 @@ class CheckpointStore:
 
         The read path behind both ``--resume`` and ``merge-checkpoints``;
         raises :class:`CheckpointError` on a missing or mismatched
-        manifest.
+        manifest, or on a corrupt shard file.
         """
-        return self._load(benchmark, dataset, plan)
-
-    def _load(
-        self, benchmark: str, dataset: Dict[str, int], plan: ShardPlan
-    ) -> Dict[int, ShardState]:
         if not self.manifest_path.exists():
             raise CheckpointError(
                 f"no checkpoint manifest in {self.directory} — "
@@ -359,28 +342,33 @@ class CheckpointStore:
         path = self.shard_path(shard.index)
         if not path.exists():
             return state
-        valid = set(shard.indices)
-        for line in path.read_text().splitlines():
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
+        for raw in path.read_bytes().splitlines(keepends=True):
+            doc = (_parse_line(raw.decode(errors="replace"))
+                   if raw.endswith(b"\n") else None)
+            if doc is None:
                 break  # half-written tail from a kill; re-estimate from here
+            state.size += len(raw)
             if doc.get("t") == "done":
                 state.complete = True
                 continue
             if doc.get("t") != "p":
                 continue
-            index = doc["i"]
-            if index not in valid:
+            index = doc.get("i")
+            if type(index) is not int or index not in shard.indices:
                 raise CheckpointError(
-                    f"{path} contains point index {index}, outside shard "
+                    f"{path} contains point index {index!r}, outside shard "
                     f"{shard.index}'s range [{shard.start}, {shard.stop})"
+                )
+            point = shard.points[index - shard.start]
+            if doc.get("params") != point or "est" not in doc:
+                raise CheckpointError(
+                    f"{path}: record {index} does not match the planned "
+                    f"point {point!r}"
                 )
             state.records[index] = PointRecord(
                 index=index,
-                params=doc["params"],
-                estimate=None if doc["est"] is None
-                else doc["est"],  # deserialized lazily by the caller
+                params=dict(point),
+                estimate=doc["est"],  # deserialized lazily by hydrate()
                 latency_s=doc.get("lat", 0.0),
                 restored=True,
             )
@@ -393,12 +381,14 @@ class CheckpointStore:
     def hydrate(
         self, states: Dict[int, ShardState], board: Board
     ) -> Dict[int, ShardState]:
-        """Turn raw estimate docs in loaded records into Estimate objects."""
+        """Turn raw estimate docs in loaded records into Estimate objects.
+
+        Raises :class:`CheckpointError` for a doc that is not a serialized
+        estimate.
+        """
         for state in states.values():
             for record in state.records.values():
-                if record.estimate is not None and isinstance(
-                    record.estimate, dict
-                ):
+                if record.estimate is not None:
                     record.estimate = estimate_from_doc(
                         record.estimate, board
                     )
@@ -406,47 +396,7 @@ class CheckpointStore:
 
     def writer(self, shard: Shard, append: bool = False) -> ShardWriter:
         """Open the shard's JSONL file for (appending) writes."""
-        return ShardWriter(
-            self.shard_path(shard.index),
-            append=append,
-            flush_every=self.flush_every,
-        )
-
-    def piece_writer(self, shard: Shard) -> ShardWriter:
-        """Writer for one *piece* of a split shard (see ``pool.py``).
-
-        Pieces of the same shard run in different worker processes and
-        append to the same JSONL file, so every line is flushed
-        individually — each line lands as one atomic O_APPEND write and
-        concurrent pieces can never interleave bytes mid-line.
-        """
-        return ShardWriter(
-            self.shard_path(shard.index), append=True, flush_every=1
-        )
-
-    def prepare_split(self, shard: Shard, preserve: bool) -> None:
-        """Make a shard file appendable by concurrent pieces.
-
-        ``preserve=False`` (no prior records to keep) truncates once in
-        the parent so no piece has to — two pieces opening with ``"w"``
-        would race and drop each other's records.
-        """
-        path = self.shard_path(shard.index)
-        if not preserve:
-            path.write_text("")
-        elif not path.exists():
-            path.touch()
-
-    def finish(self, shard: Shard) -> None:
-        """Append a shard's terminal ``done`` marker from the parent.
-
-        Used for split shards, whose pieces cannot individually know the
-        shard completed.
-        """
-        with ShardWriter(
-            self.shard_path(shard.index), append=True, flush_every=1
-        ) as writer:
-            writer.done(shard)
+        return ShardWriter(self.shard_path(shard.index), append=append)
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:

@@ -15,26 +15,23 @@ state per point — so the pool's job is mostly plumbing:
   completed shard emits a ``dse.shard.done`` heartbeat instant.
 
 The parallel path is a *streaming* scheduler, not a static assignment:
-at most ``workers`` shard pieces are in flight at once, and the rest sit
-in a parent-side queue that free workers drain — natural work stealing,
-so micro-shard plans (``shards="auto"``, shard count ≫ workers) keep
-every worker busy even when one contiguous region of the sample is far
-more expensive than the rest. Dispatches beyond each worker's initial
-shard are counted as ``dse.steal``; when the queue runs dry with idle
-workers left, the largest queued shard is re-split in flight into pieces
-(``dse.shard.requeued``) so the final straggler tail parallelizes too.
-Per-worker busy fractions land in ``dse.worker.*.utilization`` gauges.
+it forks ``min(workers, pending shards)`` processes, keeps that many
+whole shards in flight, and the rest sit in a parent-side queue that
+free workers drain — natural work stealing, so
+micro-shard plans (``shards="auto"``, shard count ≫ workers) keep every
+worker busy even when one contiguous region of the sample is far more
+expensive than the rest. Dispatches beyond each worker's initial shard
+are counted as ``dse.steal``; per-worker busy fractions land in
+``dse.worker.*.utilization`` gauges.
 
 Platforms without ``fork`` (Windows, macOS spawn default) fall back to
 the serial path rather than re-training one estimator per worker; the
 engine reports the effective worker count so callers can see that.
 
-Checkpointing is per shard: workers append to their own JSONL file
-(:mod:`repro.runtime.checkpoint`), so there is no cross-process file
-contention. Pieces of a re-split shard share that shard's file through
-line-atomic O_APPEND writes, and the parent appends the terminal
-``done`` marker once every piece has finished; a resumed run only
-estimates indices missing from the files either way.
+Checkpointing is per shard: whichever process runs a shard is the only
+writer of its JSONL file (:mod:`repro.runtime.checkpoint`), so there is
+no cross-process file contention, and a resumed run only estimates
+indices missing from the files.
 """
 
 from __future__ import annotations
@@ -45,18 +42,14 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from .. import obs
 from .checkpoint import CheckpointStore, PointRecord, ShardState
-from .sharding import DEFAULT_COST_MODEL, MIN_POINTS_PER_SHARD, Shard, ShardPlan
+from .sharding import Shard, ShardPlan
 
 # Points priced per Estimator.estimate_points() call (one NN pass each).
 DEFAULT_BATCH_SIZE = 32
-
-# An in-flight tail re-split only happens when the straggler still has at
-# least this many points per resulting piece.
-MIN_SPLIT_POINTS = MIN_POINTS_PER_SHARD
 
 
 @dataclass
@@ -65,8 +58,7 @@ class ShardOutcome:
 
     ``worker`` is the executing worker's pid in forked runs (0 for the
     in-process path); the scheduler aggregates per-worker busy time from
-    it. For a shard run as several pieces, ``elapsed_s`` sums the
-    pieces' busy time (work, not wall-clock).
+    it.
     """
 
     shard: int
@@ -86,7 +78,6 @@ class RunOutcome:
     workers: int = 1
     elapsed_s: float = 0.0
     steals: int = 0
-    requeued: int = 0
 
     @property
     def estimated(self) -> int:
@@ -107,16 +98,12 @@ def run_shard(
     writer=None,
     skip: Optional[Set[int]] = None,
     on_point: Optional[Callable[[PointRecord], None]] = None,
-    mark_done: bool = True,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
 
     Runs in the parent (serial path) or inside a forked worker (parallel
     path). ``writer`` receives each fresh record for checkpointing;
     ``on_point`` is the serial path's per-point observability hook.
-    ``mark_done=False`` suppresses the terminal checkpoint marker — used
-    for pieces of a split shard, whose completion only the parent can
-    declare.
 
     Points are priced in blocks of :data:`DEFAULT_BATCH_SIZE` through
     :meth:`~repro.estimation.estimator.Estimator.estimate_points`; each
@@ -145,7 +132,7 @@ def run_shard(
             if on_point is not None:
                 on_point(record)
     outcome.estimated = len(todo)
-    if writer is not None and mark_done:
+    if writer is not None:
         writer.done(shard)
     outcome.elapsed_s = time.perf_counter() - start
     return outcome
@@ -154,7 +141,7 @@ def run_shard(
 # -- forked-worker plumbing -------------------------------------------------
 
 # Snapshot inherited by workers at fork time. Set immediately before the
-# executor is created and cleared right after submission; only worker
+# executor is created and cleared once it has shut down; only worker
 # processes read it.
 _FORK_STATE: Optional[Dict[str, object]] = None
 
@@ -169,39 +156,22 @@ def _worker_init() -> None:
     obs.disable()
 
 
-def _worker_run_piece(
-    index: int, lo: int, hi: int, split: bool
-) -> ShardOutcome:
-    """Run points ``[lo, hi)`` of shard ``index`` inside a forked worker.
+def _worker_run_shard(index: int) -> ShardOutcome:
+    """Run shard ``index`` inside a forked worker.
 
-    ``split=False`` means the piece is the whole shard (the common case):
-    it gets the ordinary buffered writer and writes its own ``done``
-    marker. ``split=True`` pieces share the shard's file with concurrent
-    siblings, so they use the line-atomic appending writer and leave the
-    ``done`` marker to the parent. Shard data comes from the fork
-    snapshot; only the four scalars cross the process boundary.
+    Shard data, the estimator and the checkpoint store come from the
+    fork snapshot; only the shard index crosses the process boundary.
     """
     state = _FORK_STATE
     assert state is not None, "worker started without fork state"
     shard: Shard = state["shards"][index]  # type: ignore[index]
     store: Optional[CheckpointStore] = state["store"]  # type: ignore[assignment]
     skip: Set[int] = state["skip"].get(index, set())  # type: ignore[union-attr]
-    piece = shard if (lo == 0 and hi == len(shard)) else Shard(
-        index=shard.index,
-        start=shard.start + lo,
-        points=shard.points[lo:hi],
-        seed=shard.seed,
-    )
-    writer = None
-    if store is not None:
-        writer = (
-            store.piece_writer(piece) if split
-            else store.writer(shard, append=bool(skip))
-        )
+    writer = store.writer(shard, append=bool(skip)) if store else None
     try:
         outcome = run_shard(
             state["benchmark"], state["estimator"], state["dataset"],
-            piece, writer=writer, skip=skip, mark_done=not split,
+            shard, writer=writer, skip=skip,
         )
     finally:
         if writer is not None:
@@ -289,16 +259,12 @@ def run_plan(
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
     progress_every: int = 1000,
-    tail_split: bool = True,
 ) -> RunOutcome:
     """Execute ``plan``: estimate every non-restored point, in order.
 
     Returns one :class:`ShardOutcome` per shard (in shard order) whose
     records include both fresh and checkpoint-restored points, sorted by
-    global index — the merge layer's input. ``tail_split`` enables the in-flight re-split of the final straggler
-    tail on the parallel path. Completed shards feed the process-wide
-    :data:`~repro.runtime.sharding.DEFAULT_COST_MODEL`, which future
-    ``shards="auto"`` plans consult.
+    global index — the merge layer's input.
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -342,9 +308,9 @@ def run_plan(
                 skip.get(shard.index, set()), heartbeat,
             )
     elif pending:
-        run.steals, run.requeued = _run_shards_forked(
+        run.steals = _run_shards_forked(
             benchmark, estimator, dataset, plan, pending, store, skip,
-            effective_workers, heartbeat, outcomes, tail_split=tail_split,
+            effective_workers, heartbeat, outcomes,
         )
 
     # Fold restored records back in and finish per-shard bookkeeping.
@@ -358,9 +324,6 @@ def run_plan(
                 heartbeat.point(record, quiet=True)
         outcome.records.sort(key=lambda r: r.index)
         run.outcomes.append(outcome)
-        if outcome.estimated:
-            # Seed the adaptive shard sizer for future "auto" plans.
-            DEFAULT_COST_MODEL.observe(outcome.estimated, outcome.elapsed_s)
     run.elapsed_s = time.perf_counter() - start
     return run
 
@@ -382,200 +345,69 @@ def _run_shard_inline(
     return outcome
 
 
-@dataclass
-class _WorkItem:
-    """One schedulable unit: a contiguous piece of a shard's points."""
-
-    shard: Shard
-    lo: int  # offset within shard.points
-    hi: int
-    split: bool = False  # True when the shard was re-split into pieces
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-
-class _Scheduler:
-    """Streaming dispatch of shard pieces to a forked worker pool.
-
-    Keeps at most ``workers`` pieces in flight; everything else waits in
-    a parent-side deque that free workers drain (work stealing via the
-    executor queue). When the deque runs dry while workers sit idle, the
-    largest queued item is re-split so the straggler tail parallelizes.
-    """
-
-    def __init__(self, pool, workers: int, pending: List[Shard],
-                 store, skip, heartbeat, tail_split: bool) -> None:
-        self._pool = pool
-        self._workers = workers
-        self._store = store
-        self._skip = skip
-        self._heartbeat = heartbeat
-        self._tail_split = tail_split
-        self._queue: Deque[_WorkItem] = deque(
-            _WorkItem(shard, 0, len(shard)) for shard in pending
-        )
-        self._inflight: Dict[object, _WorkItem] = {}
-        self._pieces: Dict[int, List[ShardOutcome]] = {}
-        self._pieces_open: Dict[int, int] = {}
-        self._busy_s: Dict[int, float] = {}
-        self._dispatched = 0
-        self.steals = 0
-        self.requeued = 0
-
-    def run(self, outcomes: Dict[int, ShardOutcome]) -> None:
-        """Drive the queue to completion, filling ``outcomes``."""
-        start = time.perf_counter()
-        self._maybe_split_tail()  # a plan with fewer shards than workers
-        self._fill()
-        while self._inflight:
-            done, _ = wait(self._inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                item = self._inflight.pop(future)
-                self._collect(item, future.result(), outcomes)
-            self._maybe_split_tail()
-            self._fill()
-        self._report_utilization(time.perf_counter() - start)
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _fill(self) -> None:
-        while self._queue and len(self._inflight) < self._workers:
-            item = self._queue.popleft()
-            index = item.shard.index
-            self._pieces_open[index] = self._pieces_open.get(index, 0) + 1
-            future = self._pool.submit(
-                _worker_run_piece, index, item.lo, item.hi, item.split
-            )
-            self._inflight[future] = item
-            self._dispatched += 1
-            if self._dispatched > self._workers:
-                # Every dispatch past the workers' initial shards is a
-                # worker that finished early pulling queued work.
-                self.steals += 1
-                obs.counter("dse.steal").inc()
-
-    def _maybe_split_tail(self) -> None:
-        """Re-split the largest queued item if workers would go idle."""
-        if not self._tail_split:
-            return
-        idle = self._workers - len(self._inflight) - len(self._queue)
-        if idle <= 0 or not self._queue:
-            return
-        largest = max(self._queue, key=len)
-        pieces = min(idle + 1, len(largest) // MIN_SPLIT_POINTS)
-        if pieces < 2:
-            return
-        self._queue.remove(largest)
-        if not largest.split:
-            self._pieces_open.setdefault(largest.shard.index, 0)
-            if self._store is not None:
-                self._store.prepare_split(
-                    largest.shard,
-                    preserve=bool(self._skip.get(largest.shard.index)),
-                )
-        span = len(largest)
-        base, extra = divmod(span, pieces)
-        lo = largest.lo
-        for k in range(pieces):
-            size = base + (1 if k < extra else 0)
-            self._queue.append(
-                _WorkItem(largest.shard, lo, lo + size, split=True)
-            )
-            lo += size
-        self.requeued += pieces
-        obs.counter("dse.shard.requeued").inc(pieces)
-
-    # -- collection --------------------------------------------------------
-
-    def _collect(
-        self,
-        item: _WorkItem,
-        outcome: ShardOutcome,
-        outcomes: Dict[int, ShardOutcome],
-    ) -> None:
-        index = item.shard.index
-        self._busy_s[outcome.worker] = (
-            self._busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
-        )
-        self._pieces.setdefault(index, []).append(outcome)
-        self._pieces_open[index] -= 1
-        queued = any(i.shard.index == index for i in self._queue)
-        if self._pieces_open[index] or queued:
-            return  # more pieces of this shard still queued or running
-        merged = self._merge_pieces(item.shard, self._pieces.pop(index))
-        outcomes[index] = merged
-        for record in merged.records:
-            self._heartbeat.point(record, quiet=True)
-        self._heartbeat.shard(merged)
-
-    def _merge_pieces(
-        self, shard: Shard, pieces: List[ShardOutcome]
-    ) -> ShardOutcome:
-        if len(pieces) == 1:
-            return pieces[0]  # unsplit shard: the common case
-        merged = ShardOutcome(shard=shard.index, planned=len(shard))
-        for piece in pieces:
-            merged.records.extend(piece.records)
-            merged.estimated += piece.estimated
-            merged.elapsed_s += piece.elapsed_s
-        merged.worker = pieces[-1].worker
-        merged.records.sort(key=lambda r: r.index)
-        if self._store is not None:
-            self._store.finish(shard)  # pieces left the done marker to us
-        return merged
-
-    # -- reporting ---------------------------------------------------------
-
-    def _report_utilization(self, wall_s: float) -> None:
-        """Per-worker busy fraction over the parallel section's wall time."""
-        if wall_s <= 0 or not self._busy_s:
-            return
-        obs.gauge("dse.workers.active").set(len(self._busy_s))
-        for slot, pid in enumerate(sorted(self._busy_s)):
-            obs.gauge(f"dse.worker.{slot}.utilization").set(
-                round(min(self._busy_s[pid] / wall_s, 1.0), 4)
-            )
-
-
 def _run_shards_forked(
     benchmark, estimator, dataset, plan, pending, store, skip,
-    workers, heartbeat, outcomes, tail_split: bool = True,
-) -> Tuple[int, int]:
+    workers, heartbeat, outcomes,
+) -> int:
     """Parallel path: fork workers after training, replay obs in parent.
 
     Workers inherit the estimator — including any warm estimation caches
     — through fork copy-on-write; each child's cache then grows
-    privately for the duration of its shards. Returns the scheduler's
-    (steals, requeued) tallies.
+    privately for the duration of its shards. At most ``workers`` shards
+    are in flight; the rest wait in a queue that free workers drain.
+    Returns the number of steals (dispatches past the initial fill).
     """
     global _FORK_STATE
-    ctx = multiprocessing.get_context("fork")
-    shards_by_index = {shard.index: shard for shard in plan.shards}
     _FORK_STATE = {
         "benchmark": benchmark,
         "estimator": estimator,
         "dataset": dataset,
-        "shards": shards_by_index,
+        "shards": {shard.index: shard for shard in plan.shards},
         "store": store,
         "skip": skip,
     }
-    # Tail splitting can turn one pending shard into several pieces, so
-    # only cap the pool by the pending count when splitting is off.
-    pool_workers = (
-        workers if tail_split else min(workers, max(len(pending), 1))
-    )
+    workers = min(workers, len(pending))
+    queue = deque(shard.index for shard in pending)
+    busy_s: Dict[int, float] = {}
+    steals = 0
+    start = time.perf_counter()
     try:
         with ProcessPoolExecutor(
-            max_workers=pool_workers,
-            mp_context=ctx,
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
         ) as pool:
-            scheduler = _Scheduler(
-                pool, pool_workers, pending,
-                store, skip, heartbeat, tail_split,
-            )
-            scheduler.run(outcomes)
+            inflight = set()
+            while queue or inflight:
+                while queue and len(inflight) < workers:
+                    index = queue.popleft()
+                    inflight.add(pool.submit(_worker_run_shard, index))
+                    if len(pending) - len(queue) > workers:
+                        # A worker that finished early pulled queued work.
+                        steals += 1
+                        obs.counter("dse.steal").inc()
+                done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    outcome = future.result()
+                    busy_s[outcome.worker] = (
+                        busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
+                    )
+                    outcomes[outcome.shard] = outcome
+                    for record in outcome.records:
+                        heartbeat.point(record, quiet=True)
+                    heartbeat.shard(outcome)
     finally:
         _FORK_STATE = None
-    return scheduler.steals, scheduler.requeued
+    _report_utilization(busy_s, time.perf_counter() - start)
+    return steals
+
+
+def _report_utilization(busy_s: Dict[int, float], wall_s: float) -> None:
+    """Per-worker busy fraction over the parallel section's wall time."""
+    if wall_s <= 0 or not busy_s:
+        return
+    obs.gauge("dse.workers.active").set(len(busy_s))
+    for slot, pid in enumerate(sorted(busy_s)):
+        obs.gauge(f"dse.worker.{slot}.utilization").set(
+            round(min(busy_s[pid] / wall_s, 1.0), 4)
+        )

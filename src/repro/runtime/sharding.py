@@ -9,37 +9,25 @@ the shards is byte-identical to the serial enumeration for every shard
 count — sampling is the cheap part of DSE (RNG draws plus legality
 checks); the expensive build/estimate work is what the shards distribute.
 
-Every shard also carries its own derived RNG stream
-(:func:`shard_seed`), decorrelated from the master seed and from sibling
-shards, for any stochastic work a shard-local policy may need (e.g. a
-guided-search extension). The point *enumeration* never consumes these
-streams, so using them cannot perturb reproducibility.
-
-Two scheduling extensions ride on the same invariant:
-
-* ``shard_range=(lo, hi)`` assigns a plan only the shards with global
-  index in ``[lo, hi)``. Because the *partition* is computed over the
-  full sample regardless of the range, disjoint ranges on disjoint hosts
-  tile the exact serial point set — the multi-host protocol's foundation
-  (see ``docs/runtime.md``).
-* ``shards="auto"`` picks a shard count ≫ workers (micro-shards) from a
-  :class:`ShardCostModel` seeded by past ``ShardOutcome.elapsed_s``
-  history, so the executor queue load-balances expensive regions instead
-  of letting one unlucky contiguous shard straggle.
+``shard_range=(lo, hi)`` assigns a plan only the shards with global
+index in ``[lo, hi)``. Because the *partition* is computed over the full
+sample regardless of the range, disjoint ranges on disjoint hosts tile
+the exact serial point set — the multi-host protocol's foundation (see
+``docs/runtime.md``). ``shards="auto"`` picks a shard count ≫ workers
+(micro-shards) as a pure function of (points, workers), so the executor
+queue load-balances expensive regions instead of letting one unlucky
+contiguous shard straggle.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..params import ParamSpace
 
 Point = Dict[str, object]
-
-_MASK64 = (1 << 64) - 1
 
 #: Micro-shards per worker when sizing shards automatically. Small enough
 #: that shard bookkeeping stays negligible, large enough that one
@@ -55,19 +43,6 @@ MIN_POINTS_PER_SHARD = 4
 MAX_AUTO_SHARDS = 512
 
 
-def shard_seed(seed: int, index: int) -> int:
-    """Derive a decorrelated 64-bit RNG seed for shard ``index``.
-
-    A splitmix64-style finalizer over (seed, index), so adjacent shard
-    indices (and adjacent master seeds) produce unrelated streams.
-    """
-    x = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 29
-    return x
-
-
 @dataclass(frozen=True)
 class Shard:
     """One contiguous slice of the sampled point list.
@@ -80,7 +55,6 @@ class Shard:
     index: int
     start: int
     points: Sequence[Point]
-    seed: int
 
     @property
     def stop(self) -> int:
@@ -91,10 +65,6 @@ class Shard:
     def indices(self) -> range:
         """Global indices covered by this shard."""
         return range(self.start, self.stop)
-
-    def rng(self) -> random.Random:
-        """A fresh per-shard RNG stream (never used for enumeration)."""
-        return random.Random(self.seed)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -142,105 +112,20 @@ class ShardPlan:
         return out
 
 
-class ShardCostModel:
-    """Online per-point cost statistics from completed shards.
-
-    The scheduler feeds every finished :class:`ShardOutcome` back here
-    (``points``, ``elapsed_s``); :meth:`suggest_shards` then sizes
-    micro-shards for the *next* sweep. Two signals matter:
-
-    * the mean per-point cost is irrelevant to shard count (work
-      stealing balances any absolute cost), but
-    * the *dispersion* of per-shard per-point cost is exactly the
-      straggler risk — when shards that should cost the same diverge,
-      finer shards let the executor queue re-balance them.
-
-    Thread-safe; the default process-wide instance is
-    :data:`DEFAULT_COST_MODEL`.
-    """
-
-    def __init__(self, window: int = 64) -> None:
-        self._lock = threading.Lock()
-        self._window = max(int(window), 8)
-        self._costs: List[float] = []  # per-point seconds, recent shards
-
-    def observe(self, points: int, elapsed_s: float) -> None:
-        """Record one completed shard's (points, wall seconds)."""
-        if points <= 0 or elapsed_s <= 0:
-            return
-        with self._lock:
-            self._costs.append(elapsed_s / points)
-            if len(self._costs) > self._window:
-                del self._costs[: len(self._costs) - self._window]
-
-    @property
-    def samples(self) -> int:
-        """Number of shard observations currently in the window."""
-        return len(self._costs)
-
-    @property
-    def cost_per_point(self) -> float:
-        """Mean observed per-point cost in seconds (0.0 when empty)."""
-        with self._lock:
-            if not self._costs:
-                return 0.0
-            return sum(self._costs) / len(self._costs)
-
-    @property
-    def dispersion(self) -> float:
-        """Coefficient of variation of per-shard per-point cost.
-
-        0.0 with fewer than two observations — no evidence of skew.
-        """
-        with self._lock:
-            if len(self._costs) < 2:
-                return 0.0
-            mean = sum(self._costs) / len(self._costs)
-            if mean <= 0:
-                return 0.0
-            var = sum((c - mean) ** 2 for c in self._costs) / len(self._costs)
-            return (var ** 0.5) / mean
-
-    def suggest_shards(
-        self,
-        total_points: int,
-        workers: int,
-        oversubscription: int = DEFAULT_OVERSUBSCRIPTION,
-    ) -> int:
-        """Shard count for ``total_points`` across ``workers`` workers.
-
-        Baseline is ``workers * oversubscription`` micro-shards; observed
-        cost dispersion above ~25% doubles the oversubscription (finer
-        shards shrink the worst-case tail a straggler can hold), clamped
-        so no shard falls below :data:`MIN_POINTS_PER_SHARD` points and
-        the count never exceeds :data:`MAX_AUTO_SHARDS`.
-        """
-        if total_points <= 0:
-            return 1
-        factor = oversubscription
-        if self.dispersion > 0.25:
-            factor = oversubscription * 2
-        shards = max(workers, 1) * factor
-        shards = min(shards, MAX_AUTO_SHARDS,
-                     max(total_points // MIN_POINTS_PER_SHARD, 1))
-        return max(shards, 1)
-
-
-#: Process-wide cost history; ``run_plan`` feeds it, ``shards="auto"``
-#: consumes it. Reset-free: a bounded window forgets stale sweeps.
-DEFAULT_COST_MODEL = ShardCostModel()
-
-
 def resolve_shard_count(
     shards: Union[int, str],
     total_points: int,
     workers: int = 1,
-    cost_model: Optional[ShardCostModel] = None,
 ) -> int:
-    """Validate/resolve a shard-count request (``"auto"`` or a positive int)."""
+    """Validate/resolve a shard-count request (``"auto"`` or a positive int).
+
+    ``"auto"`` is ``workers`` × :data:`DEFAULT_OVERSUBSCRIPTION`
+    micro-shards, clamped to :data:`MAX_AUTO_SHARDS` and so no shard
+    falls below :data:`MIN_POINTS_PER_SHARD` points.
+    """
     if shards == "auto":
-        model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        return model.suggest_shards(total_points, workers)
+        return min(max(workers, 1) * DEFAULT_OVERSUBSCRIPTION, MAX_AUTO_SHARDS,
+                   max(total_points // MIN_POINTS_PER_SHARD, 1))
     if not isinstance(shards, int) or isinstance(shards, bool):
         raise ValueError(
             f"shards must be a positive integer or 'auto', got {shards!r}"
@@ -257,7 +142,6 @@ def plan_shards(
     shards: Union[int, str] = 1,
     shard_range: Optional[Tuple[int, int]] = None,
     workers: int = 1,
-    cost_model: Optional[ShardCostModel] = None,
 ) -> ShardPlan:
     """Sample ``space`` exactly as the serial explorer would, then split.
 
@@ -266,15 +150,15 @@ def plan_shards(
     shards get one extra point. A plan may contain fewer (non-empty)
     shards than requested when the sample is small.
 
-    ``shards="auto"`` sizes micro-shards from ``cost_model`` (default:
-    the process-wide :data:`DEFAULT_COST_MODEL`) and ``workers``.
+    ``shards="auto"`` sizes micro-shards from the sample size and
+    ``workers`` (:func:`resolve_shard_count`).
     ``shard_range=(lo, hi)`` assigns the plan only the shards with index
     in ``[lo, hi)`` — the full partition is still computed first, so
     disjoint ranges across hosts tile the serial point set exactly.
     """
     rng = random.Random(seed)
     sampled = space.sample(rng, max_points)
-    n_shards = resolve_shard_count(shards, len(sampled), workers, cost_model)
+    n_shards = resolve_shard_count(shards, len(sampled), workers)
     plan = ShardPlan(
         seed=seed, max_points=max_points, space_cardinality=space.cardinality,
         global_points=len(sampled),
@@ -291,7 +175,6 @@ def plan_shards(
                 index=index,
                 start=start,
                 points=tuple(sampled[start:start + size]),
-                seed=shard_seed(seed, index),
             )
         )
         start += size

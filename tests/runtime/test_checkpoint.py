@@ -1,8 +1,13 @@
 """Checkpoint/resume: kill round-trips, no re-estimation, conservation."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.apps import get_benchmark
@@ -14,6 +19,7 @@ from repro.runtime import (
     estimate_to_doc,
     load_summary,
 )
+from repro.runtime.checkpoint import _line
 
 POINTS = 40
 SEED = 5
@@ -131,8 +137,9 @@ class TestManifestValidation:
         path = ckpt / "shard-0000.jsonl"
         lines = path.read_text().splitlines()
         doc = json.loads(lines[0])
+        del doc["crc"]
         doc["i"] = 9999
-        path.write_text(json.dumps(doc) + "\n")
+        path.write_text(_line(doc))  # re-sealed, so the CRC check passes
         with pytest.raises(CheckpointError, match="outside shard"):
             explore(bench, estimator, max_points=POINTS, seed=SEED,
                     shards=4, checkpoint_dir=ckpt, resume=True)
@@ -176,3 +183,166 @@ class TestCheckpointStoreUnits:
                              resume=False)
         assert set(states) == {s.index for s in plan.shards}
         assert isinstance(space, ParamSpace)
+
+
+def full_fingerprint(result):
+    """Order, params and every serialized estimate field of every point."""
+    return [(p.params, estimate_to_doc(p.estimate)) for p in result.points]
+
+
+@pytest.fixture(scope="module")
+def written(estimator, tmp_path_factory):
+    """A finished 4-shard checkpoint plus the serial sweep it must equal."""
+    bench = get_benchmark("tpchq6")
+    ckpt = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    explore(bench, estimator, max_points=POINTS, seed=SEED, shards=4,
+            checkpoint_dir=ckpt)
+    serial = explore(bench, estimator, max_points=POINTS, seed=SEED)
+    return ckpt, full_fingerprint(serial)
+
+
+def resume(estimator, ckpt):
+    return explore(get_benchmark("tpchq6"), estimator, max_points=POINTS,
+                   seed=SEED, shards=4, checkpoint_dir=ckpt, resume=True)
+
+
+class TestCorruptRecordsRefused:
+    """Lines that parse and carry a valid CRC but are not a record of this
+    plan: each must be refused, never restored as something else."""
+
+    def _reseal_first(self, ckpt, edit):
+        path = ckpt / "shard-0001.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[0])
+        del doc["crc"]
+        lines[0] = _line(edit(doc)).rstrip("\n")
+        path.write_text("\n".join(lines) + "\n")
+
+    def _check(self, estimator, written, tmp_path, edit, match):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(written[0], ckpt)
+        self._reseal_first(ckpt, edit)
+        with pytest.raises(CheckpointError, match=match):
+            resume(estimator, ckpt)
+
+    def test_missing_index(self, estimator, written, tmp_path):
+        def edit(doc):
+            del doc["i"]
+            return doc
+        self._check(estimator, written, tmp_path, edit, "point index None")
+
+    def test_json_value_that_is_not_an_object(
+        self, estimator, written, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(written[0], ckpt)
+        path = ckpt / "shard-0001.jsonl"
+        path.write_text("5\n" + path.read_text())
+        with pytest.raises(CheckpointError, match="corrupt checkpoint line"):
+            resume(estimator, ckpt)
+
+    def test_estimate_missing_a_field(self, estimator, written, tmp_path):
+        def edit(doc):
+            del doc["est"]["area"]["alms"]
+            return doc
+        self._check(estimator, written, tmp_path, edit, "malformed estimate")
+
+    def test_params_of_another_point(self, estimator, written, tmp_path):
+        def edit(doc):
+            doc["i"] += 1  # the next point's slot, this point's params
+            return doc
+        self._check(estimator, written, tmp_path, edit, "planned point")
+
+    def test_non_integer_index(self, estimator, written, tmp_path):
+        def edit(doc):
+            doc["i"] = float(doc["i"])  # equal to an index in range
+            return doc
+        self._check(estimator, written, tmp_path, edit, "outside shard")
+
+    def test_unsealed_edit_fails_its_crc(self, estimator, written, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(written[0], ckpt)
+        path = ckpt / "shard-0001.jsonl"
+        text = path.read_text()
+        doc = json.loads(text.splitlines()[0])
+        cycles = json.dumps(doc["est"]["cycles"])
+        path.write_text(text.replace(cycles, cycles + "1", 1))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint line"):
+            resume(estimator, ckpt)
+
+    def test_hydrate_refuses_non_estimate_docs(self, estimator):
+        from repro.runtime import PointRecord
+        from repro.runtime.checkpoint import ShardState
+
+        for doc in (5, "x", [], {"area": {}}):
+            state = ShardState(records={0: PointRecord(0, {}, doc)})
+            with pytest.raises(CheckpointError):
+                CheckpointStore(".").hydrate({0: state}, estimator.board)
+
+
+# One corruption: (kind, shard file, position in [0, 1), JSON value).
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 50), st.floats(0, 1e9),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["i", "t", "est"]), st.integers(),
+                    max_size=2),
+)
+_CORRUPTIONS = st.tuples(
+    st.sampled_from(["truncate", "duplicate", "delete", "mutate", "flip"]),
+    st.integers(0, 3),
+    st.floats(0, 1, exclude_max=True),
+    _VALUES,
+)
+
+
+def _corrupt(path, kind, where, value):
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if kind == "truncate":
+        path.write_bytes(data[: int(len(data) * where)])
+        return
+    if kind == "flip":
+        if data:
+            at = int(len(data) * where)
+            flipped = bytes([data[at] ^ (1 << (at % 8))])
+            path.write_bytes(data[:at] + flipped + data[at + 1:])
+        return
+    if not lines:
+        return
+    at = int(len(lines) * where)
+    if kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "delete":
+        del lines[at]
+    else:  # mutate: overwrite one top-level field, keeping the old CRC
+        try:
+            doc = json.loads(lines[at])
+        except ValueError:  # torn, flipped or not UTF-8
+            return
+        if not isinstance(doc, dict):
+            return
+        keys = sorted(doc)
+        doc[keys[int(len(keys) * where)]] = value
+        lines[at] = (json.dumps(doc) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+
+
+class TestCheckpointFuzz:
+    @given(st.lists(_CORRUPTIONS, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_resume_restores_exactly_or_refuses(
+        self, estimator, written, corruptions
+    ):
+        """Truncated, duplicated, deleted, mutated or bit-flipped shard
+        lines: resume yields the serial sweep exactly or raises
+        CheckpointError — never a different point set or estimate."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "ckpt"
+            shutil.copytree(written[0], ckpt)
+            for kind, shard, where, value in corruptions:
+                _corrupt(ckpt / f"shard-{shard:04d}.jsonl", kind, where, value)
+            try:
+                resumed = resume(estimator, ckpt)
+            except CheckpointError:
+                return
+            assert full_fingerprint(resumed) == written[1]

@@ -9,6 +9,7 @@ code on the same points, so even float results are bit-equal.
 
 import pytest
 
+from repro import obs
 from repro.apps import get_benchmark
 from repro.dse import explore
 
@@ -49,7 +50,7 @@ def test_matrix_identical_to_serial(estimator, serial, shards, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_auto_shards_identical_to_serial(estimator, serial, workers):
-    """Cost-model micro-sharding is a scheduling detail, not a result."""
+    """Micro-sharding is a scheduling detail, not a result."""
     bench = get_benchmark("tpchq6")
     result = explore(
         bench, estimator, max_points=POINTS, seed=SEED,
@@ -60,15 +61,23 @@ def test_auto_shards_identical_to_serial(estimator, serial, workers):
     assert result.shards > workers  # genuinely micro-sharded
 
 
-def test_tail_split_identical_to_serial(estimator, serial):
-    """One big shard re-split in flight still sweeps the serial set."""
+def test_one_shard_two_workers_identical_to_serial(estimator, serial):
+    """Fewer shards than workers: the pool forks one worker per shard."""
     bench = get_benchmark("tpchq6")
-    result = explore(
-        bench, estimator, max_points=POINTS, seed=SEED,
-        shards=1, workers=2,
-    )
+    obs.reset()
+    obs.enable(metrics=True)
+    try:
+        result = explore(
+            bench, estimator, max_points=POINTS, seed=SEED,
+            shards=1, workers=2,
+        )
+        active = obs.metrics().to_dict()["gauges"]["dse.workers.active"]
+    finally:
+        obs.disable()
+        obs.reset()
     assert fingerprint(result) == fingerprint(serial)
-    assert result.requeued >= 2  # the single shard was split into pieces
+    assert active == 1
+    assert result.steals == 0
 
 
 def test_explore_rejects_bogus_shard_string(estimator):
@@ -102,33 +111,29 @@ def test_resume_requires_checkpoint_dir(estimator):
         explore(bench, estimator, max_points=12, resume=True)
 
 
-def test_auto_shards_resume_after_another_auto_sweep(
-    estimator, serial, tmp_path, monkeypatch
+def test_auto_shards_resume_at_another_worker_count(
+    estimator, serial, tmp_path
 ):
-    """Resuming an "auto" sweep re-plans the checkpoint's partition even
-    after other sweeps in the process moved the cost model's suggestion;
-    asking the model again would plan another shard count and fail the
-    manifest check with CheckpointError."""
-    from repro.runtime.sharding import DEFAULT_COST_MODEL, resolve_shard_count
+    """An "auto" sweep written with one worker resumes with two.
 
-    monkeypatch.setattr(DEFAULT_COST_MODEL, "_costs", [])
+    "auto" at two workers would plan a different shard count; the
+    resume re-plans the checkpoint's partition from its manifest, so
+    every point is restored and none is re-estimated.
+    """
+    from repro.runtime import resolve_shard_count
+
     bench = get_benchmark("tpchq6")
     ckpt = tmp_path / "ckpt"
     first = explore(
         bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
-        checkpoint_dir=ckpt,
+        workers=1, checkpoint_dir=ckpt,
     )
-    # Another sweep in this process with skewed per-shard costs.
-    other = get_benchmark("dotproduct")
-    explore(other, estimator, max_points=POINTS, seed=SEED, shards="auto")
-    for cost in (1e-5, 1e-2) * 8:
-        DEFAULT_COST_MODEL.observe(1, cost)
-    assert resolve_shard_count("auto", POINTS) != first.shards
+    assert resolve_shard_count("auto", POINTS, workers=2) != first.shards
 
     resumed = explore(
         bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
-        checkpoint_dir=ckpt, resume=True,
+        workers=2, checkpoint_dir=ckpt, resume=True,
     )
     assert resumed.shards == first.shards
-    assert resumed.restored == len(first.points)
+    assert resumed.restored == POINTS
     assert fingerprint(resumed) == fingerprint(serial)

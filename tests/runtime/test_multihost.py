@@ -3,7 +3,7 @@
 The protocol under ``--shard-range`` / ``repro merge-checkpoints``: N
 hosts sweep disjoint shard ranges of one global partition into a shared
 checkpoint directory (shared filesystem or rsync'd afterwards), each
-writing the same global manifest plus a host sidecar, and the merge tool
+writing the same global manifest, and the merge tool
 reassembles the union under the Conservation ledger — bit-identical to
 the serial sweep, or a loud error, never a silently smaller front.
 """
@@ -95,18 +95,6 @@ class TestTwoHostMerge:
         assert fingerprint(result) == (
             fingerprint(serial)[: len(result.points)]
         )
-
-
-class TestHostSidecars:
-    def test_each_host_drops_a_sidecar(self, estimator, bench, tmp_path):
-        ckpt = tmp_path / "shared"
-        ranged_explore(bench, estimator, ckpt, 0, 3)
-        ranged_explore(bench, estimator, ckpt, 3, SHARDS)
-        sidecars = sorted(p.name for p in ckpt.glob("host-*.json"))
-        assert sidecars == ["host-0000-0003.json", "host-0003-0006.json"]
-        doc = json.loads((ckpt / "host-0000-0003.json").read_text())
-        assert doc["shard_range"] == [0, 3]
-        assert doc["shards"] == [0, 1, 2]
 
     def test_manifest_describes_global_run(self, estimator, bench, tmp_path):
         ckpt = tmp_path / "shared"

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from repro.apps import get_benchmark
-from repro.runtime import (
-    ShardCostModel,
-    plan_shards,
-    resolve_shard_count,
-    shard_seed,
-)
+from repro.runtime import plan_shards, resolve_shard_count
 from repro.runtime.sharding import MAX_AUTO_SHARDS, MIN_POINTS_PER_SHARD
 
 
@@ -92,52 +87,26 @@ class TestShardRange:
             plan_shards(space, 5, 60, 6, shard_range=(0, True))
 
 
-class TestShardCostModel:
-    def test_no_history_uses_default_oversubscription(self):
-        model = ShardCostModel()
-        assert model.suggest_shards(10_000, workers=2) == 16
+class TestResolveShardCount:
+    def test_auto_uses_default_oversubscription(self):
+        assert resolve_shard_count("auto", 10_000, 2) == 16
+        assert resolve_shard_count("auto", 10_000, 1) == 8
 
-    def test_dispersion_doubles_oversubscription(self):
-        model = ShardCostModel()
-        for cost in (0.001, 0.001, 0.001, 0.05, 0.05):
-            model.observe(10, cost * 10)
-        assert model.dispersion > 0.25
-        assert model.suggest_shards(10_000, workers=2) == 32
-
-    def test_uniform_costs_have_low_dispersion(self):
-        model = ShardCostModel()
-        for _ in range(10):
-            model.observe(10, 0.01)
-        assert model.dispersion < 0.01
-        assert model.suggest_shards(10_000, workers=2) == 16
+    def test_auto_is_a_pure_function_of_points_and_workers(self, space):
+        """No process history: the same call plans the same shards."""
+        before = resolve_shard_count("auto", 600, 2)
+        plan_shards(space, 5, 60, "auto", workers=2)
+        plan_shards(space, 5, 60, "auto", workers=3)
+        assert resolve_shard_count("auto", 600, 2) == before == 16
 
     def test_min_points_per_shard_clamp(self):
-        model = ShardCostModel()
-        tiny = model.suggest_shards(12, workers=2)
+        tiny = resolve_shard_count("auto", 12, 2)
         assert tiny == 12 // MIN_POINTS_PER_SHARD
+        assert resolve_shard_count("auto", 2, 2) == 1
+        assert resolve_shard_count("auto", 0, 2) == 1
 
     def test_max_auto_shards_clamp(self):
-        model = ShardCostModel()
-        assert model.suggest_shards(10**6, workers=128) == MAX_AUTO_SHARDS
-
-    def test_window_forgets_stale_history(self):
-        model = ShardCostModel(window=8)
-        for _ in range(100):
-            model.observe(10, 0.01)
-        assert model.samples == 8
-
-    def test_degenerate_observations_ignored(self):
-        model = ShardCostModel()
-        model.observe(0, 1.0)
-        model.observe(10, 0.0)
-        assert model.samples == 0
-        assert model.cost_per_point == 0.0
-
-
-class TestResolveShardCount:
-    def test_auto_consults_model(self):
-        model = ShardCostModel()
-        assert resolve_shard_count("auto", 10_000, 2, model) == 16
+        assert resolve_shard_count("auto", 10**6, 128) == MAX_AUTO_SHARDS
 
     def test_int_passthrough(self):
         assert resolve_shard_count(7, 10_000, 2) == 7
@@ -148,26 +117,7 @@ class TestResolveShardCount:
                 resolve_shard_count(bad, 100, 1)
 
     def test_auto_plan_micro_shards(self, space):
-        plan = plan_shards(space, 5, 60, "auto", workers=2,
-                           cost_model=ShardCostModel())
+        plan = plan_shards(space, 5, 60, "auto", workers=2)
         assert plan.n_shards > 2
         reference = serial_sample(space, 5, 60)
         assert plan.sampled_points() == reference
-
-
-class TestShardSeeds:
-    def test_streams_decorrelated(self):
-        seeds = {shard_seed(1, i) for i in range(100)}
-        assert len(seeds) == 100
-        assert shard_seed(1, 0) != shard_seed(2, 0)
-
-    def test_per_shard_rng_reproducible(self, space):
-        a = plan_shards(space, 5, 60, 4)
-        b = plan_shards(space, 5, 60, 4)
-        for sa, sb in zip(a.shards, b.shards):
-            assert sa.rng().random() == sb.rng().random()
-
-    def test_sibling_rngs_differ(self, space):
-        plan = plan_shards(space, 5, 60, 4)
-        draws = [s.rng().random() for s in plan.shards]
-        assert len(set(draws)) == len(draws)
