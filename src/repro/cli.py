@@ -27,7 +27,9 @@ every design point instead of pricing it from compiled class plans and
 caches (bit-identical results; see ``docs/estimation_performance.md``).
 
 Bad input (an unknown benchmark, a non-positive count, a malformed
-flag) is a one-line ``repro: error: ...`` on stderr and exit status 2.
+flag, an output file in a missing directory, an unusable checkpoint
+directory) is a one-line ``repro: error: ...`` on stderr and exit
+status 2.
 
 Invoke as ``python -m repro ...``.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import obs
@@ -196,6 +199,25 @@ def _parse_shard_range(text: str):
     return bounds
 
 
+#: Output-file flags, checked before any work so a typo'd directory fails
+#: fast instead of after a whole sweep.
+_OUTPUT_FLAGS = (
+    ("trace", "--trace"), ("trace_jsonl", "--trace-jsonl"),
+    ("sim_trace", "--sim-trace"), ("csv", "--csv"), ("output", "--output"),
+)
+
+
+def _check_output_paths(args) -> None:
+    for attr, flag in _OUTPUT_FLAGS:
+        path = getattr(args, attr, None)
+        if not path:
+            continue
+        if Path(path).is_dir():
+            raise UsageError(f"{flag} {path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"{flag} {path}: no such directory")
+
+
 def _check_workers(args) -> None:
     if args.workers < 1:
         raise UsageError(
@@ -271,7 +293,7 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
             shard_range=shard_range,
         )
     except CheckpointError as exc:
-        raise SystemExit(str(exc)) from None
+        raise UsageError(str(exc)) from None
     parallel = ""
     if result.shards > 1 or result.workers > 1 or result.restored:
         parallel = f"; {result.shards} shards x {result.workers} workers"
@@ -324,7 +346,7 @@ def cmd_merge_checkpoints(
     try:
         result = merge_checkpoints(args.directory, estimator)
     except (CheckpointError, ConservationError) as exc:
-        raise SystemExit(str(exc)) from None
+        raise UsageError(str(exc)) from None
     print(
         f"merged {len(result.points)} points from {result.shards} shards "
         f"in {args.directory}; {len(result.valid_points)} fit; "
@@ -597,6 +619,7 @@ def main(argv: Optional[List[str]] = None, out=None,
 def _main(argv, out, estimator) -> int:
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
+    _check_output_paths(args)
     trace_file = getattr(args, "trace", None)
     stream_file = getattr(args, "trace_jsonl", None)
     sim_trace_file = getattr(args, "sim_trace", None)

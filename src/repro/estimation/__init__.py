@@ -5,7 +5,6 @@ from .cache import (
     CachedTemplateModels,
     EstimationCaches,
     LRUCache,
-    PipeScheduleInfo,
     point_key,
 )
 from .characterize import TemplateModels, characterize_templates
@@ -37,7 +36,6 @@ __all__ = [
     "MLP",
     "MLPConfig",
     "N_FEATURES",
-    "PipeScheduleInfo",
     "PowerEstimate",
     "RawArea",
     "TemplateModels",

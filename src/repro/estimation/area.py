@@ -87,25 +87,21 @@ class AreaEstimate:
         )
 
 
-def raw_area(design: Design, models: TemplateModels, caches=None) -> RawArea:
+def raw_area(design: Design, models: TemplateModels) -> RawArea:
     """Sum characterized template models over every node in the design.
 
     Outer-loop parallelization replicates hardware, so every template's
     counts are scaled by the replication factor of its scope.
 
-    ``caches`` is an optional
-    :class:`~repro.estimation.cache.EstimationCaches`: template
-    predictions are memoized and per-Pipe delay-balancing counts are
-    reused across structurally identical bodies. Results are
-    bit-identical with and without it.
+    ``models`` is either the :class:`TemplateModels` themselves or a
+    memoizing :class:`~repro.estimation.cache.CachedTemplateModels` view
+    of them; the walk is the same and so are the results, bit for bit.
     """
     raw = RawArea()
     device = models.device
-    if caches is not None:
-        models = caches.wrap_templates(models)
     for ctrl in design.controllers():
         scoped = _ScopedRawArea(raw, replication(ctrl))
-        _count_controller(ctrl, models, scoped, caches)
+        _count_controller(ctrl, models, scoped)
     for mem in design.onchip_mems():
         scoped = _ScopedRawArea(raw, replication(mem))
         _count_memory(mem, models, scoped, device)
@@ -132,7 +128,7 @@ class _ScopedRawArea:
 
 
 def _count_controller(
-    ctrl: Controller, models: TemplateModels, raw: RawArea, caches=None
+    ctrl: Controller, models: TemplateModels, raw: RawArea
 ) -> None:
     if ctrl.cchain is not None:
         raw.add(
@@ -142,7 +138,7 @@ def _count_controller(
             ),
         )
     if isinstance(ctrl, Pipe):
-        _count_pipe(ctrl, models, raw, caches)
+        _count_pipe(ctrl, models, raw)
     elif isinstance(ctrl, TileTransfer):
         raw.add(
             "tile_transfer",
@@ -197,9 +193,7 @@ def _count_accum(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None
         raw.add("accum", models.predict_prim(op, tp, 1))
 
 
-def _count_pipe(
-    pipe: Pipe, models: TemplateModels, raw: RawArea, caches=None
-) -> None:
+def _count_pipe(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
     body = [n for n in pipe.body_prims if not isinstance(n, Const)]
     raw.add("control", models.predict("pipe", {"n": len(body)}))
 
@@ -235,7 +229,7 @@ def _count_pipe(
                 ),
             )
     _count_reduce_tree(pipe, models, raw)
-    _count_delays(pipe, body, raw, caches)
+    _count_delays(body, raw)
 
 
 def _count_reduce_tree(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
@@ -268,27 +262,6 @@ def _predict_fma_fusions(body: List[Node]) -> set:
     return fused
 
 
-def delay_contributions(body: List[Node], times) -> List[Counts]:
-    """Per-edge delay-balancing Counts in deterministic traversal order.
-
-    Exposed for the schedule cache (:mod:`repro.estimation.cache`): the
-    list is fully determined by the body's structural signature, and
-    replaying it performs the same float additions in the same order as
-    the cold path, keeping cached estimates bit-identical.
-    """
-    out: List[Counts] = []
-    for node in body:
-        start = times[node.nid][0]
-        for inp in getattr(node, "inputs", []):
-            if inp.nid not in times or isinstance(inp, Const):
-                continue
-            slack = start - times[inp.nid][1]
-            if slack <= 0:
-                continue
-            out.append(delay_counts(inp.tp.bits * max(inp.width, 1), slack))
-    return out
-
-
 def delay_counts(bits: int, slack: int) -> Counts:
     """Balancing ``slack`` cycles of a ``bits``-wide edge (slack > 0).
 
@@ -300,16 +273,19 @@ def delay_counts(bits: int, slack: int) -> Counts:
     return Counts(regs=bits * slack)
 
 
-def _count_delays(
-    pipe: Pipe, body: List[Node], raw: RawArea, caches=None
-) -> None:
+def _count_delays(body: List[Node], raw: RawArea) -> None:
     """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
-    if caches is not None:
-        contributions = caches.pipe_info(pipe, body).delays
-    else:
-        contributions = delay_contributions(body, asap_schedule(body))
-    for counts in contributions:
-        raw.add("delay", counts)
+    times = asap_schedule(body)
+    for node in body:
+        start = times[node.nid][0]
+        for inp in getattr(node, "inputs", []):
+            if inp.nid not in times or isinstance(inp, Const):
+                continue
+            slack = start - times[inp.nid][1]
+            if slack <= 0:
+                continue
+            bits = inp.tp.bits * max(inp.width, 1)
+            raw.add("delay", delay_counts(bits, slack))
 
 
 def _count_memory(
@@ -403,18 +379,18 @@ def hybrid_area(
     models: TemplateModels,
     corrections,
     board: Board = MAIA,
-    caches=None,
 ) -> AreaEstimate:
     """Raw counts + NN corrections + LUT packing -> final area estimate.
 
-    ``corrections`` is a :class:`repro.estimation.train.CorrectionModels`.
+    ``models`` is as for :func:`raw_area`; ``corrections`` is a
+    :class:`repro.estimation.train.CorrectionModels`.
     """
     from .features import design_features  # local import to avoid cycle
 
     device = board.device
     with obs.timed("area", "pass.area_s", design=design.name):
         with obs.timed("area.raw", "pass.area_raw_s"):
-            raw = raw_area(design, models, caches)
+            raw = raw_area(design, models)
             feats = design_features(design, raw.counts, raw.wire_bits)
 
         # The NN corrections are the one non-analytical estimation stage;

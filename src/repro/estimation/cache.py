@@ -1,11 +1,10 @@
 """Memoization layer for the estimation hot path (bounded LRU caches).
 
-DSE sweeps estimate tens of thousands of design points whose IR is built
-from the same handful of templates: the *same* counter/load/store/prim
-parameter tuples recur across thousands of points, and points that only
-change tile sizes or metapipe toggles share identical Pipe body
-structure. This module exploits that redundancy without changing a
-single estimated bit:
+DSE sweeps estimate tens of thousands of design points built from the
+same handful of templates: the *same* counter/load/store/prim parameter
+tuples recur across thousands of points, and so do whole points across
+the calls of a guided search. This module exploits that redundancy
+without changing a single estimated bit:
 
 * :class:`LRUCache` — a bounded, fork-inheritable cache with local
   hit/miss/evict statistics mirrored into :mod:`repro.obs` counters
@@ -18,10 +17,14 @@ single estimated bit:
   result (the BRAM block override) never alias cached state.
 * :class:`EstimationCaches` — the bundle an
   :class:`~repro.estimation.estimator.Estimator` owns: template
-  predictions, per-Pipe ASAP schedule/delay-balancing reuse keyed on a
-  structural hash (:func:`repro.synth.netlist.structural_signature`),
-  a design-point estimate cache shared by guided search and the
-  sharded explore runner, and the compiled class plans.
+  predictions, a design-point estimate cache shared by guided search
+  and the sharded explore runner, and the compiled class plans.
+
+The per-design walk (:func:`~repro.estimation.cycles.estimate_cycles`,
+:func:`~repro.estimation.area.hybrid_area`) takes no cache: template
+memoization reaches it only as the ``models`` argument, a
+:class:`CachedTemplateModels` view or the raw
+:class:`~repro.estimation.characterize.TemplateModels`.
 
 The LRU caches hold plain data (tuples, floats,
 :class:`~repro.estimation.counts.Counts`, pickled-tested
@@ -32,21 +35,17 @@ fork-after-training worker pool hands children the warm parent bundle
 copy-on-write, and they keep private statistics.
 
 Exactness contract: a cached value is always the object (or a
-value-equal reconstruction) the cold path would have computed, and the
-delay-balancing replay performs the same float additions in the same
-order — estimates with caching enabled are bit-identical to the
-``--no-cache`` path (property-tested in
-``tests/estimation/test_cache_equivalence.py``).
+value-equal reconstruction) the cold path would have computed —
+estimates with caching enabled are bit-identical to the ``--no-cache``
+path (property-tested in ``tests/estimation/test_cache_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .. import obs
-from ..synth.netlist import asap_schedule, structural_signature
-from .area import delay_contributions
 from .characterize import TemplateModels
 from .counts import Counts
 
@@ -178,22 +177,6 @@ class CachedTemplateModels:
         return self.predict(key, {"bits": tp.bits, "width": width})
 
 
-class PipeScheduleInfo(NamedTuple):
-    """Everything the estimator derives from one Pipe body's ASAP schedule."""
-
-    #: Critical-path latency (max ASAP end time; 1 for empty bodies).
-    latency: float
-    #: Delay-balancing contributions in deterministic traversal order.
-    delays: Tuple[Counts, ...]
-
-
-def compute_pipe_info(body) -> PipeScheduleInfo:
-    """Schedule one Pipe body and derive its cacheable summary."""
-    times = asap_schedule(body)
-    latency = max((end for _, end in times.values()), default=1)
-    return PipeScheduleInfo(latency, tuple(delay_contributions(body, times)))
-
-
 def point_key(
     bench_name: str,
     dataset: Dict[str, int],
@@ -211,8 +194,6 @@ class EstimationCaches:
     """The bounded cache bundle one :class:`Estimator` owns.
 
     * ``template`` — memoized template-model predictions;
-    * ``schedule`` — per-Pipe ASAP latency + delay-balancing counts,
-      keyed on :func:`~repro.synth.netlist.structural_signature`;
     * ``points`` — full design-point estimates keyed on
       :func:`point_key`, consulted by
       :meth:`~repro.estimation.estimator.Estimator.estimate_points` for
@@ -221,39 +202,18 @@ class EstimationCaches:
       :mod:`repro.estimation.plan`.
     """
 
-    def __init__(
-        self,
-        template_entries: int = DEFAULT_TEMPLATE_ENTRIES,
-        schedule_entries: int = DEFAULT_SCHEDULE_ENTRIES,
-        point_entries: int = DEFAULT_POINT_ENTRIES,
-    ) -> None:
-        self.template = LRUCache("template", template_entries)
-        self.schedule = LRUCache("schedule", schedule_entries)
-        self.points = LRUCache("points", point_entries)
+    def __init__(self) -> None:
+        self.template = LRUCache("template", DEFAULT_TEMPLATE_ENTRIES)
+        # Nothing fills it: kept only so stats() still has the "schedule"
+        # row the DSE ledger reads.
+        self.schedule = LRUCache("schedule", DEFAULT_SCHEDULE_ENTRIES)
+        self.points = LRUCache("points", DEFAULT_POINT_ENTRIES)
         # One entry per (benchmark, dataset) swept, so unbounded.
         self.plans: Dict[tuple, object] = {}
 
     def wrap_templates(self, models: TemplateModels) -> CachedTemplateModels:
         """A memoizing predict view over ``models`` backed by this bundle."""
-        if isinstance(models, CachedTemplateModels):
-            return models
         return CachedTemplateModels(models, self.template)
-
-    def pipe_info(self, pipe, body) -> PipeScheduleInfo:
-        """Schedule summary for ``pipe``'s body, reused across designs.
-
-        The structural signature is memoized on the Pipe node itself so
-        the cycle and area passes of one estimate hash the body once.
-        """
-        sig = getattr(pipe, "_schedule_sig", None)
-        if sig is None:
-            sig = structural_signature(body)
-            pipe._schedule_sig = sig
-        info = self.schedule.get(sig)
-        if info is MISS:
-            info = compute_pipe_info(body)
-            self.schedule.put(sig, info)
-        return info  # type: ignore[return-value]
 
     def clear(self) -> None:
         """Empty every cache (statistics are kept)."""

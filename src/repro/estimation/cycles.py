@@ -48,21 +48,13 @@ class CycleEstimate:
         return self.total / self.board.fabric_clock_hz
 
 
-def estimate_cycles(
-    design: Design, board: Board = MAIA, caches=None
-) -> CycleEstimate:
-    """Estimate the total runtime of ``design`` on ``board`` in cycles.
-
-    ``caches`` is an optional
-    :class:`~repro.estimation.cache.EstimationCaches`; when given, Pipe
-    critical-path latencies are reused across structurally identical
-    bodies (bit-identical to scheduling from scratch).
-    """
+def estimate_cycles(design: Design, board: Board = MAIA) -> CycleEstimate:
+    """Estimate the total runtime of ``design`` on ``board`` in cycles."""
     with obs.timed("cycles", "pass.cycles_s", design=design.name) as sp:
         estimate = CycleEstimate(0.0, board)
         total = 0.0
         for top in design.top_controllers:
-            total += _controller_cycles(top, board, 0, estimate, caches)
+            total += _controller_cycles(top, board, 0, estimate)
         estimate.total = total
         sp.set(cycles=total)
     return estimate
@@ -73,19 +65,18 @@ def _controller_cycles(
     board: Board,
     contention: int,
     estimate: CycleEstimate,
-    caches=None,
 ) -> float:
     if isinstance(ctrl, TileTransfer):
         cycles = transfer_cycles(ctrl, board, contention + 1)
     elif isinstance(ctrl, Pipe):
-        cycles = _pipe_cycles(ctrl, caches)
+        cycles = _pipe_cycles(ctrl)
     elif isinstance(ctrl, Parallel):
         # Children run concurrently: each child's transfers compete with
         # every *other* child's transfers (plus anything already active).
         cycles = parallel_cycles(
             _controller_cycles(
                 child, board, _overlap_contention(ctrl, child, contention),
-                estimate, caches,
+                estimate,
             )
             for child in ctrl.stages
         )
@@ -94,7 +85,7 @@ def _controller_cycles(
         cycles = metapipe_cycles(ctrl.iterations, [
             _controller_cycles(
                 child, board, _overlap_contention(ctrl, child, contention),
-                estimate, caches,
+                estimate,
             )
             for child in ctrl.stages
         ])
@@ -107,7 +98,6 @@ def _controller_cycles(
                 board,
                 contention + (ctrl.par - 1) * weighted_transfers(child),
                 estimate,
-                caches,
             )
             for child in ctrl.stages
         ])
@@ -145,14 +135,12 @@ def pipe_latency(body) -> int:
     return max((end for _, end in times.values()), default=1)
 
 
-def _pipe_cycles(pipe: Pipe, caches=None) -> float:
+def _pipe_cycles(pipe: Pipe) -> float:
     """Latency of one Pipe: critical path + (N-1) at II=1 (+ reduce drain)."""
     body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    if caches is not None:
-        latency = caches.pipe_info(pipe, body).latency
-    else:
-        latency = pipe_latency(body)
-    return pipe_cycles(latency, pipe.iterations, pipe.par, drain_latency(pipe))
+    return pipe_cycles(
+        pipe_latency(body), pipe.iterations, pipe.par, drain_latency(pipe)
+    )
 
 
 def drain_latency(pipe: Pipe):

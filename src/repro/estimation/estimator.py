@@ -60,11 +60,15 @@ class Estimator:
 
     With ``cache=True`` (the default) the estimator owns an
     :class:`~repro.estimation.cache.EstimationCaches` bundle that
-    memoizes template predictions, Pipe schedules, whole design points,
-    and the compiled per-class plans behind :meth:`estimate_points`.
-    Cached results are bit-identical to the cold path; pass
-    ``cache=False`` (the ``--no-cache`` CLI flag) to build and estimate
-    every design from scratch.
+    memoizes template predictions, whole design points, and the compiled
+    per-class plans behind :meth:`estimate_points`. Cached results are
+    bit-identical to the cold path; pass ``cache=False`` (the
+    ``--no-cache`` CLI flag) to build and estimate every design from
+    scratch.
+
+    ``models`` is what the area walk and the plan compiler predict
+    template costs from: the bundle's memoizing view of ``templates``,
+    or ``templates`` itself with ``cache=False``.
     """
 
     def __init__(
@@ -87,6 +91,10 @@ class Estimator:
             ):
                 templates = characterize_templates(board.device)
         self.templates = templates
+        self.models = (
+            templates if self.caches is None
+            else self.caches.wrap_templates(templates)
+        )
         if corrections is None:
             with obs.timed(
                 "estimator.train", "estimator.train_s",
@@ -100,13 +108,11 @@ class Estimator:
 
     def estimate_cycles(self, design: Design) -> CycleEstimate:
         """Runtime estimate only (paper Section IV-B1)."""
-        return estimate_cycles(design, self.board, self.caches)
+        return estimate_cycles(design, self.board)
 
     def estimate_area(self, design: Design) -> AreaEstimate:
         """Hybrid area estimate only (paper Section IV-B2)."""
-        return hybrid_area(
-            design, self.templates, self.corrections, self.board, self.caches
-        )
+        return hybrid_area(design, self.models, self.corrections, self.board)
 
     def estimate(self, design: Design) -> Estimate:
         """Complete design-point estimate: cycles plus area."""

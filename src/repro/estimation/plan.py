@@ -283,9 +283,7 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
             return None
         estimator = family.estimator
         return _Lowering(
-            design, estimator.templates,
-            estimator.caches.wrap_templates(estimator.templates),
-            estimator.board,
+            design, estimator.templates, estimator.models, estimator.board,
         ).plan(f"{family.benchmark.name}:{label}", label)
     return None  # a one-point class: nothing to check the shape against
 
@@ -778,7 +776,7 @@ class _Lowering:
         self.add(self.prim(op, tp, _const(1)), factor)
 
     def count_delays(self, body: List[Node], factor: _Sym) -> None:
-        """:func:`~repro.estimation.area.delay_contributions`."""
+        """:func:`~repro.estimation.area._count_delays`."""
         times = asap_schedule(body)
         for node in body:
             start = times[node.nid][0]

@@ -123,7 +123,13 @@ class Histogram:
             lo = int(rank)
             hi = min(lo + 1, len(vals) - 1)
             frac = rank - lo
-            return vals[lo] * (1.0 - frac) + vals[hi] * frac
+            low, high = vals[lo], vals[hi]
+            if frac == 0.0:
+                return low
+            # low + (high - low) * frac is exact for equal neighbours and
+            # monotone in p; the clamp keeps rounding (or an overflowing
+            # high - low) inside [low, high].
+            return min(max(low + (high - low) * frac, low), high)
 
     def summary(self) -> Dict[str, float]:
         """count / total / mean / p50 / p95 / max in one dict."""

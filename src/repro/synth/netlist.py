@@ -247,38 +247,6 @@ def asap_schedule(body: List[Node]) -> Dict[int, Tuple[int, int]]:
     return times
 
 
-def structural_signature(body: List[Node]) -> Tuple:
-    """Position-based structural hash key of a Pipe body.
-
-    Two bodies with equal signatures produce identical ASAP schedules
-    (up to node-id renaming) and identical delay-balancing resource
-    counts, so the estimator can reuse both across design points that
-    only vary tile sizes or metapipe toggles (``repro.estimation.cache``).
-
-    The signature captures exactly what :func:`asap_schedule` and the
-    slack walk consume: each node's latency and, per in-body input, its
-    body position plus the bit-width that sizes a delay element.
-    Out-of-body inputs never move a start time and constants never need
-    delay balancing, so both are excluded.
-    """
-    pos = {node.nid: i for i, node in enumerate(body)}
-    sig = []
-    for node in body:
-        if isinstance(node, Prim):
-            lat = node.latency
-        elif isinstance(node, (LoadOp, StoreOp)):
-            lat = node.LATENCY
-        else:
-            lat = 0
-        inputs = tuple(
-            (pos[inp.nid], inp.tp.bits, max(inp.width, 1))
-            for inp in getattr(node, "inputs", [])
-            if inp.nid in pos and not isinstance(inp, Const)
-        )
-        sig.append((lat, inputs))
-    return tuple(sig)
-
-
 def _expand_delays(
     pipe: Pipe, body: List[Node], netlist: Netlist, device: Device
 ) -> None:

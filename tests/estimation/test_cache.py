@@ -119,29 +119,23 @@ class TestCachedTemplateModels:
         assert second.brams != 1e9
         assert second == estimator.templates.predict("bram", params)
 
-    def test_wrap_is_idempotent(self, estimator):
-        caches = EstimationCaches()
-        cached = caches.wrap_templates(estimator.templates)
-        assert caches.wrap_templates(cached) is cached
-        assert isinstance(cached, CachedTemplateModels)
-        assert cached.device is estimator.templates.device
+    def test_models_view_follows_cache_flag(self, estimator):
+        cold = Estimator(
+            MAIA, templates=estimator.templates,
+            corrections=estimator.corrections, cache=False,
+        )
+        assert cold.models is estimator.templates
+        view = estimator.models
+        assert isinstance(view, CachedTemplateModels)
+        assert view.device is estimator.templates.device
+        lookups = estimator.caches.template.stats()
+        view.predict("counter", {"ndims": 1, "par": 2})
+        after = estimator.caches.template.stats()
+        assert (after["hits"] + after["misses"]
+                == lookups["hits"] + lookups["misses"] + 1)
 
 
 class TestEstimationCaches:
-    def test_schedule_cache_shared_across_structural_twins(self, estimator):
-        """Points differing only in tile size share Pipe schedules."""
-        caches = estimator.caches
-        caches.clear()
-        bench = get_benchmark("dotproduct")
-        ds = bench.default_dataset()
-        params = bench.default_params(ds)
-        estimator.estimate(bench.build(ds, **params))
-        misses_after_first = caches.schedule.misses
-        twin = dict(params, tile=params["tile"] // 2)
-        estimator.estimate(bench.build(ds, **twin))
-        assert caches.schedule.misses == misses_after_first
-        assert caches.schedule.hits > 0
-
     def test_point_key_canonicalizes_ordering(self):
         a = point_key("b", {"n": 1, "m": 2}, {"x": 3, "y": 4})
         b = point_key("b", {"m": 2, "n": 1}, {"y": 4, "x": 3})
@@ -149,7 +143,7 @@ class TestEstimationCaches:
         assert point_key("other", {"n": 1, "m": 2}, {"x": 3, "y": 4}) != a
 
     def test_summary_lines_and_stats(self):
-        caches = EstimationCaches(template_entries=2)
+        caches = EstimationCaches()
         caches.template.put("k", (0.0,) * 5)
         lines = caches.summary_lines()
         assert len(lines) == 4  # header + template/schedule/points

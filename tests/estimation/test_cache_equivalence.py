@@ -107,15 +107,12 @@ class TestBitIdentity:
 
     def test_eviction_does_not_change_results(self, estimator):
         """Tiny bounds force constant eviction; results stay identical."""
-        from repro.estimation import EstimationCaches
-
         tiny = Estimator(
             estimator.board, templates=estimator.templates,
-            corrections=estimator.corrections, cache=False,
+            corrections=estimator.corrections,
         )
-        tiny.caches = EstimationCaches(
-            template_entries=2, schedule_entries=1, point_entries=1
-        )
+        tiny.caches.template.maxsize = 2
+        tiny.caches.points.maxsize = 1
         designs = _sample_designs("dotproduct", 5, 5, small=True)
         expected = [_fingerprint(estimator.estimate(d)) for d in designs]
         got = [_fingerprint(tiny.estimate(d)) for d in designs]

@@ -3,6 +3,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
@@ -54,6 +56,34 @@ class TestHistogram:
         assert h.percentile(100) == 3.0
         h.observe(2.0)  # arrives after a percentile query re-sorted
         assert h.percentile(50) == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=50),
+            st.builds(
+                lambda v, n: [v] * n,
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(min_value=1, max_value=50),
+            ),
+        ),
+        ps=st.lists(st.floats(min_value=0.0, max_value=100.0),
+                    min_size=2, max_size=8),
+    )
+    def test_percentile_monotone_and_bounded(self, samples, ps):
+        """Percentiles never decrease in p and stay within [min, max]."""
+        reg = MetricsRegistry(enabled=True)
+        h = reg.histogram("lat")
+        for v in samples:
+            h.observe(v)
+        values = [h.percentile(p) for p in sorted(ps)]
+        assert values == sorted(values)
+        assert all(h.min <= v <= h.max for v in values)
+        if len(set(samples)) == 1:
+            assert set(values) == {samples[0]}
+        summary = h.summary()
+        assert summary["p50"] <= summary["p95"] <= summary["max"]
 
     def test_empty_and_single(self):
         reg = MetricsRegistry(enabled=True)

@@ -344,6 +344,44 @@ class TestHostileInput:
             run_cli(estimator, "explore", "gda", "--auto-shards")
         assert exc.value.code == 2  # argparse: unrecognized argument
 
+    def test_resume_without_manifest(self, estimator, capsys, tmp_path):
+        self.assert_usage_error(
+            estimator, capsys,
+            ["explore", "tpchq6", "--points", "10",
+             "--resume", str(tmp_path / "missing")],
+            "no checkpoint manifest",
+        )
+
+    def test_merge_of_mismatched_run(self, estimator, capsys, tmp_path):
+        ckpt = tmp_path / "partial"
+        run_cli(
+            estimator, "explore", "tpchq6", "--points", "20", "--seed", "2",
+            "--shards", "4", "--shard-range", "0:2",
+            "--checkpoint-dir", str(ckpt),
+        )
+        capsys.readouterr()
+        self.assert_usage_error(
+            estimator, capsys, ["merge-checkpoints", str(ckpt)],
+            "[Cc]onservation|planned",
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "tpchq6", "--trace", "{missing}/t.json"],
+        ["explore", "tpchq6", "--trace-jsonl", "{missing}/t.jsonl"],
+        ["explore", "tpchq6", "--csv", "{missing}/points.csv"],
+        ["speedup", "tpchq6", "--sim-trace", "{missing}/sim.json"],
+        ["codegen", "tpchq6", "-o", "{missing}/design.maxj"],
+        ["report", "-o", "{missing}/report.txt"],
+        ["explore", "tpchq6", "--csv", "{tmp}"],
+    ])
+    def test_unwritable_output_path(self, estimator, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "nope", tmp=tmp_path)
+                for a in argv]
+        self.assert_usage_error(
+            estimator, capsys, argv, "no such directory|is a directory"
+        )
+        assert not (tmp_path / "nope").exists()
+
     def test_subprocess_exit_status(self, tmp_path):
         import os
         import subprocess
