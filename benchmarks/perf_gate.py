@@ -1,6 +1,6 @@
 """CI perf gate for the estimation hot path and the parallel DSE engine.
 
-Gates three sections of ``BENCH_table4.json``, all as *ratios* (never
+Gates two sections of ``BENCH_table4.json``, both as *ratios* (never
 absolute points/sec: both the committed number and the fresh one divide
 two wall times on the same host, so slow CI runners cancel out):
 
@@ -9,10 +9,7 @@ two wall times on the same host, so slow CI runners cancel out):
   (building and estimating every design): a class stops compiling, a
   plan grows slow, or plan compilation starts to dominate;
 * ``parallel_dse`` — the ``workers=2`` sharded sweep's
-  ``speedup_vs_serial`` (fork/scheduler overhead creeping in);
-* ``work_stealing`` — ``shards="auto"`` micro-shards, streamed whole to
-  free workers, vs the static ``shards == workers`` split on the
-  straggler-skewed sweep (the streaming scheduler stops stealing; see
+  ``speedup_vs_serial`` (fork/pool overhead creeping in; see
   ``benchmarks/straggler.py``).
 
 A fresh ratio more than ``REGRESSION_TOLERANCE`` (30%) below its
@@ -143,12 +140,10 @@ def load_baseline(path: Path = BENCH_JSON) -> Dict[str, float]:
 
 
 def load_runtime_baseline(path: Path = BENCH_JSON) -> Dict[str, float]:
-    """Committed parallel-DSE and work-stealing ratios, or {} if absent.
+    """Committed parallel-DSE ratio, or {} if absent.
 
-    Keys are gate-report labels: ``parallel_dse.workers2`` is the
-    2-worker sharded sweep's speedup over the serial sweep,
-    ``work_stealing`` is the adaptive-vs-static ratio on the
-    straggler-skewed sweep.
+    The key is a gate-report label: ``parallel_dse.workers2`` is the
+    2-worker sharded sweep's speedup over the serial sweep.
     """
     if not path.exists():
         return {}
@@ -159,14 +154,11 @@ def load_runtime_baseline(path: Path = BENCH_JSON) -> Dict[str, float]:
         baseline["parallel_dse.workers2"] = float(
             workers["2"]["speedup_vs_serial"]
         )
-    stealing = doc.get("work_stealing", {})
-    if "speedup" in stealing:
-        baseline["work_stealing"] = float(stealing["speedup"])
     return baseline
 
 
 def measure_runtime_ratios(baseline: Dict[str, float]) -> Dict[str, float]:
-    """Fresh parallel-DSE / work-stealing ratios for the gated keys.
+    """Fresh parallel-DSE ratios for the gated keys.
 
     Reuses the exact measurement harness the Table IV benchmark commits
     from (``benchmarks/straggler.py``), so committed and fresh ratios
@@ -174,7 +166,7 @@ def measure_runtime_ratios(baseline: Dict[str, float]) -> Dict[str, float]:
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     try:
-        from straggler import measure_parallel_dse, measure_work_stealing
+        from straggler import measure_parallel_dse
     finally:
         sys.path.pop(0)
     from repro.estimation import default_estimator
@@ -184,10 +176,6 @@ def measure_runtime_ratios(baseline: Dict[str, float]) -> Dict[str, float]:
     if "parallel_dse.workers2" in baseline:
         rows = measure_parallel_dse(estimator, workers_list=(1, 2))
         measured["parallel_dse.workers2"] = rows["2"]["speedup_vs_serial"]
-    if "work_stealing" in baseline:
-        measured["work_stealing"] = measure_work_stealing(estimator)[
-            "speedup"
-        ]
     return measured
 
 
@@ -221,7 +209,7 @@ def main(argv=None) -> int:
         runtime_ok, lines = evaluate(runtime_baseline, measured)
         ok = ok and runtime_ok
         print(
-            "parallel-DSE / work-stealing perf gate "
+            "parallel-DSE perf gate "
             f"(tolerance {REGRESSION_TOLERANCE:.0%} of committed ratio):"
         )
         for line in lines:

@@ -20,12 +20,8 @@ per worker count (with the host cpu count, so speedups stay honest) and
 asserts every parallel sweep enumerates exactly the serial point set.
 An ``estimation_cache`` section records end-to-end ``explore`` with
 compiled class plans against ``--no-cache`` (bit-identical estimates,
->=3x floor, host cpu count alongside), and a ``work_stealing`` section
-records the
-adaptive micro-shard scheduler against a static ``shards == workers``
-split on a straggler-skewed sweep (>=1.2x floor; see
-``benchmarks/straggler.py``); ``benchmarks/perf_gate.py`` diffs fresh
-speedup ratios against the committed ones in CI.
+>=3x floor, host cpu count alongside); ``benchmarks/perf_gate.py``
+diffs fresh speedup ratios against the committed ones in CI.
 """
 
 import json
@@ -44,7 +40,7 @@ from repro.runtime import fork_available
 
 from conftest import write_result
 from perf_gate import N_GATE_POINTS, measure_speedups
-from straggler import measure_parallel_dse, measure_work_stealing
+from straggler import measure_parallel_dse
 
 N_OURS = 250
 N_RESTRICTED = 25
@@ -66,11 +62,6 @@ PARALLEL_BENCH = "dotproduct"
 # must reproduce across hosts.
 CACHE_BENCHES = ("dotproduct", "gda", "kmeans")
 MIN_CACHE_SPEEDUP = 3.0
-
-# Work-stealing floor: the adaptive schedule must beat the static
-# shards==workers split by at least this much on the straggler-skewed
-# sweep (see benchmarks/straggler.py for the skew construction).
-MIN_WS_SPEEDUP = 1.2
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_table4.json"
 
@@ -164,27 +155,6 @@ def _parallel_dse_section(estimator):
     }
 
 
-def _work_stealing_section(estimator):
-    """Adaptive micro-shard scheduler vs static split on a skewed sweep.
-
-    ``shards="auto"`` micro-shards are streamed whole to free workers
-    (no shard is re-split). The ``>= MIN_WS_SPEEDUP`` floor is the
-    acceptance criterion; the committed ratio is what
-    ``benchmarks/perf_gate.py`` gates against.
-    """
-    section = measure_work_stealing(estimator)
-    section["min_speedup"] = MIN_WS_SPEEDUP
-    assert section["speedup"] >= MIN_WS_SPEEDUP, (
-        f"adaptive schedule only {section['speedup']:.2f}x faster than "
-        f"the static split on a straggler-skewed sweep "
-        f"(floor {MIN_WS_SPEEDUP}x)"
-    )
-    assert section["adaptive"]["steals"] > 0, (
-        "adaptive run recorded no steals — the scheduler never streamed"
-    )
-    return section
-
-
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -263,7 +233,6 @@ def _write_bench_json(estimator, gda_timings):
         "benchmarks": benches,
         "parallel_dse": _parallel_dse_section(estimator),
         "estimation_cache": _estimation_cache_section(estimator),
-        "work_stealing": _work_stealing_section(estimator),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {BENCH_JSON}")

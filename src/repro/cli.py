@@ -88,6 +88,13 @@ def _positive(value: int, flag: str) -> None:
         raise UsageError(f"{flag} expects a positive integer (got {value})")
 
 
+def _non_negative(value: int, flag: str) -> None:
+    if value < 0:
+        raise UsageError(
+            f"{flag} expects a non-negative integer (got {value})"
+        )
+
+
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for pair in pairs:
@@ -226,17 +233,17 @@ def _check_workers(args) -> None:
         )
 
 
-def _parse_shards(text: Optional[str]):
-    """``--shards``: None (one per worker), ``"auto"``, or a positive int."""
-    if text is None or text == "auto":
-        return text
+def _parse_shards(text: Optional[str]) -> Optional[int]:
+    """``--shards``: None (one per worker) or a positive int."""
+    if text is None:
+        return None
     try:
         shards = int(text)
     except ValueError:
         shards = 0
     if shards < 1:
         raise UsageError(
-            f"--shards expects a positive integer or 'auto' (got {text!r}); "
+            f"--shards expects a positive integer (got {text!r}); "
             "omit it to default to one shard per worker"
         )
     return shards
@@ -282,6 +289,7 @@ def _print_pareto(result, show: int, out) -> None:
 def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro explore``: sample the design space and print the Pareto front."""
     _positive(args.points, "--points")
+    _non_negative(args.show, "--show")
     shards, shard_range, checkpoint_dir, resume = _parse_parallel_args(args)
     bench = _benchmark(args.benchmark)
     estimator = _estimator_for(args, estimator)
@@ -302,8 +310,6 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
             parallel += (
                 f" (range {lo}:{hi} of {result.total_shards} shards)"
             )
-        if result.steals:
-            parallel += f"; {result.steals} steals"
         if result.restored:
             parallel += f"; {result.restored} restored from checkpoint"
     print(
@@ -342,6 +348,7 @@ def cmd_merge_checkpoints(
     prints the same summary/Pareto table a single-host explore would
     have. A missing range or duplicated shard fails loudly.
     """
+    _non_negative(args.show, "--show")
     estimator = _estimator_for(args, estimator)
     try:
         result = merge_checkpoints(args.directory, estimator)
@@ -519,11 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (forked after estimator "
                    "training; 1 = serial in-process)")
-    p.add_argument("--shards", default=None, metavar="N|auto",
+    p.add_argument("--shards", default=None, metavar="N",
                    help="sampling shards (default: one per worker; any "
-                   "count yields identical points for a fixed seed); "
-                   "'auto' plans 8 micro-shards per worker (at least 4 "
-                   "points each, at most 512) so workers steal queued work")
+                   "count yields identical points for a fixed seed)")
     p.add_argument("--shard-range", metavar="A:B",
                    help="sweep only shards A..B-1 of the full partition "
                    "(multi-host: disjoint ranges into one "

@@ -17,11 +17,13 @@ identical for every ``shards``/``workers`` combination; the merge layer
 duplicated.
 
 When observability is enabled (:mod:`repro.obs`), the run records the
-per-point estimation-latency histogram (``dse.point_latency_s``), point
-outcome counters (``dse.points.{sampled,illegal,unfit,valid,restored}``),
-periodic ``dse.progress`` instants carrying points/sec, and — in sharded
-runs — per-shard ``dse.shard.done`` heartbeats: the numbers behind the
-paper's "75,000 points in seconds" DSE claim.
+per-point estimation-latency histogram (``dse.point_latency_s``) and
+the outcome counters ``dse.points.{sampled,illegal,unfit,valid,restored}``
+in one pass over the merged, conservation-checked records — the same
+pass for serial, forked, resumed and merged runs — plus periodic
+``dse.progress`` instants carrying points/sec on the serial path and
+per-shard ``dse.shard.done`` heartbeats: the numbers behind the paper's
+"75,000 points in seconds" DSE claim.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class ExplorationResult:
     restored: int = 0
     total_shards: int = 0  # full partition size (== shards unless ranged)
     shard_range: Optional[Tuple[int, int]] = None
-    steals: int = 0
 
     @property
     def valid_points(self) -> List[DesignPoint]:
@@ -112,11 +113,12 @@ class ExplorationResult:
 
     def pareto_sample(self, count: int) -> List[DesignPoint]:
         """Evenly spaced selection of ``count`` Pareto points (Table III
-        evaluates five Pareto points per benchmark)."""
+        evaluates five Pareto points per benchmark); one point is the
+        fastest."""
         front = self.pareto
         if len(front) <= count:
             return front
-        step = (len(front) - 1) / (count - 1)
+        step = (len(front) - 1) / max(count - 1, 1)
         return [front[round(i * step)] for i in range(count)]
 
 
@@ -127,7 +129,7 @@ def explore(
     max_points: int = DEFAULT_MAX_POINTS,
     seed: int = 1,
     progress_every: int = PROGRESS_EVERY,
-    shards: Optional[Union[int, str]] = None,
+    shards: Optional[int] = None,
     workers: int = 1,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -137,13 +139,9 @@ def explore(
 
     ``shards`` defaults to ``workers`` (one shard per worker); any
     explicit value yields the same points and Pareto front, only
-    different heartbeat/checkpoint granularity. ``shards="auto"`` plans
-    ``8 × workers`` micro-shards (at least 4 points each, at most 512)
-    so the streaming scheduler can work-steal around expensive regions;
-    resuming an ``"auto"`` sweep reuses the shard count in the
-    checkpoint's manifest, so the resume may use another ``workers``.
-    ``workers > 1`` forks a process pool after the estimator is
-    trained. ``checkpoint_dir`` writes per-shard JSONL
+    different heartbeat/checkpoint granularity. ``workers > 1`` forks a
+    process pool after the estimator is trained and maps the shards
+    over it. ``checkpoint_dir`` writes per-shard JSONL
     checkpoints there; ``resume=True`` restores completed work from that
     directory instead of re-estimating it.
 
@@ -174,23 +172,16 @@ def explore(
             "useful if its shards land somewhere a merge can find them"
         )
 
-    if resume and shards == "auto":
-        # "auto" follows ``workers``; a resumed sweep must re-plan the
-        # partition its checkpoint was written with.
-        shards = int(read_manifest(checkpoint_dir)["shards"])
-
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)
 
     with obs.span(
         "explore", bench=benchmark.name, budget=max_points, seed=seed,
-        shards=str(shards), workers=workers,
+        shards=shards, workers=workers,
     ) as sp:
         plan = plan_shards(
-            space, seed, max_points, shards,
-            shard_range=shard_range, workers=workers,
+            space, seed, max_points, shards, shard_range=shard_range,
         )
-        obs.counter("dse.points.sampled").inc(plan.total_points)
 
         store = (
             CheckpointStore(checkpoint_dir)
@@ -203,6 +194,7 @@ def explore(
         )
         records, conservation = merge_outcomes(plan, run.outcomes)
         conservation.verify()
+        _record_outcomes(records, conservation)
 
         result = ExplorationResult(
             benchmark=benchmark.name,
@@ -215,7 +207,6 @@ def explore(
             restored=run.restored,
             total_shards=plan.planned_shards,
             shard_range=plan.shard_range,
-            steals=run.steals,
         )
         result.points = [
             DesignPoint(r.params, r.estimate)
@@ -225,10 +216,23 @@ def explore(
             points=len(result.points),
             valid=sum(1 for p in result.points if p.valid),
             restored=run.restored,
-            steals=run.steals,
             elapsed_s=round(result.elapsed_seconds, 6),
         )
     return result
+
+
+def _record_outcomes(records, conservation) -> None:
+    """Point counters and latencies from a verified merge, in one pass."""
+    obs.counter("dse.points.sampled").inc(conservation.planned)
+    obs.counter("dse.points.illegal").inc(conservation.illegal)
+    obs.counter("dse.points.valid").inc(conservation.valid)
+    obs.counter("dse.points.unfit").inc(conservation.unfit)
+    obs.counter("dse.points.restored").inc(conservation.restored)
+    if obs.metrics_enabled():
+        latency = obs.histogram("dse.point_latency_s")
+        for record in records:
+            if not (record.restored or record.illegal):
+                latency.observe(record.latency_s)
 
 
 def merge_checkpoints(
@@ -266,6 +270,7 @@ def merge_checkpoints(
             plan, outcomes_from_states(plan, states)
         )
         conservation.verify()
+        _record_outcomes(records, conservation)
         result = ExplorationResult(
             benchmark=benchmark.name,
             dataset=dataset,

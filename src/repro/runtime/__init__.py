@@ -8,8 +8,8 @@ job engine:
 * :mod:`~repro.runtime.sharding` — one central seeded sample, split into
   N disjoint contiguous shards (bit-identical to serial for every N);
 * :mod:`~repro.runtime.pool` — serial in-process execution or a
-  fork-after-training process pool that streams whole shards to free
-  workers, with heartbeats into :mod:`repro.obs`;
+  fork-after-training process pool mapped over the shards, with
+  heartbeats into :mod:`repro.obs`;
 * :mod:`~repro.runtime.checkpoint` — per-shard JSONL checkpoints and
   kill/resume;
 * :mod:`~repro.runtime.merge` — global reassembly with conservation
@@ -26,7 +26,6 @@ from .checkpoint import (
     ShardWriter,
     estimate_from_doc,
     estimate_to_doc,
-    load_summary,
     read_manifest,
 )
 from .merge import (
@@ -44,18 +43,15 @@ from .pool import (
     run_shard,
 )
 from .sharding import (
-    DEFAULT_OVERSUBSCRIPTION,
     Shard,
     ShardPlan,
     plan_shards,
-    resolve_shard_count,
 )
 
 __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_OVERSUBSCRIPTION",
     "Conservation",
     "ConservationError",
     "PointRecord",
@@ -67,12 +63,10 @@ __all__ = [
     "estimate_from_doc",
     "estimate_to_doc",
     "fork_available",
-    "load_summary",
     "merge_outcomes",
     "outcomes_from_states",
     "plan_shards",
     "read_manifest",
-    "resolve_shard_count",
     "run_plan",
     "run_shard",
 ]

@@ -36,7 +36,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import Dict, IO, List, Optional, Union
 
 from ..estimation.area import AreaEstimate
 from ..estimation.counts import Counts
@@ -415,29 +415,3 @@ def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:
         )
     return json.loads(manifest_path.read_text())
 
-
-def load_summary(directory: Union[str, Path]) -> Dict[str, object]:
-    """Quick look at a checkpoint directory: manifest + per-shard progress.
-
-    Used by tooling/tests; does not validate against any plan.
-    """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CheckpointError(f"no checkpoint manifest in {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    shards: List[Tuple[str, int, bool]] = []
-    for path in sorted(directory.glob("shard-*.jsonl")):
-        points = 0
-        complete = False
-        for line in path.read_text().splitlines():
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if doc.get("t") == "p":
-                points += 1
-            elif doc.get("t") == "done":
-                complete = True
-        shards.append((path.name, points, complete))
-    return {"manifest": manifest, "shards": shards}

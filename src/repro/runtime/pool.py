@@ -4,25 +4,19 @@ The estimation work DSE distributes is embarrassingly parallel — after
 the estimator is characterized and trained there is no shared mutable
 state per point — so the pool's job is mostly plumbing:
 
-* ``workers=1`` runs every shard in-process, preserving the serial
-  explorer's per-point observability exactly (latency histogram, outcome
-  counters, periodic ``dse.progress`` instants);
-* ``workers>1`` uses a ``ProcessPoolExecutor`` on the ``fork`` start
-  method, created *after* the estimator exists, so every worker inherits
-  the characterized/trained models through copy-on-write memory and pays
-  no per-worker cold start. Workers return per-point latencies which the
-  parent replays into the same :mod:`repro.obs` instruments, and each
-  completed shard emits a ``dse.shard.done`` heartbeat instant.
+* ``workers=1`` runs every shard in-process, with a ``dse.progress``
+  instant every ``progress_every`` priced points;
+* ``workers>1`` maps the pending shards over a ``ProcessPoolExecutor``
+  on the ``fork`` start method, created *after* the estimator exists, so
+  every worker inherits the characterized/trained models through
+  copy-on-write memory and pays no per-worker cold start. The
+  executor's queue hands the next shard to whichever worker frees up
+  first; each completed shard emits a ``dse.shard.done`` heartbeat
+  instant and per-worker busy fractions land in
+  ``dse.worker.*.utilization`` gauges.
 
-The parallel path is a *streaming* scheduler, not a static assignment:
-it forks ``min(workers, pending shards)`` processes, keeps that many
-whole shards in flight, and the rest sit in a parent-side queue that
-free workers drain — natural work stealing, so
-micro-shard plans (``shards="auto"``, shard count ≫ workers) keep every
-worker busy even when one contiguous region of the sample is far more
-expensive than the rest. Dispatches beyond each worker's initial shard
-are counted as ``dse.steal``; per-worker busy fractions land in
-``dse.worker.*.utilization`` gauges.
+Point outcome counters and the latency histogram are recorded once,
+after the merge, by the explorer — the same pass for every path.
 
 Platforms without ``fork`` (Windows, macOS spawn default) fall back to
 the serial path rather than re-training one estimator per worker; the
@@ -39,8 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -57,8 +50,8 @@ class ShardOutcome:
     """The result of running one shard: fresh records plus bookkeeping.
 
     ``worker`` is the executing worker's pid in forked runs (0 for the
-    in-process path); the scheduler aggregates per-worker busy time from
-    it.
+    in-process path and for shards restored whole); the pool aggregates
+    per-worker busy time from it.
     """
 
     shard: int
@@ -77,7 +70,11 @@ class RunOutcome:
     outcomes: List[ShardOutcome] = field(default_factory=list)
     workers: int = 1
     elapsed_s: float = 0.0
-    steals: int = 0
+
+    @property
+    def steals(self) -> int:
+        """Forked shards queued past the first fill (perfbench reads it)."""
+        return max(sum(1 for o in self.outcomes if o.worker) - self.workers, 0)
 
     @property
     def estimated(self) -> int:
@@ -186,15 +183,10 @@ def fork_available() -> bool:
 
 
 class _Heartbeat:
-    """Per-point/per-shard progress flowing into :mod:`repro.obs`."""
+    """Progress instants and per-shard heartbeats into :mod:`repro.obs`."""
 
     def __init__(self, total_points: int, total_shards: int,
                  bench: str, progress_every: int) -> None:
-        self._latency = obs.histogram("dse.point_latency_s")
-        self._illegal = obs.counter("dse.points.illegal")
-        self._unfit = obs.counter("dse.points.unfit")
-        self._valid = obs.counter("dse.points.valid")
-        self._restored = obs.counter("dse.points.restored")
         self._total = total_points
         self._total_shards = total_shards
         self._bench = bench
@@ -203,21 +195,11 @@ class _Heartbeat:
         self._shards_done = 0
         self._start = time.perf_counter()
 
-    def point(self, record: PointRecord, quiet: bool = False) -> None:
-        """Record one point's outcome (and maybe a progress instant)."""
-        if record.restored:
-            self._restored.inc()
-        else:
-            if record.illegal:
-                self._illegal.inc()
-            else:
-                self._latency.observe(record.latency_s)
-                (self._valid if record.estimate.fits()
-                 else self._unfit).inc()
+    def progress(self, _record: PointRecord) -> None:
+        """Serial path: count one priced point, maybe emit an instant."""
         self._done += 1
-        if quiet or not self._every or self._done % self._every:
-            return
-        self._instant()
+        if self._every and self._done % self._every == 0:
+            self._instant()
 
     def shard(self, outcome: ShardOutcome) -> None:
         """Record a completed shard's heartbeat instant."""
@@ -296,7 +278,6 @@ def run_plan(
         if state.complete:
             outcomes[shard.index] = ShardOutcome(
                 shard=shard.index, planned=len(shard),
-                restored=len(state.records),
             )
         else:
             pending.append(shard)
@@ -308,10 +289,11 @@ def run_plan(
                 skip.get(shard.index, set()), heartbeat,
             )
     elif pending:
-        run.steals = _run_shards_forked(
+        for outcome in _run_shards_forked(
             benchmark, estimator, dataset, plan, pending, store, skip,
-            effective_workers, heartbeat, outcomes,
-        )
+            effective_workers, heartbeat,
+        ):
+            outcomes[outcome.shard] = outcome
 
     # Fold restored records back in and finish per-shard bookkeeping.
     for shard in plan.shards:
@@ -320,8 +302,6 @@ def run_plan(
         if restored:
             outcome.records.extend(restored.values())
             outcome.restored = len(restored)
-            for record in restored.values():
-                heartbeat.point(record, quiet=True)
         outcome.records.sort(key=lambda r: r.index)
         run.outcomes.append(outcome)
     run.elapsed_s = time.perf_counter() - start
@@ -331,12 +311,12 @@ def run_plan(
 def _run_shard_inline(
     benchmark, estimator, dataset, shard, store, skip, heartbeat,
 ) -> ShardOutcome:
-    """Serial path: run one shard in-process with live per-point obs."""
+    """Serial path: run one shard in-process with live progress."""
     writer = store.writer(shard, append=bool(skip)) if store else None
     try:
         outcome = run_shard(
             benchmark, estimator, dataset, shard,
-            writer=writer, skip=skip, on_point=heartbeat.point,
+            writer=writer, skip=skip, on_point=heartbeat.progress,
         )
     finally:
         if writer is not None:
@@ -347,15 +327,13 @@ def _run_shard_inline(
 
 def _run_shards_forked(
     benchmark, estimator, dataset, plan, pending, store, skip,
-    workers, heartbeat, outcomes,
-) -> int:
-    """Parallel path: fork workers after training, replay obs in parent.
+    workers, heartbeat,
+) -> List[ShardOutcome]:
+    """Parallel path: map the pending shards over workers forked now.
 
     Workers inherit the estimator — including any warm estimation caches
     — through fork copy-on-write; each child's cache then grows
-    privately for the duration of its shards. At most ``workers`` shards
-    are in flight; the rest wait in a queue that free workers drain.
-    Returns the number of steals (dispatches past the initial fill).
+    privately for the duration of its shards.
     """
     global _FORK_STATE
     _FORK_STATE = {
@@ -366,40 +344,27 @@ def _run_shards_forked(
         "store": store,
         "skip": skip,
     }
-    workers = min(workers, len(pending))
-    queue = deque(shard.index for shard in pending)
+    outcomes: List[ShardOutcome] = []
     busy_s: Dict[int, float] = {}
-    steals = 0
     start = time.perf_counter()
     try:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(pending)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
         ) as pool:
-            inflight = set()
-            while queue or inflight:
-                while queue and len(inflight) < workers:
-                    index = queue.popleft()
-                    inflight.add(pool.submit(_worker_run_shard, index))
-                    if len(pending) - len(queue) > workers:
-                        # A worker that finished early pulled queued work.
-                        steals += 1
-                        obs.counter("dse.steal").inc()
-                done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcome = future.result()
-                    busy_s[outcome.worker] = (
-                        busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
-                    )
-                    outcomes[outcome.shard] = outcome
-                    for record in outcome.records:
-                        heartbeat.point(record, quiet=True)
-                    heartbeat.shard(outcome)
+            for outcome in pool.map(
+                _worker_run_shard, [shard.index for shard in pending]
+            ):
+                busy_s[outcome.worker] = (
+                    busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
+                )
+                heartbeat.shard(outcome)
+                outcomes.append(outcome)
     finally:
         _FORK_STATE = None
     _report_utilization(busy_s, time.perf_counter() - start)
-    return steals
+    return outcomes
 
 
 def _report_utilization(busy_s: Dict[int, float], wall_s: float) -> None:

@@ -13,35 +13,18 @@ checks); the expensive build/estimate work is what the shards distribute.
 index in ``[lo, hi)``. Because the *partition* is computed over the full
 sample regardless of the range, disjoint ranges on disjoint hosts tile
 the exact serial point set — the multi-host protocol's foundation (see
-``docs/runtime.md``). ``shards="auto"`` picks a shard count ≫ workers
-(micro-shards) as a pure function of (points, workers), so the executor
-queue load-balances expensive regions instead of letting one unlucky
-contiguous shard straggle.
+``docs/runtime.md``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..params import ParamSpace
 
 Point = Dict[str, object]
-
-#: Micro-shards per worker when sizing shards automatically. Small enough
-#: that shard bookkeeping stays negligible, large enough that one
-#: expensive contiguous region spreads over several queue entries.
-DEFAULT_OVERSUBSCRIPTION = 8
-
-#: Never auto-split below this many points per shard (checkpoint lines
-#: and heartbeat instants are per shard; pathological micro-shards would
-#: drown the sweep in bookkeeping).
-MIN_POINTS_PER_SHARD = 4
-
-#: Upper bound on automatically chosen shard counts.
-MAX_AUTO_SHARDS = 512
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -112,36 +95,12 @@ class ShardPlan:
         return out
 
 
-def resolve_shard_count(
-    shards: Union[int, str],
-    total_points: int,
-    workers: int = 1,
-) -> int:
-    """Validate/resolve a shard-count request (``"auto"`` or a positive int).
-
-    ``"auto"`` is ``workers`` × :data:`DEFAULT_OVERSUBSCRIPTION`
-    micro-shards, clamped to :data:`MAX_AUTO_SHARDS` and so no shard
-    falls below :data:`MIN_POINTS_PER_SHARD` points.
-    """
-    if shards == "auto":
-        return min(max(workers, 1) * DEFAULT_OVERSUBSCRIPTION, MAX_AUTO_SHARDS,
-                   max(total_points // MIN_POINTS_PER_SHARD, 1))
-    if not isinstance(shards, int) or isinstance(shards, bool):
-        raise ValueError(
-            f"shards must be a positive integer or 'auto', got {shards!r}"
-        )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return shards
-
-
 def plan_shards(
     space: ParamSpace,
     seed: int,
     max_points: int,
-    shards: Union[int, str] = 1,
+    shards: int = 1,
     shard_range: Optional[Tuple[int, int]] = None,
-    workers: int = 1,
 ) -> ShardPlan:
     """Sample ``space`` exactly as the serial explorer would, then split.
 
@@ -150,23 +109,22 @@ def plan_shards(
     shards get one extra point. A plan may contain fewer (non-empty)
     shards than requested when the sample is small.
 
-    ``shards="auto"`` sizes micro-shards from the sample size and
-    ``workers`` (:func:`resolve_shard_count`).
     ``shard_range=(lo, hi)`` assigns the plan only the shards with index
     in ``[lo, hi)`` — the full partition is still computed first, so
     disjoint ranges across hosts tile the serial point set exactly.
     """
+    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+        raise ValueError(f"shards must be a positive integer, got {shards!r}")
     rng = random.Random(seed)
     sampled = space.sample(rng, max_points)
-    n_shards = resolve_shard_count(shards, len(sampled), workers)
     plan = ShardPlan(
         seed=seed, max_points=max_points, space_cardinality=space.cardinality,
         global_points=len(sampled),
     )
-    base, extra = divmod(len(sampled), n_shards)
+    base, extra = divmod(len(sampled), shards)
     start = 0
     all_shards: List[Shard] = []
-    for index in range(n_shards):
+    for index in range(shards):
         size = base + (1 if index < extra else 0)
         if size == 0:
             break  # fewer points than shards: drop empty trailing shards

@@ -51,6 +51,10 @@ class TestExploration:
         assert len(sample) <= 5
         cycles = [p.cycles for p in sample]
         assert cycles == sorted(cycles)
+        # A sample of one is the fastest front point.
+        assert len(dp_result.pareto) > 1
+        assert dp_result.pareto_sample(1) == dp_result.pareto[:1]
+        assert dp_result.pareto[0].cycles == dp_result.best.cycles
 
     def test_deterministic_given_seed(self, estimator):
         bench = get_benchmark("tpchq6")

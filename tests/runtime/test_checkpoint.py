@@ -17,7 +17,7 @@ from repro.runtime import (
     CheckpointStore,
     estimate_from_doc,
     estimate_to_doc,
-    load_summary,
+    plan_shards,
 )
 from repro.runtime.checkpoint import _line
 
@@ -96,9 +96,11 @@ class TestKillResume:
         assert 0 < resumed.restored < POINTS
 
         # After the resume every shard file is complete again.
-        summary = load_summary(ckpt)
-        assert all(complete for _, _, complete in summary["shards"])
-        assert sum(points for _, points, _ in summary["shards"]) == POINTS
+        dataset = bench.default_dataset()
+        plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
+        states = CheckpointStore(ckpt).load(bench.name, dataset, plan)
+        assert all(state.complete for state in states.values())
+        assert sum(len(state.records) for state in states.values()) == POINTS
 
     def test_resume_works_across_worker_counts(
         self, estimator, bench, serial, tmp_path
@@ -156,25 +158,9 @@ class TestManifestValidation:
         assert fingerprint(again) == fingerprint(serial)
 
 
-class TestLoadSummary:
-    def test_summary_shape(self, estimator, bench, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        explore(bench, estimator, max_points=POINTS, seed=SEED,
-                shards=2, checkpoint_dir=ckpt)
-        summary = load_summary(ckpt)
-        assert summary["manifest"]["benchmark"] == bench.name
-        assert summary["manifest"]["shards"] == 2
-        assert len(summary["shards"]) == 2
-
-    def test_summary_requires_manifest(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            load_summary(tmp_path)
-
-
 class TestCheckpointStoreUnits:
     def test_writer_append_mode(self, tmp_path, estimator, bench):
         from repro.params import ParamSpace
-        from repro.runtime import plan_shards
 
         space = bench.param_space(bench.default_dataset())
         plan = plan_shards(space, SEED, 8, 2)

@@ -48,19 +48,6 @@ def test_matrix_identical_to_serial(estimator, serial, shards, workers):
     assert result.legal_sampled == serial.legal_sampled
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_auto_shards_identical_to_serial(estimator, serial, workers):
-    """Micro-sharding is a scheduling detail, not a result."""
-    bench = get_benchmark("tpchq6")
-    result = explore(
-        bench, estimator, max_points=POINTS, seed=SEED,
-        shards="auto", workers=workers,
-    )
-    assert fingerprint(result) == fingerprint(serial)
-    assert front(result) == front(serial)
-    assert result.shards > workers  # genuinely micro-sharded
-
-
 def test_one_shard_two_workers_identical_to_serial(estimator, serial):
     """Fewer shards than workers: the pool forks one worker per shard."""
     bench = get_benchmark("tpchq6")
@@ -77,13 +64,13 @@ def test_one_shard_two_workers_identical_to_serial(estimator, serial):
         obs.reset()
     assert fingerprint(result) == fingerprint(serial)
     assert active == 1
-    assert result.steals == 0
 
 
 def test_explore_rejects_bogus_shard_string(estimator):
     bench = get_benchmark("tpchq6")
-    with pytest.raises(ValueError, match="shards must be"):
-        explore(bench, estimator, max_points=12, shards="turbo")
+    for bad in ("turbo", "auto"):
+        with pytest.raises(ValueError, match="shards must be"):
+            explore(bench, estimator, max_points=12, shards=bad)
 
 
 def test_default_shards_follow_workers(estimator):
@@ -111,29 +98,24 @@ def test_resume_requires_checkpoint_dir(estimator):
         explore(bench, estimator, max_points=12, resume=True)
 
 
-def test_auto_shards_resume_at_another_worker_count(
+def test_explicit_shards_resume_at_another_worker_count(
     estimator, serial, tmp_path
 ):
-    """An "auto" sweep written with one worker resumes with two.
+    """A 7-shard sweep written with one worker resumes with two.
 
-    "auto" at two workers would plan a different shard count; the
-    resume re-plans the checkpoint's partition from its manifest, so
+    The shard count, not the worker count, fixes the partition, so
     every point is restored and none is re-estimated.
     """
-    from repro.runtime import resolve_shard_count
-
     bench = get_benchmark("tpchq6")
     ckpt = tmp_path / "ckpt"
-    first = explore(
-        bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
+    explore(
+        bench, estimator, max_points=POINTS, seed=SEED, shards=7,
         workers=1, checkpoint_dir=ckpt,
     )
-    assert resolve_shard_count("auto", POINTS, workers=2) != first.shards
-
     resumed = explore(
-        bench, estimator, max_points=POINTS, seed=SEED, shards="auto",
+        bench, estimator, max_points=POINTS, seed=SEED, shards=7,
         workers=2, checkpoint_dir=ckpt, resume=True,
     )
-    assert resumed.shards == first.shards
+    assert resumed.shards == 7
     assert resumed.restored == POINTS
     assert fingerprint(resumed) == fingerprint(serial)

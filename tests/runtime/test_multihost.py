@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.apps import get_benchmark
 from repro.dse import explore, merge_checkpoints
 from repro.runtime import CheckpointError, ConservationError
@@ -62,6 +63,34 @@ class TestTwoHostMerge:
         assert fingerprint(merged) == fingerprint(serial)
         assert front(merged) == front(serial)
         assert merged.restored == POINTS
+
+    def test_merge_records_the_serial_point_counters(
+        self, estimator, bench, tmp_path
+    ):
+        """merge-checkpoints runs the same accounting pass as explore."""
+        def point_counters(run):
+            obs.reset()
+            obs.enable(metrics=True)
+            try:
+                run()
+                counters = obs.metrics().to_dict()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            return {name: value for name, value in counters.items()
+                    if name.startswith("dse.points.")}
+
+        ckpt = tmp_path / "shared"
+        ranged_explore(bench, estimator, ckpt, 0, 3)
+        ranged_explore(bench, estimator, ckpt, 3, SHARDS)
+        swept = point_counters(
+            lambda: explore(bench, estimator, max_points=POINTS, seed=SEED)
+        )
+        merged = point_counters(lambda: merge_checkpoints(ckpt, estimator))
+        assert swept["dse.points.sampled"] == POINTS
+        assert swept["dse.points.restored"] == 0
+        # Every merged point is restored; the outcome split is the sweep's.
+        assert merged == {**swept, "dse.points.restored": POINTS}
 
     @given(
         split=st.integers(min_value=1, max_value=SHARDS - 1),

@@ -1,9 +1,10 @@
-"""Streaming work-stealing scheduler: steals, gauges, mid-steal resume.
+"""Forked pool with more shards than workers: gauges and kill/resume.
 
-The scheduler's observable behaviour — the steal counter, per-worker
-utilization gauges — and its crash story: a micro-sharded parallel sweep
-killed while workers are stealing queued shards must resume to the exact
-serial point set, including when the kill tears a JSONL line in half.
+The pool's observable behaviour — the queued-shard count, per-worker
+utilization gauges — and its crash story: a 7-shard, 2-worker sweep
+killed while workers are draining queued shards must resume to the
+exact serial point set, including when the kill tears a JSONL line in
+half.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro import obs
 from repro.apps import get_benchmark
 from repro.dse import explore
-from repro.runtime import load_summary
+from repro.runtime import CheckpointStore, plan_shards, run_plan
 
 POINTS = 48
 SEED = 5
@@ -33,26 +34,13 @@ def fingerprint(result):
 
 
 class TestStealAccounting:
-    def test_steals_counted_and_reported(self, estimator, bench):
-        """Dispatches beyond the initial worker fill are steals."""
-        obs.reset()
-        obs.enable(metrics=True)
-        try:
-            result = explore(bench, estimator, max_points=POINTS,
-                             seed=SEED, shards=7, workers=2)
-            counted = obs.metrics().counter("dse.steal").value
-        finally:
-            obs.disable()
-            obs.reset()
-        assert result.steals == counted
-        # 7 shards, 2 workers: the first 2 dispatches are the fill, the
-        # remaining 5 are pulled by whichever worker frees up first.
-        assert result.steals == 5
-
     def test_serial_runs_never_steal(self, estimator, bench):
-        result = explore(bench, estimator, max_points=POINTS,
-                         seed=SEED, shards=4, workers=1)
-        assert result.steals == 0
+        """Only forked shards past the first fill count as queued."""
+        dataset = bench.default_dataset()
+        plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
+        assert run_plan(bench, estimator, dataset, plan).steals == 0
+        forked = run_plan(bench, estimator, dataset, plan, workers=2)
+        assert forked.steals == 2
 
     def test_utilization_gauges_recorded(self, estimator, bench):
         obs.reset()
@@ -73,7 +61,7 @@ class TestStealAccounting:
 
 
 class TestSplitShardResume:
-    """Kill/resume round-trips through micro-shards (7 shards, 2 workers)."""
+    """Kill/resume round-trips with more shards than workers (7 on 2)."""
 
     def _checkpointed(self, estimator, bench, tmp_path, **kwargs):
         ckpt = tmp_path / "ckpt"
@@ -84,11 +72,10 @@ class TestSplitShardResume:
     def test_kill_mid_steal_resumes_to_serial(
         self, estimator, bench, serial, tmp_path
     ):
-        """Drop done markers and tails as if killed while stealing."""
-        ckpt, first = self._checkpointed(
+        """Drop done markers and tails as if killed mid-sweep."""
+        ckpt, _ = self._checkpointed(
             estimator, bench, tmp_path, shards=7, workers=2
         )
-        assert first.steals == 5
         # Shards 0-1 finished, shard 2 was mid-file, 3-6 never started.
         path = ckpt / "shard-0002.jsonl"
         lines = path.read_text().splitlines()
@@ -101,13 +88,15 @@ class TestSplitShardResume:
                           resume=True)
         assert fingerprint(resumed) == fingerprint(serial)
         assert 0 < resumed.restored < POINTS
-        summary = load_summary(ckpt)
-        assert all(complete for _, _, complete in summary["shards"])
+        dataset = bench.default_dataset()
+        plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 7)
+        states = CheckpointStore(ckpt).load(bench.name, dataset, plan)
+        assert all(state.complete for state in states.values())
 
     def test_torn_tail_under_micro_sharding(
         self, estimator, bench, serial, tmp_path
     ):
-        """A kill mid-write under micro-sharding leaves a half-written line."""
+        """A kill mid-write with queued shards leaves a half-written line."""
         ckpt, first = self._checkpointed(
             estimator, bench, tmp_path, shards=7, workers=2
         )

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.apps import get_benchmark
-from repro.runtime import plan_shards, resolve_shard_count
-from repro.runtime.sharding import MAX_AUTO_SHARDS, MIN_POINTS_PER_SHARD
+from repro.runtime import plan_shards
 
 
 @pytest.fixture(scope="module")
@@ -88,36 +87,12 @@ class TestShardRange:
 
 
 class TestResolveShardCount:
-    def test_auto_uses_default_oversubscription(self):
-        assert resolve_shard_count("auto", 10_000, 2) == 16
-        assert resolve_shard_count("auto", 10_000, 1) == 8
+    """``shards`` is a positive int, used as given; nothing else resolves."""
 
-    def test_auto_is_a_pure_function_of_points_and_workers(self, space):
-        """No process history: the same call plans the same shards."""
-        before = resolve_shard_count("auto", 600, 2)
-        plan_shards(space, 5, 60, "auto", workers=2)
-        plan_shards(space, 5, 60, "auto", workers=3)
-        assert resolve_shard_count("auto", 600, 2) == before == 16
+    def test_int_passthrough(self, space):
+        assert plan_shards(space, 5, 60, 7).planned_shards == 7
 
-    def test_min_points_per_shard_clamp(self):
-        tiny = resolve_shard_count("auto", 12, 2)
-        assert tiny == 12 // MIN_POINTS_PER_SHARD
-        assert resolve_shard_count("auto", 2, 2) == 1
-        assert resolve_shard_count("auto", 0, 2) == 1
-
-    def test_max_auto_shards_clamp(self):
-        assert resolve_shard_count("auto", 10**6, 128) == MAX_AUTO_SHARDS
-
-    def test_int_passthrough(self):
-        assert resolve_shard_count(7, 10_000, 2) == 7
-
-    def test_rejects_bogus_strings_and_bools(self):
-        for bad in ("fast", 1.5, True):
+    def test_rejects_bogus_strings_and_bools(self, space):
+        for bad in ("fast", "auto", 1.5, True):
             with pytest.raises(ValueError, match="shards must be"):
-                resolve_shard_count(bad, 100, 1)
-
-    def test_auto_plan_micro_shards(self, space):
-        plan = plan_shards(space, 5, 60, "auto", workers=2)
-        assert plan.n_shards > 2
-        reference = serial_sample(space, 5, 60)
-        assert plan.sampled_points() == reference
+                plan_shards(space, 5, 60, bad)

@@ -334,10 +334,19 @@ class TestHostileInput:
         )
 
     def test_non_numeric_shards(self, estimator, capsys):
-        self.assert_usage_error(
-            estimator, capsys, ["explore", "gda", "--shards", "many"],
-            "--shards expects a positive integer or 'auto'",
-        )
+        for text in ("many", "auto"):
+            self.assert_usage_error(
+                estimator, capsys, ["explore", "gda", "--shards", text],
+                "--shards expects a positive integer",
+            )
+
+    def test_negative_show(self, estimator, capsys, tmp_path):
+        for argv in (["explore", "tpchq6", "--show", "-1"],
+                     ["merge-checkpoints", str(tmp_path), "--show", "-1"]):
+            self.assert_usage_error(
+                estimator, capsys, argv,
+                "--show expects a non-negative integer",
+            )
 
     def test_auto_shards_flag_is_gone(self, estimator, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,14 +467,6 @@ class TestShardRangeFlags:
                            match="--shard-range requires --checkpoint-dir"):
             run_cli(estimator, "explore", "tpchq6", "--points", "10",
                     "--shards", "4", "--shard-range", "0:2")
-
-    def test_auto_shards_micro_shards(self, estimator):
-        code, text = run_cli(
-            estimator, "explore", "tpchq6", "--points", "24", "--seed", "2",
-            "--shards", "auto",
-        )
-        assert code == 0
-        assert "shards x 1 workers" in text
 
     def test_ranged_explore_reports_range(self, estimator, tmp_path):
         ckpt = tmp_path / "ckpt"

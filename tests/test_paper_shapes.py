@@ -2,21 +2,117 @@
 
 ``benchmarks/`` regenerates the full tables and figures on demand; these
 checks keep the orderings they report from drifting while the suite
-stays green: Figure 6's speedup ordering and Table IV's
-orders-of-magnitude gap between the estimator and an HLS-style tool.
+stays green: Table III's error bands, Figure 5's panel claims, Figure
+6's speedup ordering and Table IV's orders-of-magnitude gap between the
+estimator and an HLS-style tool.
 """
 
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps import all_benchmarks, get_benchmark
 from repro.dse import explore
 from repro.hls import HLSExplosionError, HLSTool
 from repro.sim import simulate
+from repro.synth import synthesize
 
+TABLE3_POINTS = 300
+FIG5_POINTS = 1200
 FIG6_POINTS = 300
+
+
+@pytest.fixture(scope="module")
+def table3_average(estimator):
+    """Mean absolute error (%) over five Pareto points per benchmark,
+    averaged across benchmarks, per resource."""
+    errors = {"alm": [], "dsp": [], "bram": [], "runtime": []}
+    for bench in all_benchmarks():
+        result = explore(bench, estimator, max_points=TABLE3_POINTS, seed=17)
+        points = result.pareto_sample(5)
+        assert points, f"no Pareto points for {bench.name}"
+        per_bench = {k: [] for k in errors}
+        for point in points:
+            design = bench.build(result.dataset, **point.params)
+            est, rep = point.estimate, synthesize(design)
+            cycles = simulate(design).cycles
+            for key, got, real in (
+                ("alm", est.alms, rep.alms), ("dsp", est.dsps, rep.dsps),
+                ("bram", est.brams, rep.brams),
+                ("runtime", est.cycles, cycles),
+            ):
+                per_bench[key].append(abs(got - real) / max(real, 1))
+        for k, values in per_bench.items():
+            errors[k].append(100 * float(np.mean(values)))
+    return {k: float(np.mean(v)) for k, v in errors.items()}
+
+
+def test_table3_error_bands(table3_average):
+    """Averages in the paper's band (4.8% ALMs, 12.3% BRAM, 6.1% runtime)."""
+    assert table3_average["alm"] < 10.0
+    assert table3_average["runtime"] < 10.0
+    assert table3_average["bram"] < 25.0
+
+
+def test_table3_bram_is_noisiest(table3_average):
+    assert table3_average["bram"] > table3_average["alm"]
+
+
+@pytest.fixture(scope="module")
+def figure5(estimator):
+    """One Figure 5 sweep per benchmark."""
+    return {
+        bench.name: explore(bench, estimator, max_points=FIG5_POINTS, seed=29)
+        for bench in all_benchmarks()
+    }
+
+
+def test_figure5_gemm_pareto_fills_bram(figure5, estimator):
+    """The fastest gemm Pareto designs maximize on-chip locality."""
+    res = figure5["gemm"]
+    blocks = estimator.board.device.bram_blocks
+    front = sorted(res.pareto, key=lambda p: p.cycles)[:5]
+    best_bram = max(p.estimate.brams / blocks for p in front)
+    median = float(
+        np.median([p.estimate.brams / blocks for p in res.valid_points])
+    )
+    assert best_bram > median
+
+
+def test_figure5_dotproduct_metapipe_dominates_sequential(figure5):
+    res = figure5["dotproduct"]
+    mp = [p.cycles for p in res.valid_points if p.params["metapipe"]]
+    seq = [p.cycles for p in res.valid_points if not p.params["metapipe"]]
+    assert min(mp) < min(seq)
+
+
+def test_figure5_outerprod_best_avoids_overlapping_transfers(figure5):
+    """DRAM contention: the fastest designs do not overlap loads/stores."""
+    best = sorted(figure5["outerprod"].valid_points, key=lambda p: p.cycles)
+    assert np.mean([
+        not p.params["mp_inner"] or not p.params["mp_outer"]
+        for p in best[:10]
+    ]) >= 0.5
+
+
+def test_figure5_blackscholes_alm_bound(figure5):
+    best = figure5["blackscholes"].best
+    util = best.estimate.utilization()
+    assert util["alms"] == max(util.values())
+
+
+def test_figure5_kmeans_invalid_region_exists(figure5):
+    assert any(not p.valid for p in figure5["kmeans"].points)
+
+
+def test_figure5_tpchq6_performance_saturates(figure5):
+    """Bandwidth plateau: the fastest quartile spans a wide ALM range."""
+    valid = figure5["tpchq6"].valid_points
+    q1 = sorted(p.cycles for p in valid)[len(valid) // 4]
+    alms = [p.estimate.alms for p in valid if p.cycles <= q1]
+    assert max(alms) > 1.5 * min(alms)
 
 
 @pytest.fixture(scope="module")

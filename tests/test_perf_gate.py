@@ -99,7 +99,7 @@ class TestBaselineAndSkip:
 
 
 class TestRuntimeBaseline:
-    def test_extracts_parallel_and_stealing_ratios(self, gate, tmp_path):
+    def test_extracts_parallel_ratio(self, gate, tmp_path):
         doc = {
             "parallel_dse": {
                 "workers": {
@@ -107,13 +107,11 @@ class TestRuntimeBaseline:
                     "2": {"speedup_vs_serial": 1.8, "elapsed_s": 3.0},
                 }
             },
-            "work_stealing": {"speedup": 1.5, "fixed": {}},
         }
         path = tmp_path / "BENCH_table4.json"
         path.write_text(json.dumps(doc))
         assert gate.load_runtime_baseline(path) == {
             "parallel_dse.workers2": 1.8,
-            "work_stealing": 1.5,
         }
 
     def test_missing_file_is_empty(self, gate, tmp_path):
@@ -121,23 +119,18 @@ class TestRuntimeBaseline:
 
     def test_partial_sections_extract_partially(self, gate, tmp_path):
         path = tmp_path / "BENCH_table4.json"
-        path.write_text(json.dumps({"work_stealing": {"speedup": 1.3}}))
-        assert gate.load_runtime_baseline(path) == {"work_stealing": 1.3}
         path.write_text(json.dumps({"parallel_dse": {"workers": {"1": {}}}}))
+        assert gate.load_runtime_baseline(path) == {}
+        # A retired section in an older file is no longer gated.
+        path.write_text(json.dumps({"work_stealing": {"speedup": 1.3}}))
         assert gate.load_runtime_baseline(path) == {}
 
     def test_runtime_keys_gate_through_evaluate(self, gate):
         """The same ratio logic gates runtime keys: 30% floor applies."""
-        baseline = {"parallel_dse.workers2": 1.8, "work_stealing": 1.5}
-        ok, _ = gate.evaluate(
-            baseline,
-            {"parallel_dse.workers2": 1.27, "work_stealing": 1.06},
-        )
+        baseline = {"parallel_dse.workers2": 1.8}
+        ok, _ = gate.evaluate(baseline, {"parallel_dse.workers2": 1.27})
         assert ok
-        ok, lines = gate.evaluate(
-            baseline,
-            {"parallel_dse.workers2": 1.2, "work_stealing": 1.5},
-        )
+        ok, lines = gate.evaluate(baseline, {"parallel_dse.workers2": 1.2})
         assert not ok
         assert any(
             "parallel_dse.workers2" in l and "REGRESSION" in l for l in lines
@@ -147,10 +140,7 @@ class TestRuntimeBaseline:
         baseline = gate.load_runtime_baseline()
         if not baseline:
             pytest.skip("BENCH_table4.json lacks runtime sections")
-        assert set(baseline) <= {"parallel_dse.workers2", "work_stealing"}
+        assert set(baseline) <= {"parallel_dse.workers2"}
         # parallel_dse can honestly be < 1.0 on a 1-core recording host
-        # (fork overhead with nothing to overlap); stealing never is —
-        # the skew sleeps overlap regardless of core count.
+        # (fork overhead with nothing to overlap).
         assert all(v > 0.0 for v in baseline.values())
-        if "work_stealing" in baseline:
-            assert baseline["work_stealing"] > 1.0
