@@ -59,7 +59,7 @@ def main() -> None:
 
     # 3./4. Estimate a realistic instance and compare to "synthesis".
     print("\nEstimator vs toolchain on a full-size instance:")
-    estimator = default_estimator()  # characterizes + trains once
+    estimator = default_estimator()  # loads the shipped MAIA models
     big = build_dotproduct(n=1_872_000, tile=12_000, par=16, metapipe=True)
     est = estimator.estimate(big)
     report = synthesize(big)

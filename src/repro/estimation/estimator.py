@@ -2,13 +2,13 @@
 
 Bundles the characterized template models, the trained correction models,
 and the board description. Characterization and training happen once per
-process (or can be loaded from a saved model file) and are shared across
-all design estimates — exactly the paper's amortization argument.
+device: the default ``MAIA`` models ship with the package and are loaded
+instead of retrained, and any estimator's models are shared across all of
+its design estimates — exactly the paper's amortization argument.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -21,7 +21,7 @@ from .cache import MISS, EstimationCaches, point_key
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
 from .plan import price_points
-from .train import CorrectionModels, train_corrections
+from .train import DEFAULT_SAMPLES, CorrectionModels, train_corrections
 
 
 @dataclass
@@ -69,6 +69,10 @@ class Estimator:
     ``models`` is what the area walk and the plan compiler predict
     template costs from: the bundle's memoizing view of ``templates``,
     or ``templates`` itself with ``cache=False``.
+
+    Without injected models, ``MAIA`` at seed 7 and ``DEFAULT_SAMPLES``
+    loads the shipped ``models/maia.json`` (what it would train); any
+    other board, seed or sample count characterizes and trains.
     """
 
     def __init__(
@@ -76,7 +80,7 @@ class Estimator:
         board: Board = MAIA,
         templates: Optional[TemplateModels] = None,
         corrections: Optional[CorrectionModels] = None,
-        training_samples: int = 200,
+        training_samples: int = DEFAULT_SAMPLES,
         seed: int = 7,
         cache: bool = True,
     ) -> None:
@@ -84,6 +88,14 @@ class Estimator:
         self.caches: Optional[EstimationCaches] = (
             EstimationCaches() if cache else None
         )
+        if (templates is None and corrections is None and board == MAIA
+                and seed == 7 and training_samples == DEFAULT_SAMPLES):
+            # local import: store imports this module
+            from .store import load_models, shipped_models_path
+
+            templates, corrections = load_models(
+                shipped_models_path(), board.device
+            )
         if templates is None:
             with obs.timed(
                 "estimator.characterize", "estimator.characterize_s",
@@ -173,43 +185,12 @@ class Estimator:
         return self.estimate(design)
 
 
-@functools.lru_cache(maxsize=4)
-def _build_default_estimator(board: Board, seed: int) -> Estimator:
-    """The cached constructor behind :func:`default_estimator`."""
-    return Estimator(board, seed=seed)
-
-
 def default_estimator(
     board: Board = MAIA, seed: int = 7, cache: bool = True
 ) -> Estimator:
-    """Process-wide shared estimator (characterize + train once).
+    """The estimator for ``board``: shipped models on ``MAIA`` at seed 7.
 
-    Counts ``estimator.cache.{hit,miss}`` so the cold-start cost
-    (characterization + NN training, visible as ``estimator.characterize``
-    / ``estimator.train`` spans) can be separated from steady-state CLI
-    latency — and so per-worker warm-up shows up in parallel-DSE benches.
-
-    ``cache=False`` (the CLI ``--no-cache`` flag) returns an estimator
-    sharing the same trained models but with estimation caching disabled
-    — no recharacterization, just the cold per-point hot path.
+    ``cache=False`` (the CLI ``--no-cache`` flag) disables estimation
+    caching: every point is built and estimated on the cold path.
     """
-    misses_before = _build_default_estimator.cache_info().misses
-    estimator = _build_default_estimator(board, seed)
-    if _build_default_estimator.cache_info().misses > misses_before:
-        obs.counter("estimator.cache.miss").inc()
-    else:
-        obs.counter("estimator.cache.hit").inc()
-    if not cache:
-        return Estimator(
-            board,
-            templates=estimator.templates,
-            corrections=estimator.corrections,
-            cache=False,
-        )
-    return estimator
-
-
-# Cache management passthroughs: callers treat default_estimator as if it
-# were the lru_cache-decorated function itself.
-default_estimator.cache_info = _build_default_estimator.cache_info
-default_estimator.cache_clear = _build_default_estimator.cache_clear
+    return Estimator(board, seed=seed, cache=cache)

@@ -2,23 +2,32 @@
 
 Template characterization and NN training run once per device/toolchain
 (paper Section IV-B: model costs "are amortized over many applications").
-This module saves and restores the complete model bundle as JSON so a
-trained estimator can be shipped with a release or cached between runs.
+This module saves and restores the complete model bundle as JSON; the
+default estimator's models ship with the package as ``models/maia.json``.
 """
 
 from __future__ import annotations
 
 import json
+from importlib.resources import files
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from ..target.board import MAIA, Board
+from ..target.device import Device
 from .characterize import TemplateModels, _build_specs
 from .estimator import Estimator
 from .nn import MLP
 from .train import CorrectionModels
+
+FORMAT = "repro-estimator-v1"
+
+
+def shipped_models_path():
+    """The packaged model file for the default ``MAIA`` estimator."""
+    return files("repro.estimation") / "models" / "maia.json"
 
 
 def templates_to_dict(models: TemplateModels) -> Dict[str, object]:
@@ -74,18 +83,38 @@ def corrections_from_dict(data: Dict[str, object]) -> CorrectionModels:
 def save_estimator(estimator: Estimator, path: Union[str, Path]) -> None:
     """Serialize a trained estimator's models to a JSON file."""
     payload = {
-        "format": "repro-estimator-v1",
+        "format": FORMAT,
         "templates": templates_to_dict(estimator.templates),
         "corrections": corrections_to_dict(estimator.corrections),
     }
     Path(path).write_text(json.dumps(payload))
 
 
+def load_models(
+    path, device: Device
+) -> Tuple[TemplateModels, CorrectionModels]:
+    """The template and correction models in a JSON model file.
+
+    ``path`` is a file path or an :mod:`importlib.resources` traversable.
+    Raises ``ValueError`` on an unknown format or when the file's
+    templates were characterized for a device other than ``device``.
+    """
+    source = Path(path) if isinstance(path, str) else path
+    payload = json.loads(source.read_text())
+    if payload.get("format") != FORMAT:
+        raise ValueError(f"unrecognized estimator file format in {path}")
+    saved = payload["templates"]["device"]
+    if saved != device.name:
+        raise ValueError(
+            f"{path} holds models for device {saved!r}, not {device.name!r}"
+        )
+    return (
+        templates_from_dict(payload["templates"], device),
+        corrections_from_dict(payload["corrections"]),
+    )
+
+
 def load_estimator(path: Union[str, Path], board: Board = MAIA) -> Estimator:
     """Reconstruct an estimator from a JSON model file (no retraining)."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-estimator-v1":
-        raise ValueError(f"unrecognized estimator file format in {path}")
-    templates = templates_from_dict(payload["templates"], board.device)
-    corrections = corrections_from_dict(payload["corrections"])
+    templates, corrections = load_models(path, board.device)
     return Estimator(board, templates=templates, corrections=corrections)

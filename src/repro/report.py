@@ -163,9 +163,8 @@ def _metrics_section(estimator: Optional[Estimator] = None) -> List[str]:
         "per-design estimation time; sweeps price points from compiled",
         "class plans instead (`estimate.plans.compiled` counts the classes,",
         "`estimate.plan_s` times the evaluated blocks); `dse.*` counters",
-        "census the sampled spaces; `estimator.cache.*` and",
-        "`estimation.cache.*` counters explain how much of the sweep the",
-        "memoization layer absorbed;",
+        "census the sampled spaces; `estimation.cache.*` counters",
+        "explain how much of the sweep the memoization layer absorbed;",
         "`dram.*` counters/histograms (transfers, bytes, contention",
         "cycles, interleave efficiency) show how much simulated memory",
         "time was queueing behind sibling streams.",
@@ -181,16 +180,7 @@ def _metrics_section(estimator: Optional[Estimator] = None) -> List[str]:
 
 def _estimation_cache_section(estimator: Optional[Estimator]) -> List[str]:
     """Per-cache hit/miss/evict table for the estimator's cache bundle."""
-    from .estimation.estimator import default_estimator
-
-    info = default_estimator.cache_info()
-    lines = [
-        "",
-        "### Estimation cache",
-        "",
-        f"Shared-estimator constructions: {info.hits} reused, "
-        f"{info.misses} built (`estimator.cache.{{hit,miss}}`).",
-    ]
+    lines = ["", "### Estimation cache"]
     caches = getattr(estimator, "caches", None)
     if caches is None:
         lines += [

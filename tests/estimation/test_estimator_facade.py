@@ -1,9 +1,12 @@
-"""Tests for the Estimator facade and default-estimator caching."""
+"""Tests for the Estimator facade and its shipped default models."""
+
+import dataclasses
 
 import pytest
 
 from repro.apps import get_benchmark
 from repro.estimation import Estimator, default_estimator
+from repro.estimation import estimator as estimator_mod
 from repro.target import MAIA
 
 
@@ -43,16 +46,6 @@ class TestFacade:
         design = bench.build(ds, **bench.default_params(ds))
         assert reused.estimate(design).alms == estimator.estimate(design).alms
 
-    def test_default_estimator_cached(self):
-        a = default_estimator()
-        b = default_estimator()
-        assert a is b
-
-    def test_default_estimator_distinct_per_seed(self):
-        a = default_estimator(seed=7)
-        b = default_estimator(seed=8)
-        assert a is not b
-
     def test_estimates_are_deterministic(self, estimator):
         bench = get_benchmark("gda")
         ds = bench.default_dataset()
@@ -74,3 +67,52 @@ class TestFacade:
         # the same ballpark (raw counts dominate).
         assert ea.alms != eb.alms or ea.brams != eb.brams
         assert abs(ea.alms - eb.alms) / eb.alms < 0.1
+
+
+class Trained(Exception):
+    """Raised by the stubbed ``train_corrections``: training was reached."""
+
+
+class TestShippedModels:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Record characterization and training; training raises ``Trained``."""
+        log = []
+        characterize = estimator_mod.characterize_templates
+
+        def recording_characterize(device):
+            log.append("characterize")
+            return characterize(device)
+
+        def refusing_train(*args, **kwargs):
+            log.append("train")
+            raise Trained
+
+        monkeypatch.setattr(
+            estimator_mod, "characterize_templates", recording_characterize
+        )
+        monkeypatch.setattr(estimator_mod, "train_corrections", refusing_train)
+        return log
+
+    def test_default_construction_loads_shipped_models(self, calls):
+        for estimator in (Estimator(MAIA), default_estimator(),
+                          default_estimator(cache=False)):
+            summary = estimator.corrections.training_summary
+            assert summary["n_samples"] == 200.0
+            assert estimator.templates.device == MAIA.device
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 8},
+        {"training_samples": 120},
+        {"board": dataclasses.replace(MAIA, dram_latency_cycles=200)},
+    ], ids=["seed=8", "samples=120", "board=custom"])
+    def test_other_configurations_train(self, calls, kwargs):
+        kwargs = {"board": MAIA, **kwargs}
+        with pytest.raises(Trained):
+            Estimator(**kwargs)
+        assert calls == ["characterize", "train"]
+
+    def test_injected_corrections_still_characterize(self, calls, estimator):
+        Estimator(MAIA, corrections=estimator.corrections)
+        assert calls == ["characterize"]

@@ -1,4 +1,4 @@
-"""Estimator cold-start observability: spans, histograms, cache counters."""
+"""Estimator cold-start observability: spans and histograms."""
 
 import pytest
 
@@ -35,18 +35,11 @@ class TestColdStartSpans:
         assert obs.metrics().histogram("estimator.train_s").count == 0
 
 
-class TestDefaultEstimatorCacheCounters:
-    def test_hit_and_miss_counted(self, collected):
-        default_estimator.cache_clear()
+class TestShippedModelsColdStart:
+    def test_default_path_records_no_training(self, collected):
+        Estimator(MAIA)
         default_estimator()
-        assert obs.metrics().counter("estimator.cache.miss").value == 1
-        assert obs.metrics().counter("estimator.cache.hit").value == 0
-        default_estimator()
-        assert obs.metrics().counter("estimator.cache.hit").value == 1
-        assert obs.metrics().counter("estimator.cache.miss").value == 1
-
-    def test_cache_info_exposed(self):
-        default_estimator()  # cached by the previous test
-        info = default_estimator.cache_info()
-        assert info.misses >= 1
-        assert info.currsize >= 1
+        names = {s.name for s in obs.tracer().spans}
+        assert not names & {"estimator.characterize", "estimator.train"}
+        assert obs.metrics().histogram("estimator.characterize_s").count == 0
+        assert obs.metrics().histogram("estimator.train_s").count == 0

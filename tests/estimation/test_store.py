@@ -1,5 +1,6 @@
 """Tests for estimator model persistence."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.apps import get_benchmark
 from repro.estimation import save_estimator
 from repro.estimation.store import load_estimator
+from repro.target import MAIA
 
 
 class TestRoundtrip:
@@ -45,3 +47,12 @@ class TestRoundtrip:
         t0 = time.perf_counter()
         load_estimator(path)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_rejects_models_of_another_device(self, estimator, tmp_path):
+        path = tmp_path / "models.json"
+        save_estimator(estimator, path)
+        other = dataclasses.replace(
+            MAIA, device=dataclasses.replace(MAIA.device, name="Other FPGA")
+        )
+        with pytest.raises(ValueError, match="Stratix V.*Other FPGA"):
+            load_estimator(path, other)
