@@ -5,7 +5,7 @@ Subcommands mirror the paper's flow:
 * ``repro list`` — Table II benchmark inventory;
 * ``repro estimate BENCH [--set k=v ...]`` — estimate one design point;
 * ``repro explore BENCH --points N`` — design space exploration + Pareto,
-  with ``--workers``/``--shards N|auto`` for the parallel engine,
+  with ``--workers``/``--shards N`` for the parallel engine,
   ``--checkpoint-dir``/``--resume`` for kill/resume, and
   ``--shard-range A:B`` for multi-host range sweeps (see
   ``docs/runtime.md``);
@@ -19,8 +19,8 @@ Subcommands mirror the paper's flow:
 
 ``estimate``/``explore``/``speedup``/``codegen`` accept ``--trace FILE``
 (write a Chrome trace-event file — open in chrome://tracing or Perfetto),
-``--trace-jsonl FILE`` (stream spans incrementally with bounded memory,
-optionally capped via ``--span-cap N``), and ``--metrics`` (print
+``--trace-jsonl FILE`` (stream spans to disk as they finish, so a killed
+run leaves a partial trace), and ``--metrics`` (print
 counter/histogram summaries); see ``docs/observability.md``. The
 estimating commands also accept ``--no-cache`` to build and estimate
 every design point instead of pricing it from compiled class plans and
@@ -482,13 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--trace-jsonl", metavar="FILE.jsonl",
-        help="stream spans incrementally to a JSONL file (bounded "
-        "memory; suits paper-scale sweeps)",
-    )
-    obs_flags.add_argument(
-        "--span-cap", type=int, default=None, metavar="N",
-        help="keep at most N finished spans in memory (spans beyond the "
-        "cap still stream to --trace-jsonl)",
+        help="stream spans to a JSONL file as they finish (a killed "
+        "run keeps a partial trace)",
     )
     obs_flags.add_argument(
         "--metrics", action="store_true",
@@ -628,11 +623,6 @@ def _main(argv, out, estimator) -> int:
     trace_file = getattr(args, "trace", None)
     stream_file = getattr(args, "trace_jsonl", None)
     sim_trace_file = getattr(args, "sim_trace", None)
-    span_cap = getattr(args, "span_cap", None)
-    if span_cap is not None and span_cap < 0:
-        raise UsageError(
-            f"--span-cap expects a non-negative integer (got {span_cap})"
-        )
     want_metrics = bool(getattr(args, "metrics", False))
     if not (trace_file or stream_file or sim_trace_file or want_metrics):
         return _dispatch(args, out, estimator)
@@ -642,11 +632,7 @@ def _main(argv, out, estimator) -> int:
         trace=bool(trace_file or stream_file or sim_trace_file),
         metrics=want_metrics,
     )
-    stream = None
-    if stream_file:
-        stream = obs.stream_to_jsonl(stream_file, span_cap=span_cap)
-    elif span_cap is not None:
-        obs.tracer().span_cap = span_cap
+    stream = obs.stream_to_jsonl(stream_file) if stream_file else None
     try:
         code = _dispatch(args, out, estimator)
     finally:
@@ -679,7 +665,6 @@ def _main(argv, out, estimator) -> int:
                 "https://ui.perfetto.dev)",
                 file=out,
             )
-        obs.tracer().span_cap = None
     return code
 
 

@@ -14,7 +14,9 @@ files for kill/resume (:mod:`repro.runtime.checkpoint`). For a fixed
 seed the sampled point set — and therefore the Pareto front — is
 identical for every ``shards``/``workers`` combination; the merge layer
 (:mod:`repro.runtime.merge`) enforces that no point is dropped or
-duplicated.
+duplicated. :func:`explore` and :func:`merge_checkpoints` (which
+estimates nothing and merges a checkpoint directory's restored records)
+assemble their result through the same merge-and-verify step.
 
 When observability is enabled (:mod:`repro.obs`), the run records the
 per-point estimation-latency histogram (``dse.point_latency_s``) and
@@ -36,6 +38,7 @@ from .. import obs
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import Estimate, Estimator
 from ..runtime import (
+    CheckpointError,
     CheckpointStore,
     merge_outcomes,
     outcomes_from_states,
@@ -46,9 +49,6 @@ from ..runtime import (
 from .pareto import pareto_front
 
 DEFAULT_MAX_POINTS = 75_000
-
-# Emit a dse.progress instant event every this many estimated points.
-PROGRESS_EVERY = 1_000
 
 
 @dataclass
@@ -128,7 +128,6 @@ def explore(
     dataset: Optional[Dataset] = None,
     max_points: int = DEFAULT_MAX_POINTS,
     seed: int = 1,
-    progress_every: int = PROGRESS_EVERY,
     shards: Optional[int] = None,
     workers: int = 1,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -190,35 +189,46 @@ def explore(
         run = run_plan(
             benchmark, estimator, dataset, plan,
             workers=workers, store=store, resume=resume,
-            progress_every=progress_every,
         )
-        records, conservation = merge_outcomes(plan, run.outcomes)
-        conservation.verify()
-        _record_outcomes(records, conservation)
-
-        result = ExplorationResult(
-            benchmark=benchmark.name,
-            dataset=dataset,
-            space_cardinality=plan.space_cardinality,
-            legal_sampled=plan.total_points,
-            elapsed_seconds=run.elapsed_s,
-            shards=plan.n_shards,
-            workers=run.workers,
-            restored=run.restored,
-            total_shards=plan.planned_shards,
-            shard_range=plan.shard_range,
+        result = _merged_result(
+            benchmark, dataset, plan, run.outcomes,
+            elapsed_seconds=run.elapsed_s, workers=run.workers,
         )
-        result.points = [
-            DesignPoint(r.params, r.estimate)
-            for r in records if not r.illegal
-        ]
         sp.set(
             points=len(result.points),
             valid=sum(1 for p in result.points if p.valid),
-            restored=run.restored,
+            restored=result.restored,
             elapsed_s=round(result.elapsed_seconds, 6),
         )
     return result
+
+
+def _merged_result(
+    benchmark: Benchmark, dataset: Dataset, plan, outcomes, **extra
+) -> ExplorationResult:
+    """Merge shard outcomes, prove conservation, record metrics, wrap up.
+
+    The one result assembly behind :func:`explore` and
+    :func:`merge_checkpoints`; ``extra`` fills the run-only fields.
+    """
+    records, conservation = merge_outcomes(plan, outcomes)
+    conservation.verify()
+    _record_outcomes(records, conservation)
+    return ExplorationResult(
+        benchmark=benchmark.name,
+        dataset=dataset,
+        points=[
+            DesignPoint(r.params, r.estimate)
+            for r in records if not r.illegal
+        ],
+        space_cardinality=plan.space_cardinality,
+        legal_sampled=plan.total_points,
+        shards=plan.n_shards,
+        restored=conservation.restored,
+        total_shards=plan.planned_shards,
+        shard_range=plan.shard_range,
+        **extra,
+    )
 
 
 def _record_outcomes(records, conservation) -> None:
@@ -253,36 +263,32 @@ def merge_checkpoints(
 
     directory = Path(directory)
     manifest = read_manifest(directory)
-    benchmark = get_benchmark(manifest["benchmark"])
+    try:
+        benchmark = get_benchmark(manifest["benchmark"])
+    except KeyError:
+        raise CheckpointError(
+            f"checkpoint in {directory} names unknown benchmark "
+            f"{manifest['benchmark']!r}"
+        ) from None
     dataset = dict(manifest["dataset"])
     with obs.span(
         "merge_checkpoints", bench=benchmark.name, dir=str(directory),
     ) as sp:
-        space = benchmark.param_space(dataset)
-        plan = plan_shards(
-            space, manifest["seed"], manifest["max_points"],
-            manifest["shards"],
+        try:
+            plan = plan_shards(
+                benchmark.param_space(dataset), manifest["seed"],
+                manifest["max_points"], manifest["shards"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint manifest in {directory} does not describe a "
+                f"{benchmark.name} sweep: {exc!r}"
+            ) from None
+        states = CheckpointStore(directory).load(
+            benchmark.name, dataset, plan, estimator.board
         )
-        store = CheckpointStore(directory)
-        states = store.load(benchmark.name, dataset, plan)
-        store.hydrate(states, estimator.board)
-        records, conservation = merge_outcomes(
-            plan, outcomes_from_states(plan, states)
+        result = _merged_result(
+            benchmark, dataset, plan, outcomes_from_states(plan, states)
         )
-        conservation.verify()
-        _record_outcomes(records, conservation)
-        result = ExplorationResult(
-            benchmark=benchmark.name,
-            dataset=dataset,
-            space_cardinality=plan.space_cardinality,
-            legal_sampled=plan.total_points,
-            shards=plan.n_shards,
-            restored=conservation.restored,
-            total_shards=plan.planned_shards,
-        )
-        result.points = [
-            DesignPoint(r.params, r.estimate)
-            for r in records if not r.illegal
-        ]
         sp.set(points=len(result.points))
     return result

@@ -41,7 +41,6 @@ from .trace import NULL_SPAN, InstantEvent, Span, Tracer
 
 __all__ = [
     "Counter",
-    "DEFAULT_SPAN_CAP",
     "Gauge",
     "Histogram",
     "InstantEvent",
@@ -72,10 +71,6 @@ __all__ = [
     "write_jsonl",
     "write_sim_chrome_trace",
 ]
-
-#: Default in-memory retention when streaming: enough for summaries,
-#: far below a paper-scale sweep's ~375k spans.
-DEFAULT_SPAN_CAP = 100_000
 
 _TRACER = Tracer(enabled=False)
 _METRICS = MetricsRegistry(enabled=False)
@@ -121,16 +116,14 @@ def trace_enabled() -> bool:
     return _TRACER.enabled
 
 
-def stream_to_jsonl(path, span_cap=DEFAULT_SPAN_CAP) -> JsonlStreamWriter:
+def stream_to_jsonl(path) -> JsonlStreamWriter:
     """Stream the global tracer's events incrementally to a JSONL file.
 
-    Attaches a :class:`JsonlStreamWriter` and caps in-memory retention at
-    ``span_cap`` finished spans/instants (``None`` keeps everything
-    resident). Returns the writer; call :func:`stop_streaming` (or the
-    writer's ``close``) when done.
+    Attaches a :class:`JsonlStreamWriter` so a killed run still leaves
+    every span finished so far on disk. Returns the writer; call
+    :func:`stop_streaming` (or the writer's ``close``) when done.
     """
     writer = JsonlStreamWriter(path)
-    _TRACER.span_cap = span_cap
     _TRACER.attach_stream(writer)
     return writer
 

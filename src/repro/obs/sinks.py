@@ -240,11 +240,9 @@ def write_jsonl(tracer: Tracer, dest: Union[str, IO[str]]) -> None:
 class JsonlStreamWriter:
     """Incremental JSONL sink for :meth:`Tracer.attach_stream`.
 
-    Writes each finished span/instant as it completes instead of holding
-    it in memory, so a traced paper-scale explore (~375k spans at 75k
-    points) runs in bounded space. Lines are flushed every
-    ``flush_every`` writes; pair with ``Tracer.span_cap`` to also bound
-    the in-memory lists.
+    Writes each finished span/instant as it completes, so a killed run
+    still leaves a partial trace on disk. Lines are flushed every
+    ``flush_every`` writes.
     """
 
     def __init__(

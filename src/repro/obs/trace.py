@@ -16,12 +16,9 @@ left in hot paths costs almost nothing when off: ``span()`` checks one
 flag and returns a shared no-op singleton — no allocation, no clock read,
 no locking.
 
-For paper-scale sweeps (a traced 75k-point explore produces ~375k spans)
-the tracer supports bounded retention: :meth:`Tracer.attach_stream`
-forwards every finished span/instant to an incremental writer (see
-:class:`repro.obs.sinks.JsonlStreamWriter`) and ``span_cap`` limits how
-many finished events stay resident, counting the overflow in
-``dropped_spans``/``dropped_instants``.
+:meth:`Tracer.attach_stream` forwards every finished span/instant to an
+incremental writer (see :class:`repro.obs.sinks.JsonlStreamWriter`), so
+a killed run still leaves a partial trace on disk.
 """
 
 from __future__ import annotations
@@ -112,13 +109,8 @@ class Tracer:
     near zero.
     """
 
-    def __init__(
-        self, enabled: bool = False, span_cap: Optional[int] = None
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.span_cap = span_cap
-        self.dropped_spans = 0
-        self.dropped_instants = 0
         self._lock = threading.Lock()
         self._local = threading.local()
         self._epoch = time.perf_counter()
@@ -128,15 +120,13 @@ class Tracer:
         self.spans: List[Span] = []
         self.instants: List[InstantEvent] = []
 
-    # -- streaming / retention ---------------------------------------------
+    # -- streaming ---------------------------------------------------------
 
     def attach_stream(self, stream) -> None:
         """Forward every finished span/instant to ``stream`` as recorded.
 
         ``stream`` needs ``write_span(span)`` and ``write_instant(event)``
-        methods (see :class:`repro.obs.sinks.JsonlStreamWriter`). With a
-        stream attached, ``span_cap`` bounds only in-memory retention —
-        streamed output stays complete.
+        methods (see :class:`repro.obs.sinks.JsonlStreamWriter`).
         """
         with self._lock:
             self._stream = stream
@@ -184,13 +174,7 @@ class Tracer:
             )
             if self._stream is not None:
                 self._stream.write_instant(event)
-            if (
-                self.span_cap is not None
-                and len(self.instants) >= self.span_cap
-            ):
-                self.dropped_instants += 1
-            else:
-                self.instants.append(event)
+            self.instants.append(event)
 
     def _finish(self, span: Span) -> None:
         span.end = time.perf_counter() - self._epoch
@@ -202,13 +186,7 @@ class Tracer:
         with self._lock:
             if self._stream is not None:
                 self._stream.write_span(span)
-            if (
-                self.span_cap is not None
-                and len(self.spans) >= self.span_cap
-            ):
-                self.dropped_spans += 1
-            else:
-                self.spans.append(span)
+            self.spans.append(span)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -234,8 +212,6 @@ class Tracer:
             self.instants.clear()
             self._thread_ids.clear()
             self._next_id = 1
-            self.dropped_spans = 0
-            self.dropped_instants = 0
             self._epoch = time.perf_counter()
 
     # -- queries -----------------------------------------------------------

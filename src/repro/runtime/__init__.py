@@ -28,17 +28,13 @@ from .checkpoint import (
     estimate_to_doc,
     read_manifest,
 )
-from .merge import (
-    Conservation,
-    ConservationError,
-    merge_outcomes,
-    outcomes_from_states,
-)
+from .merge import Conservation, ConservationError, merge_outcomes
 from .pool import (
     DEFAULT_BATCH_SIZE,
     RunOutcome,
     ShardOutcome,
     fork_available,
+    outcomes_from_states,
     run_plan,
     run_shard,
 )

@@ -8,17 +8,18 @@ estimate and a CRC-32 of the line, flushed every :data:`FLUSH_EVERY`
 points so a killed sweep loses at most that many estimates. A terminal
 ``done`` line marks the shard complete.
 
-Resume (``explore(..., resume=True)`` / ``repro explore --resume DIR``)
-validates the manifest against the requested run — resuming a different
-benchmark/seed/budget/shard-count is a :class:`CheckpointError`, not a
-silent wrong answer — then loads every readable record. Complete shards
+:func:`read_manifest` is the only reader of ``manifest.json`` and refuses
+a missing, unparsable or mistyped one. :meth:`CheckpointStore.load`,
+behind both ``--resume`` and ``repro merge-checkpoints``, checks it
+against the requested run (resuming a different benchmark/seed/budget/
+shard count is a :class:`CheckpointError`, not a silent wrong answer)
+and decodes every readable record, estimate included. Complete shards
 are never re-estimated; partial shards re-estimate only their missing
 global indices and append to the same file. JSON round-trips floats
-exactly (shortest-repr), so a resumed Pareto front is byte-identical to
-an uninterrupted run's. A record that fails its CRC, is malformed, or
-names parameters other than the plan's point at its index is refused
-with :class:`CheckpointError`; only a half-written final line (the kill
-point) is silently dropped.
+exactly, so a resumed Pareto front is byte-identical to an uninterrupted
+run's. A record that fails its CRC, is malformed, or names parameters
+other than the plan's point at its index is refused before any file is
+truncated; only a half-written final line (the kill point) is dropped.
 
 The manifest always describes the *global* run (full shard partition and
 point count), even when the writing plan covers only a shard range: N
@@ -36,7 +37,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, IO, Optional, Union
 
 from ..estimation.area import AreaEstimate
 from ..estimation.counts import Counts
@@ -48,6 +49,10 @@ MANIFEST_NAME = "manifest.json"
 
 #: Flush shard files after this many newly written records.
 FLUSH_EVERY = 100
+
+# Keys every manifest must carry, with their JSON types.
+_MANIFEST_TYPES = {"benchmark": str, "dataset": dict, "seed": int,
+                   "max_points": int, "shards": int}
 
 # Every shard-file line ends with this key; its value is the CRC-32 of
 # the line's JSON with the key left out.
@@ -223,11 +228,6 @@ class CheckpointStore:
         """Path of shard ``index``'s JSONL file."""
         return self.directory / f"shard-{index:04d}.jsonl"
 
-    @property
-    def manifest_path(self) -> Path:
-        """Path of the run manifest."""
-        return self.directory / MANIFEST_NAME
-
     # -- manifest ----------------------------------------------------------
 
     def _manifest_doc(
@@ -253,91 +253,78 @@ class CheckpointStore:
         dataset: Dict[str, int],
         plan: ShardPlan,
         resume: bool,
+        board: Board,
     ) -> Dict[int, ShardState]:
         """Prepare the directory and return per-shard restored state.
 
         Fresh runs (``resume=False``) write the manifest and truncate
         stale files for the plan's *own* shards only — a host assigned a
-        shard range never clobbers its siblings' shard files. When a
-        manifest from the same global run already exists (another host
-        got there first) it is left in place; a mismatched one is a
-        :class:`CheckpointError` rather than a silent overwrite. Resumed
-        runs require a matching manifest and load every readable record;
-        a trailing half-written line (the kill point) is ignored, not an
-        error, and cut off so appended records start on a fresh line.
+        shard range never clobbers its siblings' shard files. A ranged
+        plan first checks an existing manifest (another host of the same
+        split wrote it) and refuses a mismatched or unreadable one; a
+        whole-run plan just overwrites it. Resumed runs :meth:`load`
+        everything before cutting each file back to its readable prefix
+        (dropping a half-written kill-point line), so a refused
+        checkpoint is left untouched.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if resume:
-            states = self.load(benchmark, dataset, plan)
+            states = self.load(benchmark, dataset, plan, board)
             for index, state in states.items():
                 path = self.shard_path(index)
                 if path.exists():
                     os.truncate(path, state.size)
             return states
         expected = self._manifest_doc(benchmark, dataset, plan)
-        if self.manifest_path.exists():
-            mismatched = self._mismatched_keys(expected)
-            if mismatched and plan.is_partial:
-                raise CheckpointError(
-                    f"checkpoint in {self.directory} belongs to a "
-                    "different run "
-                    f"({self._mismatch_detail(expected, mismatched)}); "
-                    "refusing to add this shard range to it"
-                )
-        self.manifest_path.write_text(
-            json.dumps(expected, indent=2) + "\n"
-        )
+        manifest = self.directory / MANIFEST_NAME
+        if plan.is_partial and manifest.exists():
+            self._check_manifest(expected, "add this shard range to it")
+        manifest.write_text(json.dumps(expected, indent=2) + "\n")
         for shard in plan.shards:
             path = self.shard_path(shard.index)
             if path.exists():
                 path.unlink()
         return {shard.index: ShardState() for shard in plan.shards}
 
-    def _mismatched_keys(self, expected: Dict[str, object]) -> List[str]:
-        manifest = json.loads(self.manifest_path.read_text())
-        return [
-            key for key in expected
-            if manifest.get(key) != expected[key]
-        ]
-
-    def _mismatch_detail(
-        self, expected: Dict[str, object], mismatched: List[str]
-    ) -> str:
-        manifest = json.loads(self.manifest_path.read_text())
-        return ", ".join(
-            f"{k}: checkpoint={manifest.get(k)!r} vs run={expected[k]!r}"
-            for k in mismatched
+    def _check_manifest(
+        self, expected: Dict[str, object], action: str
+    ) -> None:
+        """Refuse (:class:`CheckpointError`) a manifest unlike ``expected``."""
+        manifest = read_manifest(self.directory)
+        detail = ", ".join(
+            f"{key}: checkpoint={manifest.get(key)!r} vs run={value!r}"
+            for key, value in expected.items()
+            if manifest.get(key) != value
         )
+        if detail:
+            raise CheckpointError(
+                f"checkpoint in {self.directory} belongs to a different "
+                f"run ({detail}); refusing to {action}"
+            )
 
     def load(
-        self, benchmark: str, dataset: Dict[str, int], plan: ShardPlan
+        self,
+        benchmark: str,
+        dataset: Dict[str, int],
+        plan: ShardPlan,
+        board: Board,
     ) -> Dict[int, ShardState]:
         """Validate the manifest and load ``plan``'s shard states.
 
-        The read path behind both ``--resume`` and ``merge-checkpoints``;
-        raises :class:`CheckpointError` on a missing or mismatched
-        manifest, or on a corrupt shard file.
+        The read path behind both ``--resume`` and ``merge-checkpoints``.
+        Every restored record's estimate is decoded here, against
+        ``board``. Raises :class:`CheckpointError` on a missing, corrupt
+        or mismatched manifest, or on a corrupt shard file.
         """
-        if not self.manifest_path.exists():
-            raise CheckpointError(
-                f"no checkpoint manifest in {self.directory} — "
-                "was this directory written by 'explore --checkpoint-dir'?"
-            )
-        expected = self._manifest_doc(benchmark, dataset, plan)
-        mismatched = self._mismatched_keys(expected)
-        if mismatched:
-            raise CheckpointError(
-                f"checkpoint in {self.directory} was written by a "
-                f"different run "
-                f"({self._mismatch_detail(expected, mismatched)}); "
-                "refusing to resume"
-            )
-        states: Dict[int, ShardState] = {}
-        for shard in plan.shards:
-            states[shard.index] = self._load_shard(shard)
-        return states
+        self._check_manifest(
+            self._manifest_doc(benchmark, dataset, plan), "resume"
+        )
+        return {
+            shard.index: self._load_shard(shard, board)
+            for shard in plan.shards
+        }
 
-    def _load_shard(self, shard: Shard) -> ShardState:
+    def _load_shard(self, shard: Shard, board: Board) -> ShardState:
         state = ShardState()
         path = self.shard_path(shard.index)
         if not path.exists():
@@ -365,10 +352,12 @@ class CheckpointStore:
                     f"{path}: record {index} does not match the planned "
                     f"point {point!r}"
                 )
+            est = doc["est"]
+            estimate = None if est is None else estimate_from_doc(est, board)
             state.records[index] = PointRecord(
                 index=index,
                 params=dict(point),
-                estimate=doc["est"],  # deserialized lazily by hydrate()
+                estimate=estimate,
                 latency_s=doc.get("lat", 0.0),
                 restored=True,
             )
@@ -378,40 +367,38 @@ class CheckpointStore:
             state.complete = False
         return state
 
-    def hydrate(
-        self, states: Dict[int, ShardState], board: Board
-    ) -> Dict[int, ShardState]:
-        """Turn raw estimate docs in loaded records into Estimate objects.
-
-        Raises :class:`CheckpointError` for a doc that is not a serialized
-        estimate.
-        """
-        for state in states.values():
-            for record in state.records.values():
-                if record.estimate is not None:
-                    record.estimate = estimate_from_doc(
-                        record.estimate, board
-                    )
-        return states
-
     def writer(self, shard: Shard, append: bool = False) -> ShardWriter:
         """Open the shard's JSONL file for (appending) writes."""
         return ShardWriter(self.shard_path(shard.index), append=append)
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:
-    """Read a checkpoint directory's run manifest.
+    """Read and validate a checkpoint directory's run manifest.
 
-    The entry point for merge-only tooling (``repro merge-checkpoints``):
-    the manifest names the benchmark, dataset, seed, budget, and global
-    shard count, which is everything needed to re-plan the partition and
-    validate the union of shard files against it.
+    The only reader of ``manifest.json``. The manifest names the
+    benchmark, dataset, seed, budget, and global shard count: everything
+    ``repro merge-checkpoints`` needs to re-plan the partition. One that
+    is missing, not a JSON object, or lacks one of those keys with the
+    right type raises :class:`CheckpointError`.
     """
-    manifest_path = Path(directory) / MANIFEST_NAME
-    if not manifest_path.exists():
+    path = Path(directory) / MANIFEST_NAME
+    if not path.exists():
         raise CheckpointError(
             f"no checkpoint manifest in {directory} — was this directory "
             "written by 'explore --checkpoint-dir'?"
         )
-    return json.loads(manifest_path.read_text())
-
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint manifest {path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint manifest {path} is not an object")
+    for key, kind in _MANIFEST_TYPES.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(
+                f"checkpoint manifest {path}: {key!r} must be a JSON "
+                f"{'object' if kind is dict else kind.__name__}, "
+                f"got {value!r}"
+            )
+    return manifest

@@ -1,7 +1,9 @@
 """Merging shard results into the global point list.
 
-:func:`merge_outcomes` reassembles per-shard records into the exact
-global sample order (the serial explorer's order) while proving
+:func:`merge_outcomes` reassembles shard outcomes — any number per
+shard, in any order, such as a shard's restored records and its fresh
+ones — into the exact global sample order (the serial explorer's
+order) while proving
 conservation: every planned global index present exactly once, fresh
 plus restored counts summing to the plan, nothing dropped or duplicated.
 Violations raise :class:`ConservationError` — a wrong parallel merge
@@ -14,33 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .checkpoint import PointRecord, ShardState
+from .checkpoint import PointRecord
 from .pool import ShardOutcome
 from .sharding import ShardPlan
-
-
-def outcomes_from_states(
-    plan: ShardPlan, states: Dict[int, "ShardState"]
-) -> List[ShardOutcome]:
-    """Wrap checkpoint-restored shard states as mergeable outcomes.
-
-    The merge-only path (``repro merge-checkpoints``): nothing is
-    estimated, every record counts as restored, and :func:`merge_outcomes`
-    plus :meth:`Conservation.verify` then prove the union of the shard
-    files is exactly the planned point set — any missing or duplicated
-    index (an absent host, a half-swept range) is a hard error.
-    """
-    outcomes: List[ShardOutcome] = []
-    for shard in plan.shards:
-        state = states.get(shard.index, ShardState())
-        outcome = ShardOutcome(
-            shard=shard.index,
-            planned=len(shard),
-            records=sorted(state.records.values(), key=lambda r: r.index),
-            restored=len(state.records),
-        )
-        outcomes.append(outcome)
-    return outcomes
 
 
 class ConservationError(RuntimeError):
@@ -90,18 +68,6 @@ class Conservation:
                 "sharded explore dropped or duplicated points: "
                 + "; ".join(problems)
             )
-
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-ready snapshot (checkpoint/bench artifacts)."""
-        return {
-            "planned": self.planned,
-            "merged": self.merged,
-            "estimated": self.estimated,
-            "restored": self.restored,
-            "illegal": self.illegal,
-            "valid": self.valid,
-            "unfit": self.unfit,
-        }
 
 
 def merge_outcomes(

@@ -5,7 +5,7 @@ the estimator is characterized and trained there is no shared mutable
 state per point — so the pool's job is mostly plumbing:
 
 * ``workers=1`` runs every shard in-process, with a ``dse.progress``
-  instant every ``progress_every`` priced points;
+  instant every :data:`PROGRESS_EVERY` priced points;
 * ``workers>1`` maps the pending shards over a ``ProcessPoolExecutor``
   on the ``fork`` start method, created *after* the estimator exists, so
   every worker inherits the characterized/trained models through
@@ -25,11 +25,13 @@ engine reports the effective worker count so callers can see that.
 Checkpointing is per shard: whichever process runs a shard is the only
 writer of its JSONL file (:mod:`repro.runtime.checkpoint`), so there is
 no cross-process file contention, and a resumed run only estimates
-indices missing from the files.
+indices missing from the files. Restored records form outcomes of
+their own (:func:`outcomes_from_states`), ahead of the fresh ones.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -44,14 +46,18 @@ from .sharding import Shard, ShardPlan
 # Points priced per Estimator.estimate_points() call (one NN pass each).
 DEFAULT_BATCH_SIZE = 32
 
+# Emit a dse.progress instant every this many points priced in-process.
+PROGRESS_EVERY = 1_000
+
 
 @dataclass
 class ShardOutcome:
-    """The result of running one shard: fresh records plus bookkeeping.
+    """One shard's fresh or restored records plus bookkeeping.
 
     ``worker`` is the executing worker's pid in forked runs (0 for the
-    in-process path and for shards restored whole); the pool aggregates
-    per-worker busy time from it.
+    in-process path and for restored records); the pool aggregates
+    per-worker busy time from it. One shard may have two outcomes: its
+    restored records and its freshly estimated ones.
     """
 
     shard: int
@@ -76,15 +82,25 @@ class RunOutcome:
         """Forked shards queued past the first fill (perfbench reads it)."""
         return max(sum(1 for o in self.outcomes if o.worker) - self.workers, 0)
 
-    @property
-    def estimated(self) -> int:
-        """Points estimated live (not restored) across all shards."""
-        return sum(o.estimated for o in self.outcomes)
 
-    @property
-    def restored(self) -> int:
-        """Points restored from checkpoints across all shards."""
-        return sum(o.restored for o in self.outcomes)
+def outcomes_from_states(
+    plan: ShardPlan, states: Dict[int, ShardState]
+) -> List[ShardOutcome]:
+    """One outcome per shard with checkpoint-restored records.
+
+    Also the whole input of ``merge-checkpoints``, where the merge's
+    conservation check proves the shard files hold exactly the planned
+    points: a missing or duplicated index is a hard error.
+    """
+    outcomes: List[ShardOutcome] = []
+    for shard in plan.shards:
+        restored = states.get(shard.index, ShardState()).records
+        if restored:
+            outcomes.append(ShardOutcome(
+                shard=shard.index, planned=len(shard),
+                records=list(restored.values()), restored=len(restored),
+            ))
+    return outcomes
 
 
 def run_shard(
@@ -186,11 +202,10 @@ class _Heartbeat:
     """Progress instants and per-shard heartbeats into :mod:`repro.obs`."""
 
     def __init__(self, total_points: int, total_shards: int,
-                 bench: str, progress_every: int) -> None:
+                 bench: str) -> None:
         self._total = total_points
         self._total_shards = total_shards
         self._bench = bench
-        self._every = progress_every
         self._done = 0
         self._shards_done = 0
         self._start = time.perf_counter()
@@ -198,7 +213,7 @@ class _Heartbeat:
     def progress(self, _record: PointRecord) -> None:
         """Serial path: count one priced point, maybe emit an instant."""
         self._done += 1
-        if self._every and self._done % self._every == 0:
+        if self._done % PROGRESS_EVERY == 0:
             self._instant()
 
     def shard(self, outcome: ShardOutcome) -> None:
@@ -240,13 +255,12 @@ def run_plan(
     workers: int = 1,
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
-    progress_every: int = 1000,
 ) -> RunOutcome:
-    """Execute ``plan``: estimate every non-restored point, in order.
+    """Execute ``plan``: estimate every point not restored from ``store``.
 
-    Returns one :class:`ShardOutcome` per shard (in shard order) whose
-    records include both fresh and checkpoint-restored points, sorted by
-    global index — the merge layer's input.
+    Returns the restored outcomes (:func:`outcomes_from_states`) followed
+    by one fresh :class:`ShardOutcome` per shard that was not already
+    complete — the merge layer's input, which sorts records globally.
     """
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -255,55 +269,42 @@ def run_plan(
 
     states: Dict[int, ShardState] = {}
     if store is not None:
-        states = store.begin(benchmark.name, dataset, plan, resume=resume)
-        store.hydrate(states, estimator.board)
+        states = store.begin(
+            benchmark.name, dataset, plan, resume=resume,
+            board=estimator.board,
+        )
     skip: Dict[int, Set[int]] = {
         index: set(state.records) for index, state in states.items()
         if state.records
     }
 
-    heartbeat = _Heartbeat(
-        plan.total_points, plan.n_shards, benchmark.name, progress_every
-    )
+    heartbeat = _Heartbeat(plan.total_points, plan.n_shards, benchmark.name)
     effective_workers = workers
     if workers > 1 and not fork_available():  # pragma: no cover - platform
         effective_workers = 1
 
     start = time.perf_counter()
-    run = RunOutcome(workers=effective_workers)
-    pending: List[Shard] = []
-    outcomes: Dict[int, ShardOutcome] = {}
-    for shard in plan.shards:
-        state = states.get(shard.index, ShardState())
-        if state.complete:
-            outcomes[shard.index] = ShardOutcome(
-                shard=shard.index, planned=len(shard),
-            )
-        else:
-            pending.append(shard)
-
+    run = RunOutcome(
+        outcomes=outcomes_from_states(plan, states),
+        workers=effective_workers,
+    )
+    pending = [
+        shard for shard in plan.shards
+        if not states.get(shard.index, ShardState()).complete
+    ]
     if effective_workers == 1:
-        for shard in pending:
-            outcomes[shard.index] = _run_shard_inline(
+        run.outcomes.extend(
+            _run_shard_inline(
                 benchmark, estimator, dataset, shard, store,
                 skip.get(shard.index, set()), heartbeat,
             )
+            for shard in pending
+        )
     elif pending:
-        for outcome in _run_shards_forked(
+        run.outcomes.extend(_run_shards_forked(
             benchmark, estimator, dataset, plan, pending, store, skip,
             effective_workers, heartbeat,
-        ):
-            outcomes[outcome.shard] = outcome
-
-    # Fold restored records back in and finish per-shard bookkeeping.
-    for shard in plan.shards:
-        outcome = outcomes[shard.index]
-        restored = states.get(shard.index, ShardState()).records
-        if restored:
-            outcome.records.extend(restored.values())
-            outcome.restored = len(restored)
-        outcome.records.sort(key=lambda r: r.index)
-        run.outcomes.append(outcome)
+        ))
     run.elapsed_s = time.perf_counter() - start
     return run
 
@@ -347,6 +348,9 @@ def _run_shards_forked(
     outcomes: List[ShardOutcome] = []
     busy_s: Dict[int, float] = {}
     start = time.perf_counter()
+    # Keep the children's collector off the inherited heap: a full
+    # collection there would copy every page it touches.
+    gc.freeze()
     try:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
@@ -362,6 +366,7 @@ def _run_shards_forked(
                 heartbeat.shard(outcome)
                 outcomes.append(outcome)
     finally:
+        gc.unfreeze()
         _FORK_STATE = None
     _report_utilization(busy_s, time.perf_counter() - start)
     return outcomes

@@ -87,13 +87,6 @@ class ShardPlan:
         """True when this plan covers a strict subset of the partition."""
         return self.n_shards < self.planned_shards
 
-    def sampled_points(self) -> List[Point]:
-        """The assigned sampled points in global-index order."""
-        out: List[Point] = []
-        for shard in self.shards:
-            out.extend(shard.points)
-        return out
-
 
 def plan_shards(
     space: ParamSpace,

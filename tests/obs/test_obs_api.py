@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.apps import get_benchmark
 from repro.dse import explore
+from repro.runtime import pool
 from repro.sim import simulate
 
 
@@ -59,7 +60,9 @@ class TestFacade:
 
 
 class TestPipelineInstrumentation:
-    def test_explore_produces_nested_spans_and_counters(self, estimator):
+    def test_explore_produces_nested_spans_and_counters(
+        self, estimator, monkeypatch
+    ):
         # The uncached estimator exercises the per-point hot path, whose
         # trace shape (one `estimate` span per point) this test pins down;
         # the cached/batched shape is covered by the test below.
@@ -69,9 +72,10 @@ class TestPipelineInstrumentation:
             estimator.board, templates=estimator.templates,
             corrections=estimator.corrections, cache=False,
         )
+        monkeypatch.setattr(pool, "PROGRESS_EVERY", 5)
         obs.enable()
         bench = get_benchmark("dotproduct")
-        result = explore(bench, cold, max_points=12, progress_every=5)
+        result = explore(bench, cold, max_points=12)
         tracer = obs.tracer()
 
         (exp,) = tracer.find("explore")
@@ -106,15 +110,18 @@ class TestPipelineInstrumentation:
         ]
         assert progress and progress[0].attrs["points_per_sec"] > 0
 
-    def test_explore_batched_spans_and_cache_counters(self, estimator):
+    def test_explore_batched_spans_and_cache_counters(
+        self, estimator, monkeypatch
+    ):
         """The cached estimator compiles each class once and traces one
         estimate.plan span per evaluated block instead of per-point
         estimate spans, plus estimation.cache.* counters."""
         assert estimator.caches is not None
         estimator.caches.clear()  # session fixture may be warm already
+        monkeypatch.setattr(pool, "PROGRESS_EVERY", 5)
         obs.enable()
         bench = get_benchmark("dotproduct")
-        result = explore(bench, estimator, max_points=12, progress_every=5)
+        result = explore(bench, estimator, max_points=12)
         tracer = obs.tracer()
 
         (exp,) = tracer.find("explore")

@@ -1,4 +1,4 @@
-"""Streaming JSONL trace sink and bounded span retention."""
+"""Streaming JSONL trace sink."""
 
 import io
 import json
@@ -54,42 +54,6 @@ class TestJsonlStreamWriter:
         assert writer.written == 0
 
 
-class TestSpanCap:
-    def test_cap_bounds_memory_not_stream(self):
-        buf = io.StringIO()
-        tracer = Tracer(enabled=True, span_cap=3)
-        tracer.attach_stream(JsonlStreamWriter(buf, flush_every=1))
-        for _ in range(10):
-            with tracer.span("s"):
-                pass
-        assert len(tracer.spans) == 3
-        assert tracer.dropped_spans == 7
-        assert len(read_lines(buf)) == 10  # stream stays complete
-
-    def test_cap_applies_to_instants(self):
-        tracer = Tracer(enabled=True, span_cap=2)
-        for i in range(5):
-            tracer.instant("tick", i=i)
-        assert len(tracer.instants) == 2
-        assert tracer.dropped_instants == 3
-
-    def test_reset_clears_drop_counts(self):
-        tracer = Tracer(enabled=True, span_cap=1)
-        for _ in range(3):
-            with tracer.span("s"):
-                pass
-        tracer.reset()
-        assert tracer.dropped_spans == 0
-        assert tracer.spans == []
-
-    def test_zero_cap_keeps_nothing(self):
-        tracer = Tracer(enabled=True, span_cap=0)
-        with tracer.span("s"):
-            pass
-        assert tracer.spans == []
-        assert tracer.dropped_spans == 1
-
-
 class TestObsHelpers:
     def test_stream_to_jsonl_round_trip(self, tmp_path):
         from repro import obs
@@ -97,7 +61,7 @@ class TestObsHelpers:
         path = tmp_path / "stream.jsonl"
         obs.reset()
         obs.enable(trace=True)
-        writer = obs.stream_to_jsonl(path, span_cap=2)
+        writer = obs.stream_to_jsonl(path)
         try:
             for _ in range(4):
                 with obs.span("work"):
@@ -106,9 +70,6 @@ class TestObsHelpers:
             obs.stop_streaming()
             obs.disable()
         assert writer.written == 4
-        assert len(obs.tracer().spans) == 2
-        assert obs.tracer().dropped_spans == 2
         docs = [json.loads(l) for l in path.read_text().splitlines()]
         assert all(d["name"] == "work" for d in docs)
-        obs.tracer().span_cap = None
         obs.reset()

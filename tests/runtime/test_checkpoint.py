@@ -98,7 +98,9 @@ class TestKillResume:
         # After the resume every shard file is complete again.
         dataset = bench.default_dataset()
         plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
-        states = CheckpointStore(ckpt).load(bench.name, dataset, plan)
+        states = CheckpointStore(ckpt).load(
+            bench.name, dataset, plan, estimator.board
+        )
         assert all(state.complete for state in states.values())
         assert sum(len(state.records) for state in states.values()) == POINTS
 
@@ -166,7 +168,7 @@ class TestCheckpointStoreUnits:
         plan = plan_shards(space, SEED, 8, 2)
         store = CheckpointStore(tmp_path / "c")
         states = store.begin(bench.name, bench.default_dataset(), plan,
-                             resume=False)
+                             resume=False, board=estimator.board)
         assert set(states) == {s.index for s in plan.shards}
         assert isinstance(space, ParamSpace)
 
@@ -256,14 +258,27 @@ class TestCorruptRecordsRefused:
         with pytest.raises(CheckpointError, match="corrupt checkpoint line"):
             resume(estimator, ckpt)
 
-    def test_hydrate_refuses_non_estimate_docs(self, estimator):
-        from repro.runtime import PointRecord
-        from repro.runtime.checkpoint import ShardState
-
-        for doc in (5, "x", [], {"area": {}}):
-            state = ShardState(records={0: PointRecord(0, {}, doc)})
-            with pytest.raises(CheckpointError):
-                CheckpointStore(".").hydrate({0: state}, estimator.board)
+    def test_load_refuses_non_estimate_docs(
+        self, estimator, written, tmp_path
+    ):
+        """Estimates decode at load: a CRC-valid record whose estimate is
+        not one is refused before ``begin`` cuts any shard file back."""
+        bench = get_benchmark("tpchq6")
+        dataset = bench.default_dataset()
+        plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
+        for n, est in enumerate((5, "x", [], {"area": {}})):
+            ckpt = tmp_path / f"ckpt{n}"
+            shutil.copytree(written[0], ckpt)
+            torn = ckpt / "shard-0000.jsonl"  # loaded first; has a torn tail
+            torn.write_bytes(torn.read_bytes()[:-40])
+            self._reseal_first(ckpt, lambda doc: {**doc, "est": est})
+            before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+            with pytest.raises(CheckpointError, match="malformed estimate"):
+                CheckpointStore(ckpt).begin(
+                    bench.name, dataset, plan, resume=True,
+                    board=estimator.board,
+                )
+            assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
 
 
 # One corruption: (kind, shard file, position in [0, 1), JSON value).

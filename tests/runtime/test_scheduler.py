@@ -90,7 +90,9 @@ class TestSplitShardResume:
         assert 0 < resumed.restored < POINTS
         dataset = bench.default_dataset()
         plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 7)
-        states = CheckpointStore(ckpt).load(bench.name, dataset, plan)
+        states = CheckpointStore(ckpt).load(
+            bench.name, dataset, plan, estimator.board
+        )
         assert all(state.complete for state in states.values())
 
     def test_torn_tail_under_micro_sharding(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shutil
 
 import pytest
 
@@ -298,6 +299,26 @@ class TestParallelExploreFlags:
         assert "20 restored from checkpoint" in text
 
 
+def _drop_seed(text):
+    manifest = json.loads(text)
+    del manifest["seed"]
+    return json.dumps(manifest)
+
+
+def _zero_shards(text):
+    return json.dumps({**json.loads(text), "shards": 0})
+
+
+# Ways to damage a checkpoint's manifest.json: name -> text edit.
+_BAD_MANIFESTS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "array": lambda text: "[]",
+    "no-seed": _drop_seed,
+    "unknown-benchmark": lambda text: text.replace('"tpchq6"', '"nosuch"'),
+    "zero-shards": _zero_shards,
+}
+
+
 class TestHostileInput:
     """Bad input: one ``repro: error:`` line and exit status 2."""
 
@@ -374,6 +395,51 @@ class TestHostileInput:
             "[Cc]onservation|planned",
         )
 
+    @pytest.fixture(scope="class")
+    def checkpoint(self, estimator, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("cli") / "ckpt"
+        run_cli(estimator, "explore", "tpchq6", "--points", "20",
+                "--shards", "2", "--checkpoint-dir", str(ckpt))
+        return ckpt
+
+    def damaged_copy(self, checkpoint, tmp_path, damage):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        manifest = ckpt / "manifest.json"
+        manifest.write_text(_BAD_MANIFESTS[damage](manifest.read_text()))
+        return ckpt
+
+    @pytest.mark.parametrize("damage", sorted(_BAD_MANIFESTS))
+    @pytest.mark.parametrize("command", ["merge-checkpoints", "resume"])
+    def test_corrupt_manifest(self, estimator, capsys, tmp_path, checkpoint,
+                              command, damage):
+        ckpt = str(self.damaged_copy(checkpoint, tmp_path, damage))
+        argv = (["merge-checkpoints", ckpt] if command == "merge-checkpoints"
+                else ["explore", "tpchq6", "--points", "20", "--shards", "2",
+                      "--resume", ckpt])
+        self.assert_usage_error(estimator, capsys, argv, "checkpoint")
+
+    def test_shard_range_over_corrupt_manifest(
+        self, estimator, capsys, tmp_path, checkpoint
+    ):
+        ckpt = self.damaged_copy(checkpoint, tmp_path, "truncated")
+        self.assert_usage_error(
+            estimator, capsys,
+            ["explore", "tpchq6", "--points", "20", "--shards", "2",
+             "--shard-range", "0:1", "--checkpoint-dir", str(ckpt)],
+            "corrupt checkpoint manifest",
+        )
+
+    def test_fresh_run_rewrites_corrupt_manifest(
+        self, estimator, tmp_path, checkpoint
+    ):
+        ckpt = self.damaged_copy(checkpoint, tmp_path, "truncated")
+        code, _ = run_cli(estimator, "explore", "tpchq6", "--points", "20",
+                          "--shards", "2", "--checkpoint-dir", str(ckpt))
+        assert code == 0
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert manifest["benchmark"] == "tpchq6" and manifest["shards"] == 2
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "tpchq6", "--trace", "{missing}/t.json"],
         ["explore", "tpchq6", "--trace-jsonl", "{missing}/t.jsonl"],
@@ -421,28 +487,6 @@ class TestStreamingTraceFlag:
         docs = [json.loads(l) for l in stream.read_text().splitlines()]
         assert any(d["name"] == "explore" for d in docs)
         assert any(d["name"] == "estimate.plan" for d in docs)
-
-    def test_span_cap_bounds_memory(self, estimator, tmp_path):
-        estimator.caches.clear()
-        stream = tmp_path / "trace.jsonl"
-        code, _ = run_cli(
-            estimator, "explore", "tpchq6", "--points", "10",
-            "--trace-jsonl", str(stream), "--span-cap", "5",
-        )
-        assert code == 0
-        assert len(obs.tracer().spans) <= 5
-        docs = [json.loads(l) for l in stream.read_text().splitlines()]
-        assert len(docs) > 5  # the file still has everything
-        obs.tracer().span_cap = None
-        obs.reset()
-
-    def test_negative_span_cap_is_friendly(self, estimator, tmp_path):
-        with pytest.raises(SystemExit, match="--span-cap expects"):
-            run_cli(
-                estimator, "estimate", "tpchq6",
-                "--trace-jsonl", str(tmp_path / "t.jsonl"),
-                "--span-cap", "-1",
-            )
 
 
 class TestShardRangeFlags:
