@@ -12,33 +12,20 @@ near 1x, and gemm loses badly to OpenBLAS.
 import pytest
 
 from repro.apps import all_benchmarks, get_benchmark
-from repro.dse import explore
+from repro.report import PAPER_SPEEDUPS, best_speedup
 from repro.sim import simulate
 
 from conftest import DSE_POINTS, write_result
 
-PAPER = {
-    "dotproduct": 1.07,
-    "outerprod": 2.42,
-    "gemm": 0.10,
-    "tpchq6": 1.11,
-    "blackscholes": 16.73,
-    "gda": 4.55,
-    "kmeans": 1.15,
-}
-
 
 @pytest.fixture(scope="module")
 def speedups(estimator):
+    """Per benchmark: ``(speedup, best point, fpga_s, cpu_s)``."""
     out = {}
     for bench in all_benchmarks():
-        res = explore(bench, estimator, max_points=DSE_POINTS, seed=31)
-        best = res.best
-        assert best is not None, f"no valid design for {bench.name}"
-        design = bench.build(res.dataset, **best.params)
-        fpga_s = simulate(design).seconds
-        cpu_s = bench.cpu_time(res.dataset)
-        out[bench.name] = (cpu_s / fpga_s, fpga_s, cpu_s, best.params)
+        found = best_speedup(bench, estimator, DSE_POINTS)
+        assert found is not None, f"no valid design for {bench.name}"
+        out[bench.name] = found
     return out
 
 
@@ -47,10 +34,10 @@ def test_figure6_rows(speedups, results_dir):
         f"{'Benchmark':14s} {'speedup':>8s} {'paper':>7s} "
         f"{'FPGA (s)':>10s} {'CPU (s)':>10s}  best params"
     ]
-    for name, (speedup, fpga_s, cpu_s, params) in speedups.items():
+    for name, (speedup, best, fpga_s, cpu_s) in speedups.items():
         lines.append(
-            f"{name:14s} {speedup:8.2f} {PAPER[name]:7.2f} "
-            f"{fpga_s:10.4f} {cpu_s:10.4f}  {params}"
+            f"{name:14s} {speedup:8.2f} {PAPER_SPEEDUPS[name]:7.2f} "
+            f"{fpga_s:10.4f} {cpu_s:10.4f}  {best.params}"
         )
     write_result(
         results_dir / "figure6.txt",
@@ -82,9 +69,9 @@ def test_gda_and_outerprod_win(speedups):
 
 def test_ordering_matches_paper(speedups):
     """Rank correlation between measured and paper speedups."""
-    names = list(PAPER)
+    names = list(PAPER_SPEEDUPS)
     ours = sorted(names, key=lambda n: speedups[n][0])
-    paper = sorted(names, key=lambda n: PAPER[n])
+    paper = sorted(names, key=lambda n: PAPER_SPEEDUPS[n])
     # Endpoints must agree exactly; overall order strongly.
     assert ours[-1] == paper[-1] == "blackscholes"
     assert ours[0] == paper[0] == "gemm"

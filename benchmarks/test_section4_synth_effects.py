@@ -6,10 +6,8 @@ registers ~5%, BRAM duplication 10-100%, unavailable LUTs ~4%. This bench
 measures the same statistics across a population of synthesized designs.
 """
 
-import numpy as np
-import pytest
-
 from repro.estimation import generate_sample_design
+from repro.report import synth_effects
 from repro.synth import synthesize
 
 from conftest import write_result
@@ -17,45 +15,8 @@ from conftest import write_result
 N_DESIGNS = 60
 
 
-@pytest.fixture(scope="module")
-def reports():
-    return [
-        synthesize(generate_sample_design(7_000 + k)) for k in range(N_DESIGNS)
-    ]
-
-
-def _fractions(reports):
-    packed, routing, dup_reg, dup_bram, unavail, lut_saving = (
-        [], [], [], [], [], []
-    )
-    for r in reports:
-        raw = r.raw_luts_packable + r.raw_luts_unpackable
-        packed.append(r.packed_fraction)
-        routing.append(r.routing_luts / max(raw, 1))
-        dup_reg.append(r.duplicated_regs / max(r.regs, 1))
-        raw_brams = r.brams - r.duplicated_brams
-        if raw_brams >= 3:
-            dup_bram.append(r.duplicated_brams / raw_brams)
-        unavail.append(r.unavailable_luts / max(r.total_luts, 1))
-        # LUT units after packing vs before.
-        units = (
-            r.raw_luts_unpackable
-            + r.raw_luts_packable * (1 - r.packed_fraction)
-            + r.raw_luts_packable * r.packed_fraction / 2
-        )
-        lut_saving.append(1 - units / max(raw, 1))
-    return {
-        "packed": np.array(packed),
-        "routing": np.array(routing),
-        "dup_reg": np.array(dup_reg),
-        "dup_bram": np.array(dup_bram),
-        "unavail": np.array(unavail),
-        "lut_saving": np.array(lut_saving),
-    }
-
-
-def test_section4_effect_magnitudes(reports, results_dir):
-    f = _fractions(reports)
+def test_section4_effect_magnitudes(results_dir):
+    f = synth_effects(N_DESIGNS)
     lines = [
         f"{'Effect':28s} {'mean':>7s} {'min':>7s} {'max':>7s}   paper",
         f"{'LUT pack rate':28s} {f['packed'].mean():7.1%} "

@@ -13,50 +13,19 @@ import numpy as np
 import pytest
 
 from repro.apps import all_benchmarks, get_benchmark
-from repro.dse import explore
-from repro.sim import simulate
-from repro.synth import synthesize
+from repro.report import PAPER_TABLE3, table3_errors
 
 from conftest import DSE_POINTS, write_result
-
-PAPER = {
-    "dotproduct": (1.7, 0.0, 13.1, 2.8),
-    "outerprod": (4.4, 29.7, 12.8, 1.3),
-    "gemm": (12.7, 11.4, 17.4, 18.4),
-    "tpchq6": (2.3, 0.0, 5.4, 3.1),
-    "blackscholes": (5.3, 5.3, 7.0, 3.4),
-    "gda": (5.2, 6.2, 8.4, 6.7),
-    "kmeans": (2.0, 0.0, 21.9, 7.0),
-}
-
-
-def _errors_for(bench, estimator, n_pareto=5):
-    result = explore(
-        bench, estimator, max_points=max(DSE_POINTS // 4, 200), seed=17
-    )
-    points = result.pareto_sample(n_pareto)
-    assert points, f"no Pareto points for {bench.name}"
-    errs = {"alm": [], "dsp": [], "bram": [], "runtime": []}
-    for point in points:
-        design = bench.build(result.dataset, **point.params)
-        est = point.estimate
-        rep = synthesize(design)
-        sim = simulate(design)
-        errs["alm"].append(abs(est.alms - rep.alms) / max(rep.alms, 1))
-        errs["dsp"].append(abs(est.dsps - rep.dsps) / max(rep.dsps, 1))
-        errs["bram"].append(abs(est.brams - rep.brams) / max(rep.brams, 1))
-        errs["runtime"].append(
-            abs(est.cycles - sim.cycles) / max(sim.cycles, 1)
-        )
-    return {k: 100 * float(np.mean(v)) for k, v in errs.items()}
 
 
 @pytest.fixture(scope="module")
 def table3(estimator):
-    return {
-        bench.name: _errors_for(bench, estimator)
-        for bench in all_benchmarks()
-    }
+    out = {}
+    for bench in all_benchmarks():
+        errs = table3_errors(bench, estimator, max(DSE_POINTS // 4, 200))
+        assert errs is not None, f"no Pareto points for {bench.name}"
+        out[bench.name] = errs
+    return out
 
 
 def test_table3_rows(table3, results_dir):
@@ -65,7 +34,7 @@ def test_table3_rows(table3, results_dir):
         f"{'Runtime':>8s}   (paper: ALM/DSP/BRAM/runtime)"
     ]
     for name, errs in table3.items():
-        p = PAPER[name]
+        p = PAPER_TABLE3[name]
         lines.append(
             f"{name:14s} {errs['alm']:6.1f}% {errs['dsp']:6.1f}% "
             f"{errs['bram']:6.1f}% {errs['runtime']:7.1f}%   "

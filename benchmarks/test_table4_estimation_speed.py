@@ -35,7 +35,8 @@ import pytest
 
 from repro import obs
 from repro.apps import all_benchmarks, get_benchmark
-from repro.hls import HLSExplosionError, HLSTool
+from repro.hls import HLSTool
+from repro.report import table4_seconds
 from repro.runtime import fork_available
 
 from conftest import write_result
@@ -75,34 +76,11 @@ def gda_points():
     return bench, ds, points
 
 
-def _time_per_design(fn, points):
-    start = time.perf_counter()
-    done = 0
-    for params in points:
-        fn(params)
-        done += 1
-    return (time.perf_counter() - start) / max(done, 1)
-
-
-def test_table4_speeds(estimator, gda_points, results_dir):
-    bench, ds, points = gda_points
-    tool = HLSTool()
-
-    ours = _time_per_design(
-        lambda p: estimator.estimate(bench.build(ds, **p)), points[:N_OURS]
-    )
-
-    def hls_run(pipeline_outer, params):
-        design = bench.build(ds, **params)
-        try:
-            tool.estimate(design, pipeline_outer=pipeline_outer)
-        except HLSExplosionError:
-            pass  # the real tool would grind on; we cap graph size
-
-    restricted = _time_per_design(
-        lambda p: hls_run(False, p), points[:N_RESTRICTED]
-    )
-    full = _time_per_design(lambda p: hls_run(True, p), points[:N_FULL])
+def test_table4_speeds(estimator, results_dir):
+    seconds = table4_seconds(estimator, N_OURS, N_RESTRICTED, N_FULL)
+    ours = seconds["ours_s"]
+    restricted = seconds["hls_restricted_s"]
+    full = seconds["hls_full_s"]
 
     lines = [
         f"{'Tool':34s} {'s/design':>12s} {'slowdown vs ours':>18s}",
@@ -125,10 +103,7 @@ def test_table4_speeds(estimator, gda_points, results_dir):
     assert full > 10 * restricted
     assert ours < 0.05  # paper: milliseconds per design
 
-    _write_bench_json(
-        estimator,
-        {"ours_s": ours, "hls_restricted_s": restricted, "hls_full_s": full},
-    )
+    _write_bench_json(estimator, seconds)
 
 
 def _parallel_dse_section(estimator):

@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..estimation.cycles import CycleEstimate
 from ..estimation.estimator import Estimate, Estimator
+from ..estimation.power import bandwidth_utilization
 from ..ir.controllers import Controller, Pipe
-from ..ir.graph import Design
+from ..ir.graph import Design, executions
 from ..ir.memops import TileTransfer
-from ..target.board import Board
 
 
 @dataclass
@@ -55,15 +55,6 @@ class Bottleneck:
         return "\n".join(lines)
 
 
-def _executions(ctrl: Controller) -> int:
-    total = 1
-    cur = ctrl.parent
-    while cur is not None:
-        total *= max(cur.iterations, 1)
-        cur = cur.parent
-    return total
-
-
 def _leaf_shares(
     design: Design, cycles: CycleEstimate
 ) -> List[Tuple[Controller, float]]:
@@ -74,22 +65,9 @@ def _leaf_shares(
             continue
         key = f"{ctrl.name}#{ctrl.nid}"
         per = cycles.per_controller.get(key, 0.0)
-        shares.append((ctrl, per * _executions(ctrl)))
+        shares.append((ctrl, per * executions(ctrl)))
     total = sum(s for _, s in shares) or 1.0
     return [(c, s / total) for c, s in shares]
-
-
-def _bandwidth_utilization(
-    design: Design, cycles: CycleEstimate, board: Board
-) -> float:
-    bits = 0.0
-    for transfer in design.tile_transfers():
-        bits += transfer.words * transfer.offchip.tp.bits * _executions(
-            transfer
-        )
-    if cycles.total <= 0:
-        return 0.0
-    return min((bits / 8.0) / cycles.seconds / board.dram_effective_bw, 1.0)
 
 
 def diagnose(
@@ -112,7 +90,7 @@ def diagnose(
     else:
         kind, name = "compute", dominant.name
 
-    bw_util = _bandwidth_utilization(design, cycles, estimator.board)
+    bw_util = bandwidth_utilization(design, cycles, estimator.board)
     memory_bound = kind == "memory" or bw_util > 0.85
 
     hints: List[str] = []

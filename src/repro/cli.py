@@ -49,7 +49,6 @@ from .estimation import Estimator, default_estimator
 from .estimation.power import estimate_power
 from .ir import IRError
 from .runtime import CheckpointError, ConservationError
-from .sim import simulate
 
 
 class UsageError(SystemExit):
@@ -366,21 +365,20 @@ def cmd_merge_checkpoints(
 
 def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro speedup``: best design vs the modeled CPU baseline."""
+    from .report import best_speedup
+
     _positive(args.points, "--points")
     bench = _benchmark(args.benchmark)
     estimator = _estimator_for(args, estimator)
-    result = explore(bench, estimator, max_points=args.points, seed=args.seed)
-    best = result.best
-    if best is None:
+    found = best_speedup(bench, estimator, args.points, seed=args.seed)
+    if found is None:
         print("no valid design found", file=out)
         return 1
-    design = bench.build(result.dataset, **best.params)
-    sim = simulate(design)
-    cpu_s = bench.cpu_time(result.dataset)
+    speedup, best, fpga_s, cpu_s = found
     print(f"best design: {best.params}", file=out)
-    print(f"FPGA (simulated): {sim.seconds * 1e3:.2f} ms", file=out)
+    print(f"FPGA (simulated): {fpga_s * 1e3:.2f} ms", file=out)
     print(f"CPU (modeled)   : {cpu_s * 1e3:.2f} ms", file=out)
-    print(f"speedup         : {cpu_s / sim.seconds:.2f}x", file=out)
+    print(f"speedup         : {speedup:.2f}x", file=out)
     return 0
 
 

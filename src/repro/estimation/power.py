@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..ir.graph import Design
+from ..ir.graph import Design, executions
 from ..target.board import MAIA, Board
 from .area import AreaEstimate
 from .cycles import CycleEstimate, estimate_cycles
@@ -73,19 +73,10 @@ def compute_activity(design: Design, cycles: CycleEstimate) -> float:
         key = f"{ctrl.name}#{ctrl.nid}"
         per = cycles.per_controller.get(key, 0.0)
         if isinstance(ctrl, Pipe):
-            pipe_cycles = max(pipe_cycles, per * _executions(ctrl))
+            pipe_cycles = max(pipe_cycles, per * executions(ctrl))
     if cycles.total <= 0 or pipe_cycles <= 0:
         return 0.5
     return min(max(pipe_cycles / cycles.total, 0.05), 1.0)
-
-
-def _executions(ctrl) -> int:
-    total = 1
-    cur = ctrl.parent
-    while cur is not None:
-        total *= max(cur.iterations, 1)
-        cur = cur.parent
-    return total
 
 
 def estimate_power(
@@ -115,7 +106,7 @@ def estimate_power(
 
     # DRAM interface power scales with achieved bandwidth utilization.
     runtime_s = cycles.seconds
-    bw_util = _bandwidth_utilization(design, cycles, board)
+    bw_util = bandwidth_utilization(design, cycles, board)
     dram = DRAM_INTERFACE_W * (0.25 + 0.75 * bw_util)
 
     return PowerEstimate(
@@ -135,13 +126,14 @@ def estimate_power(
     )
 
 
-def _bandwidth_utilization(
+def bandwidth_utilization(
     design: Design, cycles: CycleEstimate, board: Board
 ) -> float:
+    """Achieved DRAM bandwidth as a share of the board's, capped at 1."""
     total_bits = 0.0
     for transfer in design.tile_transfers():
         total_bits += (
-            transfer.words * transfer.offchip.tp.bits * _executions(transfer)
+            transfer.words * transfer.offchip.tp.bits * executions(transfer)
         )
     if cycles.total <= 0:
         return 0.0

@@ -317,6 +317,16 @@ def replication(node: Node) -> int:
     return factor
 
 
+def executions(ctrl: Node) -> int:
+    """How many times this controller runs, given enclosing loop trip counts."""
+    total = 1
+    cur = ctrl.parent
+    while cur is not None:
+        total *= max(cur.iterations, 1)
+        cur = cur.parent
+    return total
+
+
 def _belongs_in_children(node: Node) -> bool:
     """Nodes appended to their scope's ``children`` list."""
     if isinstance(node, (OnChipMemory, OffChipMem, CounterChain, CounterIter)):

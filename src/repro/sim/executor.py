@@ -23,7 +23,7 @@ from typing import Dict
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design
+from ..ir.graph import Design, executions
 from ..ir.memops import TileTransfer
 from ..ir.node import Const
 from ..ir.primitives import op_latency
@@ -94,7 +94,7 @@ def _run_ctrl(
 ) -> float:
     if isinstance(ctrl, TileTransfer):
         timing = simulate_transfer(ctrl, board, streams + 1)
-        result.dram_bytes += timing.bytes_moved * _executions(ctrl)
+        result.dram_bytes += timing.bytes_moved * executions(ctrl)
         cycles = timing.total
     elif isinstance(ctrl, Pipe):
         cycles = _run_pipe(ctrl)
@@ -164,13 +164,3 @@ def _overlap(parent: Controller, child: Controller, streams: int) -> int:
     """Streams competing with ``child`` while ``parent``'s stages overlap."""
     all_instances = parent.par * sum(_weighted(c) for c in parent.stages)
     return streams + all_instances - _weighted(child)
-
-
-def _executions(ctrl: Controller) -> int:
-    """How many times this controller runs, given enclosing loop trip counts."""
-    total = 1
-    cur = ctrl.parent
-    while cur is not None:
-        total *= max(cur.iterations, 1)
-        cur = cur.parent
-    return total

@@ -4,20 +4,17 @@
 checks keep the orderings they report from drifting while the suite
 stays green: Table III's error bands, Figure 5's panel claims, Figure
 6's speedup ordering and Table IV's orders-of-magnitude gap between the
-estimator and an HLS-style tool.
+estimator and an HLS-style tool. Table III, Table IV and Figure 6 run
+through the same :mod:`repro.report` functions as ``repro report`` and
+the benches; only the budgets differ.
 """
-
-import random
-import time
 
 import numpy as np
 import pytest
 
-from repro.apps import all_benchmarks, get_benchmark
+from repro.apps import all_benchmarks
 from repro.dse import explore
-from repro.hls import HLSExplosionError, HLSTool
-from repro.sim import simulate
-from repro.synth import synthesize
+from repro.report import best_speedup, table3_errors, table4_seconds
 
 TABLE3_POINTS = 300
 FIG5_POINTS = 1200
@@ -28,25 +25,12 @@ FIG6_POINTS = 300
 def table3_average(estimator):
     """Mean absolute error (%) over five Pareto points per benchmark,
     averaged across benchmarks, per resource."""
-    errors = {"alm": [], "dsp": [], "bram": [], "runtime": []}
+    rows = []
     for bench in all_benchmarks():
-        result = explore(bench, estimator, max_points=TABLE3_POINTS, seed=17)
-        points = result.pareto_sample(5)
-        assert points, f"no Pareto points for {bench.name}"
-        per_bench = {k: [] for k in errors}
-        for point in points:
-            design = bench.build(result.dataset, **point.params)
-            est, rep = point.estimate, synthesize(design)
-            cycles = simulate(design).cycles
-            for key, got, real in (
-                ("alm", est.alms, rep.alms), ("dsp", est.dsps, rep.dsps),
-                ("bram", est.brams, rep.brams),
-                ("runtime", est.cycles, cycles),
-            ):
-                per_bench[key].append(abs(got - real) / max(real, 1))
-        for k, values in per_bench.items():
-            errors[k].append(100 * float(np.mean(values)))
-    return {k: float(np.mean(v)) for k, v in errors.items()}
+        errs = table3_errors(bench, estimator, TABLE3_POINTS)
+        assert errs is not None, f"no Pareto points for {bench.name}"
+        rows.append(errs)
+    return {k: float(np.mean([row[k] for row in rows])) for k in rows[0]}
 
 
 def test_table3_error_bands(table3_average):
@@ -120,12 +104,9 @@ def speedups(estimator):
     """Best-design speedup over the modeled CPU, per benchmark."""
     out = {}
     for bench in all_benchmarks():
-        result = explore(bench, estimator, max_points=FIG6_POINTS, seed=31)
-        assert result.best is not None, f"no valid design for {bench.name}"
-        design = bench.build(result.dataset, **result.best.params)
-        out[bench.name] = (
-            bench.cpu_time(result.dataset) / simulate(design).seconds
-        )
+        found = best_speedup(bench, estimator, FIG6_POINTS)
+        assert found is not None, f"no valid design for {bench.name}"
+        out[bench.name] = found[0]
     return out
 
 
@@ -138,33 +119,9 @@ def test_figure6_blackscholes_highest(speedups):
     assert max(speedups, key=speedups.get) == "blackscholes"
 
 
-def _seconds_per_design(fn, points):
-    start = time.perf_counter()
-    for params in points:
-        fn(params)
-    return (time.perf_counter() - start) / len(points)
-
-
 def test_table4_estimator_beats_hls_restricted_beats_full(estimator):
     """Per-design estimate << HLS-style restricted << full (gda space)."""
-    bench = get_benchmark("gda")
-    ds = bench.default_dataset()
-    points = bench.param_space(ds).sample(random.Random(21), 12)
-    tool = HLSTool()
-
-    def hls(pipeline_outer):
-        def run(params):
-            try:
-                tool.estimate(bench.build(ds, **params), pipeline_outer)
-            except HLSExplosionError:
-                pass  # the real tool would grind on; the model caps it
-        return run
-
-    ours = _seconds_per_design(
-        lambda p: estimator.estimate(bench.build(ds, **p)), points
-    )
-    restricted = _seconds_per_design(hls(False), points[:6])
-    full = _seconds_per_design(hls(True), points[:2])
+    seconds = table4_seconds(estimator, 12, 6, 2)
     # The gaps measured ~14x and ~40x on 2 vCPUs; assert far inside them.
-    assert restricted > 3 * ours
-    assert full > 10 * restricted
+    assert seconds["hls_restricted_s"] > 3 * seconds["ours_s"]
+    assert seconds["hls_full_s"] > 10 * seconds["hls_restricted_s"]

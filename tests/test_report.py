@@ -1,10 +1,13 @@
 """Tests for the consolidated report generator."""
 
 import io
+import warnings
 
 import pytest
 
-from repro.report import build_report
+from repro.apps import get_benchmark
+from repro.dse import explore
+from repro.report import best_speedup, build_report, table3_errors
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +68,26 @@ class TestReport:
         )
         assert code == 0
         assert "# Evaluation report" in path.read_text()
+
+
+class TestEmptySweep:
+    """A one-point sweep leaves kmeans without a valid design."""
+
+    def test_experiments_return_none(self, estimator):
+        kmeans = get_benchmark("kmeans")
+        assert explore(kmeans, estimator, max_points=1, seed=17).pareto == []
+        assert table3_errors(kmeans, estimator, 1) is None
+        assert explore(kmeans, estimator, max_points=1, seed=31).best is None
+        assert best_speedup(kmeans, estimator, 1) is None
+
+    def test_report_renders_placeholder_rows(self, estimator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            text = build_report(estimator, dse_points=1,
+                                sections=["table3", "figure6"])
+        assert "nan" not in text
+        assert "| kmeans | — | — | — | — |" in text
+        assert "| kmeans | no valid design | 1.15x |" in text
+        average = next(line for line in text.splitlines()
+                       if line.startswith("| **average**"))
+        assert "—" not in average
