@@ -1,12 +1,11 @@
 """Design analysis: bottleneck attribution and roofline placement."""
 
 from .bottleneck import Bottleneck, diagnose
-from .roofline import RooflinePoint, analyze, total_dram_bytes
+from .roofline import RooflinePoint, analyze
 
 __all__ = [
     "Bottleneck",
     "RooflinePoint",
     "analyze",
     "diagnose",
-    "total_dram_bytes",
 ]

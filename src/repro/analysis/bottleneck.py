@@ -63,8 +63,7 @@ def _leaf_shares(
     for ctrl in design.controllers():
         if not isinstance(ctrl, (Pipe, TileTransfer)):
             continue
-        key = f"{ctrl.name}#{ctrl.nid}"
-        per = cycles.per_controller.get(key, 0.0)
+        per = cycles.per_controller.get(ctrl.key, 0.0)
         shares.append((ctrl, per * executions(ctrl)))
     total = sum(s for _, s in shares) or 1.0
     return [(c, s / total) for c, s in shares]

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ir.controllers import Pipe
-from ..ir.graph import Design, replication
+from ..ir.graph import Design, replication, total_dram_bytes
 from ..ir.node import Const
 from ..ir.primitives import Prim
 from ..target.board import MAIA, Board
@@ -55,19 +54,6 @@ def count_design_flops_per_iteration(design: Design) -> float:
         if pipe.accum is not None and pipe.par > 1:
             lanes += (pipe.par - 1) * rep  # combine tree
     return lanes
-
-
-def total_dram_bytes(design: Design) -> float:
-    """Bytes moved over the whole execution (all transfers, all trips)."""
-    total = 0.0
-    for transfer in design.tile_transfers():
-        execs = 1
-        cur = transfer.parent
-        while cur is not None:
-            execs *= max(cur.iterations, 1)
-            cur = cur.parent
-        total += transfer.words * transfer.offchip.tp.bits / 8.0 * execs
-    return total
 
 
 def analyze(

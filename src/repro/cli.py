@@ -37,6 +37,7 @@ Invoke as ``python -m repro ...``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -366,6 +367,7 @@ def cmd_merge_checkpoints(
 def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
     """``repro speedup``: best design vs the modeled CPU baseline."""
     from .report import best_speedup
+    from .sim import build_timeline
 
     _positive(args.points, "--points")
     bench = _benchmark(args.benchmark)
@@ -379,6 +381,17 @@ def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
     print(f"FPGA (simulated): {fpga_s * 1e3:.2f} ms", file=out)
     print(f"CPU (modeled)   : {cpu_s * 1e3:.2f} ms", file=out)
     print(f"speedup         : {speedup:.2f}x", file=out)
+    if args.sim_trace:
+        design = bench.build(bench.default_dataset(), **best.params)
+        doc = build_timeline(design).to_chrome_trace()
+        with open(args.sim_trace, "w") as fh:
+            json.dump(doc, fh)
+        slices = sum(1 for ev in doc["traceEvents"] if ev["ph"] == "X")
+        print(
+            f"wrote {slices} simulated-time slices to {args.sim_trace} "
+            "(1 cycle = 1 us; open in https://ui.perfetto.dev)",
+            file=out,
+        )
     return 0
 
 
@@ -620,16 +633,12 @@ def _main(argv, out, estimator) -> int:
     _check_output_paths(args)
     trace_file = getattr(args, "trace", None)
     stream_file = getattr(args, "trace_jsonl", None)
-    sim_trace_file = getattr(args, "sim_trace", None)
     want_metrics = bool(getattr(args, "metrics", False))
-    if not (trace_file or stream_file or sim_trace_file or want_metrics):
+    if not (trace_file or stream_file or want_metrics):
         return _dispatch(args, out, estimator)
 
     obs.reset()
-    obs.enable(
-        trace=bool(trace_file or stream_file or sim_trace_file),
-        metrics=want_metrics,
-    )
+    obs.enable(trace=bool(trace_file or stream_file), metrics=want_metrics)
     stream = obs.stream_to_jsonl(stream_file) if stream_file else None
     try:
         code = _dispatch(args, out, estimator)
@@ -651,16 +660,6 @@ def _main(argv, out, estimator) -> int:
             print(
                 f"wrote {len(obs.tracer().spans)} spans to {trace_file} "
                 "(open in chrome://tracing or https://ui.perfetto.dev)",
-                file=out,
-            )
-        if sim_trace_file:
-            written = obs.write_sim_chrome_trace(
-                obs.tracer(), sim_trace_file
-            )
-            print(
-                f"wrote {written} simulated-time slices to "
-                f"{sim_trace_file} (1 cycle = 1 us; open in "
-                "https://ui.perfetto.dev)",
                 file=out,
             )
     return code

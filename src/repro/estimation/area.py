@@ -20,9 +20,8 @@ these are a real error source, as the paper observes for gemm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
@@ -273,8 +272,9 @@ def delay_counts(bits: int, slack: int) -> Counts:
     return Counts(regs=bits * slack)
 
 
-def _count_delays(body: List[Node], raw: RawArea) -> None:
-    """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
+def delay_slacks(body: List[Node]) -> Iterator[Tuple[Value, int]]:
+    """``(input, slack)`` of each body edge the ASAP schedule leaves slack
+    on (paper Section IV-B2); constants need no balancing."""
     times = asap_schedule(body)
     for node in body:
         start = times[node.nid][0]
@@ -282,10 +282,15 @@ def _count_delays(body: List[Node], raw: RawArea) -> None:
             if inp.nid not in times or isinstance(inp, Const):
                 continue
             slack = start - times[inp.nid][1]
-            if slack <= 0:
-                continue
-            bits = inp.tp.bits * max(inp.width, 1)
-            raw.add("delay", delay_counts(bits, slack))
+            if slack > 0:
+                yield inp, slack
+
+
+def _count_delays(body: List[Node], raw: RawArea) -> None:
+    """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
+    for inp, slack in delay_slacks(body):
+        bits = inp.tp.bits * max(inp.width, 1)
+        raw.add("delay", delay_counts(bits, slack))
 
 
 def _count_memory(

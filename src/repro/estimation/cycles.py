@@ -20,7 +20,7 @@ from typing import Dict
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design
+from ..ir.graph import Design, overlap_streams, weighted_transfers
 from ..ir.memops import TileTransfer
 from ..ir.node import Const
 from ..ir.primitives import op_latency
@@ -75,7 +75,7 @@ def _controller_cycles(
         # every *other* child's transfers (plus anything already active).
         cycles = parallel_cycles(
             _controller_cycles(
-                child, board, _overlap_contention(ctrl, child, contention),
+                child, board, overlap_streams(ctrl, child, contention),
                 estimate,
             )
             for child in ctrl.stages
@@ -84,7 +84,7 @@ def _controller_cycles(
         # Stages overlap in steady state: their transfers compete for DRAM.
         cycles = metapipe_cycles(ctrl.iterations, [
             _controller_cycles(
-                child, board, _overlap_contention(ctrl, child, contention),
+                child, board, overlap_streams(ctrl, child, contention),
                 estimate,
             )
             for child in ctrl.stages
@@ -103,7 +103,7 @@ def _controller_cycles(
         ])
     else:  # pragma: no cover - exhaustive over controller kinds
         cycles = 0.0
-    estimate.per_controller[f"{ctrl.name}#{ctrl.nid}"] = cycles
+    estimate.per_controller[ctrl.key] = cycles
     return cycles
 
 
@@ -200,32 +200,3 @@ def stream_cycles(
     stream = (total_bytes * 8.0 / word_bits) / rate
     issue = num_commands * CMD_ISSUE_GAP
     return board.dram_latency_cycles + max(stream, issue)
-
-
-def weighted_transfers(ctrl: Controller) -> int:
-    """Concurrent transfer streams under ``ctrl``, counting replication.
-
-    A transfer inside a parallelized outer loop is instantiated once per
-    replica, so it contributes its enclosing loops' parallelization product.
-    """
-    if isinstance(ctrl, TileTransfer):
-        return 1
-    total = sum(weighted_transfers(c) for c in ctrl.stages)
-    if not isinstance(ctrl, Pipe) and ctrl.par > 1:
-        total *= ctrl.par
-    return total
-
-
-def _overlap_contention(
-    parent: Controller, child: Controller, contention: int
-) -> int:
-    """Streams competing with ``child`` when ``parent``'s stages overlap.
-
-    All of ``parent``'s transfer instances (across stages and replicas) are
-    active concurrently; the child's own single instance is excluded — the
-    leaf adds itself back.
-    """
-    all_instances = parent.par * sum(
-        weighted_transfers(c) for c in parent.stages
-    )
-    return contention + all_instances - weighted_transfers(child)

@@ -13,7 +13,7 @@ import math
 from typing import List
 
 from ..ir.controllers import MetaPipe
-from ..ir.graph import Design
+from ..ir.graph import Design, max_depth
 from ..ir.memops import TileTransfer
 from .counts import Counts
 
@@ -29,7 +29,7 @@ def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float
         n_controllers=len(controllers),
         n_metapipes=sum(1 for c in controllers if isinstance(c, MetaPipe)),
         n_transfers=sum(1 for c in controllers if isinstance(c, TileTransfer)),
-        depth=_max_depth(design),
+        depth=max_depth(design),
         # A design without on-chip memories counts as one bank.
         total_banks=sum(m.banks for m in design.onchip_mems()) or 1,
     )
@@ -58,17 +58,3 @@ def feature_vector(
         float(depth),
         math.log2(1.0 + total_banks),
     ]
-
-
-def _max_depth(design: Design) -> int:
-    best = 1
-
-    def walk(ctrl, depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        for child in ctrl.stages:
-            walk(child, depth + 1)
-
-    for top in design.top_controllers:
-        walk(top, 1)
-    return best

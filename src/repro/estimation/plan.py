@@ -58,13 +58,12 @@ from ..ir.controllers import (
     Pipe,
     Sequential,
 )
-from ..ir.graph import Design
+from ..ir.graph import Design, max_depth
 from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, IRError, Node, Value
 from ..ir.primitives import LoadOp, Prim, StoreOp
 from ..params import BoolParam, IntParam, ParamSpace
-from ..synth.netlist import asap_schedule
 from .area import (
     EST_FMA_DISCOUNT,
     EST_TREE_DISCOUNT,
@@ -72,6 +71,7 @@ from .area import (
     _predict_fma_fusions,
     bram_blocks,
     delay_counts,
+    delay_slacks,
 )
 from .counts import Counts
 from .cycles import (
@@ -83,7 +83,7 @@ from .cycles import (
     sequential_cycles,
     stream_cycles,
 )
-from .features import _max_depth, feature_vector
+from .features import feature_vector
 
 #: The Counts fields, in constructor order.
 _FIELDS = ("luts_packable", "luts_unpackable", "regs", "dsps", "brams")
@@ -573,7 +573,7 @@ class _Lowering:
                         self._width[it.nid] = par
 
     def weighted(self, ctrl: Controller) -> _Sym:
-        """:func:`~repro.estimation.cycles.weighted_transfers`."""
+        """:func:`~repro.ir.graph.weighted_transfers`."""
         if isinstance(ctrl, TileTransfer):
             return _const(1)
         key = ("weighted", ctrl.nid)
@@ -777,27 +777,19 @@ class _Lowering:
 
     def count_delays(self, body: List[Node], factor: _Sym) -> None:
         """:func:`~repro.estimation.area._count_delays`."""
-        times = asap_schedule(body)
-        for node in body:
-            start = times[node.nid][0]
-            for inp in getattr(node, "inputs", []):
-                if inp.nid not in times or isinstance(inp, Const):
-                    continue
-                slack = start - times[inp.nid][1]
-                if slack <= 0:
-                    continue
-                bits = self.product(
-                    [_const(inp.tp.bits), self.lanes(self.width(inp))]
-                )
-                if bits.const:
-                    counts = delay_counts(bits.value, slack)
-                    regs, brams = _const(counts.regs), _const(counts.brams)
-                else:
-                    delay = self.op("delay_counts({}, {})", bits, _const(slack))
-                    regs = _Sym(delay.src + ".regs")
-                    brams = _Sym(delay.src + ".brams")
-                zero = _const(0.0)
-                self.add([zero, zero, regs, zero, brams], factor)
+        for inp, slack in delay_slacks(body):
+            bits = self.product(
+                [_const(inp.tp.bits), self.lanes(self.width(inp))]
+            )
+            if bits.const:
+                counts = delay_counts(bits.value, slack)
+                regs, brams = _const(counts.regs), _const(counts.brams)
+            else:
+                delay = self.op("delay_counts({}, {})", bits, _const(slack))
+                regs = _Sym(delay.src + ".regs")
+                brams = _Sym(delay.src + ".brams")
+            zero = _const(0.0)
+            self.add([zero, zero, regs, zero, brams], factor)
 
     def count_memory(self, mem: OnChipMemory, factor: _Sym) -> None:
         """:func:`~repro.estimation.area._count_memory`."""
@@ -869,7 +861,7 @@ class _Lowering:
             _const(len(controllers)),
             _const(sum(isinstance(c, MetaPipe) for c in controllers)),
             _const(sum(isinstance(c, TileTransfer) for c in controllers)),
-            _const(_max_depth(design)),
+            _const(max_depth(design)),
             banks,
         )
         self.lines.append(f"return {cycles.src}, raw, {feats.src}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..ir.graph import Design, executions
+from ..ir.graph import Design, executions, total_dram_bytes
 from ..target.board import MAIA, Board
 from .area import AreaEstimate
 from .cycles import CycleEstimate, estimate_cycles
@@ -70,8 +70,7 @@ def compute_activity(design: Design, cycles: CycleEstimate) -> float:
 
     pipe_cycles = 0.0
     for ctrl in design.controllers():
-        key = f"{ctrl.name}#{ctrl.nid}"
-        per = cycles.per_controller.get(key, 0.0)
+        per = cycles.per_controller.get(ctrl.key, 0.0)
         if isinstance(ctrl, Pipe):
             pipe_cycles = max(pipe_cycles, per * executions(ctrl))
     if cycles.total <= 0 or pipe_cycles <= 0:
@@ -130,12 +129,7 @@ def bandwidth_utilization(
     design: Design, cycles: CycleEstimate, board: Board
 ) -> float:
     """Achieved DRAM bandwidth as a share of the board's, capped at 1."""
-    total_bits = 0.0
-    for transfer in design.tile_transfers():
-        total_bits += (
-            transfer.words * transfer.offchip.tp.bits * executions(transfer)
-        )
     if cycles.total <= 0:
         return 0.0
-    achieved = (total_bits / 8.0) / cycles.seconds
+    achieved = total_dram_bytes(design) / cycles.seconds
     return min(achieved / board.dram_effective_bw, 1.0)

@@ -12,7 +12,7 @@ training only once per device and toolchain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,39 +103,16 @@ def train_corrections(
     epochs: int = 400,
 ) -> CorrectionModels:
     """Generate sample designs, synthesize them, and train the corrections."""
-    from .area import raw_area  # local import to avoid a module cycle
+    x, targets, dup_bram_frac = sample_dataset(models, board, n_samples, seed)
 
-    feats_rows: List[List[float]] = []
-    routing_frac: List[float] = []
-    dup_reg_frac: List[float] = []
-    unavail_frac: List[float] = []
-    dup_bram_frac: List[float] = []
-
-    for k in range(n_samples):
-        design = generate_sample_design(seed * 10_000 + k)
-        raw = raw_area(design, models)
-        report = synthesize(design, board)
-        feats_rows.append(design_features(design, raw.counts, raw.wire_bits))
-        luts = max(raw.counts.luts, 1.0)
-        regs = max(raw.counts.regs, 1.0)
-        routing_frac.append(report.routing_luts / luts)
-        dup_reg_frac.append(report.duplicated_regs / regs)
-        unavail_frac.append(report.unavailable_luts / luts)
-        if raw.counts.brams >= 1.0:
-            dup_bram_frac.append(
-                (report.duplicated_brams / raw.counts.brams, routing_frac[-1])
-            )
-
-    x = np.array(feats_rows, dtype=float)
-
-    def train_net(y: List[float], net_seed: int) -> MLP:
+    def train_net(y: np.ndarray, net_seed: int) -> MLP:
         net = MLP(MLPConfig(seed=net_seed, epochs=epochs))
-        net.fit(x, np.array(y, dtype=float))
+        net.fit(x, y)
         return net
 
-    routing_net = train_net(routing_frac, 11)
-    dup_reg_net = train_net(dup_reg_frac, 22)
-    unavail_net = train_net(unavail_frac, 33)
+    routing_net = train_net(targets["routing"], 11)
+    dup_reg_net = train_net(targets["dup_regs"], 22)
+    unavail_net = train_net(targets["unavailable"], 33)
     if dup_bram_frac:
         fracs = np.array([f for f, _ in dup_bram_frac])
         routes = np.array([r for _, r in dup_bram_frac])
@@ -148,10 +125,49 @@ def train_corrections(
         "routing_loss": routing_net.loss_history[-1],
         "dup_reg_loss": dup_reg_net.loss_history[-1],
         "unavail_loss": unavail_net.loss_history[-1],
-        "mean_routing_frac": float(np.mean(routing_frac)),
-        "mean_dup_reg_frac": float(np.mean(dup_reg_frac)),
-        "mean_unavail_frac": float(np.mean(unavail_frac)),
+        "mean_routing_frac": float(np.mean(targets["routing"])),
+        "mean_dup_reg_frac": float(np.mean(targets["dup_regs"])),
+        "mean_unavail_frac": float(np.mean(targets["unavailable"])),
     }
     return CorrectionModels(
         routing_net, dup_reg_net, unavail_net, bram_coef, summary
+    )
+
+
+def sample_dataset(
+    models: TemplateModels, board: Board, n_samples: int, seed: int,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray], List[Tuple[float, float]]]:
+    """Features and synthesis-measured fractions of generated designs.
+
+    Returns the feature matrix, the ``routing``, ``dup_regs`` and
+    ``unavailable`` fractions (of raw LUTs, registers and LUTs), and
+    ``(duplicated-BRAM fraction, routing fraction)`` pairs for the samples
+    with at least one BRAM.
+    """
+    from .area import raw_area  # local import to avoid a module cycle
+
+    features: List[List[float]] = []
+    targets: Dict[str, List[float]] = {
+        "routing": [], "dup_regs": [], "unavailable": []
+    }
+    dup_bram_frac: List[Tuple[float, float]] = []
+    for k in range(n_samples):
+        design = generate_sample_design(seed * 10_000 + k)
+        raw = raw_area(design, models)
+        report = synthesize(design, board)
+        features.append(design_features(design, raw.counts, raw.wire_bits))
+        luts = max(raw.counts.luts, 1.0)
+        regs = max(raw.counts.regs, 1.0)
+        routing = report.routing_luts / luts
+        targets["routing"].append(routing)
+        targets["dup_regs"].append(report.duplicated_regs / regs)
+        targets["unavailable"].append(report.unavailable_luts / luts)
+        if raw.counts.brams >= 1.0:
+            dup_bram_frac.append(
+                (report.duplicated_brams / raw.counts.brams, routing)
+            )
+    return (
+        np.array(features, dtype=float),
+        {k: np.array(v, dtype=float) for k, v in targets.items()},
+        dup_bram_frac,
     )

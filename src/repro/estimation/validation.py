@@ -15,13 +15,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..synth.synthesis import synthesize
 from ..target.board import MAIA, Board
-from .area import raw_area
 from .characterize import TemplateModels
-from .features import design_features
 from .nn import MLP, MLPConfig
-from .samples import generate_sample_design
+from .train import sample_dataset
 
 
 @dataclass
@@ -55,29 +52,6 @@ class CrossValidationReport:
         return "\n".join(lines)
 
 
-def _collect_dataset(
-    templates: TemplateModels,
-    board: Board,
-    n_samples: int,
-    seed: int,
-):
-    features: List[List[float]] = []
-    targets: Dict[str, List[float]] = {
-        "routing": [], "dup_regs": [], "unavailable": []
-    }
-    for k in range(n_samples):
-        design = generate_sample_design(seed * 10_000 + k)
-        raw = raw_area(design, templates)
-        report = synthesize(design, board)
-        features.append(design_features(design, raw.counts, raw.wire_bits))
-        luts = max(raw.counts.luts, 1.0)
-        regs = max(raw.counts.regs, 1.0)
-        targets["routing"].append(report.routing_luts / luts)
-        targets["dup_regs"].append(report.duplicated_regs / regs)
-        targets["unavailable"].append(report.unavailable_luts / luts)
-    return np.array(features), {k: np.array(v) for k, v in targets.items()}
-
-
 def cross_validate(
     templates: TemplateModels,
     board: Board = MAIA,
@@ -87,7 +61,7 @@ def cross_validate(
     epochs: int = 250,
 ) -> CrossValidationReport:
     """k-fold cross-validation of the three correction networks."""
-    x, targets = _collect_dataset(templates, board, n_samples, seed)
+    x, targets, _ = sample_dataset(templates, board, n_samples, seed)
     n = x.shape[0]
     indices = np.arange(n)
     rng = np.random.default_rng(seed)

@@ -118,6 +118,11 @@ class Controller(Node):
 
     # -- structure -------------------------------------------------------------
     @property
+    def key(self) -> str:
+        """``name#nid``: the per-controller key of cycle breakdowns."""
+        return f"{self.name}#{self.nid}"
+
+    @property
     def stages(self) -> List["Controller"]:
         """Child controllers / memory command generators, in program order."""
         return [c for c in self.children if isinstance(c, Controller)]

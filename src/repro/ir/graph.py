@@ -14,7 +14,6 @@ Finalization derives the properties the paper's tools infer automatically:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .controllers import (
@@ -30,7 +29,7 @@ from .memops import TileLd, TileSt, TileTransfer
 from .memories import BRAM, OffChipMem, OnChipMemory, Reg
 from .node import Const, IRError, Node, Value, result_type
 from .primitives import LoadOp, Prim, StoreOp
-from .types import Bool, FixPt, FltPt, HWType, Index
+from .types import Bool, FltPt, HWType, Index
 
 _ACTIVE_DESIGNS: List["Design"] = []
 
@@ -325,6 +324,51 @@ def executions(ctrl: Node) -> int:
         total *= max(cur.iterations, 1)
         cur = cur.parent
     return total
+
+
+def weighted_transfers(ctrl: Controller) -> int:
+    """Concurrent transfer streams under ``ctrl``, counting replication.
+
+    A transfer inside a parallelized outer loop is instantiated once per
+    replica, so it contributes its enclosing loops' parallelization product.
+    """
+    if isinstance(ctrl, TileTransfer):
+        return 1
+    total = sum(weighted_transfers(c) for c in ctrl.stages)
+    if not isinstance(ctrl, Pipe) and ctrl.par > 1:
+        total *= ctrl.par
+    return total
+
+
+def overlap_streams(parent: Controller, child: Controller, streams: int) -> int:
+    """Streams competing with ``child`` when ``parent``'s stages overlap.
+
+    All of ``parent``'s transfer instances (across stages and replicas) are
+    active concurrently; the child's own single instance is excluded — the
+    leaf adds itself back.
+    """
+    all_instances = parent.par * sum(
+        weighted_transfers(c) for c in parent.stages
+    )
+    return streams + all_instances - weighted_transfers(child)
+
+
+def max_depth(design: Design) -> int:
+    """Deepest controller nesting level (a lone top controller is 1)."""
+
+    def depth(ctrl: Controller) -> int:
+        return 1 + max((depth(c) for c in ctrl.stages), default=0)
+
+    return max((depth(top) for top in design.top_controllers), default=1)
+
+
+def total_dram_bytes(design: Design) -> float:
+    """Bytes moved over DRAM by one run (all transfers, all trips)."""
+    bits = sum(
+        t.words * t.offchip.tp.bits * executions(t)
+        for t in design.tile_transfers()
+    )
+    return bits / 8.0
 
 
 def _belongs_in_children(node: Node) -> bool:

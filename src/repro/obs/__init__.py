@@ -11,6 +11,10 @@ faster than synthesis" (Table IV) — fast enough to drive DSE over
 * sinks (:mod:`repro.obs.sinks`): JSONL, Chrome trace-event for
   Perfetto/``chrome://tracing``, and human-readable summary tables.
 
+All of it measures this process's wall clock. The simulated hardware
+schedule (``repro speedup --sim-trace``) comes from
+:func:`repro.sim.build_timeline`, with the tracer off.
+
 Both collectors are **disabled by default** and global to the process:
 instrumented code calls the module-level helpers (``obs.span(...)``,
 ``obs.counter(...)``) which delegate to the shared instances, adding one
@@ -32,10 +36,8 @@ from .sinks import (
     JsonlStreamWriter,
     span_summary,
     to_chrome_trace,
-    to_sim_chrome_trace,
     write_chrome_trace,
     write_jsonl,
-    write_sim_chrome_trace,
 )
 from .trace import NULL_SPAN, InstantEvent, Span, Tracer
 
@@ -64,12 +66,10 @@ __all__ = [
     "stream_to_jsonl",
     "timed",
     "to_chrome_trace",
-    "to_sim_chrome_trace",
     "trace_enabled",
     "tracer",
     "write_chrome_trace",
     "write_jsonl",
-    "write_sim_chrome_trace",
 ]
 
 _TRACER = Tracer(enabled=False)

@@ -5,18 +5,14 @@
   (https://ui.perfetto.dev). Spans become complete (``"ph": "X"``)
   events with microsecond timestamps; instant events become ``"ph": "i"``
   marks on the timeline.
-* :func:`to_sim_chrome_trace` / :func:`write_sim_chrome_trace` — the
-  same format, but laid out in **simulated time**: the ``sim.ctrl`` span
-  tree (one span per controller walked by :mod:`repro.sim.executor`) is
-  re-timed from its ``cycles`` attributes (1 cycle = 1 µs tick), so the
-  Perfetto timeline shows the modeled hardware schedule — sequential
-  stages back-to-back, metapipe stages staggered as they fill, parallel
-  stages side by side on separate lanes — rather than the simulator's
-  own (instant) wall-clock walk.
 * :func:`write_jsonl` — one JSON object per line per span/instant, for
   ad-hoc analysis with ``jq`` or pandas.
 * :func:`span_summary` — per-span-name aggregate wall-clock table, the
   quickest answer to "where did the time go".
+
+These sinks record this process's wall clock. The modeled hardware
+schedule in *simulated* time is drawn by
+:meth:`repro.sim.Timeline.to_chrome_trace` instead.
 """
 
 from __future__ import annotations
@@ -25,14 +21,13 @@ import json
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Union
 
+from .metrics import _fmt
 from .trace import InstantEvent, Span, Tracer
 
 __all__ = [
     "JsonlStreamWriter",
     "to_chrome_trace",
-    "to_sim_chrome_trace",
     "write_chrome_trace",
-    "write_sim_chrome_trace",
     "write_jsonl",
     "span_summary",
 ]
@@ -90,109 +85,6 @@ def write_chrome_trace(
     else:
         with open(dest, "w") as fh:  # type: ignore[arg-type]
             json.dump(doc, fh)
-
-
-def to_sim_chrome_trace(
-    tracer: Tracer, process_name: str = "repro-sim"
-) -> Dict[str, Any]:
-    """Re-time the ``sim.ctrl`` span tree into simulated cycles.
-
-    The simulator's spans measure its own (analytical, near-instant)
-    walk; the modeled hardware time lives in each span's ``cycles``
-    attribute. This sink rebuilds the controller tree from span
-    parentage and lays it out on a synthetic timeline where 1 cycle =
-    1 µs, following each controller's semantics:
-
-    * ``Sequential`` (and leaf-bearing defaults) — children
-      back-to-back;
-    * ``MetaPipe`` — children staggered by the preceding stages' cycles
-      (the pipeline-fill schedule);
-    * ``Parallel`` — children start together, overflow stages on their
-      own lanes (``tid``).
-
-    Durations are per walked execution (one iteration of a loop body),
-    while a looping parent's slice spans its full ``iterations x
-    per-iteration`` extent — exactly the fill/steady-state picture
-    Figure 5 debugging needs.
-    """
-    spans = [s for s in tracer.spans if s.name == "sim.ctrl"]
-    by_id = {s.span_id: s for s in spans}
-    children: Dict[int, List[Span]] = {}
-    roots: List[Span] = []
-    for span in spans:
-        if span.parent_id in by_id:
-            children.setdefault(span.parent_id, []).append(span)
-        else:
-            roots.append(span)
-    for kids in children.values():
-        kids.sort(key=lambda s: s.span_id)  # walk order == program order
-    roots.sort(key=lambda s: s.span_id)
-
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    next_lane = [0]
-
-    def cycles_of(span: Span) -> float:
-        try:
-            return float(span.attrs.get("cycles") or 0.0)
-        except (TypeError, ValueError):  # pragma: no cover - defensive
-            return 0.0
-
-    def emit(span: Span, start: float, lane: int) -> None:
-        events.append(
-            {
-                "name": str(span.attrs.get("ctrl", span.name)),
-                "cat": "sim",
-                "ph": "X",
-                "ts": start,
-                "dur": max(cycles_of(span), 1.0),
-                "pid": 1,
-                "tid": lane,
-                "args": _jsonable(dict(span.attrs, start_cycle=start)),
-            }
-        )
-        kids = children.get(span.span_id, [])
-        if span.attrs.get("kind") == "Parallel":
-            for i, kid in enumerate(kids):
-                kid_lane = lane
-                if i:
-                    next_lane[0] += 1
-                    kid_lane = next_lane[0]
-                emit(kid, start, kid_lane)
-        else:
-            # Sequential children run back-to-back; MetaPipe stages
-            # stagger by the same cumulative offsets (the fill ramp).
-            cursor = start
-            for kid in kids:
-                emit(kid, cursor, lane)
-                cursor += cycles_of(kid)
-
-    cursor = 0.0
-    for root in roots:
-        emit(root, cursor, 0)
-        cursor += cycles_of(root)
-    return {"displayTimeUnit": "ms", "traceEvents": events}
-
-
-def write_sim_chrome_trace(
-    tracer: Tracer, dest: Union[str, IO[str]],
-    process_name: str = "repro-sim",
-) -> int:
-    """Write :func:`to_sim_chrome_trace` output; returns the slice count."""
-    doc = to_sim_chrome_trace(tracer, process_name)
-    if hasattr(dest, "write"):
-        json.dump(doc, dest)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w") as fh:  # type: ignore[arg-type]
-            json.dump(doc, fh)
-    return sum(1 for ev in doc["traceEvents"] if ev.get("ph") == "X")
 
 
 def _span_record(span: Span) -> Dict[str, Any]:
@@ -309,16 +201,6 @@ def span_summary(tracer: Tracer, title: str = "spans") -> str:
             f"{name:28s} {count:8,d} {_fmt(total)} {_fmt(mean)} {_fmt(mx)}"
         )
     return "\n".join(lines)
-
-
-def _fmt(seconds: float) -> str:
-    if seconds == 0:
-        return f"{'0':>10s}"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:>8.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:>8.2f}ms"
-    return f"{seconds:>9.3f}s"
 
 
 def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:

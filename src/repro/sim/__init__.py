@@ -1,4 +1,9 @@
-"""Simulation substrate: cycle-level runtime ground truth + functional execution."""
+"""Simulation substrate: cycle-level runtime ground truth + functional execution.
+
+:func:`build_timeline` is the one layout of a simulated schedule: its
+intervals feed both the ASCII Gantt chart and the simulated-time Chrome
+trace (:meth:`Timeline.to_chrome_trace`, ``repro speedup --sim-trace``).
+"""
 
 from .dram import TransferTiming, interleave_efficiency, simulate_transfer
 from .executor import SimResult, simulate

@@ -23,7 +23,9 @@ from typing import Dict
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design, executions
+from ..ir.graph import (
+    Design, executions, overlap_streams, weighted_transfers,
+)
 from ..ir.memops import TileTransfer
 from ..ir.node import Const
 from ..ir.primitives import op_latency
@@ -74,24 +76,6 @@ def simulate(design: Design, board: Board = MAIA) -> SimResult:
 def _run(
     ctrl: Controller, board: Board, streams: int, result: SimResult
 ) -> float:
-    # Each controller's walk becomes a begin/end span on the trace
-    # timeline, mirroring the design hierarchy; the simulated cycle count
-    # rides along as an attribute (wall-clock span length is the walk
-    # itself, not the modeled hardware time).
-    with obs.span(
-        "sim.ctrl",
-        ctrl=f"{ctrl.name}#{ctrl.nid}",
-        kind=type(ctrl).__name__,
-    ) as span:
-        cycles = _run_ctrl(ctrl, board, streams, result)
-        span.set(cycles=cycles)
-    result.per_controller[f"{ctrl.name}#{ctrl.nid}"] = cycles
-    return cycles
-
-
-def _run_ctrl(
-    ctrl: Controller, board: Board, streams: int, result: SimResult
-) -> float:
     if isinstance(ctrl, TileTransfer):
         timing = simulate_transfer(ctrl, board, streams + 1)
         result.dram_bytes += timing.bytes_moved * executions(ctrl)
@@ -101,7 +85,8 @@ def _run_ctrl(
     elif isinstance(ctrl, Parallel):
         cycles = max(
             (
-                _run(child, board, _overlap(ctrl, child, streams), result)
+                _run(child, board, overlap_streams(ctrl, child, streams),
+                     result)
                 for child in ctrl.stages
             ),
             default=0.0,
@@ -109,7 +94,7 @@ def _run_ctrl(
         cycles += PARALLEL_JOIN
     elif isinstance(ctrl, MetaPipe):
         stage_cycles = [
-            _run(child, board, _overlap(ctrl, child, streams), result)
+            _run(child, board, overlap_streams(ctrl, child, streams), result)
             + METAPIPE_STAGE_HANDSHAKE
             for child in ctrl.stages
         ]
@@ -122,7 +107,7 @@ def _run_ctrl(
             _run(
                 child,
                 board,
-                streams + (ctrl.par - 1) * _weighted(child),
+                streams + (ctrl.par - 1) * weighted_transfers(child),
                 result,
             )
             + SEQ_STAGE_HANDSHAKE
@@ -131,6 +116,7 @@ def _run_ctrl(
         cycles = ctrl.iterations * per_iter
     else:  # pragma: no cover - exhaustive over controller kinds
         cycles = 0.0
+    result.per_controller[ctrl.key] = cycles
     return cycles
 
 
@@ -148,19 +134,3 @@ def _run_pipe(pipe: Pipe) -> float:
             # Combine-tree drain plus the accumulator's own feedback drain.
             cycles += tree_depth * lat + 2 * lat
     return cycles
-
-
-def _weighted(ctrl: Controller) -> int:
-    """Concurrent transfer streams under ``ctrl``, counting replication."""
-    if isinstance(ctrl, TileTransfer):
-        return 1
-    total = sum(_weighted(c) for c in ctrl.stages)
-    if not isinstance(ctrl, Pipe) and ctrl.par > 1:
-        total *= ctrl.par
-    return total
-
-
-def _overlap(parent: Controller, child: Controller, streams: int) -> int:
-    """Streams competing with ``child`` while ``parent``'s stages overlap."""
-    all_instances = parent.par * sum(_weighted(c) for c in parent.stages)
-    return streams + all_instances - _weighted(child)

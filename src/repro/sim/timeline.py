@@ -1,30 +1,27 @@
 """Execution timeline: a Gantt-style view of one design's schedule.
 
-Builds start/end intervals for every controller from the cycle simulator's
-per-controller results, respecting the schedule semantics — Sequential
-stages chain, Parallel children share a start, MetaPipe stages overlap
-after their fill delay. One *representative* outer iteration is laid out
-(steady state), which is what you want when eyeballing where time goes.
+The one layout of a simulated schedule. Builds start/end intervals for
+every controller from the cycle simulator's per-controller results,
+respecting the schedule semantics — Sequential stages chain, Parallel
+children share a start, MetaPipe stages overlap after their fill delay.
+One *representative* outer iteration is laid out (steady state), which is
+what you want when eyeballing where time goes.
 
-Used for debugging schedules and by tests that check overlap semantics;
-`render_ascii` gives a terminal-friendly chart.
+`render_ascii` gives a terminal-friendly chart; `to_chrome_trace` gives
+the Chrome trace-event JSON behind ``repro speedup --sim-trace`` (1 cycle
+= 1 µs tick, loadable in https://ui.perfetto.dev), with each overlapping
+sibling of a Parallel or MetaPipe on its own lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List
 
-from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
+from ..ir.controllers import Controller, MetaPipe, Parallel
 from ..ir.graph import Design
-from ..ir.memops import TileTransfer
 from ..target.board import MAIA, Board
-from .executor import (
-    METAPIPE_STAGE_HANDSHAKE,
-    SEQ_STAGE_HANDSHAKE,
-    SimResult,
-    simulate,
-)
+from .executor import METAPIPE_STAGE_HANDSHAKE, SEQ_STAGE_HANDSHAKE, simulate
 
 
 @dataclass
@@ -36,6 +33,7 @@ class Interval:
     start: float
     end: float
     depth: int
+    lane: int = 0
 
     @property
     def duration(self) -> float:
@@ -70,59 +68,56 @@ class Timeline:
             lines.append(f"{label:24s}|{bar:<{width}}|")
         return "\n".join(lines)
 
+    def to_chrome_trace(self) -> Dict[str, Any]:
+        """The intervals as Chrome trace-event slices (1 cycle = 1 µs).
+
+        Zero-cycle slices are drawn one tick wide so Perfetto shows them;
+        ``args.cycles`` keeps the simulated duration.
+        """
+        events: List[Dict[str, Any]] = [{
+            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+            "args": {"name": f"repro-sim {self.design_name}"},
+        }]
+        for iv in self.intervals:
+            events.append({
+                "name": iv.name, "cat": "sim", "ph": "X",
+                "ts": iv.start, "dur": max(iv.duration, 1.0),
+                "pid": 1, "tid": iv.lane,
+                "args": {"kind": iv.kind, "cycles": iv.duration},
+            })
+        return {"displayTimeUnit": "ms", "traceEvents": events}
+
 
 def build_timeline(design: Design, board: Board = MAIA) -> Timeline:
     """Lay out one steady-state iteration of the design's schedule."""
     result = simulate(design, board)
     timeline = Timeline(design.name)
+    lanes = [0]
 
-    def duration(ctrl: Controller) -> float:
-        return result.per_controller.get(f"{ctrl.name}#{ctrl.nid}", 0.0)
-
-    def layout(ctrl: Controller, start: float, depth: int) -> float:
+    def layout(ctrl: Controller, start: float, depth: int, lane: int) -> float:
         """Place ``ctrl`` (one execution) at ``start``; return its end."""
-        if isinstance(ctrl, (Pipe, TileTransfer)):
-            end = start + duration(ctrl)
-            timeline.intervals.append(
-                Interval(ctrl.name, ctrl.kind, start, end, depth)
-            )
-            return end
-        if isinstance(ctrl, Parallel):
-            end = start
-            timeline.intervals.append(
-                Interval(ctrl.name, ctrl.kind, start, start + duration(ctrl),
-                         depth)
-            )
-            for child in ctrl.stages:
-                end = max(end, layout(child, start, depth + 1))
-            return end
-        if isinstance(ctrl, MetaPipe):
-            # Steady state: each stage starts one handshake after the
-            # previous stage *started* (they overlap on successive
-            # iterations' data).
-            whole = duration(ctrl)
-            timeline.intervals.append(
-                Interval(ctrl.name, ctrl.kind, start, start + whole, depth)
-            )
-            cursor = start
-            end = start
-            for child in ctrl.stages:
-                child_end = layout(child, cursor, depth + 1)
+        end = start + result.per_controller.get(ctrl.key, 0.0)
+        timeline.intervals.append(
+            Interval(ctrl.name, ctrl.kind, start, end, depth, lane)
+        )
+        overlaps = isinstance(ctrl, (Parallel, MetaPipe))
+        cursor = start
+        for i, child in enumerate(ctrl.stages):
+            child_lane = lane
+            if overlaps and i:
+                lanes[0] += 1
+                child_lane = lanes[0]
+            child_end = layout(child, cursor, depth + 1, child_lane)
+            if isinstance(ctrl, MetaPipe):
+                # Steady state: each stage starts one handshake after the
+                # previous stage *started* (they overlap on successive
+                # iterations' data).
                 cursor += METAPIPE_STAGE_HANDSHAKE
-                end = max(end, child_end)
-            return start + whole
-        if isinstance(ctrl, Sequential):
-            whole = duration(ctrl)
-            timeline.intervals.append(
-                Interval(ctrl.name, ctrl.kind, start, start + whole, depth)
-            )
-            cursor = start
-            for child in ctrl.stages:
-                cursor = layout(child, cursor, depth + 1)
-                cursor += SEQ_STAGE_HANDSHAKE
-            return start + whole
-        return start  # pragma: no cover
+            elif not isinstance(ctrl, Parallel):
+                cursor = child_end + SEQ_STAGE_HANDSHAKE
+        return end
 
+    cursor = 0.0
     for top in design.top_controllers:
-        layout(top, 0.0, 0)
+        cursor = layout(top, cursor, 0, 0)
     return timeline

@@ -14,7 +14,6 @@ toolchains apply that the paper calls out as sources of estimation error
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -25,11 +24,11 @@ from ..ir.controllers import (
     Pipe,
     Sequential,
 )
-from ..ir.graph import Design, replication
-from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
+from ..ir.graph import Design, max_depth, replication
+from ..ir.memories import BRAM, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, Node, Value
-from ..ir.primitives import LoadOp, Prim, StoreOp, op_latency
+from ..ir.primitives import LoadOp, Prim, StoreOp
 from ..target.device import Device
 from . import atoms as at
 
@@ -336,7 +335,6 @@ def _coalesce_small_brams(
 def _collect_stats(design: Design, netlist: Netlist) -> None:
     total = netlist.totals()
     controllers = list(design.controllers())
-    depth = _max_depth(design)
     widths = [n.width for n in design.nodes if isinstance(n, Value)] or [1]
     banks = [m.banks for m in design.onchip_mems()] or [1]
     netlist.stats.update(
@@ -349,7 +347,7 @@ def _collect_stats(design: Design, netlist: Netlist) -> None:
             "num_tile_transfers": float(
                 sum(1 for c in controllers if isinstance(c, TileTransfer))
             ),
-            "max_depth": float(depth),
+            "max_depth": float(max_depth(design)),
             "avg_width": sum(widths) / len(widths),
             "total_banks": float(sum(banks)),
             "total_wires": total.wires,
@@ -359,17 +357,3 @@ def _collect_stats(design: Design, netlist: Netlist) -> None:
             "raw_dsps": total.dsps,
         }
     )
-
-
-def _max_depth(design: Design) -> int:
-    best = 1
-
-    def walk(ctrl: Controller, depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        for child in ctrl.stages:
-            walk(child, depth + 1)
-
-    for top in design.top_controllers:
-        walk(top, 1)
-    return best

@@ -5,7 +5,7 @@ import pytest
 from repro.ir import Design, Float32
 from repro.ir import builder as hw
 from repro.estimation import estimate_cycles
-from repro.estimation.cycles import weighted_transfers
+from repro.ir.graph import weighted_transfers
 from repro.target import MAIA
 
 

@@ -1,135 +1,96 @@
-"""Simulated-time Chrome trace sink (repro.obs.sinks.to_sim_chrome_trace).
+"""Simulated-time Chrome trace (repro.sim.Timeline.to_chrome_trace).
 
-Unlike the wall-clock sink, this one lays ``sim.ctrl`` spans out on a
-synthetic timeline built from their ``cycles`` attributes — the modeled
-hardware schedule, not the simulator's own walk.
+Unlike the wall-clock tracer sinks, this trace draws the laid-out
+timeline of the cycle simulator: the modeled hardware schedule, one
+slice per controller, 1 cycle = 1 µs tick.
 """
 
 import io
 import json
+import re
 
-import pytest
+from repro.apps import get_benchmark
+from repro.cli import main
+from repro.sim import Interval, Timeline, build_timeline, simulate
+from repro.sim.executor import SEQ_STAGE_HANDSHAKE
 
-from repro import obs
-from repro.obs import Tracer, to_sim_chrome_trace, write_sim_chrome_trace
-
-
-def ctrl_span(tracer, ctrl, kind, cycles):
-    """Open a sim.ctrl span the way repro.sim.executor records them."""
-    return _CtrlSpan(tracer, ctrl, kind, cycles)
-
-
-class _CtrlSpan:
-    def __init__(self, tracer, ctrl, kind, cycles):
-        self._cm = tracer.span("sim.ctrl", ctrl=ctrl, kind=kind)
-        self._cycles = cycles
-
-    def __enter__(self):
-        span = self._cm.__enter__()
-        span.set(cycles=self._cycles)
-        return span
-
-    def __exit__(self, *exc):
-        return self._cm.__exit__(*exc)
+from ..sim.test_timeline import two_stage
 
 
 def slices(doc):
     return [e for e in doc["traceEvents"] if e["ph"] == "X"]
 
 
+def by_name(doc):
+    return {e["name"]: e for e in slices(doc)}
+
+
+def dotproduct(metapipe=True):
+    bench = get_benchmark("dotproduct")
+    return bench.build({"n": 65536}, tile=4096, par_load=8, par_inner=8,
+                       metapipe=metapipe)
+
+
 class TestSequentialLayout:
     def test_children_back_to_back(self):
-        tracer = Tracer(enabled=True)
-        with ctrl_span(tracer, "top#0", "Sequential", 100.0):
-            with ctrl_span(tracer, "a#1", "Loop", 60.0):
-                pass
-            with ctrl_span(tracer, "b#2", "Loop", 40.0):
-                pass
-        doc = to_sim_chrome_trace(tracer)
-        by_name = {e["name"]: e for e in slices(doc)}
-        assert by_name["top#0"]["ts"] == 0.0
-        assert by_name["top#0"]["dur"] == 100.0
-        assert by_name["a#1"]["ts"] == 0.0
-        assert by_name["b#2"]["ts"] == 60.0  # starts after a's cycles
-        # All sequential work shares one lane.
-        assert {e["tid"] for e in slices(doc)} == {0}
+        ev = by_name(build_timeline(two_stage(metapipe=False)).to_chrome_trace())
+        load, work = ev["load"], ev["work"]
+        assert work["ts"] == load["ts"] + load["dur"] + SEQ_STAGE_HANDSHAKE
+        assert load["tid"] == work["tid"]
 
     def test_durations_are_cycles_not_wall_clock(self):
-        tracer = Tracer(enabled=True)
-        with ctrl_span(tracer, "top#0", "Sequential", 12345.0):
-            pass
-        (ev,) = slices(to_sim_chrome_trace(tracer))
-        assert ev["dur"] == 12345.0  # 1 cycle = 1 us tick
-        assert ev["args"]["start_cycle"] == 0.0
+        design = dotproduct()
+        evs = slices(build_timeline(design).to_chrome_trace())
+        assert len(evs) == sum(1 for _ in design.controllers())
+        sim = simulate(design)
+        for ev, ctrl in zip(evs, design.controllers()):
+            assert ev["args"]["cycles"] == sim.per_controller[ctrl.key]
+            assert ev["dur"] == max(sim.per_controller[ctrl.key], 1.0)
 
     def test_zero_cycle_spans_stay_visible(self):
-        tracer = Tracer(enabled=True)
-        with ctrl_span(tracer, "noop#0", "Sequential", 0.0):
-            pass
-        (ev,) = slices(to_sim_chrome_trace(tracer))
+        tl = Timeline("noop", [Interval("noop", "Sequential", 5.0, 5.0, 0)])
+        (ev,) = slices(tl.to_chrome_trace())
         assert ev["dur"] == 1.0  # clamped so Perfetto renders the slice
+        assert ev["args"]["cycles"] == 0.0
+
+
+class TestMetaPipeLayout:
+    def test_stages_overlap_on_separate_lanes(self):
+        ev = by_name(build_timeline(two_stage(metapipe=True)).to_chrome_trace())
+        load, work = ev["load"], ev["work"]
+        assert work["ts"] < load["ts"] + load["dur"]
+        assert load["ts"] < work["ts"] + work["dur"]
+        assert load["tid"] != work["tid"]
 
 
 class TestParallelLayout:
     def test_children_share_start_on_separate_lanes(self):
-        tracer = Tracer(enabled=True)
-        with ctrl_span(tracer, "par#0", "Parallel", 50.0):
-            with ctrl_span(tracer, "k0#1", "Loop", 50.0):
-                pass
-            with ctrl_span(tracer, "k1#2", "Loop", 30.0):
-                pass
-        doc = to_sim_chrome_trace(tracer)
-        by_name = {e["name"]: e for e in slices(doc)}
-        assert by_name["k0#1"]["ts"] == by_name["k1#2"]["ts"] == 0.0
-        assert by_name["k0#1"]["tid"] != by_name["k1#2"]["tid"]
-
-    def test_non_sim_spans_ignored(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("explore", bench="gemm"):
-            with ctrl_span(tracer, "top#0", "Sequential", 10.0):
-                pass
-        doc = to_sim_chrome_trace(tracer)
-        assert [e["name"] for e in slices(doc)] == ["top#0"]
+        doc = build_timeline(dotproduct()).to_chrome_trace()
+        loads = [e for e in slices(doc) if e["name"].startswith("tld")]
+        assert len(loads) == 2
+        assert loads[0]["ts"] == loads[1]["ts"]
+        assert loads[0]["tid"] != loads[1]["tid"]
 
 
 class TestWriteSink:
-    def test_returns_slice_count(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        with ctrl_span(tracer, "top#0", "Sequential", 10.0):
-            with ctrl_span(tracer, "a#1", "Loop", 10.0):
-                pass
-        path = tmp_path / "sim.json"
-        assert write_sim_chrome_trace(tracer, str(path)) == 2
-        doc = json.loads(path.read_text())
-        assert doc == to_sim_chrome_trace(tracer)
-
-    def test_accepts_open_file(self):
-        buf = io.StringIO()
-        assert write_sim_chrome_trace(Tracer(enabled=True), buf) == 0
-        assert json.loads(buf.getvalue())["traceEvents"]  # metadata only
+    def test_returns_slice_count(self, estimator, tmp_path):
+        """``speedup --sim-trace`` reports the slices it wrote."""
+        dest = tmp_path / "sim.json"
+        out = io.StringIO()
+        code = main(["speedup", "dotproduct", "--points", "5",
+                     "--sim-trace", str(dest)], out=out, estimator=estimator)
+        assert code == 0
+        written = int(re.search(r"wrote (\d+) simulated-time slices",
+                                out.getvalue()).group(1))
+        assert written == len(slices(json.loads(dest.read_text())))
 
 
 class TestEndToEnd:
     def test_simulated_benchmark_produces_sim_timeline(self):
-        """Simulate a real design under tracing; the sink re-times it."""
-        from repro.apps import get_benchmark
-        from repro.sim import simulate
-        from repro.target import MAIA
-
-        bench = get_benchmark("dotproduct")
-        ds = bench.default_dataset()
-        design = bench.build(ds, **bench.default_params(ds))
-        obs.reset()
-        obs.enable(trace=True)
-        try:
-            sim = simulate(design, MAIA)
-            doc = to_sim_chrome_trace(obs.tracer())
-        finally:
-            obs.disable()
-            obs.reset()
-        evs = slices(doc)
-        assert evs
-        # The root slice spans the whole modeled execution.
-        root = max(evs, key=lambda e: e["dur"])
-        assert root["dur"] == pytest.approx(sim.cycles, rel=1e-6)
-        assert all(e["ts"] + e["dur"] <= root["dur"] + 1.0 for e in evs)
+        for metapipe in (True, False):
+            design = dotproduct(metapipe)
+            evs = slices(build_timeline(design).to_chrome_trace())
+            root = evs[0]
+            assert root["ts"] == 0.0
+            assert root["dur"] == simulate(design).cycles
+            assert all(e["ts"] + e["dur"] <= root["dur"] for e in evs)

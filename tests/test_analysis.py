@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import analyze, diagnose, total_dram_bytes
+from repro.analysis import analyze, diagnose
+from repro.ir.graph import total_dram_bytes
 from repro.apps import get_benchmark
 from repro.sim import simulate
 
