@@ -401,13 +401,9 @@ def hybrid_area(
         # The NN corrections are the one non-analytical estimation stage;
         # timed separately so Table IV decomposes into model vs NN time.
         with obs.timed("area.nn", "pass.area_nn_s"):
-            routing = corrections.predict_routing_luts(feats, raw.counts)
-            dup_regs = corrections.predict_duplicated_regs(feats, raw.counts)
-            unavailable = corrections.predict_unavailable_luts(
-                feats, raw.counts
-            )
-            dup_brams = corrections.predict_duplicated_brams(
-                routing, raw.counts
+            routing, dup_regs, unavailable, dup_brams = (
+                float(values[0])
+                for values in corrections.predict_batch([feats], [raw.counts])
             )
 
         return _finalize_area(

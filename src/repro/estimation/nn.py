@@ -10,8 +10,9 @@ standardization. Training is deterministic given a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import functools
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,20 +64,17 @@ class MLP:
 
     @staticmethod
     def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant affine map equal in value to ``x @ w.T + b``.
+        """Batch-size-invariant affine map of ``K`` stacked nets at once.
 
-        BLAS matmuls pick different accumulation orders for different
-        batch shapes, so ``(x @ w.T)[i]`` can drift ~1e-15 between a
-        one-row and an N-row call. Inference instead accumulates one
-        input feature at a time with elementwise broadcasts, which makes
-        every row's arithmetic independent of how many rows ride along —
-        the foundation of the batched-estimation bit-identity guarantee.
-        Training keeps the fast BLAS ``_forward``.
+        ``x (J, K, N)``, ``w (J, K, M, 1)``, ``b (K, M, 1)`` -> ``(K, M, N)``,
+        each net's ``x @ w.T + b`` in value. BLAS matmuls and pairwise
+        ``np.sum`` choose accumulation orders by shape, so rows could drift
+        ~1e-15 between batch sizes. Here every element is ``x0*w0``, then
+        ``+ xj*wj`` left to right, then ``+ b``, so a row's bits depend on
+        neither its batch nor the other nets (the batched-estimation
+        bit-identity guarantee). Training keeps the BLAS ``_forward``.
         """
-        acc = x[:, 0, None] * w[:, 0]
-        for j in range(1, w.shape[1]):
-            acc = acc + x[:, j, None] * w[:, j]
-        return acc + b
+        return functools.reduce(np.add, x[:, :, None, :] * w) + b
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predict targets for raw (unstandardized) inputs.
@@ -84,12 +82,7 @@ class MLP:
         Accepts one feature row or a stacked batch; the result for any
         row is bit-identical either way (see :meth:`_affine`).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        xs = (x - self.x_mean) / self.x_std
-        z1 = self._affine(xs, self.w1, self.b1)
-        h = 1.0 / (1.0 + np.exp(-np.clip(z1, -40, 40)))
-        y = self._affine(h, self.w2, self.b2)
-        return (y[:, 0] * self.y_std) + self.y_mean
+        return MLPStack([self], [(-np.inf, np.inf)]).predict(x)[0]
 
     # -- training ------------------------------------------------------------------
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MLP":
@@ -174,6 +167,41 @@ class MLP:
         net.y_mean = float(data["y_mean"])
         net.y_std = float(data["y_std"])
         return net
+
+
+class MLPStack:
+    """``K`` trained nets of one shape, evaluated in one forward pass.
+
+    Copies the nets' weights, input means and stds (stacked input-major
+    for :meth:`MLP._affine`) and one ``(lo, hi)`` output clamp per net.
+    """
+
+    def __init__(
+        self, nets: Sequence[MLP], clamps: Sequence[Tuple[float, float]]
+    ) -> None:
+        self.x_mean = np.stack([n.x_mean for n in nets], 1)[:, :, None]
+        self.x_std = np.stack([n.x_std for n in nets], 1)[:, :, None]
+        self.w1 = np.stack([n.w1.T for n in nets], 1)[..., None]
+        self.b1 = np.stack([n.b1 for n in nets])[..., None]
+        self.w2 = np.stack([n.w2.T for n in nets], 1)[..., None]
+        self.b2 = np.stack([n.b2 for n in nets])[..., None]
+        self.y_std = np.array([[n.y_std] for n in nets])
+        self.y_mean = np.array([[n.y_mean] for n in nets])
+        self.lo, self.hi = np.array(clamps, dtype=float).T[..., None]
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``(K, N)`` clamped outputs for ``N`` raw feature rows."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != len(self.x_mean):
+            raise ValueError(
+                f"expected inputs with {len(self.x_mean)} features, "
+                f"got shape {x.shape}"
+            )
+        xs = (x.T[:, None, :] - self.x_mean) / self.x_std
+        z1 = MLP._affine(xs, self.w1, self.b1)
+        h = 1.0 / (1.0 + np.exp(-np.clip(z1, -40, 40)))
+        y = MLP._affine(h.transpose(1, 0, 2), self.w2, self.b2)[:, 0]
+        return np.clip(y * self.y_std + self.y_mean, self.lo, self.hi)
 
 
 def fit_linear(x: np.ndarray, y: np.ndarray) -> np.ndarray:

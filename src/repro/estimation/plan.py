@@ -31,16 +31,20 @@ building the design and calling :meth:`Estimator.estimate
 <repro.estimation.estimator.Estimator.estimate>` (the oracle).
 
 The evaluation form is plain Python, not numpy: a sweep hands a block of
-at most 32 points to :func:`price_points`, split over several classes,
-and guided search prices one point at a time, so per-call array overhead
-would outweigh any vector win (measured in
-``docs/estimation_performance.md``). The NN corrections still run as one
-:meth:`~repro.estimation.train.CorrectionModels.predict_batch` pass over
-the block.
+at most 32 points to :func:`price_points` and guided search prices one
+point at a time, so per-call array overhead would outweigh any vector
+win (``docs/estimation_performance.md``). A helper call whose arguments
+are not all constants becomes a subscript of a :class:`_Table` — ``T0``,
+``T1``, ... for template predictions, ``DELAY``, ``BRAM_BLOCKS`` and
+``STREAM`` (device and board bound at compile time) — a dict that fills
+a missing key once, so a repeat costs one C-level lookup and no Python
+frame. The NN corrections run as one
+:meth:`~repro.estimation.train.CorrectionModels.predict_batch` per block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -108,6 +112,7 @@ class ClassPlan:
     nodes: int
     terms: int
     source: str
+    tables: Dict[str, "_Table"]
     evaluate: Callable[[Dict[str, object]], Optional[Row]]
 
 
@@ -369,19 +374,19 @@ class _Lowering:
         # memoized view, so classes of a family share their predictions.
         self.predictor = predictor
         self.bound = design.bindings
-        self.env: Dict[str, object] = dict(
-            _HELPERS, BOARD=board, DEVICE=board.device,
-            ZERO=(0.0,) * len(_FIELDS),
-        )
-        # Constants folding passes by value; the code refers to them by name.
-        self.board = _Sym("BOARD", board, True)
-        self.device = _Sym("DEVICE", board.device, True)
+        self.env: Dict[str, object] = dict(_HELPERS, ZERO=(0.0,) * len(_FIELDS))
+        # The tables generated code subscripts; T0, T1, ... join on first use.
+        self.tables: Dict[str, _Table] = {
+            "DELAY": _Table(delay_counts),
+            "BRAM_BLOCKS": _Table(lambda *k: bram_blocks(*k, board.device)),
+            "STREAM": _Table(lambda *k: stream_cycles(*k[:4], board, k[4])),
+        }
         self.lines: List[str] = []
         self.params: Dict[str, _Sym] = {}
         self.sums: List[List[str]] = [[] for _ in _FIELDS]
         self.prefix = [0.0] * len(_FIELDS)
         self.terms = 0
-        self._tables: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+        self._templates: Dict[Tuple[str, Tuple[str, ...]], str] = {}
         self._memo: Dict[object, _Sym] = {}
         self._seen: Dict[str, _Sym] = {}
         self._width: Dict[int, _Sym] = {}
@@ -425,6 +430,12 @@ class _Lowering:
         if folded is not None:
             return folded
         return _Sym("(" + template.format(*(a.src for a in args)) + ")")
+
+    def lookup(self, table: str, *args: _Sym) -> _Sym:
+        """``table``'s function of ``args``: folded, or a table subscript."""
+        if all(a.const for a in args):
+            return _const(self.tables[table].fn(*(a.value for a in args)))
+        return self.op(table + "[" + "{}, " * len(args) + "]", *args)
 
     def check(self, template: str, *args: _Sym) -> None:
         """An IRError rule: the point is illegal unless it holds."""
@@ -593,10 +604,9 @@ class _Lowering:
     def cycles(self, ctrl: Controller, contention: _Sym) -> _Sym:
         """:func:`~repro.estimation.cycles._controller_cycles`."""
         if isinstance(ctrl, TileTransfer):
-            return self.op(
-                "stream_cycles({}, {}, {}, {}, {}, {})",
-                _const(ctrl.offchip.tp.bits), self.sizes(ctrl)[-1],
-                self.num_commands(ctrl), self.par(ctrl), self.board,
+            return self.lookup(
+                "STREAM", _const(ctrl.offchip.tp.bits), self.sizes(ctrl)[-1],
+                self.num_commands(ctrl), self.par(ctrl),
                 self.total([contention, _const(1)]),
             )
         if isinstance(ctrl, Pipe):
@@ -645,19 +655,18 @@ class _Lowering:
         With a ``guard``, the template is only predicted where the guard
         is non-zero and reads as all zeros elsewhere.
         """
-        names = tuple(params)
-        args = [params[n] for n in names]
+        names, args = tuple(params), list(params.values())
         if all(a.const for a in args):
-            counts = self.predictor.predict(
-                key, {n: a.value for n, a in zip(names, args)}
-            )
-            return [_const(getattr(counts, f)) for f in _FIELDS]
-        table = self._tables.get((key, names))
+            values = (a.value for a in args)
+            return [_const(v) for v in _template_values(
+                self.predictor, key, names, *values)]
+        table = self._templates.get((key, names))
         if table is None:
-            table = self._tables[(key, names)] = f"T{len(self._tables)}"
-            self.env[table] = _table_lookup(self.predictor, key, names)
-        call = f"{table}(" + _tuple(len(args)).format(*(a.src for a in args))
-        call += ")" if guard is None else f") if {guard.src} else ZERO"
+            table = self._templates[(key, names)] = f"T{len(self._templates)}"
+            self.tables[table] = _Table(functools.partial(
+                _template_values, self.predictor, key, names))
+        call = f"{table}[" + "".join(f"{a.src}, " for a in args) + "]"
+        call += "" if guard is None else f" if {guard.src} else ZERO"
         prefix = self._seen.get(call)
         if prefix is None:
             prefix = self._seen[call] = _Sym(f"t{len(self.lines)}_")
@@ -781,13 +790,10 @@ class _Lowering:
             bits = self.product(
                 [_const(inp.tp.bits), self.lanes(self.width(inp))]
             )
-            if bits.const:
-                counts = delay_counts(bits.value, slack)
-                regs, brams = _const(counts.regs), _const(counts.brams)
-            else:
-                delay = self.op("delay_counts({}, {})", bits, _const(slack))
-                regs = _Sym(delay.src + ".regs")
-                brams = _Sym(delay.src + ".brams")
+            delay = self.lookup("DELAY", bits, _const(slack))
+            regs, brams = (
+                _const(getattr(delay.value, f)) if delay.const
+                else _Sym(f"{delay.src}.{f}") for f in ("regs", "brams"))
             zero = _const(0.0)
             self.add([zero, zero, regs, zero, brams], factor)
 
@@ -803,10 +809,7 @@ class _Lowering:
             size = self.product(
                 [self.field(mem, ("dims", i), d) for i, d in enumerate(mem.dims)]
             )
-            values[4] = self.expr(
-                "bram_blocks({}, {}, {}, {}, {})",
-                size, banks, bits, double, self.device,
-            )
+            values[4] = self.lookup("BRAM_BLOCKS", size, banks, bits, double)
             self.add(values, factor)
         elif isinstance(mem, PriorityQueue):
             self.add(self.template(
@@ -869,7 +872,7 @@ class _Lowering:
         source = "def evaluate(p):\n" + "".join(
             f"    {line}\n" for line in head + self.lines
         )
-        namespace = dict(self.env)
+        namespace = dict(self.env, **self.tables)
         exec(compile(source, f"<plan {filename}>", "exec"), namespace)
         return ClassPlan(
             label=label,
@@ -877,6 +880,7 @@ class _Lowering:
             nodes=len(design.nodes),
             terms=self.terms,
             source=source,
+            tables=self.tables,
             evaluate=namespace["evaluate"],  # type: ignore[arg-type]
         )
 
@@ -884,13 +888,10 @@ class _Lowering:
 #: The pure functions generated code (and constant folding) may call.
 _HELPERS: Dict[str, object] = {
     "Counts": Counts,
-    "stream_cycles": stream_cycles,
     "pipe_cycles": pipe_cycles,
     "parallel_cycles": parallel_cycles,
     "metapipe_cycles": metapipe_cycles,
     "sequential_cycles": sequential_cycles,
-    "delay_counts": delay_counts,
-    "bram_blocks": bram_blocks,
     "feature_vector": feature_vector,
 }
 
@@ -900,16 +901,23 @@ def _tuple(n: int) -> str:
     return "(" + "".join("{}, " for _ in range(n)) + ")"
 
 
-def _table_lookup(predictor, key: str, names: Tuple[str, ...]):
-    """Memoized ``predictor.predict(key, ...)`` on positional values."""
-    table: Dict[tuple, Tuple[float, ...]] = {}
+class _Table(dict):
+    """A pure function's values, computed on the first lookup of each key.
 
-    def lookup(args: tuple) -> Tuple[float, ...]:
-        try:
-            return table[args]
-        except KeyError:
-            counts = predictor.predict(key, dict(zip(names, args)))
-            values = table[args] = tuple(getattr(counts, f) for f in _FIELDS)
-            return values
+    Generated code subscripts the table, so a hit costs one C-level dict
+    lookup and no Python frame; a miss calls ``fn(*key)`` and stores it.
+    """
 
-    return lookup
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+def _template_values(predictor, key: str, names: Tuple[str, ...], *args):
+    """``predictor.predict(key, ...)`` on positional values, as a tuple."""
+    counts = predictor.predict(key, dict(zip(names, args)))
+    return tuple(getattr(counts, f) for f in _FIELDS)

@@ -21,15 +21,22 @@ from ..target.board import MAIA, Board
 from .characterize import TemplateModels
 from .counts import Counts
 from .features import design_features
-from .nn import MLP, MLPConfig, fit_linear
+from .nn import MLP, MLPConfig, MLPStack, fit_linear
 from .samples import generate_sample_design
 
 DEFAULT_SAMPLES = 200
 
 
-@dataclass
+#: Clamps of the routing, duplicated-register and unavailable-LUT fractions.
+NET_CLAMPS = ((0.01, 0.5), (0.0, 0.4), (0.0, 0.3))
+
+
+@dataclass(frozen=True)
 class CorrectionModels:
-    """Trained NN + linear corrections applied on top of raw counts."""
+    """Trained NN + linear corrections applied on top of raw counts.
+
+    Frozen: the three nets are stacked (:class:`MLPStack`) once, here.
+    """
 
     routing_net: MLP
     dup_reg_net: MLP
@@ -37,20 +44,21 @@ class CorrectionModels:
     bram_coef: np.ndarray  # dup_brams ~ c0 + c1 * routing_luts
     training_summary: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        nets = [self.routing_net, self.dup_reg_net, self.unavail_net]
+        object.__setattr__(self, "_stack", MLPStack(nets, NET_CLAMPS))
+
     def predict_routing_luts(self, feats: Sequence[float], raw: Counts) -> float:
         """Route-through LUTs from design features (NN fraction x raw LUTs)."""
-        frac = float(self.routing_net.predict(np.array(feats))[0])
-        return min(max(frac, 0.01), 0.5) * raw.luts
+        return float(self.predict_batch([feats], [raw])[0][0])
 
     def predict_duplicated_regs(self, feats: Sequence[float], raw: Counts) -> float:
         """Registers duplicated for fanout reduction (NN fraction x raw regs)."""
-        frac = float(self.dup_reg_net.predict(np.array(feats))[0])
-        return min(max(frac, 0.0), 0.4) * raw.regs
+        return float(self.predict_batch([feats], [raw])[1][0])
 
     def predict_unavailable_luts(self, feats: Sequence[float], raw: Counts) -> float:
         """LUTs lost to LAB mapping constraints (NN fraction x raw LUTs)."""
-        frac = float(self.unavail_net.predict(np.array(feats))[0])
-        return min(max(frac, 0.0), 0.3) * raw.luts
+        return float(self.predict_batch([feats], [raw])[2][0])
 
     def predict_batch(
         self,
@@ -59,24 +67,24 @@ class CorrectionModels:
     ):
         """All four corrections for a block of designs, vectorized.
 
-        One forward pass per network over the stacked feature matrix
-        instead of one per design. ``np.clip`` matches the scalar
-        ``min(max(...))`` clamps and the MLP forward is batch-size
-        invariant, so each row equals the scalar ``predict_*`` results
-        bit for bit. Returns ``(routing_luts, duplicated_regs,
-        unavailable_luts, duplicated_brams)`` arrays of length
-        ``len(raws)``.
+        One stacked forward of the three nets over the feature matrix
+        (:class:`MLPStack`). It is batch-size invariant, so each row's
+        result is bit for bit the same in a block of any size; the
+        scalar ``predict_*`` calls are one-row blocks. Returns
+        ``(routing_luts, duplicated_regs, unavailable_luts,
+        duplicated_brams)`` arrays of length ``len(raws)``.
         """
+        if len(feats_rows) != len(raws):
+            raise ValueError(f"expected {len(raws)} feature rows (one per "
+                             f"raw count), got {len(feats_rows)}")
         if not raws:
             empty = np.empty(0, dtype=float)
             return empty, empty, empty, empty
-        x = np.array(feats_rows, dtype=float)
-        luts = np.array([raw.luts for raw in raws], dtype=float)
-        regs = np.array([raw.regs for raw in raws], dtype=float)
-        brams = np.array([raw.brams for raw in raws], dtype=float)
-        routing = np.clip(self.routing_net.predict(x), 0.01, 0.5) * luts
-        dup_regs = np.clip(self.dup_reg_net.predict(x), 0.0, 0.4) * regs
-        unavailable = np.clip(self.unavail_net.predict(x), 0.0, 0.3) * luts
+        luts, regs, brams = np.array(
+            [(raw.luts, raw.regs, raw.brams) for raw in raws], dtype=float
+        ).T
+        fracs = self._stack.predict(feats_rows)
+        routing, dup_regs, unavailable = fracs * np.array([luts, regs, luts])
         routing_frac = routing / np.maximum(luts, 1.0)
         frac = self.bram_coef[0] + self.bram_coef[1] * routing_frac
         dup_brams = np.clip(frac, 0.0, 1.0) * brams

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.estimation.nn import MLP, MLPConfig, fit_linear
+from repro.estimation.nn import MLP, MLPConfig, MLPStack, fit_linear
 
 
 def make_data(fn, n=200, n_inputs=11, seed=0):
@@ -64,6 +64,97 @@ class TestTraining:
         net = MLP(MLPConfig(epochs=300, seed=7)).fit(x[:300], y[:300])
         pred = net.predict(x[300:])
         assert np.mean((pred - y[300:]) ** 2) < 0.05 * np.var(y)
+
+
+WIDTH_ERROR = r"11 features, got shape \(1, 10\)"
+
+
+def reference_predict(net, x):
+    """One net's forward in its defining operation order.
+
+    ``(x - mean) / std``; ``x0*w0``, then ``+ xj*wj`` left to right, then
+    ``+ b``; clip to +-40, ``exp``, ``1/(1+e)``; the same accumulation for
+    the output, then ``* y_std + y_mean``.
+    """
+    def affine(v, w, b):
+        acc = v[:, 0, None] * w[:, 0]
+        for j in range(1, w.shape[1]):
+            acc = acc + v[:, j, None] * w[:, j]
+        return acc + b
+
+    xs = (np.atleast_2d(x) - net.x_mean) / net.x_std
+    z1 = affine(xs, net.w1, net.b1)
+    h = 1.0 / (1.0 + np.exp(-np.clip(z1, -40, 40)))
+    return affine(h, net.w2, net.b2)[:, 0] * net.y_std + net.y_mean
+
+
+def trained_nets():
+    fns = [lambda v: v[0] - v[5], lambda v: v[1] * v[2], lambda v: v[3] ** 2]
+    return [
+        MLP(MLPConfig(epochs=60, seed=k)).fit(*make_data(fn, seed=k))
+        for k, fn in enumerate(fns)
+    ]
+
+
+def mixed_rows(n, seed=0):
+    """Rows from ordinary magnitudes up to ones that saturate the clip."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 11)) * np.logspace(-1, 3, n)[:, None]
+
+
+class TestStackedForward:
+    CLAMPS = [(0.01, 0.5), (0.0, 0.4), (0.0, 0.3)]
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 1024])
+    def test_stack_equals_each_single_net(self, n):
+        nets = trained_nets()
+        x = mixed_rows(n, seed=n)
+        stacked = MLPStack(nets, [(-np.inf, np.inf)] * 3).predict(x)
+        for k, net in enumerate(nets):
+            want = reference_predict(net, x)
+            assert stacked[k].tobytes() == want.tobytes()
+            assert net.predict(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 1024])
+    def test_clamps_match_scalar_clamps(self, n):
+        nets = trained_nets()
+        for net in nets:  # widen the outputs so every clamp engages
+            net.y_std *= 20.0
+        x = mixed_rows(n, seed=n)
+        got = MLPStack(nets, self.CLAMPS).predict(x)
+        for k, (net, (lo, hi)) in enumerate(zip(nets, self.CLAMPS)):
+            want = [min(max(float(v), lo), hi)
+                    for v in reference_predict(net, x)]
+            assert got[k].tobytes() == np.array(want).tobytes()
+        if n == 1024:
+            for k, (lo, hi) in enumerate(self.CLAMPS):
+                assert (got[k] == lo).any() and (got[k] == hi).any()
+
+    def test_rows_saturate_the_sigmoid_clip(self):
+        nets = trained_nets()
+        x = mixed_rows(1024)
+        net = nets[0]
+        z1 = (x - net.x_mean) / net.x_std @ net.w1.T + net.b1
+        assert (np.abs(z1) > 40).any() and (np.abs(z1) < 40).any()
+
+    def test_row_independent_of_its_batch(self):
+        nets = trained_nets()
+        stack = MLPStack(nets, self.CLAMPS)
+        x = mixed_rows(64, seed=3)
+        batch = stack.predict(x)
+        order = np.random.default_rng(1).permutation(len(x))
+        shuffled = stack.predict(x[order])
+        for i in range(len(x)):
+            alone = stack.predict(x[i])
+            assert alone[:, 0].tobytes() == batch[:, i].tobytes()
+        assert shuffled.tobytes() == batch[:, order].tobytes()
+
+    def test_predict_rejects_wrong_feature_count(self):
+        net = MLP()
+        with pytest.raises(ValueError, match=WIDTH_ERROR):
+            net.predict(np.zeros(10))
+        with pytest.raises(ValueError, match="11 features"):
+            net.predict(np.zeros((3, 12)))
 
 
 class TestSerialization:

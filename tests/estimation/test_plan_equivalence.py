@@ -22,6 +22,8 @@ from repro.apps import all_benchmarks
 from repro.apps.extras import all_extras
 from repro.dse import explore, local_search
 from repro.estimation import Estimator
+from repro.estimation.area import bram_blocks, delay_counts
+from repro.estimation.cycles import stream_cycles
 from repro.params import BoolParam, IntParam
 
 from .test_golden_estimates import POINTS, SEED, load_golden
@@ -96,6 +98,41 @@ def test_every_class_matches_oracle(bench, small, fresh, cold):
     assert len(compiled) == len(family.plans) == 2 ** len(
         family.toggle_names
     ), "a class fell back to per-point pricing"
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+@pytest.mark.parametrize("name", ["kmeans", "blackscholes", "dotproduct"])
+def test_plans_subscript_tables_that_hold_direct_calls(name, small, fresh):
+    """Helpers run through tables; each entry is what a direct call gives."""
+    bench = next(b for b in BENCHES if b.name == name)
+    dataset = bench.small_dataset() if small else bench.default_dataset()
+    points = class_points(bench.param_space(dataset), per_class=3, seed=5)
+    fresh.estimate_points(bench, dataset, points)
+    board, templates = fresh.board, fresh.templates
+    direct = {
+        "DELAY": delay_counts,
+        "BRAM_BLOCKS": lambda *k: bram_blocks(*k, board.device),
+        "STREAM": lambda *k: stream_cycles(*k[:4], board, k[4]),
+    }
+    filled = set()
+    family = next(iter(fresh.caches.plans.values()))
+    assert len(family.plans) == 2 ** len(family.toggle_names)
+    for plan in family.plans.values():
+        for line in plan.source.splitlines():
+            for helper in ("delay_counts(", "bram_blocks(", "stream_cycles("):
+                assert helper not in line, line
+        for table_name, table in plan.tables.items():
+            for key, value in table.items():
+                filled.add(table_name if table_name in direct else "T")
+                if table_name in direct:
+                    assert value == direct[table_name](*key), (table_name, key)
+                else:
+                    _, kind, names = table.fn.args
+                    counts = templates.predict(kind, dict(zip(names, key)))
+                    assert value == tuple(vars(counts).values()), (kind, key)
+    # dotproduct's one Pipe body has no slack to balance.
+    want = {"BRAM_BLOCKS", "STREAM", "T"}
+    assert filled == (want if name == "dotproduct" else want | {"DELAY"})
 
 
 def test_single_points_match_blocks(fresh, cold):
