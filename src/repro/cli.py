@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge-checkpoints",
         help="merge a (multi-host) checkpoint directory into the full "
         "point set — no estimation",
-        parents=[obs_flags, cache_flags],
+        parents=[obs_flags],
     )
     p.add_argument("directory", metavar="DIR",
                    help="checkpoint directory written by one or more "

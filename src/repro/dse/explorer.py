@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .. import obs
 from ..apps.registry import Benchmark, Dataset
-from ..estimation.estimator import Estimate, Estimator
+from ..estimation.estimator import DesignPoint, Estimator
 from ..runtime import (
     CheckpointError,
     CheckpointStore,
@@ -44,6 +44,7 @@ from ..runtime import (
     outcomes_from_states,
     plan_shards,
     read_manifest,
+    require_positive,
     run_plan,
 )
 from .pareto import pareto_front
@@ -52,29 +53,11 @@ DEFAULT_MAX_POINTS = 75_000
 
 
 @dataclass
-class DesignPoint:
-    """One explored design point: parameters plus its estimate."""
-
-    params: Dict[str, object]
-    estimate: Estimate
-
-    @property
-    def cycles(self) -> float:
-        return self.estimate.cycles
-
-    @property
-    def alms(self) -> int:
-        return self.estimate.alms
-
-    @property
-    def valid(self) -> bool:
-        """Fits on the target device (invalid points shown red in Fig. 5)."""
-        return self.estimate.fits()
-
-
-@dataclass
 class ExplorationResult:
-    """Outcome of exploring one benchmark's design space."""
+    """Outcome of exploring one benchmark's design space.
+
+    ``points`` holds the legal sampled points' records in sample order.
+    """
 
     benchmark: str
     dataset: Dataset
@@ -157,10 +140,7 @@ def explore(
     the shared design-point cache, with results bit-identical to
     building and estimating every design (``--no-cache``).
     """
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    require_positive("workers", workers)
     if shards is None:
         shards = workers
     if resume and checkpoint_dir is None:
@@ -217,10 +197,7 @@ def _merged_result(
     return ExplorationResult(
         benchmark=benchmark.name,
         dataset=dataset,
-        points=[
-            DesignPoint(r.params, r.estimate)
-            for r in records if not r.illegal
-        ],
+        points=[record for record in records if not record.illegal],
         space_cardinality=plan.space_cardinality,
         legal_sampled=plan.total_points,
         shards=plan.n_shards,

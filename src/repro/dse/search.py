@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.cache import point_key
-from ..estimation.estimator import Estimate, Estimator
+from ..estimation.estimator import DesignPoint, Estimate, Estimator
 from ..params import BoolParam, IntParam, ParamSpace
-from .explorer import DesignPoint
+from ..runtime import require_positive
 
 Point = Dict[str, object]
 
@@ -80,7 +80,12 @@ def local_search(
     :meth:`~repro.estimation.estimator.Estimator.estimate_points`, whose
     shared design-point cache skips points any earlier search or
     exploration already priced.
+
+    Raises :class:`ValueError` unless ``budget`` and ``restarts`` are
+    positive integers.
     """
+    require_positive("budget", budget)
+    require_positive("restarts", restarts)
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)
     rng = random.Random(seed)

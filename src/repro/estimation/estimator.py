@@ -55,6 +55,46 @@ class Estimate:
         return self.area.utilization(self.board.device)
 
 
+@dataclass
+class DesignPoint:
+    """One explored design point: parameters, estimate, sweep bookkeeping.
+
+    The one record of a point from pricing to result: a shard creates
+    it, the checkpoint writer writes it, a resume restores it, the merge
+    orders it and :attr:`repro.dse.ExplorationResult.points` holds it.
+    ``estimate`` is ``None`` for points whose build raised an
+    :class:`~repro.ir.node.IRError` (structurally illegal points the
+    space's legality predicates cannot express). ``index`` is the point's
+    global position in the seeded sample, ``latency_s`` its even share of
+    its pricing block's time, and ``restored`` marks records loaded from
+    a checkpoint rather than estimated this run.
+    """
+
+    params: Dict[str, object]
+    estimate: Optional[Estimate]
+    index: int = 0
+    latency_s: float = 0.0
+    restored: bool = False
+
+    @property
+    def illegal(self) -> bool:
+        """True when the point's design build failed a structural rule."""
+        return self.estimate is None
+
+    @property
+    def cycles(self) -> float:
+        return self.estimate.cycles
+
+    @property
+    def alms(self) -> int:
+        return self.estimate.alms
+
+    @property
+    def valid(self) -> bool:
+        """Fits on the target device (invalid points shown red in Fig. 5)."""
+        return self.estimate.fits()
+
+
 class Estimator:
     """Fast design analysis: cycle counts plus hybrid area estimation.
 

@@ -31,8 +31,9 @@ building the design and calling :meth:`Estimator.estimate
 <repro.estimation.estimator.Estimator.estimate>` (the oracle).
 
 The evaluation form is plain Python, not numpy: a sweep hands a block of
-at most 32 points to :func:`price_points` and guided search prices one
-point at a time, so per-call array overhead would outweigh any vector
+at most 100 points (``runtime.checkpoint.BLOCK_POINTS``), split over its
+classes, to :func:`price_points` and guided search prices one point at
+a time, so per-call array overhead would outweigh any vector
 win (``docs/estimation_performance.md``). A helper call whose arguments
 are not all constants becomes a subscript of a :class:`_Table` — ``T0``,
 ``T1``, ... for template predictions, ``DELAY``, ``BRAM_BLOCKS`` and

@@ -37,7 +37,6 @@ from .sinks import (
     span_summary,
     to_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from .trace import NULL_SPAN, InstantEvent, Span, Tracer
 
@@ -69,7 +68,6 @@ __all__ = [
     "trace_enabled",
     "tracer",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 _TRACER = Tracer(enabled=False)

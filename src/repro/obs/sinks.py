@@ -5,8 +5,8 @@
   (https://ui.perfetto.dev). Spans become complete (``"ph": "X"``)
   events with microsecond timestamps; instant events become ``"ph": "i"``
   marks on the timeline.
-* :func:`write_jsonl` — one JSON object per line per span/instant, for
-  ad-hoc analysis with ``jq`` or pandas.
+* :class:`JsonlStreamWriter` — one JSON object per line per span/instant,
+  written as each one finishes, for ad-hoc analysis with ``jq`` or pandas.
 * :func:`span_summary` — per-span-name aggregate wall-clock table, the
   quickest answer to "where did the time go".
 
@@ -28,7 +28,6 @@ __all__ = [
     "JsonlStreamWriter",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "span_summary",
 ]
 
@@ -88,7 +87,7 @@ def write_chrome_trace(
 
 
 def _span_record(span: Span) -> Dict[str, Any]:
-    """One span as the JSONL line dict (shared by batch + stream sinks)."""
+    """One span as the JSONL line dict."""
     return {
         "type": "span",
         "name": span.name,
@@ -111,22 +110,6 @@ def _instant_record(ev: InstantEvent) -> Dict[str, Any]:
         "ts_s": ev.ts,
         "attrs": _jsonable(ev.attrs),
     }
-
-
-def write_jsonl(tracer: Tracer, dest: Union[str, IO[str]]) -> None:
-    """Write every span and instant as one JSON object per line."""
-
-    def _dump(fh: IO[str]) -> None:
-        for span in tracer.spans:
-            fh.write(json.dumps(_span_record(span)) + "\n")
-        for ev in tracer.instants:
-            fh.write(json.dumps(_instant_record(ev)) + "\n")
-
-    if hasattr(dest, "write"):
-        _dump(dest)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w") as fh:  # type: ignore[arg-type]
-            _dump(fh)
 
 
 class JsonlStreamWriter:

@@ -22,7 +22,6 @@ resume guarantees.
 from .checkpoint import (
     CheckpointError,
     CheckpointStore,
-    PointRecord,
     ShardWriter,
     estimate_from_doc,
     estimate_to_doc,
@@ -30,7 +29,6 @@ from .checkpoint import (
 )
 from .merge import Conservation, ConservationError, merge_outcomes
 from .pool import (
-    DEFAULT_BATCH_SIZE,
     RunOutcome,
     ShardOutcome,
     fork_available,
@@ -42,15 +40,14 @@ from .sharding import (
     Shard,
     ShardPlan,
     plan_shards,
+    require_positive,
 )
 
 __all__ = [
     "CheckpointError",
     "CheckpointStore",
-    "DEFAULT_BATCH_SIZE",
     "Conservation",
     "ConservationError",
-    "PointRecord",
     "RunOutcome",
     "Shard",
     "ShardOutcome",
@@ -63,6 +60,7 @@ __all__ = [
     "outcomes_from_states",
     "plan_shards",
     "read_manifest",
+    "require_positive",
     "run_plan",
     "run_shard",
 ]

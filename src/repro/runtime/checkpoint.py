@@ -4,9 +4,10 @@ A checkpointed explore writes one ``shard-NNNN.jsonl`` file per shard
 plus a ``manifest.json`` describing the run (benchmark, dataset, seed,
 budget, shard count). Shard files are append-only: each estimated point
 becomes one JSON line carrying its global index, parameters, the full
-estimate and a CRC-32 of the line, flushed every :data:`FLUSH_EVERY`
-points so a killed sweep loses at most that many estimates. A terminal
-``done`` line marks the shard complete.
+estimate and a CRC-32 of the line. A shard is priced, written and
+fsynced in blocks of :data:`BLOCK_POINTS` points, so a killed sweep
+loses at most that many estimates. A terminal ``done`` line marks the
+shard complete.
 
 :func:`read_manifest` is the only reader of ``manifest.json`` and refuses
 a missing, unparsable or mistyped one. :meth:`CheckpointStore.load`,
@@ -37,18 +38,19 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, Optional, Union
+from typing import Dict, IO, Optional, Sequence, Union
 
 from ..estimation.area import AreaEstimate
 from ..estimation.counts import Counts
-from ..estimation.estimator import Estimate
+from ..estimation.estimator import DesignPoint, Estimate
 from ..target.board import Board
 from .sharding import Shard, ShardPlan
 
 MANIFEST_NAME = "manifest.json"
 
-#: Flush shard files after this many newly written records.
-FLUSH_EVERY = 100
+#: Points priced, written and fsynced as one unit (``run_shard``'s
+#: block): a killed sweep loses at most this many estimates.
+BLOCK_POINTS = 100
 
 # Keys every manifest must carry, with their JSON types.
 _MANIFEST_TYPES = {"benchmark": str, "dataset": dict, "seed": int,
@@ -63,52 +65,14 @@ class CheckpointError(RuntimeError):
     """A checkpoint directory cannot be used for the requested run."""
 
 
-@dataclass
-class PointRecord:
-    """One explored point: global index, parameters, outcome.
-
-    ``estimate`` is ``None`` for points whose build raised an
-    :class:`~repro.ir.node.IRError` (structurally illegal points the
-    space's legality predicates cannot express). ``restored`` marks
-    records loaded from a checkpoint rather than estimated this run.
-    """
-
-    index: int
-    params: Dict[str, object]
-    estimate: Optional[Estimate]
-    latency_s: float = 0.0
-    restored: bool = False
-
-    @property
-    def illegal(self) -> bool:
-        """True when the point's design build failed a structural rule."""
-        return self.estimate is None
-
-
 def estimate_to_doc(est: Estimate) -> Dict[str, object]:
     """Serialize an :class:`Estimate` to a JSON-safe dict (lossless)."""
-    a = est.area
+    # The area part's keys are AreaEstimate's and Counts' own fields.
     return {
         "design": est.design_name,
         "cycles": est.cycles,
         "seconds": est.seconds,
-        "area": {
-            "alms": a.alms,
-            "dsps": a.dsps,
-            "brams": a.brams,
-            "regs": a.regs,
-            "routing_luts": a.routing_luts,
-            "duplicated_regs": a.duplicated_regs,
-            "duplicated_brams": a.duplicated_brams,
-            "unavailable_luts": a.unavailable_luts,
-            "raw": {
-                "luts_packable": a.raw.luts_packable,
-                "luts_unpackable": a.raw.luts_unpackable,
-                "regs": a.raw.regs,
-                "dsps": a.raw.dsps,
-                "brams": a.raw.brams,
-            },
-        },
+        "area": {**vars(est.area), "raw": dict(vars(est.area.raw))},
     }
 
 
@@ -157,30 +121,33 @@ def _parse_line(line: str) -> Optional[Dict[str, object]]:
 
 
 class ShardWriter:
-    """Append-only JSONL writer for one shard's checkpoint file."""
+    """Append-only JSONL writer for one shard's checkpoint file.
+
+    Every call writes its lines and fsyncs them, so the durability unit
+    is whatever the caller hands over: a block of at most
+    :data:`BLOCK_POINTS` records, the ``done`` marker, or the close.
+    """
 
     def __init__(self, path: Union[str, Path], append: bool = False) -> None:
         self.path = Path(path)
         self._fh: Optional[IO[str]] = open(
             self.path, "a" if append else "w"
         )
-        self._pending = 0
 
-    def write(self, record: PointRecord) -> None:
-        """Append one point record (flushed every :data:`FLUSH_EVERY`)."""
+    def write(self, records: Sequence[DesignPoint]) -> None:
+        """Append one block of point records and fsync them together."""
         assert self._fh is not None, "writer already closed"
-        doc = {
-            "t": "p",
-            "i": record.index,
-            "params": record.params,
-            "lat": record.latency_s,
-            "est": None if record.estimate is None
-            else estimate_to_doc(record.estimate),
-        }
-        self._fh.write(_line(doc))
-        self._pending += 1
-        if self._pending >= FLUSH_EVERY:
-            self.flush()
+        self._fh.write("".join(
+            _line({
+                "t": "p",
+                "i": record.index,
+                "params": record.params,
+                "est": None if record.estimate is None
+                else estimate_to_doc(record.estimate),
+            })
+            for record in records
+        ))
+        self._sync()
 
     def done(self, shard: Shard) -> None:
         """Write the terminal marker declaring the shard complete."""
@@ -188,19 +155,17 @@ class ShardWriter:
         self._fh.write(
             _line({"t": "done", "shard": shard.index, "points": len(shard)})
         )
-        self.flush()
+        self._sync()
 
-    def flush(self) -> None:
-        """Flush buffered lines to the OS so a kill loses little work."""
-        if self._fh is not None and self._pending:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        self._pending = 0
+    def _sync(self) -> None:
+        assert self._fh is not None
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
+        """Fsync and close the underlying file (idempotent)."""
         if self._fh is not None:
-            self.flush()
+            self._sync()
             self._fh.close()
             self._fh = None
 
@@ -213,7 +178,7 @@ class ShardState:
     from the first torn or unreadable line on is lost work.
     """
 
-    records: Dict[int, PointRecord] = field(default_factory=dict)
+    records: Dict[int, DesignPoint] = field(default_factory=dict)
     complete: bool = False
     size: int = 0
 
@@ -353,12 +318,10 @@ class CheckpointStore:
                     f"point {point!r}"
                 )
             est = doc["est"]
-            estimate = None if est is None else estimate_from_doc(est, board)
-            state.records[index] = PointRecord(
-                index=index,
-                params=dict(point),
-                estimate=estimate,
-                latency_s=doc.get("lat", 0.0),
+            state.records[index] = DesignPoint(
+                point,
+                None if est is None else estimate_from_doc(est, board),
+                index,
                 restored=True,
             )
         if state.complete and len(state.records) != len(shard):

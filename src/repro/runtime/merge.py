@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .checkpoint import PointRecord
+from ..estimation.estimator import DesignPoint
 from .pool import ShardOutcome
 from .sharding import ShardPlan
 
@@ -72,7 +72,7 @@ class Conservation:
 
 def merge_outcomes(
     plan: ShardPlan, outcomes: Sequence[ShardOutcome]
-) -> Tuple[List[PointRecord], Conservation]:
+) -> Tuple[List[DesignPoint], Conservation]:
     """Reassemble shard outcomes into global order, with accounting.
 
     Returns records sorted by global index (the serial enumeration
@@ -81,7 +81,7 @@ def merge_outcomes(
     """
     stats = Conservation(planned=plan.total_points)
     expected = {index for shard in plan.shards for index in shard.indices}
-    seen: Dict[int, PointRecord] = {}
+    seen: Dict[int, DesignPoint] = {}
     for outcome in outcomes:
         stats.estimated += outcome.estimated
         stats.restored += outcome.restored

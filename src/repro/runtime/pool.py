@@ -40,11 +40,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from .. import obs
-from .checkpoint import CheckpointStore, PointRecord, ShardState
-from .sharding import Shard, ShardPlan
-
-# Points priced per Estimator.estimate_points() call (one NN pass each).
-DEFAULT_BATCH_SIZE = 32
+from ..estimation.estimator import DesignPoint
+from .checkpoint import BLOCK_POINTS, CheckpointStore, ShardState
+from .sharding import Shard, ShardPlan, require_positive
 
 # Emit a dse.progress instant every this many points priced in-process.
 PROGRESS_EVERY = 1_000
@@ -62,7 +60,7 @@ class ShardOutcome:
 
     shard: int
     planned: int
-    records: List[PointRecord] = field(default_factory=list)
+    records: List[DesignPoint] = field(default_factory=list)
     elapsed_s: float = 0.0
     estimated: int = 0
     restored: int = 0
@@ -110,17 +108,18 @@ def run_shard(
     shard: Shard,
     writer=None,
     skip: Optional[Set[int]] = None,
-    on_point: Optional[Callable[[PointRecord], None]] = None,
+    on_point: Optional[Callable[[DesignPoint], None]] = None,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
 
     Runs in the parent (serial path) or inside a forked worker (parallel
-    path). ``writer`` receives each fresh record for checkpointing;
-    ``on_point`` is the serial path's per-point observability hook.
+    path). ``on_point`` is the serial path's per-point observability hook.
 
-    Points are priced in blocks of :data:`DEFAULT_BATCH_SIZE` through
-    :meth:`~repro.estimation.estimator.Estimator.estimate_points`; each
-    record's latency is an even share of its block's time.
+    A block of :data:`~repro.runtime.checkpoint.BLOCK_POINTS` points is
+    the unit of work: one
+    :meth:`~repro.estimation.estimator.Estimator.estimate_points` call
+    prices it, and one ``writer.write`` call checkpoints and fsyncs its
+    records. Each record's latency is an even share of its block's time.
     """
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
@@ -130,19 +129,22 @@ def run_shard(
         for offset, params in enumerate(shard.points)
         if shard.start + offset not in skip
     ]
-    for lo in range(0, len(todo), DEFAULT_BATCH_SIZE):
-        block = todo[lo:lo + DEFAULT_BATCH_SIZE]
+    for lo in range(0, len(todo), BLOCK_POINTS):
+        block = todo[lo:lo + BLOCK_POINTS]
         t0 = time.perf_counter()
         estimates = estimator.estimate_points(
             benchmark, dataset, [params for _, params in block]
         )
         share = (time.perf_counter() - t0) / len(block)
-        for (index, params), estimate in zip(block, estimates):
-            record = PointRecord(index, dict(params), estimate, share)
-            outcome.records.append(record)
-            if writer is not None:
-                writer.write(record)
-            if on_point is not None:
+        records = [
+            DesignPoint(params, estimate, index, share)
+            for (index, params), estimate in zip(block, estimates)
+        ]
+        outcome.records += records
+        if writer is not None:
+            writer.write(records)
+        if on_point is not None:
+            for record in records:
                 on_point(record)
     outcome.estimated = len(todo)
     if writer is not None:
@@ -210,7 +212,7 @@ class _Heartbeat:
         self._shards_done = 0
         self._start = time.perf_counter()
 
-    def progress(self, _record: PointRecord) -> None:
+    def progress(self, _record: DesignPoint) -> None:
         """Serial path: count one priced point, maybe emit an instant."""
         self._done += 1
         if self._done % PROGRESS_EVERY == 0:
@@ -262,10 +264,7 @@ def run_plan(
     by one fresh :class:`ShardOutcome` per shard that was not already
     complete — the merge layer's input, which sorts records globally.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    require_positive("workers", workers)
 
     states: Dict[int, ShardState] = {}
     if store is not None:

@@ -26,6 +26,13 @@ from ..params import ParamSpace
 
 Point = Dict[str, object]
 
+
+def require_positive(name: str, value: object) -> None:
+    """Raise :class:`ValueError` unless ``value`` is an int >= 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Shard:
     """One contiguous slice of the sampled point list.
@@ -97,7 +104,8 @@ def plan_shards(
 ) -> ShardPlan:
     """Sample ``space`` exactly as the serial explorer would, then split.
 
-    Raises :class:`ValueError` for a non-positive shard count. The
+    Raises :class:`ValueError` for a ``max_points`` or shard count that
+    is not a positive integer: an empty sweep is never silent. The
     partition is contiguous and balanced: the first ``total % shards``
     shards get one extra point. A plan may contain fewer (non-empty)
     shards than requested when the sample is small.
@@ -106,8 +114,8 @@ def plan_shards(
     in ``[lo, hi)`` — the full partition is still computed first, so
     disjoint ranges across hosts tile the serial point set exactly.
     """
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ValueError(f"shards must be a positive integer, got {shards!r}")
+    require_positive("max_points", max_points)
+    require_positive("shards", shards)
     rng = random.Random(seed)
     sampled = space.sample(rng, max_points)
     plan = ShardPlan(

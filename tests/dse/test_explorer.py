@@ -70,6 +70,13 @@ class TestExploration:
         assert [p.params for p in r1.points] != [p.params for p in r2.points]
 
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_non_positive_budget(self, estimator, budget):
+        with pytest.raises(ValueError, match="max_points must be"):
+            explore(get_benchmark("dotproduct"), estimator,
+                    max_points=budget)
+
+
 class TestInvalidPoints:
     def test_oversized_designs_marked_invalid(self, estimator):
         """kmeans at extreme parallelization must blow past the device."""

@@ -89,6 +89,13 @@ class TestLocalSearch:
         assert a.trajectory == b.trajectory
         assert a.best.params == b.best.params
 
+    @pytest.mark.parametrize("knob", ["budget", "restarts"])
+    def test_rejects_non_positive_knobs(self, estimator, knob):
+        bench = get_benchmark("tpchq6")
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"{knob} must be"):
+                local_search(bench, estimator, **{knob: bad})
+
     def test_neighbors_stay_legal(self, estimator):
         import random
 

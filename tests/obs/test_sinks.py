@@ -4,16 +4,18 @@ import io
 import json
 
 from repro.obs import (
+    JsonlStreamWriter,
     Tracer,
     span_summary,
     to_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
-def traced():
+def traced(stream=None):
     tracer = Tracer(enabled=True)
+    if stream is not None:
+        tracer.attach_stream(stream)
     with tracer.span("explore", bench="gemm"):
         with tracer.span("estimate", design="gemm"):
             with tracer.span("cycles"):
@@ -79,7 +81,8 @@ class TestChromeTrace:
 class TestJsonl:
     def test_every_line_parses(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        write_jsonl(traced(), str(path))
+        with JsonlStreamWriter(str(path)) as stream:
+            traced(stream)
         lines = path.read_text().splitlines()
         objs = [json.loads(line) for line in lines]
         assert len(objs) == 5  # 4 spans + 1 instant

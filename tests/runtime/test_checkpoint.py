@@ -19,7 +19,7 @@ from repro.runtime import (
     estimate_to_doc,
     plan_shards,
 )
-from repro.runtime.checkpoint import _line
+from repro.runtime.checkpoint import BLOCK_POINTS, _line
 
 POINTS = 40
 SEED = 5
@@ -104,6 +104,44 @@ class TestKillResume:
         assert all(state.complete for state in states.values())
         assert sum(len(state.records) for state in states.values()) == POINTS
 
+    def test_failed_block_resumes_from_last_whole_block(
+        self, estimator, bench, tmp_path
+    ):
+        """A sweep that dies pricing its k-th block leaves exactly the
+        k - 1 blocks before it on disk; the resume prices the rest."""
+        k, points = 3, 3 * BLOCK_POINTS + 50
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(RuntimeError, match="killed"):
+            explore(bench, _FailingEstimator(estimator, k), max_points=points,
+                    seed=SEED, checkpoint_dir=ckpt)
+        resumed = explore(bench, estimator, max_points=points, seed=SEED,
+                          checkpoint_dir=ckpt, resume=True)
+        assert resumed.restored == (k - 1) * BLOCK_POINTS
+        serial = explore(bench, estimator, max_points=points, seed=SEED)
+        assert full_fingerprint(resumed) == full_fingerprint(serial)
+
+    def test_fsync_per_block_done_and_close(
+        self, estimator, bench, tmp_path, monkeypatch
+    ):
+        """Records reach the disk in blocks of at most BLOCK_POINTS."""
+        import repro.runtime.checkpoint as checkpoint
+
+        ckpt = tmp_path / "ckpt"
+        synced = []
+        real_fsync = checkpoint.os.fsync
+
+        def fsync(fd):
+            real_fsync(fd)
+            synced.append(len(
+                (ckpt / "shard-0000.jsonl").read_text().splitlines()
+            ))
+
+        monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+        explore(bench, estimator, max_points=2 * BLOCK_POINTS + 50,
+                seed=SEED, checkpoint_dir=ckpt)
+        blocks = [BLOCK_POINTS, 2 * BLOCK_POINTS, 2 * BLOCK_POINTS + 50]
+        assert synced == blocks + [blocks[-1] + 1] * 2  # done, close
+
     def test_resume_works_across_worker_counts(
         self, estimator, bench, serial, tmp_path
     ):
@@ -115,6 +153,88 @@ class TestKillResume:
                           shards=4, workers=2, checkpoint_dir=ckpt,
                           resume=True)
         assert fingerprint(resumed) == fingerprint(serial)
+
+
+class _FailingEstimator:
+    """``estimator``, except that its k-th pricing call raises."""
+
+    def __init__(self, estimator, k):
+        self.board = estimator.board
+        self._estimator = estimator
+        self._calls_left = k
+
+    def estimate_points(self, *args):
+        self._calls_left -= 1
+        if not self._calls_left:
+            raise RuntimeError("killed")
+        return self._estimator.estimate_points(*args)
+
+
+def _parent_estimate_doc(est):
+    """An estimate as shard files wrote it before block writes: ``raw``
+    last in ``area``."""
+    a = est.area
+    return {
+        "design": est.design_name,
+        "cycles": est.cycles,
+        "seconds": est.seconds,
+        "area": {
+            "alms": a.alms,
+            "dsps": a.dsps,
+            "brams": a.brams,
+            "regs": a.regs,
+            "routing_luts": a.routing_luts,
+            "duplicated_regs": a.duplicated_regs,
+            "duplicated_brams": a.duplicated_brams,
+            "unavailable_luts": a.unavailable_luts,
+            "raw": {
+                "luts_packable": a.raw.luts_packable,
+                "luts_unpackable": a.raw.luts_unpackable,
+                "regs": a.raw.regs,
+                "dsps": a.raw.dsps,
+                "brams": a.raw.brams,
+            },
+        },
+    }
+
+
+class TestParentLineFormat:
+    def test_parent_format_restores_and_resumes(
+        self, estimator, bench, tmp_path
+    ):
+        """Shard files in the earlier line format (a per-point ``"lat"``,
+        ``raw`` last) restore, and a partial one resumes to the serial
+        sweep."""
+        ckpt = tmp_path / "ckpt"
+        explore(bench, estimator, max_points=POINTS, seed=SEED, shards=4,
+                checkpoint_dir=ckpt)
+        dataset = bench.default_dataset()
+        plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
+        states = CheckpointStore(ckpt).load(
+            bench.name, dataset, plan, estimator.board
+        )
+        for shard in plan.shards:
+            records = [states[shard.index].records[i] for i in shard.indices]
+            if shard.index == 1:
+                records = records[: len(records) // 2]  # killed mid-shard
+            lines = [
+                _line({"t": "p", "i": r.index, "params": r.params,
+                       "lat": 1.5e-05,
+                       "est": _parent_estimate_doc(r.estimate)})
+                for r in records
+            ]
+            if shard.index != 1:
+                lines.append(_line({"t": "done", "shard": shard.index,
+                                    "points": len(shard)}))
+            CheckpointStore(ckpt).shard_path(shard.index).write_text(
+                "".join(lines)
+            )
+        dropped = len(plan.shards[1]) - len(plan.shards[1]) // 2
+        resumed = explore(bench, estimator, max_points=POINTS, seed=SEED,
+                          shards=4, checkpoint_dir=ckpt, resume=True)
+        assert resumed.restored == POINTS - dropped
+        serial = explore(bench, estimator, max_points=POINTS, seed=SEED)
+        assert full_fingerprint(resumed) == full_fingerprint(serial)
 
 
 class TestManifestValidation:

@@ -55,6 +55,12 @@ class TestPlanShards:
         with pytest.raises(ValueError, match="shards must be"):
             plan_shards(space, 5, 60, True)
 
+    def test_rejects_bad_budgets(self, space):
+        """An empty sweep is an error, never a silently empty plan."""
+        for bad in (0, -1, 2.5, True, None):
+            with pytest.raises(ValueError, match="max_points must be"):
+                plan_shards(space, 5, bad, 2)
+
     def test_cardinality_recorded(self, space):
         plan = plan_shards(space, 5, 60, 2)
         assert plan.space_cardinality == space.cardinality

@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from repro import obs
-from repro.cli import _parse_overrides, main
+from repro.cli import _parse_overrides, build_parser, main
 
 
 def run_cli(estimator, *argv):
@@ -309,6 +309,10 @@ def _zero_shards(text):
     return json.dumps({**json.loads(text), "shards": 0})
 
 
+def _zero_points(text):
+    return json.dumps({**json.loads(text), "max_points": 0})
+
+
 # Ways to damage a checkpoint's manifest.json: name -> text edit.
 _BAD_MANIFESTS = {
     "truncated": lambda text: text[: len(text) // 2],
@@ -316,6 +320,7 @@ _BAD_MANIFESTS = {
     "no-seed": _drop_seed,
     "unknown-benchmark": lambda text: text.replace('"tpchq6"', '"nosuch"'),
     "zero-shards": _zero_shards,
+    "zero-points": _zero_points,
 }
 
 
@@ -368,6 +373,21 @@ class TestHostileInput:
                 estimator, capsys, argv,
                 "--show expects a non-negative integer",
             )
+
+    def test_merge_checkpoints_takes_no_cache_flag(
+        self, estimator, capsys, tmp_path
+    ):
+        """merge-checkpoints estimates nothing, so --no-cache is not a
+        flag of it; the estimating subcommands keep it."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(estimator, "merge-checkpoints", str(tmp_path),
+                    "--no-cache")
+        assert exc.value.code == 2  # argparse: unrecognized argument
+        parser = build_parser()
+        for argv in (["estimate", "gda"], ["explore", "gda"],
+                     ["speedup", "gda"], ["power", "gda"],
+                     ["analyze", "gda"], ["report"]):
+            assert parser.parse_args(argv + ["--no-cache"]).no_cache
 
     def test_auto_shards_flag_is_gone(self, estimator, capsys):
         with pytest.raises(SystemExit) as exc:
