@@ -141,10 +141,5 @@ class OuterProduct(Benchmark):
         # than half of the streaming bound.
         return base * 2.2
 
-    def flops_per_point(self) -> float:
-        """Floating-point operations per output element."""
-        """Floating-point operations per output element."""
-        return 1.0
-
 
 register(OuterProduct())

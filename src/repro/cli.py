@@ -27,7 +27,8 @@ every design point instead of pricing it from compiled class plans and
 caches (bit-identical results; see ``docs/estimation_performance.md``).
 
 Bad input (an unknown benchmark, a non-positive count, a malformed
-flag, an output file in a missing directory, an unusable checkpoint
+flag or flag value, a missing argument, a shard range outside the plan,
+an output file in a missing directory, an unusable checkpoint
 directory) is a one-line ``repro: error: ...`` on stderr and exit
 status 2.
 
@@ -62,6 +63,17 @@ class UsageError(SystemExit):
     def __init__(self, message: str) -> None:
         super().__init__(message)
         self.code = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse with every parse error raised as a :class:`UsageError`.
+
+    Subparsers inherit the class, so a bad flag value or a missing
+    argument anywhere is one ``repro: error:`` line, not a usage block.
+    """
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _benchmark(name: str):
@@ -302,6 +314,10 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
         )
     except CheckpointError as exc:
         raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        if shard_range is None:
+            raise
+        raise UsageError(str(exc)) from None  # range outside the plan
     parallel = ""
     if result.shards > 1 or result.workers > 1 or result.restored:
         parallel = f"; {result.shards} shards x {result.workers} workers"
@@ -477,7 +493,7 @@ def cmd_report(args, out, estimator: Optional[Estimator] = None) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="DHDL reproduction: estimate, explore, and generate "
         "FPGA accelerator designs (ISCA 2016).",

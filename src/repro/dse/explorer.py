@@ -8,9 +8,9 @@ execution cycles x ALM usage.
 
 Execution is delegated to the :mod:`repro.runtime` engine: the seeded
 sample is split into disjoint shards (:mod:`repro.runtime.sharding`) and
-run either in-process or across forked workers
-(:mod:`repro.runtime.pool`), optionally checkpointing per-shard JSONL
-files for kill/resume (:mod:`repro.runtime.checkpoint`). For a fixed
+one shard runner is mapped over them, in-process or across forked
+workers (:mod:`repro.runtime.pool`), optionally appending to per-shard
+JSONL files for kill/resume (:mod:`repro.runtime.checkpoint`). For a fixed
 seed the sampled point set — and therefore the Pareto front — is
 identical for every ``shards``/``workers`` combination; the merge layer
 (:mod:`repro.runtime.merge`) enforces that no point is dropped or
@@ -22,8 +22,9 @@ When observability is enabled (:mod:`repro.obs`), the run records the
 per-point estimation-latency histogram (``dse.point_latency_s``) and
 the outcome counters ``dse.points.{sampled,illegal,unfit,valid,restored}``
 in one pass over the merged, conservation-checked records — the same
-pass for serial, forked, resumed and merged runs — plus periodic
-``dse.progress`` instants carrying points/sec on the serial path and
+pass for serial, forked, resumed and merged runs — plus
+``dse.progress`` instants carrying points/sec on the serial path
+(checked once per priced block, emitted every 1,000 points) and
 per-shard ``dse.shard.done`` heartbeats: the numbers behind the paper's
 "75,000 points in seconds" DSE claim.
 """

@@ -62,11 +62,6 @@ class OnChipMemory(Node):
     def size(self) -> int:
         raise NotImplementedError
 
-    @property
-    def total_bits(self) -> int:
-        depth = self.size * (2 if self.double_buffered else 1)
-        return depth * self.tp.bits
-
 
 class BRAM(OnChipMemory):
     """An on-chip scratchpad backed by block RAMs.

@@ -7,11 +7,11 @@ job engine:
 
 * :mod:`~repro.runtime.sharding` — one central seeded sample, split into
   N disjoint contiguous shards (bit-identical to serial for every N);
-* :mod:`~repro.runtime.pool` — serial in-process execution or a
-  fork-after-training process pool mapped over the shards, with
+* :mod:`~repro.runtime.pool` — one shard runner, mapped over the
+  shards in-process or on a fork-after-training process pool, with
   heartbeats into :mod:`repro.obs`;
-* :mod:`~repro.runtime.checkpoint` — per-shard JSONL checkpoints and
-  kill/resume;
+* :mod:`~repro.runtime.checkpoint` — append-only per-shard JSONL
+  checkpoints and kill/resume;
 * :mod:`~repro.runtime.merge` — global reassembly with conservation
   checks.
 

@@ -128,11 +128,10 @@ class ShardWriter:
     :data:`BLOCK_POINTS` records, the ``done`` marker, or the close.
     """
 
-    def __init__(self, path: Union[str, Path], append: bool = False) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._fh: Optional[IO[str]] = open(
-            self.path, "a" if append else "w"
-        )
+        # Safe to append: begin() left it absent or cut to its readable prefix.
+        self._fh: Optional[IO[str]] = open(self.path, "a")
 
     def write(self, records: Sequence[DesignPoint]) -> None:
         """Append one block of point records and fsync them together."""
@@ -330,9 +329,9 @@ class CheckpointStore:
             state.complete = False
         return state
 
-    def writer(self, shard: Shard, append: bool = False) -> ShardWriter:
-        """Open the shard's JSONL file for (appending) writes."""
-        return ShardWriter(self.shard_path(shard.index), append=append)
+    def writer(self, shard: Shard) -> ShardWriter:
+        """Open the shard's JSONL file for appending."""
+        return ShardWriter(self.shard_path(shard.index))
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:

@@ -2,25 +2,25 @@
 
 The estimation work DSE distributes is embarrassingly parallel — after
 the estimator is characterized and trained there is no shared mutable
-state per point — so the pool's job is mostly plumbing:
+state per point — so the pool's job is mostly plumbing. One function
+runs a pending shard (open its checkpoint writer, price it block by
+block, close the writer); :func:`run_plan` maps it over the pending
+shard indices:
 
-* ``workers=1`` runs every shard in-process, with a ``dse.progress``
-  instant every :data:`PROGRESS_EVERY` priced points;
-* ``workers>1`` maps the pending shards over a ``ProcessPoolExecutor``
-  on the ``fork`` start method, created *after* the estimator exists, so
-  every worker inherits the characterized/trained models through
-  copy-on-write memory and pays no per-worker cold start. The
-  executor's queue hands the next shard to whichever worker frees up
-  first; each completed shard emits a ``dse.shard.done`` heartbeat
-  instant and per-worker busy fractions land in
-  ``dse.worker.*.utilization`` gauges.
+* ``workers=1``: builtin ``map``, in-process, with a ``dse.progress``
+  instant each time the priced-point count crosses a multiple of
+  :data:`PROGRESS_EVERY`;
+* ``workers>1``: ``ProcessPoolExecutor.map`` on the ``fork`` start
+  method, created *after* the estimator exists, so every worker inherits
+  the trained models through copy-on-write memory and pays no cold
+  start. The executor's queue hands the next shard to whichever worker
+  frees up first; busy fractions land in ``dse.worker.*.utilization``.
 
-Point outcome counters and the latency histogram are recorded once,
-after the merge, by the explorer — the same pass for every path.
-
-Platforms without ``fork`` (Windows, macOS spawn default) fall back to
-the serial path rather than re-training one estimator per worker; the
-engine reports the effective worker count so callers can see that.
+Each completed shard emits a ``dse.shard.done`` instant from the
+parent. Point outcome counters and the latency histogram are recorded
+once, after the merge, by the explorer. Platforms without ``fork``
+fall back to the serial path rather than re-training one estimator per
+worker; the engine reports the effective worker count.
 
 Checkpointing is per shard: whichever process runs a shard is the only
 writer of its JSONL file (:mod:`repro.runtime.checkpoint`), so there is
@@ -36,6 +36,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -44,7 +45,8 @@ from ..estimation.estimator import DesignPoint
 from .checkpoint import BLOCK_POINTS, CheckpointStore, ShardState
 from .sharding import Shard, ShardPlan, require_positive
 
-# Emit a dse.progress instant every this many points priced in-process.
+# Emit a dse.progress instant each time the in-process priced-point count
+# crosses a multiple of this.
 PROGRESS_EVERY = 1_000
 
 
@@ -108,12 +110,12 @@ def run_shard(
     shard: Shard,
     writer=None,
     skip: Optional[Set[int]] = None,
-    on_point: Optional[Callable[[DesignPoint], None]] = None,
+    on_block: Optional[Callable[[int], None]] = None,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
 
     Runs in the parent (serial path) or inside a forked worker (parallel
-    path). ``on_point`` is the serial path's per-point observability hook.
+    path). ``on_block`` is called with each priced block's point count.
 
     A block of :data:`~repro.runtime.checkpoint.BLOCK_POINTS` points is
     the unit of work: one
@@ -143,9 +145,8 @@ def run_shard(
         outcome.records += records
         if writer is not None:
             writer.write(records)
-        if on_point is not None:
-            for record in records:
-                on_point(record)
+        if on_block is not None:
+            on_block(len(block))
     outcome.estimated = len(todo)
     if writer is not None:
         writer.done(shard)
@@ -153,45 +154,35 @@ def run_shard(
     return outcome
 
 
-# -- forked-worker plumbing -------------------------------------------------
+# -- the one shard runner ---------------------------------------------------
 
-# Snapshot inherited by workers at fork time. Set immediately before the
-# executor is created and cleared once it has shut down; only worker
-# processes read it.
-_FORK_STATE: Optional[Dict[str, object]] = None
+# State of the run_plan call in progress: set before its pending shards
+# are mapped and cleared after. Forked workers inherit it at fork time.
+_RUN: Optional[Dict] = None
 
 
-def _worker_init() -> None:
-    """Forked-worker initializer: silence the inherited obs collectors.
+def _run_pending(index: int) -> ShardOutcome:
+    """Run pending shard ``index`` in this process, parent or forked child.
 
-    Workers measure per-point latency with raw ``perf_counter`` calls and
-    ship it back in their records; recording spans/metrics into the
-    child's copy of the global collectors would be invisible waste.
+    Shard data, the estimator, the checkpoint store and the heartbeat
+    come from the run state; only the shard index crosses a process
+    boundary. ``worker`` is set to the pid only inside a forked child.
     """
-    obs.disable()
-
-
-def _worker_run_shard(index: int) -> ShardOutcome:
-    """Run shard ``index`` inside a forked worker.
-
-    Shard data, the estimator and the checkpoint store come from the
-    fork snapshot; only the shard index crosses the process boundary.
-    """
-    state = _FORK_STATE
-    assert state is not None, "worker started without fork state"
-    shard: Shard = state["shards"][index]  # type: ignore[index]
-    store: Optional[CheckpointStore] = state["store"]  # type: ignore[assignment]
-    skip: Set[int] = state["skip"].get(index, set())  # type: ignore[union-attr]
-    writer = store.writer(shard, append=bool(skip)) if store else None
+    run = _RUN
+    assert run is not None, "shard run without run state"
+    shard = run["shards"][index]
+    writer = run["store"].writer(shard) if run["store"] else None
     try:
         outcome = run_shard(
-            state["benchmark"], state["estimator"], state["dataset"],
-            shard, writer=writer, skip=skip,
+            run["benchmark"], run["estimator"], run["dataset"], shard,
+            writer=writer, skip=run["skip"].get(index),
+            on_block=run["heartbeat"].progress,
         )
     finally:
         if writer is not None:
             writer.close()
-    outcome.worker = os.getpid()
+    if os.getpid() != run["parent"]:
+        outcome.worker = os.getpid()
     return outcome
 
 
@@ -212,11 +203,23 @@ class _Heartbeat:
         self._shards_done = 0
         self._start = time.perf_counter()
 
-    def progress(self, _record: DesignPoint) -> None:
-        """Serial path: count one priced point, maybe emit an instant."""
-        self._done += 1
-        if self._done % PROGRESS_EVERY == 0:
-            self._instant()
+    def progress(self, points: int) -> None:
+        """Count one priced block; emit progress if the running count
+        crossed a multiple of :data:`PROGRESS_EVERY`."""
+        before = self._done // PROGRESS_EVERY
+        self._done += points
+        if self._done // PROGRESS_EVERY == before:
+            return
+        elapsed = time.perf_counter() - self._start
+        rate = self._done / elapsed if elapsed > 0 else 0.0
+        obs.gauge("dse.points_per_sec").set(rate)
+        obs.instant(
+            "dse.progress",
+            bench=self._bench,
+            points=self._done,
+            total=self._total,
+            points_per_sec=round(rate, 1),
+        )
 
     def shard(self, outcome: ShardOutcome) -> None:
         """Record a completed shard's heartbeat instant."""
@@ -236,18 +239,6 @@ class _Heartbeat:
             total_shards=self._total_shards,
         )
 
-    def _instant(self) -> None:
-        elapsed = time.perf_counter() - self._start
-        rate = self._done / elapsed if elapsed > 0 else 0.0
-        obs.gauge("dse.points_per_sec").set(rate)
-        obs.instant(
-            "dse.progress",
-            bench=self._bench,
-            points=self._done,
-            total=self._total,
-            points_per_sec=round(rate, 1),
-        )
-
 
 def run_plan(
     benchmark,
@@ -263,7 +254,11 @@ def run_plan(
     Returns the restored outcomes (:func:`outcomes_from_states`) followed
     by one fresh :class:`ShardOutcome` per shard that was not already
     complete — the merge layer's input, which sorts records globally.
+    Forked workers inherit the estimator, warm estimation caches
+    included, through copy-on-write; each child's caches then grow
+    privately.
     """
+    global _RUN
     require_positive("workers", workers)
 
     states: Dict[int, ShardState] = {}
@@ -272,111 +267,56 @@ def run_plan(
             benchmark.name, dataset, plan, resume=resume,
             board=estimator.board,
         )
-    skip: Dict[int, Set[int]] = {
-        index: set(state.records) for index, state in states.items()
-        if state.records
-    }
-
-    heartbeat = _Heartbeat(plan.total_points, plan.n_shards, benchmark.name)
-    effective_workers = workers
     if workers > 1 and not fork_available():  # pragma: no cover - platform
-        effective_workers = 1
+        workers = 1
 
     start = time.perf_counter()
     run = RunOutcome(
-        outcomes=outcomes_from_states(plan, states),
-        workers=effective_workers,
+        outcomes=outcomes_from_states(plan, states), workers=workers,
     )
     pending = [
-        shard for shard in plan.shards
+        shard.index for shard in plan.shards
         if not states.get(shard.index, ShardState()).complete
     ]
-    if effective_workers == 1:
-        run.outcomes.extend(
-            _run_shard_inline(
-                benchmark, estimator, dataset, shard, store,
-                skip.get(shard.index, set()), heartbeat,
-            )
-            for shard in pending
-        )
-    elif pending:
-        run.outcomes.extend(_run_shards_forked(
-            benchmark, estimator, dataset, plan, pending, store, skip,
-            effective_workers, heartbeat,
-        ))
-    run.elapsed_s = time.perf_counter() - start
-    return run
-
-
-def _run_shard_inline(
-    benchmark, estimator, dataset, shard, store, skip, heartbeat,
-) -> ShardOutcome:
-    """Serial path: run one shard in-process with live progress."""
-    writer = store.writer(shard, append=bool(skip)) if store else None
-    try:
-        outcome = run_shard(
-            benchmark, estimator, dataset, shard,
-            writer=writer, skip=skip, on_point=heartbeat.progress,
-        )
-    finally:
-        if writer is not None:
-            writer.close()
-    heartbeat.shard(outcome)
-    return outcome
-
-
-def _run_shards_forked(
-    benchmark, estimator, dataset, plan, pending, store, skip,
-    workers, heartbeat,
-) -> List[ShardOutcome]:
-    """Parallel path: map the pending shards over workers forked now.
-
-    Workers inherit the estimator — including any warm estimation caches
-    — through fork copy-on-write; each child's cache then grows
-    privately for the duration of its shards.
-    """
-    global _FORK_STATE
-    _FORK_STATE = {
-        "benchmark": benchmark,
-        "estimator": estimator,
-        "dataset": dataset,
+    heartbeat = _Heartbeat(plan.total_points, plan.n_shards, benchmark.name)
+    _RUN = {
+        "benchmark": benchmark, "estimator": estimator, "dataset": dataset,
         "shards": {shard.index: shard for shard in plan.shards},
-        "store": store,
-        "skip": skip,
+        "store": store, "heartbeat": heartbeat, "parent": os.getpid(),
+        "skip": {index: set(state.records)
+                 for index, state in states.items() if state.records},
     }
-    outcomes: List[ShardOutcome] = []
     busy_s: Dict[int, float] = {}
-    start = time.perf_counter()
-    # Keep the children's collector off the inherited heap: a full
-    # collection there would copy every page it touches.
-    gc.freeze()
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init,
-        ) as pool:
-            for outcome in pool.map(
-                _worker_run_shard, [shard.index for shard in pending]
-            ):
-                busy_s[outcome.worker] = (
-                    busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
-                )
+        with ExitStack() as stack:
+            mapper = map
+            if workers > 1 and pending:
+                # Keep the children's collector off the inherited heap: a
+                # full collection there would copy every page it touches.
+                gc.freeze()
+                stack.callback(gc.unfreeze)
+                # Workers run quiet: their records carry the latencies,
+                # and spans/metrics in a child's collectors are lost.
+                mapper = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=min(workers, len(pending)),
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=obs.disable,
+                )).map
+            for outcome in mapper(_run_pending, pending):
+                if outcome.worker:
+                    busy_s[outcome.worker] = (
+                        busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
+                    )
                 heartbeat.shard(outcome)
-                outcomes.append(outcome)
+                run.outcomes.append(outcome)
     finally:
-        gc.unfreeze()
-        _FORK_STATE = None
-    _report_utilization(busy_s, time.perf_counter() - start)
-    return outcomes
-
-
-def _report_utilization(busy_s: Dict[int, float], wall_s: float) -> None:
-    """Per-worker busy fraction over the parallel section's wall time."""
-    if wall_s <= 0 or not busy_s:
-        return
-    obs.gauge("dse.workers.active").set(len(busy_s))
+        _RUN = None
+    run.elapsed_s = time.perf_counter() - start
+    # Forked runs only: each worker's busy fraction of the wall time.
+    if busy_s:
+        obs.gauge("dse.workers.active").set(len(busy_s))
     for slot, pid in enumerate(sorted(busy_s)):
         obs.gauge(f"dse.worker.{slot}.utilization").set(
-            round(min(busy_s[pid] / wall_s, 1.0), 4)
+            round(min(busy_s[pid] / run.elapsed_s, 1.0), 4)
         )
+    return run

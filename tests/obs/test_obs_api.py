@@ -148,6 +148,20 @@ class TestPipelineInstrumentation:
         hist = obs.metrics().to_dict()["histograms"]["dse.point_latency_s"]
         assert hist["count"] == len(result.points)
 
+    def test_serial_progress_once_per_thousand_points(self, estimator):
+        """Progress is checked once per priced block: a 2,500-point
+        single-shard sweep crosses 1,000 and 2,000 exactly once each."""
+        obs.enable(trace=True, metrics=True)
+        explore(get_benchmark("dotproduct"), estimator, max_points=2_500)
+        progress = [
+            e.attrs["points"] for e in obs.tracer().instants
+            if e.name == "dse.progress"
+        ]
+        assert pool.PROGRESS_EVERY == 1_000
+        assert progress == [1_000, 2_000]
+        gauges = obs.metrics().to_dict()["gauges"]
+        assert gauges["dse.points_per_sec"] > 0
+
     def test_simulate_traces_controller_hierarchy(self, estimator):
         obs.enable(trace=True)
         bench = get_benchmark("dotproduct")

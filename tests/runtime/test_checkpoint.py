@@ -145,14 +145,26 @@ class TestKillResume:
     def test_resume_works_across_worker_counts(
         self, estimator, bench, serial, tmp_path
     ):
+        """Shard 0 deleted, shard 1 cut mid-line, shard 2 complete: a
+        forked resume only appends, so every file keeps its readable
+        prefix byte for byte and the complete one is untouched."""
         ckpt = tmp_path / "ckpt"
         explore(bench, estimator, max_points=POINTS, seed=SEED,
                 shards=4, checkpoint_dir=ckpt)
         (ckpt / "shard-0000.jsonl").unlink()
+        cut = ckpt / "shard-0001.jsonl"
+        cut.write_bytes(cut.read_bytes()[: cut.stat().st_size // 2])
+        prefix = cut.read_bytes()[: cut.read_bytes().rindex(b"\n") + 1]
+        assert prefix  # the cut keeps at least one whole record
+        complete = (ckpt / "shard-0002.jsonl").read_bytes()
         resumed = explore(bench, estimator, max_points=POINTS, seed=SEED,
                           shards=4, workers=2, checkpoint_dir=ckpt,
                           resume=True)
         assert fingerprint(resumed) == fingerprint(serial)
+        assert cut.read_bytes().startswith(prefix)
+        assert cut.stat().st_size > len(prefix)
+        assert (ckpt / "shard-0000.jsonl").exists()
+        assert (ckpt / "shard-0002.jsonl").read_bytes() == complete
 
 
 class _FailingEstimator:

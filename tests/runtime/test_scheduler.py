@@ -7,6 +7,8 @@ exact serial point set, including when the kill tears a JSONL line in
 half.
 """
 
+import os
+
 import pytest
 
 from repro import obs
@@ -38,9 +40,13 @@ class TestStealAccounting:
         """Only forked shards past the first fill count as queued."""
         dataset = bench.default_dataset()
         plan = plan_shards(bench.param_space(dataset), SEED, POINTS, 4)
-        assert run_plan(bench, estimator, dataset, plan).steals == 0
+        serial = run_plan(bench, estimator, dataset, plan)
+        assert serial.steals == 0
+        assert all(o.worker == 0 for o in serial.outcomes)
         forked = run_plan(bench, estimator, dataset, plan, workers=2)
         assert forked.steals == 2
+        # Only a forked child stamps its pid on the outcome.
+        assert all(o.worker not in (0, os.getpid()) for o in forked.outcomes)
 
     def test_utilization_gauges_recorded(self, estimator, bench):
         obs.reset()

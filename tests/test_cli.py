@@ -347,6 +347,28 @@ class TestHostileInput:
             "--points expects a positive integer",
         )
 
+    def test_argparse_errors_are_one_line(self, estimator, capsys):
+        """A bad flag value or a missing positional is not a usage block."""
+        for argv, match in (
+            (["explore", "dotproduct", "--points", "abc"],
+             "argument --points: invalid int value: 'abc'"),
+            (["explore", "dotproduct", "--seed", "x"],
+             "argument --seed: invalid int value"),
+            (["explore"], "required: benchmark"),
+        ):
+            self.assert_usage_error(estimator, capsys, argv, match)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(estimator, "explore", "--help")
+        assert exc.value.code == 0
+
+    def test_shard_range_outside_plan(self, estimator, capsys, tmp_path):
+        self.assert_usage_error(
+            estimator, capsys,
+            ["explore", "dotproduct", "--points", "10", "--shards", "2",
+             "--shard-range", "3:5", "--checkpoint-dir", str(tmp_path / "d")],
+            "shard_range 3:5 outside the plan's 2 shards",
+        )
+
     def test_zero_points_speedup(self, estimator, capsys):
         self.assert_usage_error(
             estimator, capsys, ["speedup", "gda", "--points", "0"],
