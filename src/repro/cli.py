@@ -17,14 +17,15 @@ Subcommands mirror the paper's flow:
 * ``repro analyze BENCH`` — bottleneck + roofline diagnosis (extension);
 * ``repro report -o FILE`` — consolidated evaluation report.
 
-``estimate``/``explore``/``speedup``/``codegen`` accept ``--trace FILE``
-(write a Chrome trace-event file — open in chrome://tracing or Perfetto),
-``--trace-jsonl FILE`` (stream spans to disk as they finish, so a killed
-run leaves a partial trace), and ``--metrics`` (print
-counter/histogram summaries); see ``docs/observability.md``. The
-estimating commands also accept ``--no-cache`` to build and estimate
-every design point instead of pricing it from compiled class plans and
-caches (bit-identical results; see ``docs/estimation_performance.md``).
+``estimate``/``explore``/``merge-checkpoints``/``speedup``/``codegen``
+accept ``--trace FILE`` (stream a Chrome trace-event file as spans
+finish, so a killed run leaves a loadable partial trace — open in
+chrome://tracing or Perfetto) and ``--metrics`` (print counter/histogram
+summaries); see ``docs/observability.md``. The sweeping commands
+(``explore``, ``speedup``, ``report``) also accept ``--no-cache`` to
+build and estimate every design point instead of pricing it from
+compiled class plans and caches (bit-identical results; see
+``docs/estimation_performance.md``).
 
 Bad input (an unknown benchmark, a non-positive count, a malformed
 flag or flag value, a missing argument, a shard range outside the plan,
@@ -157,11 +158,12 @@ def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
     coerced = dict(overrides)
     for key, value in overrides.items():
         default = params[key]
-        if (
-            isinstance(value, float)
-            and isinstance(default, int)
-            and not isinstance(default, bool)
-        ):
+        if isinstance(default, bool) != isinstance(value, bool):
+            kind = "true or false" if isinstance(default, bool) else "an integer"
+            raise UsageError(
+                f"--set {key}: {bench.name} expects {kind} (got {value!r})"
+            )
+        if isinstance(value, float) and isinstance(default, int):
             if not value.is_integer():
                 raise UsageError(
                     f"--set {key}: {bench.name} expects an integer "
@@ -221,8 +223,8 @@ def _parse_shard_range(text: str):
 #: Output-file flags, checked before any work so a typo'd directory fails
 #: fast instead of after a whole sweep.
 _OUTPUT_FLAGS = (
-    ("trace", "--trace"), ("trace_jsonl", "--trace-jsonl"),
-    ("sim_trace", "--sim-trace"), ("csv", "--csv"), ("output", "--output"),
+    ("trace", "--trace"), ("sim_trace", "--sim-trace"), ("csv", "--csv"),
+    ("output", "--output"),
 )
 
 
@@ -402,7 +404,7 @@ def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
         doc = build_timeline(design).to_chrome_trace()
         with open(args.sim_trace, "w") as fh:
             json.dump(doc, fh)
-        slices = sum(1 for ev in doc["traceEvents"] if ev["ph"] == "X")
+        slices = sum(1 for ev in doc if ev["ph"] == "X")
         print(
             f"wrote {slices} simulated-time slices to {args.sim_trace} "
             "(1 cycle = 1 us; open in https://ui.perfetto.dev)",
@@ -504,20 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     obs_flags = argparse.ArgumentParser(add_help=False)
     obs_flags.add_argument(
         "--trace", metavar="FILE.json",
-        help="write a Chrome trace-event file of the run "
-        "(open in chrome://tracing or https://ui.perfetto.dev)",
-    )
-    obs_flags.add_argument(
-        "--trace-jsonl", metavar="FILE.jsonl",
-        help="stream spans to a JSONL file as they finish (a killed "
-        "run keeps a partial trace)",
+        help="stream a Chrome trace-event file of the run as spans "
+        "finish; a killed run keeps a loadable partial trace (open in "
+        "chrome://tracing or https://ui.perfetto.dev)",
     )
     obs_flags.add_argument(
         "--metrics", action="store_true",
         help="print counter/histogram summaries after the command",
     )
 
-    # Estimation-cache escape hatch shared by the estimating commands.
+    # Per-design oracle switch shared by the sweeping commands.
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument(
         "--no-cache", action="store_true",
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("benchmark", help="benchmark name (see 'repro list')")
 
     p = sub.add_parser("estimate", help="estimate one design point",
-                       parents=[obs_flags, cache_flags])
+                       parents=[obs_flags])
     add_bench(p)
     p.add_argument("--set", nargs="*", metavar="K=V",
                    help="override design parameters")
@@ -589,14 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", nargs="*", metavar="K=V")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
-    p = sub.add_parser("power", help="power/energy estimate (extension)",
-                       parents=[cache_flags])
+    p = sub.add_parser("power", help="power/energy estimate (extension)")
     add_bench(p)
     p.add_argument("--set", nargs="*", metavar="K=V")
 
     p = sub.add_parser(
-        "analyze", help="bottleneck + roofline diagnosis (extension)",
-        parents=[cache_flags],
+        "analyze", help="bottleneck + roofline diagnosis (extension)"
     )
     add_bench(p)
     p.add_argument("--set", nargs="*", metavar="K=V")
@@ -648,33 +644,27 @@ def _main(argv, out, estimator) -> int:
     out = out or sys.stdout
     _check_output_paths(args)
     trace_file = getattr(args, "trace", None)
-    stream_file = getattr(args, "trace_jsonl", None)
     want_metrics = bool(getattr(args, "metrics", False))
-    if not (trace_file or stream_file or want_metrics):
+    if not (trace_file or want_metrics):
         return _dispatch(args, out, estimator)
 
     obs.reset()
-    obs.enable(trace=bool(trace_file or stream_file), metrics=want_metrics)
-    stream = obs.stream_to_jsonl(stream_file) if stream_file else None
+    obs.enable(trace=bool(trace_file), metrics=want_metrics)
+    # Opened before the command runs: every event is on disk as it
+    # finishes, so a killed run keeps its trace so far.
+    writer = obs.stream_trace(trace_file) if trace_file else None
     try:
         code = _dispatch(args, out, estimator)
     finally:
         obs.disable()
-        if stream is not None:
-            obs.stop_streaming()
-            print(
-                f"streamed {stream.written} spans/instants to "
-                f"{stream_file}",
-                file=out,
-            )
+        obs.stop_trace()
         if want_metrics:
             print(obs.metrics().summary_table(), file=out)
             if obs.tracer().spans:
                 print(obs.span_summary(obs.tracer()), file=out)
-        if trace_file:
-            obs.write_chrome_trace(obs.tracer(), trace_file)
+        if writer is not None:
             print(
-                f"wrote {len(obs.tracer().spans)} spans to {trace_file} "
+                f"wrote {writer.written} events to {trace_file} "
                 "(open in chrome://tracing or https://ui.perfetto.dev)",
                 file=out,
             )

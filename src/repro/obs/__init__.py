@@ -8,8 +8,9 @@ faster than synthesis" (Table IV) — fast enough to drive DSE over
   with attributes, thread-safe),
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   histograms with exact p50/p95/max),
-* sinks (:mod:`repro.obs.sinks`): JSONL, Chrome trace-event for
-  Perfetto/``chrome://tracing``, and human-readable summary tables.
+* sinks (:mod:`repro.obs.sinks`): a Chrome trace-event file for
+  Perfetto/``chrome://tracing``, streamed as events finish, and
+  human-readable summary tables.
 
 All of it measures this process's wall clock. The simulated hardware
 schedule (``repro speedup --sim-trace``) comes from
@@ -32,20 +33,15 @@ import time
 from typing import Any, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .sinks import (
-    JsonlStreamWriter,
-    span_summary,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from .sinks import ChromeTraceWriter, span_summary
 from .trace import NULL_SPAN, InstantEvent, Span, Tracer
 
 __all__ = [
+    "ChromeTraceWriter",
     "Counter",
     "Gauge",
     "Histogram",
     "InstantEvent",
-    "JsonlStreamWriter",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",
@@ -61,13 +57,11 @@ __all__ = [
     "reset",
     "span",
     "span_summary",
-    "stop_streaming",
-    "stream_to_jsonl",
+    "stop_trace",
+    "stream_trace",
     "timed",
-    "to_chrome_trace",
     "trace_enabled",
     "tracer",
-    "write_chrome_trace",
 ]
 
 _TRACER = Tracer(enabled=False)
@@ -114,20 +108,20 @@ def trace_enabled() -> bool:
     return _TRACER.enabled
 
 
-def stream_to_jsonl(path) -> JsonlStreamWriter:
-    """Stream the global tracer's events incrementally to a JSONL file.
+def stream_trace(path) -> ChromeTraceWriter:
+    """Stream the global tracer's events to a Chrome trace file at ``path``.
 
-    Attaches a :class:`JsonlStreamWriter` so a killed run still leaves
+    Attaches a :class:`ChromeTraceWriter`, so a killed run still leaves
     every span finished so far on disk. Returns the writer; call
-    :func:`stop_streaming` (or the writer's ``close``) when done.
+    :func:`stop_trace` when done.
     """
-    writer = JsonlStreamWriter(path)
+    writer = ChromeTraceWriter(path)
     _TRACER.attach_stream(writer)
     return writer
 
 
-def stop_streaming() -> None:
-    """Detach and close the tracer's streaming sink, if any."""
+def stop_trace() -> None:
+    """Detach and close the tracer's trace file, if any."""
     stream = _TRACER.detach_stream()
     if stream is not None:
         stream.close()

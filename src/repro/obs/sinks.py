@@ -1,12 +1,12 @@
-"""Trace export sinks: JSONL, Chrome trace-event, summary table.
+"""Trace export sinks: a streamed Chrome trace and a summary table.
 
-* :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
-  trace-event JSON format, loadable in ``chrome://tracing`` or Perfetto
-  (https://ui.perfetto.dev). Spans become complete (``"ph": "X"``)
-  events with microsecond timestamps; instant events become ``"ph": "i"``
-  marks on the timeline.
-* :class:`JsonlStreamWriter` — one JSON object per line per span/instant,
-  written as each one finishes, for ad-hoc analysis with ``jq`` or pandas.
+* :class:`ChromeTraceWriter` — the Chrome trace-event JSON Array Format,
+  loadable in ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev).
+  Spans become complete (``"ph": "X"``) events with microsecond
+  timestamps; instant events become ``"ph": "i"`` marks on the
+  timeline. Each event is written and flushed as it finishes, one per
+  line; the format makes the closing ``]`` optional, so a killed run
+  still leaves a loadable file.
 * :func:`span_summary` — per-span-name aggregate wall-clock table, the
   quickest answer to "where did the time go".
 
@@ -19,154 +19,62 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import Any, Dict, Union
 
 from .metrics import _fmt
 from .trace import InstantEvent, Span, Tracer
 
-__all__ = [
-    "JsonlStreamWriter",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "span_summary",
-]
+__all__ = ["ChromeTraceWriter", "span_summary"]
 
 _US = 1e6  # Chrome trace timestamps are in microseconds
 
 
-def to_chrome_trace(tracer: Tracer, process_name: str = "repro") -> Dict[str, Any]:
-    """Render the tracer's events as a Chrome trace-event dict."""
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for span in tracer.spans:
-        events.append(
-            {
-                "name": span.name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": span.start * _US,
-                "dur": span.duration * _US,
-                "pid": 1,
-                "tid": span.thread_id,
-                "args": _jsonable(span.attrs),
-            }
-        )
-    for ev in tracer.instants:
-        events.append(
-            {
-                "name": ev.name,
-                "cat": "repro",
-                "ph": "i",
-                "ts": ev.ts * _US,
-                "pid": 1,
-                "tid": ev.thread_id,
-                "s": "t",
-                "args": _jsonable(ev.attrs),
-            }
-        )
-    return {"displayTimeUnit": "ms", "traceEvents": events}
+class ChromeTraceWriter:
+    """Streaming Chrome trace sink for :meth:`Tracer.attach_stream`.
 
-
-def write_chrome_trace(
-    tracer: Tracer, dest: Union[str, IO[str]], process_name: str = "repro"
-) -> None:
-    """Write :func:`to_chrome_trace` output to a path or open file."""
-    doc = to_chrome_trace(tracer, process_name)
-    if hasattr(dest, "write"):
-        json.dump(doc, dest)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w") as fh:  # type: ignore[arg-type]
-            json.dump(doc, fh)
-
-
-def _span_record(span: Span) -> Dict[str, Any]:
-    """One span as the JSONL line dict."""
-    return {
-        "type": "span",
-        "name": span.name,
-        "id": span.span_id,
-        "parent": span.parent_id,
-        "thread": span.thread_id,
-        "start_s": span.start,
-        "end_s": span.end,
-        "duration_s": span.duration,
-        "attrs": _jsonable(span.attrs),
-    }
-
-
-def _instant_record(ev: InstantEvent) -> Dict[str, Any]:
-    """One instant event as the JSONL line dict."""
-    return {
-        "type": "instant",
-        "name": ev.name,
-        "thread": ev.thread_id,
-        "ts_s": ev.ts,
-        "attrs": _jsonable(ev.attrs),
-    }
-
-
-class JsonlStreamWriter:
-    """Incremental JSONL sink for :meth:`Tracer.attach_stream`.
-
-    Writes each finished span/instant as it completes, so a killed run
-    still leaves a partial trace on disk. Lines are flushed every
-    ``flush_every`` writes.
+    Opens ``path`` and writes ``[`` plus the ``process_name`` metadata
+    event, then one event per finished span/instant, flushed at once so
+    a killed run (or a forked worker inheriting the handle) loses or
+    duplicates nothing. :meth:`close` writes the closing ``]``.
+    ``written`` counts every event in the file, metadata included.
     """
 
-    def __init__(
-        self,
-        dest: Union[str, Path, IO[str]],
-        flush_every: int = 1000,
-    ) -> None:
-        if hasattr(dest, "write"):
-            self._fh: Optional[IO[str]] = dest  # type: ignore[assignment]
-            self._owns = False
-        else:
-            self._fh = open(dest, "w")  # type: ignore[arg-type]
-            self._owns = True
-        self._flush_every = max(int(flush_every), 1)
-        self._pending = 0
-        self.written = 0
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._fh = open(path, "w")
+        self._fh.write("[" + json.dumps({
+            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+            "args": {"name": "repro"},
+        }))
+        self._fh.flush()
+        self.written = 1
 
     def write_span(self, span: Span) -> None:
         """Append one finished span (called under the tracer's lock)."""
-        self._write(_span_record(span))
+        self._write({
+            "name": span.name, "cat": "repro", "ph": "X",
+            "ts": span.start * _US, "dur": span.duration * _US,
+            "pid": 1, "tid": span.thread_id, "args": _jsonable(span.attrs),
+        })
 
     def write_instant(self, event: InstantEvent) -> None:
         """Append one instant event (called under the tracer's lock)."""
-        self._write(_instant_record(event))
+        self._write({
+            "name": event.name, "cat": "repro", "ph": "i",
+            "ts": event.ts * _US, "pid": 1, "tid": event.thread_id,
+            "s": "t", "args": _jsonable(event.attrs),
+        })
 
-    def _write(self, record: Dict[str, Any]) -> None:
-        if self._fh is None:  # pragma: no cover - write after close
-            return
-        self._fh.write(json.dumps(record) + "\n")
+    def _write(self, event: Dict[str, Any]) -> None:
+        self._fh.write(",\n" + json.dumps(event))
+        self._fh.flush()
         self.written += 1
-        self._pending += 1
-        if self._pending >= self._flush_every:
-            self._fh.flush()
-            self._pending = 0
 
     def close(self) -> None:
-        """Flush and (if this writer opened the file) close it."""
-        if self._fh is None:
+        """Write the closing ``]`` and close the file (idempotent)."""
+        if self._fh.closed:
             return
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-        self._fh = None
-
-    def __enter__(self) -> "JsonlStreamWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._fh.write("]\n")
+        self._fh.close()
 
 
 def span_summary(tracer: Tracer, title: str = "spans") -> str:

@@ -8,7 +8,7 @@ parent/child spans, so one explore run decomposes into per-point
 estimates and each estimate into its cycle-model / area-model / NN
 passes. Finished spans carry wall-clock start/end times (relative to the
 tracer's epoch), free-form attributes, and the recording thread, and can
-be exported through :mod:`repro.obs.sinks` (JSONL, Chrome trace-event,
+be exported through :mod:`repro.obs.sinks` (Chrome trace-event file,
 summary table).
 
 The tracer is disabled by default and designed so that instrumentation
@@ -17,8 +17,9 @@ flag and returns a shared no-op singleton — no allocation, no clock read,
 no locking.
 
 :meth:`Tracer.attach_stream` forwards every finished span/instant to an
-incremental writer (see :class:`repro.obs.sinks.JsonlStreamWriter`), so
-a killed run still leaves a partial trace on disk.
+incremental writer (see :class:`repro.obs.sinks.ChromeTraceWriter`), so
+a killed run still leaves a partial trace on disk. The tracer also keeps
+every span in memory for the summaries and :meth:`Tracer.find`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class Tracer:
         """Forward every finished span/instant to ``stream`` as recorded.
 
         ``stream`` needs ``write_span(span)`` and ``write_instant(event)``
-        methods (see :class:`repro.obs.sinks.JsonlStreamWriter`).
+        methods (see :class:`repro.obs.sinks.ChromeTraceWriter`).
         """
         with self._lock:
             self._stream = stream

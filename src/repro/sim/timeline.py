@@ -68,10 +68,11 @@ class Timeline:
             lines.append(f"{label:24s}|{bar:<{width}}|")
         return "\n".join(lines)
 
-    def to_chrome_trace(self) -> Dict[str, Any]:
+    def to_chrome_trace(self) -> List[Dict[str, Any]]:
         """The intervals as Chrome trace-event slices (1 cycle = 1 µs).
 
-        Zero-cycle slices are drawn one tick wide so Perfetto shows them;
+        The JSON Array Format of ``--trace`` files: a list that starts
+        with the ``process_name`` metadata event. Zero-cycle slices are drawn one tick wide so Perfetto shows them;
         ``args.cycles`` keeps the simulated duration.
         """
         events: List[Dict[str, Any]] = [{
@@ -85,7 +86,7 @@ class Timeline:
                 "pid": 1, "tid": iv.lane,
                 "args": {"kind": iv.kind, "cycles": iv.duration},
             })
-        return {"displayTimeUnit": "ms", "traceEvents": events}
+        return events
 
 
 def build_timeline(design: Design, board: Board = MAIA) -> Timeline:

@@ -18,7 +18,7 @@ from ..sim.test_timeline import two_stage
 
 
 def slices(doc):
-    return [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    return [e for e in doc if e["ph"] == "X"]
 
 
 def by_name(doc):
@@ -82,7 +82,10 @@ class TestWriteSink:
         assert code == 0
         written = int(re.search(r"wrote (\d+) simulated-time slices",
                                 out.getvalue()).group(1))
-        assert written == len(slices(json.loads(dest.read_text())))
+        doc = json.loads(dest.read_text())
+        assert written == len(slices(doc))
+        # The same JSON Array layout as a wall-clock ``--trace`` file.
+        assert doc[0]["name"] == "process_name" and doc[0]["ph"] == "M"
 
 
 class TestEndToEnd:

@@ -140,9 +140,7 @@ class TestObservabilityFlags:
         assert code == 0
         assert f"wrote" in text and str(trace) in text
         doc = json.loads(trace.read_text())
-        names = {
-            e["name"] for e in doc["traceEvents"] if e["ph"] == "X"
-        }
+        names = {e["name"] for e in doc if e["ph"] == "X"}
         assert {"estimate", "cycles", "area"} <= names
 
     def test_explore_trace_has_nested_pipeline_spans(
@@ -158,7 +156,7 @@ class TestObservabilityFlags:
         )
         assert code == 0
         doc = json.loads(trace.read_text())
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        spans = [e for e in doc if e["ph"] == "X"]
         names = {e["name"] for e in spans}
         assert {"explore", "estimate.compile", "estimate.plan"} <= names
         explore_span = next(e for e in spans if e["name"] == "explore")
@@ -184,7 +182,7 @@ class TestObservabilityFlags:
         )
         assert code == 0
         doc = json.loads(trace.read_text())
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        names = {e["name"] for e in doc if e["ph"] == "X"}
         assert {"explore", "estimate", "cycles", "area"} <= names
         assert "estimate.plan" not in names
 
@@ -218,9 +216,7 @@ class TestObservabilityFlags:
         assert code == 0
         assert "codegen.lines" in text
         doc = json.loads(trace.read_text())
-        assert any(
-            e["name"] == "codegen" for e in doc["traceEvents"]
-        )
+        assert any(e["name"] == "codegen" for e in doc)
 
     def test_flags_leave_observability_off_afterwards(
         self, estimator, tmp_path
@@ -376,10 +372,17 @@ class TestHostileInput:
         )
 
     def test_illegal_design_point(self, estimator, capsys):
-        self.assert_usage_error(
-            estimator, capsys, ["estimate", "dotproduct", "--set", "tile=0"],
-            "illegal design point",
-        )
+        for override, match in (
+            ("tile=0", "illegal design point"),
+            ("par_inner=true", "--set par_inner: dotproduct expects an "
+             "integer \\(got True\\)"),
+            ("metapipe=3", "--set metapipe: dotproduct expects true or "
+             "false \\(got 3\\)"),
+        ):
+            self.assert_usage_error(
+                estimator, capsys,
+                ["estimate", "dotproduct", "--set", override], match,
+            )
 
     def test_non_numeric_shards(self, estimator, capsys):
         for text in ("many", "auto"):
@@ -399,16 +402,19 @@ class TestHostileInput:
     def test_merge_checkpoints_takes_no_cache_flag(
         self, estimator, capsys, tmp_path
     ):
-        """merge-checkpoints estimates nothing, so --no-cache is not a
-        flag of it; the estimating subcommands keep it."""
-        with pytest.raises(SystemExit) as exc:
-            run_cli(estimator, "merge-checkpoints", str(tmp_path),
-                    "--no-cache")
-        assert exc.value.code == 2  # argparse: unrecognized argument
+        """--no-cache selects the per-design oracle of a sweep, so only
+        the sweeping subcommands take it: merge-checkpoints estimates
+        nothing, and estimate/power/analyze price one built design the
+        same way on either setting."""
+        for argv in (["merge-checkpoints", str(tmp_path)],
+                     ["estimate", "gda"], ["power", "gda"],
+                     ["analyze", "gda"]):
+            self.assert_usage_error(
+                estimator, capsys, argv + ["--no-cache"],
+                "unrecognized arguments: --no-cache",
+            )
         parser = build_parser()
-        for argv in (["estimate", "gda"], ["explore", "gda"],
-                     ["speedup", "gda"], ["power", "gda"],
-                     ["analyze", "gda"], ["report"]):
+        for argv in (["explore", "gda"], ["speedup", "gda"], ["report"]):
             assert parser.parse_args(argv + ["--no-cache"]).no_cache
 
     def test_auto_shards_flag_is_gone(self, estimator, capsys):
@@ -484,7 +490,7 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "tpchq6", "--trace", "{missing}/t.json"],
-        ["explore", "tpchq6", "--trace-jsonl", "{missing}/t.jsonl"],
+        ["explore", "tpchq6", "--trace", "{missing}/t.json"],
         ["explore", "tpchq6", "--csv", "{missing}/points.csv"],
         ["speedup", "tpchq6", "--sim-trace", "{missing}/sim.json"],
         ["codegen", "tpchq6", "-o", "{missing}/design.maxj"],
@@ -517,16 +523,34 @@ class TestHostileInput:
 
 
 class TestStreamingTraceFlag:
-    def test_trace_jsonl_streams_spans(self, estimator, tmp_path):
+    def test_trace_streams_spans(self, estimator, tmp_path, monkeypatch):
+        """The file is open, with every finished span, while the command
+        runs, and the last output line counts its events."""
+        from repro import cli
+
         estimator.caches.clear()
-        stream = tmp_path / "trace.jsonl"
+        stream = tmp_path / "trace.json"
+        seen = []
+
+        def dispatch(*args):
+            seen.append(json.loads(stream.read_text() + "]"))
+            with obs.span("inside"):
+                pass
+            seen.append(json.loads(stream.read_text() + "]"))
+            return real_dispatch(*args)
+
+        real_dispatch = cli._dispatch
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
         code, text = run_cli(
             estimator, "explore", "tpchq6", "--points", "10",
-            "--trace-jsonl", str(stream),
+            "--trace", str(stream),
         )
         assert code == 0
-        assert "streamed" in text and str(stream) in text
-        docs = [json.loads(l) for l in stream.read_text().splitlines()]
+        assert [e["ph"] for e in seen[0]] == ["M"]
+        assert [e["name"] for e in seen[1][1:]] == ["inside"]
+        docs = json.loads(stream.read_text())
+        last = text.splitlines()[-1]
+        assert last.startswith(f"wrote {len(docs)} events to {stream}")
         assert any(d["name"] == "explore" for d in docs)
         assert any(d["name"] == "estimate.plan" for d in docs)
 
@@ -609,7 +633,7 @@ class TestSimTraceFlag:
         assert code == 0
         assert "simulated-time slices" in text and str(dest) in text
         doc = json.loads(dest.read_text())
-        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        slices = [e for e in doc if e["ph"] == "X"]
         assert slices
         assert all(isinstance(e["args"]["cycles"], (int, float))
                    for e in slices)
