@@ -12,7 +12,7 @@ orders-of-magnitude ordering ours << restricted << full.
 
 Besides the human-readable ``results/table4.txt``, the run emits a
 machine-readable ``BENCH_table4.json`` at the repo root via the
-:mod:`repro.obs` metrics layer: per-benchmark points/sec plus the
+:mod:`repro.obs` span record: per-benchmark points/sec plus the
 per-pass latency decomposition (cycle model vs area model vs NN
 corrections), so future performance PRs can diff against a committed
 baseline.  A ``parallel_dse`` section records sharded-explore throughput
@@ -166,36 +166,40 @@ def _estimation_cache_section(estimator):
 
 
 def _write_bench_json(estimator, gda_timings):
-    """Emit BENCH_table4.json: per-benchmark rates + per-pass timing."""
-    was_enabled = obs.metrics_enabled()
+    """Emit BENCH_table4.json: per-benchmark rates + per-pass timing.
+
+    ``estimate_latency`` and ``passes`` summarize the durations of the
+    per-design ``estimate`` span and its pass spans (``cycles_s`` is the
+    ``cycles`` span, ``area_raw_s`` the ``area.raw`` span, ...).
+    """
+    was_enabled = obs.trace_enabled()
     benches = {}
     for bench in all_benchmarks():
         ds = bench.default_dataset()
         points = bench.param_space(ds).sample(random.Random(21), N_JSON)
-        obs.metrics().reset()
-        obs.enable(metrics=True)
+        obs.reset()
+        obs.enable()
         start = time.perf_counter()
         for params in points:
             estimator.estimate(bench.build(ds, **params))
         elapsed = time.perf_counter() - start
-        snapshot = obs.metrics().to_dict()
-        obs.enable(metrics=was_enabled)
-        passes = {
-            name[len("pass."):]: summary
-            for name, summary in snapshot["histograms"].items()
-            if name.startswith("pass.")
+        obs.enable(trace=was_enabled)
+        durations = {
+            name: obs.describe([s.duration for s in spans])
+            for name, spans in obs.tracer().by_name().items()
         }
         benches[bench.name] = {
             "points": len(points),
             "elapsed_s": elapsed,
             "points_per_sec": len(points) / elapsed,
             "s_per_design": elapsed / len(points),
-            "estimate_latency": snapshot["histograms"].get(
-                "estimate.latency_s", {}
-            ),
-            "passes": passes,
+            "estimate_latency": durations["estimate"],
+            "passes": {
+                name.replace(".", "_") + "_s": durations[name]
+                for name in ("cycles", "area", "area.raw", "area.nn")
+            },
         }
-    obs.metrics().reset()
+    obs.reset()
     payload = {
         "schema": 1,
         "generated_by": "benchmarks/test_table4_estimation_speed.py",

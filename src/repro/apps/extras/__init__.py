@@ -20,12 +20,10 @@ _EXTRAS: Dict[str, Benchmark] = {
 
 def get_extra(name: str) -> Benchmark:
     """Look up one extension benchmark by name."""
-    """Look up one extension benchmark by name."""
     return _EXTRAS[name]
 
 
 def all_extras() -> List[Benchmark]:
-    """All extension benchmarks, sorted by name."""
     """All extension benchmarks, sorted by name."""
     return [_EXTRAS[name] for name in sorted(_EXTRAS)]
 

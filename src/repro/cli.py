@@ -20,8 +20,9 @@ Subcommands mirror the paper's flow:
 ``estimate``/``explore``/``merge-checkpoints``/``speedup``/``codegen``
 accept ``--trace FILE`` (stream a Chrome trace-event file as spans
 finish, so a killed run leaves a loadable partial trace — open in
-chrome://tracing or Perfetto) and ``--metrics`` (print counter/histogram
-summaries); see ``docs/observability.md``. The sweeping commands
+chrome://tracing or Perfetto) and ``--metrics`` (print the span
+summary: per-name wall-time distribution and attribute totals); see
+``docs/observability.md``. The sweeping commands
 (``explore``, ``speedup``, ``report``) also accept ``--no-cache`` to
 build and estimate every design point instead of pricing it from
 compiled class plans and caches (bit-identical results; see
@@ -512,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--metrics", action="store_true",
-        help="print counter/histogram summaries after the command",
+        help="print a per-span wall-time summary (count, total, mean, "
+        "p50, p95, max) and attribute totals after the command",
     )
 
     # Per-design oracle switch shared by the sweeping commands.
@@ -649,7 +651,7 @@ def _main(argv, out, estimator) -> int:
         return _dispatch(args, out, estimator)
 
     obs.reset()
-    obs.enable(trace=bool(trace_file), metrics=want_metrics)
+    obs.enable()
     # Opened before the command runs: every event is on disk as it
     # finishes, so a killed run keeps its trace so far.
     writer = obs.stream_trace(trace_file) if trace_file else None
@@ -659,9 +661,7 @@ def _main(argv, out, estimator) -> int:
         obs.disable()
         obs.stop_trace()
         if want_metrics:
-            print(obs.metrics().summary_table(), file=out)
-            if obs.tracer().spans:
-                print(obs.span_summary(obs.tracer()), file=out)
+            print(obs.span_summary(obs.tracer()), file=out)
         if writer is not None:
             print(
                 f"wrote {writer.written} events to {trace_file} "

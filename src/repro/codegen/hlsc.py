@@ -238,12 +238,8 @@ def generate_hlsc(design: Design) -> str:
     """Figure 2-style HLS C source for ``design``."""
     from .. import obs
 
-    with obs.timed(
-        "codegen", "pass.codegen_s", backend="hlsc", design=design.name
-    ) as sp:
+    with obs.span("codegen", backend="hlsc", design=design.name) as sp:
         source = HLSCGenerator(design).generate()
         lines = source.count("\n") + 1
-        obs.counter("codegen.runs").inc()
-        obs.counter("codegen.lines").inc(lines)
         sp.set(lines=lines)
     return source

@@ -213,12 +213,8 @@ def generate_maxj(design: Design) -> str:
     """Convenience wrapper: full MaxJ source for ``design``."""
     from .. import obs
 
-    with obs.timed(
-        "codegen", "pass.codegen_s", backend="maxj", design=design.name
-    ) as sp:
+    with obs.span("codegen", backend="maxj", design=design.name) as sp:
         source = MaxJGenerator(design).generate()
         lines = source.count("\n") + 1
-        obs.counter("codegen.runs").inc()
-        obs.counter("codegen.lines").inc(lines)
         sp.set(lines=lines)
     return source

@@ -18,15 +18,16 @@ duplicated. :func:`explore` and :func:`merge_checkpoints` (which
 estimates nothing and merges a checkpoint directory's restored records)
 assemble their result through the same merge-and-verify step.
 
-When observability is enabled (:mod:`repro.obs`), the run records the
-per-point estimation-latency histogram (``dse.point_latency_s``) and
-the outcome counters ``dse.points.{sampled,illegal,unfit,valid,restored}``
-in one pass over the merged, conservation-checked records — the same
-pass for serial, forked, resumed and merged runs — plus
-``dse.progress`` instants carrying points/sec on the serial path
-(checked once per priced block, emitted every 1,000 points) and
-per-shard ``dse.shard.done`` heartbeats: the numbers behind the paper's
-"75,000 points in seconds" DSE claim.
+When observability is enabled (:mod:`repro.obs`), the ``explore`` and
+``merge_checkpoints`` spans carry the point outcome counts
+(``points``, ``sampled``, ``illegal``, ``valid``, ``unfit``,
+``restored``) from the verified conservation ledger — the same
+attributes for serial, forked, resumed and merged runs — and forked
+runs add each worker's busy fraction (``active_workers``,
+``utilization``). The pool adds ``dse.progress`` instants carrying
+points/sec on the serial path (checked once per priced block, emitted
+every 1,000 points) and per-shard ``dse.shard.done`` heartbeats: the
+numbers behind the paper's "75,000 points in seconds" DSE claim.
 """
 
 from __future__ import annotations
@@ -172,29 +173,34 @@ def explore(
             workers=workers, store=store, resume=resume,
         )
         result = _merged_result(
-            benchmark, dataset, plan, run.outcomes,
+            benchmark, dataset, plan, run.outcomes, sp,
             elapsed_seconds=run.elapsed_s, workers=run.workers,
         )
+        utilization = run.utilization()
         sp.set(
-            points=len(result.points),
-            valid=sum(1 for p in result.points if p.valid),
-            restored=result.restored,
             elapsed_s=round(result.elapsed_seconds, 6),
+            active_workers=len(utilization), utilization=utilization,
         )
     return result
 
 
 def _merged_result(
-    benchmark: Benchmark, dataset: Dataset, plan, outcomes, **extra
+    benchmark: Benchmark, dataset: Dataset, plan, outcomes, span, **extra
 ) -> ExplorationResult:
-    """Merge shard outcomes, prove conservation, record metrics, wrap up.
+    """Merge shard outcomes, prove conservation, record counts, wrap up.
 
     The one result assembly behind :func:`explore` and
-    :func:`merge_checkpoints`; ``extra`` fills the run-only fields.
+    :func:`merge_checkpoints`: the verified point counts go on ``span``;
+    ``extra`` fills the run-only fields.
     """
     records, conservation = merge_outcomes(plan, outcomes)
     conservation.verify()
-    _record_outcomes(records, conservation)
+    span.set(
+        points=conservation.valid + conservation.unfit,
+        sampled=conservation.planned, illegal=conservation.illegal,
+        valid=conservation.valid, unfit=conservation.unfit,
+        restored=conservation.restored,
+    )
     return ExplorationResult(
         benchmark=benchmark.name,
         dataset=dataset,
@@ -207,20 +213,6 @@ def _merged_result(
         shard_range=plan.shard_range,
         **extra,
     )
-
-
-def _record_outcomes(records, conservation) -> None:
-    """Point counters and latencies from a verified merge, in one pass."""
-    obs.counter("dse.points.sampled").inc(conservation.planned)
-    obs.counter("dse.points.illegal").inc(conservation.illegal)
-    obs.counter("dse.points.valid").inc(conservation.valid)
-    obs.counter("dse.points.unfit").inc(conservation.unfit)
-    obs.counter("dse.points.restored").inc(conservation.restored)
-    if obs.metrics_enabled():
-        latency = obs.histogram("dse.point_latency_s")
-        for record in records:
-            if not (record.restored or record.illegal):
-                latency.observe(record.latency_s)
 
 
 def merge_checkpoints(
@@ -266,7 +258,6 @@ def merge_checkpoints(
             benchmark.name, dataset, plan, estimator.board
         )
         result = _merged_result(
-            benchmark, dataset, plan, outcomes_from_states(plan, states)
+            benchmark, dataset, plan, outcomes_from_states(plan, states), sp,
         )
-        sp.set(points=len(result.points))
     return result

@@ -393,14 +393,14 @@ def hybrid_area(
     from .features import design_features  # local import to avoid cycle
 
     device = board.device
-    with obs.timed("area", "pass.area_s", design=design.name):
-        with obs.timed("area.raw", "pass.area_raw_s"):
+    with obs.span("area", design=design.name):
+        with obs.span("area.raw"):
             raw = raw_area(design, models)
             feats = design_features(design, raw.counts, raw.wire_bits)
 
         # The NN corrections are the one non-analytical estimation stage;
         # timed separately so Table IV decomposes into model vs NN time.
-        with obs.timed("area.nn", "pass.area_nn_s"):
+        with obs.span("area.nn"):
             routing, dup_regs, unavailable, dup_brams = (
                 float(values[0])
                 for values in corrections.predict_batch([feats], [raw.counts])

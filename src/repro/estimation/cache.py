@@ -6,9 +6,9 @@ tuples recur across thousands of points, and so do whole points across
 the calls of a guided search. This module exploits that redundancy
 without changing a single estimated bit:
 
-* :class:`LRUCache` — a bounded, fork-inheritable cache with local
-  hit/miss/evict statistics mirrored into :mod:`repro.obs` counters
-  (``estimation.cache.{hit,miss,evict}`` plus per-cache variants).
+* :class:`LRUCache` — a bounded, fork-inheritable cache with
+  hit/miss/evict statistics (:meth:`LRUCache.stats`, which
+  ``repro report`` prints).
 * :class:`CachedTemplateModels` — a memoizing view over
   :class:`~repro.estimation.characterize.TemplateModels` keyed on
   ``(template key, canonical parameter tuple)``. Cache values are plain
@@ -45,7 +45,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from .. import obs
 from .characterize import TemplateModels
 from .counts import Counts
 
@@ -61,15 +60,10 @@ DEFAULT_POINT_ENTRIES = 32_768
 class LRUCache:
     """Bounded least-recently-used cache with hit/miss/evict accounting.
 
-    Statistics are kept as plain integers (always on, fork-private) and
-    mirrored into :mod:`repro.obs` counters, which are no-ops unless the
-    caller enabled metrics — the hot path pays one flag check.
+    Statistics are kept as plain integers (always on, fork-private).
     """
 
-    __slots__ = (
-        "name", "maxsize", "hits", "misses", "evictions", "_data",
-        "_hit_names", "_miss_names", "_evict_names",
-    )
+    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data")
 
     def __init__(self, name: str, maxsize: int) -> None:
         if maxsize < 1:
@@ -80,10 +74,6 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
         self._data: "OrderedDict[object, object]" = OrderedDict()
-        prefix = "estimation.cache"
-        self._hit_names = (f"{prefix}.hit", f"{prefix}.{name}.hit")
-        self._miss_names = (f"{prefix}.miss", f"{prefix}.{name}.miss")
-        self._evict_names = (f"{prefix}.evict", f"{prefix}.{name}.evict")
 
     def get(self, key: object) -> object:
         """Return the cached value for ``key``, or :data:`MISS`."""
@@ -92,13 +82,9 @@ class LRUCache:
             value = data[key]
         except KeyError:
             self.misses += 1
-            for name in self._miss_names:
-                obs.counter(name).inc()
             return MISS
         data.move_to_end(key)
         self.hits += 1
-        for name in self._hit_names:
-            obs.counter(name).inc()
         return value
 
     def put(self, key: object, value: object) -> None:
@@ -110,8 +96,6 @@ class LRUCache:
         if len(data) > self.maxsize:
             data.popitem(last=False)
             self.evictions += 1
-            for name in self._evict_names:
-                obs.counter(name).inc()
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

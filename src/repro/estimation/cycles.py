@@ -50,7 +50,7 @@ class CycleEstimate:
 
 def estimate_cycles(design: Design, board: Board = MAIA) -> CycleEstimate:
     """Estimate the total runtime of ``design`` on ``board`` in cycles."""
-    with obs.timed("cycles", "pass.cycles_s", design=design.name) as sp:
+    with obs.span("cycles", design=design.name) as sp:
         estimate = CycleEstimate(0.0, board)
         total = 0.0
         for top in design.top_controllers:

@@ -65,15 +65,13 @@ class DesignPoint:
     ``estimate`` is ``None`` for points whose build raised an
     :class:`~repro.ir.node.IRError` (structurally illegal points the
     space's legality predicates cannot express). ``index`` is the point's
-    global position in the seeded sample, ``latency_s`` its even share of
-    its pricing block's time, and ``restored`` marks records loaded from
-    a checkpoint rather than estimated this run.
+    global position in the seeded sample, and ``restored`` marks records
+    loaded from a checkpoint rather than estimated this run.
     """
 
     params: Dict[str, object]
     estimate: Optional[Estimate]
     index: int = 0
-    latency_s: float = 0.0
     restored: bool = False
 
     @property
@@ -137,10 +135,7 @@ class Estimator:
                 shipped_models_path(), board.device
             )
         if templates is None:
-            with obs.timed(
-                "estimator.characterize", "estimator.characterize_s",
-                board=board.name,
-            ):
+            with obs.span("estimator.characterize", board=board.name):
                 templates = characterize_templates(board.device)
         self.templates = templates
         self.models = (
@@ -148,9 +143,9 @@ class Estimator:
             else self.caches.wrap_templates(templates)
         )
         if corrections is None:
-            with obs.timed(
-                "estimator.train", "estimator.train_s",
-                board=board.name, samples=training_samples,
+            with obs.span(
+                "estimator.train", board=board.name,
+                samples=training_samples,
             ):
                 corrections = train_corrections(
                     self.templates, board,
@@ -168,8 +163,7 @@ class Estimator:
 
     def estimate(self, design: Design) -> Estimate:
         """Complete design-point estimate: cycles plus area."""
-        with obs.timed("estimate", "estimate.latency_s", design=design.name):
-            obs.counter("estimate.calls").inc()
+        with obs.span("estimate", design=design.name):
             cycles = self.estimate_cycles(design)
             area = self.estimate_area(design)
         return Estimate(

@@ -143,19 +143,16 @@ def price_points(estimator, benchmark, dataset, params_list):
             for i, params in zip(indices, points):
                 out[i] = estimator._estimate_built(benchmark, dataset, params)
             continue
-        with obs.timed(
-            "estimate.plan", "estimate.plan_s",
-            **{"class": plan.label, "n": len(points)},
-        ):
+        with obs.span("estimate.plan", **{"class": plan.label,
+                                          "n": len(points)}):
             for i, params in zip(indices, points):
                 row = plan.evaluate(params)
                 if row is not None:
                     rows.append((i, plan, row))
     if not rows:
         return out
-    obs.counter("estimate.calls").inc(len(rows))
     board = estimator.board
-    with obs.timed("area.nn", "pass.area_nn_s", batch=len(rows)):
+    with obs.span("area.nn", batch=len(rows)):
         routing, dup_regs, unavailable, dup_brams = (
             estimator.corrections.predict_batch(
                 [row[2] for _, _, row in rows], [row[1] for _, _, row in rows]
@@ -223,7 +220,6 @@ class _Family:
                 sp.set(refused="shape depends on parameters")
             else:
                 sp.set(nodes=plan.nodes, terms=plan.terms)
-                obs.counter("estimate.plans.compiled").inc()
         self.plans[key] = plan
         return plan
 

@@ -4,24 +4,25 @@
   loadable in ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev).
   Spans become complete (``"ph": "X"``) events with microsecond
   timestamps; instant events become ``"ph": "i"`` marks on the
-  timeline. Each event is written and flushed as it finishes, one per
-  line; the format makes the closing ``]`` optional, so a killed run
-  still leaves a loadable file.
-* :func:`span_summary` — per-span-name aggregate wall-clock table, the
-  quickest answer to "where did the time go".
+  timeline. Each event is one append write, one per line; the format
+  makes the closing ``]`` optional, so a killed run still leaves a
+  loadable file.
+* :func:`span_summary` — per-span-name wall-clock distribution plus the
+  totals of every numeric attribute: what the CLI's ``--metrics`` flag
+  prints, the quickest answer to "where did the time go".
 
-These sinks record this process's wall clock. The modeled hardware
-schedule in *simulated* time is drawn by
+These sinks record this process's wall clock (and its forked workers').
+The modeled hardware schedule in *simulated* time is drawn by
 :meth:`repro.sim.Timeline.to_chrome_trace` instead.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
-from .metrics import _fmt
 from .trace import InstantEvent, Span, Tracer
 
 __all__ = ["ChromeTraceWriter", "span_summary"]
@@ -32,66 +33,111 @@ _US = 1e6  # Chrome trace timestamps are in microseconds
 class ChromeTraceWriter:
     """Streaming Chrome trace sink for :meth:`Tracer.attach_stream`.
 
-    Opens ``path`` and writes ``[`` plus the ``process_name`` metadata
-    event, then one event per finished span/instant, flushed at once so
-    a killed run (or a forked worker inheriting the handle) loses or
-    duplicates nothing. :meth:`close` writes the closing ``]``.
-    ``written`` counts every event in the file, metadata included.
+    Opens ``path`` for appending and writes ``[`` plus the
+    ``process_name`` metadata event, then each finished span/instant in
+    one unbuffered ``write`` call. Nothing is buffered, so a killed run
+    loses nothing finished, and forked workers that inherit the writer
+    append their own events to the same file without tearing a line.
+    :meth:`close` writes the closing ``]``. ``written`` counts every
+    event in the file, metadata included (the tracer adds the events a
+    worker wrote when it adopts them).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self._fh = open(path, "w")
-        self._fh.write("[" + json.dumps({
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+        self._fd = os.open(
+            path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o644
+        )
+        self.written = 0
+        self._write("[", {
+            "name": "process_name", "ph": "M", "pid": os.getpid(), "tid": 0,
             "args": {"name": "repro"},
-        }))
-        self._fh.flush()
-        self.written = 1
+        })
 
     def write_span(self, span: Span) -> None:
         """Append one finished span (called under the tracer's lock)."""
-        self._write({
+        self._write(",\n", {
             "name": span.name, "cat": "repro", "ph": "X",
             "ts": span.start * _US, "dur": span.duration * _US,
-            "pid": 1, "tid": span.thread_id, "args": _jsonable(span.attrs),
+            "pid": span.pid, "tid": span.thread_id,
+            "args": _jsonable(span.attrs),
         })
 
     def write_instant(self, event: InstantEvent) -> None:
         """Append one instant event (called under the tracer's lock)."""
-        self._write({
+        self._write(",\n", {
             "name": event.name, "cat": "repro", "ph": "i",
-            "ts": event.ts * _US, "pid": 1, "tid": event.thread_id,
+            "ts": event.ts * _US, "pid": event.pid, "tid": event.thread_id,
             "s": "t", "args": _jsonable(event.attrs),
         })
 
-    def _write(self, event: Dict[str, Any]) -> None:
-        self._fh.write(",\n" + json.dumps(event))
-        self._fh.flush()
+    def _write(self, separator: str, event: Dict[str, Any]) -> None:
+        os.write(self._fd, (separator + json.dumps(event)).encode())
         self.written += 1
 
     def close(self) -> None:
         """Write the closing ``]`` and close the file (idempotent)."""
-        if self._fh.closed:
+        if self._fd is None:
             return
-        self._fh.write("]\n")
-        self._fh.close()
+        os.write(self._fd, b"]\n")
+        os.close(self._fd)
+        self._fd = None
 
 
-def span_summary(tracer: Tracer, title: str = "spans") -> str:
-    """Per-span-name wall-clock aggregate as a human-readable table."""
+def span_summary(tracer: Tracer) -> str:
+    """The tracer's events as human-readable tables (CLI ``--metrics``).
+
+    One row per span name — count, total, mean, p50, p95 and max wall
+    time, percentiles exact — then the totals of each numeric attribute
+    per span and instant name (``explore.valid``, ``area.nn.batch``).
+    """
+    lines = [_rule("spans")]
     rows = tracer.summary_rows()
-    lines = [f"-- {title} " + "-" * max(1, 58 - len(title))]
     if not rows:
         lines.append("(no spans recorded)")
-        return "\n".join(lines)
-    lines.append(
-        f"{'span':28s} {'count':>8s} {'total':>10s} {'mean':>10s} {'max':>10s}"
-    )
-    for name, count, total, mean, mx in rows:
+    else:
         lines.append(
-            f"{name:28s} {count:8,d} {_fmt(total)} {_fmt(mean)} {_fmt(mx)}"
+            f"{'span':28s} {'count':>8s} {'total':>10s} {'mean':>10s} "
+            f"{'p50':>10s} {'p95':>10s} {'max':>10s}"
         )
+        for name, s in rows:
+            lines.append(
+                f"{name:28s} {s['count']:8,d} {_fmt(s['total'])} "
+                f"{_fmt(s['mean'])} {_fmt(s['p50'])} {_fmt(s['p95'])} "
+                f"{_fmt(s['max'])}"
+            )
+    totals = _attribute_totals(tracer.spans + tracer.instants)
+    if totals:
+        lines.append(_rule("attribute totals"))
+        for key, total in sorted(totals.items()):
+            value = f"{total:,}" if isinstance(total, int) else f"{total:,.3f}"
+            lines.append(f"{key:48s} {value:>18s}")
     return "\n".join(lines)
+
+
+def _attribute_totals(events: List[Any]) -> Dict[str, Union[int, float]]:
+    """Sum of every numeric attribute, keyed ``<event name>.<attribute>``."""
+    totals: Dict[str, Union[int, float]] = {}
+    for event in events:
+        for attr, value in event.attrs.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                key = f"{event.name}.{attr}"
+                totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _rule(title: str) -> str:
+    return f"-- {title} " + "-" * max(1, 58 - len(title))
+
+
+def _fmt(seconds: float) -> str:
+    """Render a (usually sub-second) duration with an adaptive unit."""
+    if seconds == 0:
+        return f"{'0':>10s}"
+    if seconds < 1e-3:
+        return f"{seconds * 1e6:>8.1f}us"
+    if seconds < 1.0:
+        return f"{seconds * 1e3:>8.2f}ms"
+    return f"{seconds:>9.3f}s"
 
 
 def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:

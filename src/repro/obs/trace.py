@@ -3,13 +3,13 @@
 The paper's Table IV argues estimation is fast enough to drive design
 space exploration over ~75k-point spaces; this tracer makes that claim
 inspectable. Instrumented code opens :meth:`Tracer.span` context managers
-("estimate", "cycles", "area", ...); nested ``with`` blocks become
-parent/child spans, so one explore run decomposes into per-point
-estimates and each estimate into its cycle-model / area-model / NN
-passes. Finished spans carry wall-clock start/end times (relative to the
-tracer's epoch), free-form attributes, and the recording thread, and can
-be exported through :mod:`repro.obs.sinks` (Chrome trace-event file,
-summary table).
+("estimate", "cycles", "area", ...); a span opened inside another lies
+inside it in time on the same process and thread, so one explore run
+decomposes into per-block pricing spans and each per-design estimate
+into its cycle-model / area-model / NN passes. Finished spans carry
+wall-clock start/end times (relative to the tracer's epoch), free-form
+attributes, and the recording process and thread, and can be exported
+through :mod:`repro.obs.sinks` (Chrome trace-event file, summary table).
 
 The tracer is disabled by default and designed so that instrumentation
 left in hot paths costs almost nothing when off: ``span()`` checks one
@@ -19,30 +19,41 @@ no locking.
 :meth:`Tracer.attach_stream` forwards every finished span/instant to an
 incremental writer (see :class:`repro.obs.sinks.ChromeTraceWriter`), so
 a killed run still leaves a partial trace on disk. The tracer also keeps
-every span in memory for the summaries and :meth:`Tracer.find`.
+every event in memory for the summaries and :meth:`Tracer.find`. A
+forked worker inherits the tracer, its epoch and its stream: it records
+and streams like the parent, hands its events over with :meth:`drain`,
+and the parent files them with :meth:`adopt`.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-__all__ = ["Span", "InstantEvent", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "InstantEvent", "Tracer", "NULL_SPAN", "describe",
+           "percentile"]
 
 
-@dataclass
 class Span:
-    """One finished (or in-flight) traced operation."""
+    """One finished (or in-flight) traced operation.
 
-    name: str
-    span_id: int
-    parent_id: Optional[int]
-    thread_id: int
-    start: float  # seconds since the tracer's epoch
-    end: float = 0.0
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    ``start``/``end`` are seconds since the tracer's epoch; ``pid`` and
+    ``thread_id`` name the recording process and thread.
+    """
+
+    __slots__ = ("name", "pid", "thread_id", "start", "end", "attrs")
+
+    def __init__(self, name: str, pid: int, thread_id: int, start: float,
+                 attrs: Dict[str, Any]) -> None:
+        self.name = name
+        self.pid = pid
+        self.thread_id = thread_id
+        self.start = start
+        self.end = 0.0
+        self.attrs = attrs
 
     @property
     def duration(self) -> float:
@@ -59,6 +70,7 @@ class InstantEvent:
     """A point-in-time event (e.g. periodic DSE progress)."""
 
     name: str
+    pid: int
     thread_id: int
     ts: float  # seconds since the tracer's epoch
     attrs: Dict[str, Any] = field(default_factory=dict)
@@ -113,9 +125,7 @@ class Tracer:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._epoch = time.perf_counter()
-        self._next_id = 1
         self._thread_ids: Dict[int, int] = {}
         self._stream = None
         self.spans: List[Span] = []
@@ -127,7 +137,8 @@ class Tracer:
         """Forward every finished span/instant to ``stream`` as recorded.
 
         ``stream`` needs ``write_span(span)`` and ``write_instant(event)``
-        methods (see :class:`repro.obs.sinks.ChromeTraceWriter`).
+        methods and a ``written`` count (see
+        :class:`repro.obs.sinks.ChromeTraceWriter`).
         """
         with self._lock:
             self._stream = stream
@@ -148,18 +159,9 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
             thread_id = self._thread_index()
-        span = Span(
-            name=name,
-            span_id=span_id,
-            parent_id=self._stack()[-1] if self._stack() else None,
-            thread_id=thread_id,
-            start=time.perf_counter() - self._epoch,
-            attrs=dict(attrs),
-        )
-        self._stack().append(span.span_id)
+        span = Span(name, os.getpid(), thread_id,
+                    time.perf_counter() - self._epoch, attrs)
         return _SpanContext(self, span)
 
     def instant(self, name: str, **attrs: Any) -> None:
@@ -169,9 +171,10 @@ class Tracer:
         with self._lock:
             event = InstantEvent(
                 name=name,
+                pid=os.getpid(),
                 thread_id=self._thread_index(),
                 ts=time.perf_counter() - self._epoch,
-                attrs=dict(attrs),
+                attrs=attrs,
             )
             if self._stream is not None:
                 self._stream.write_instant(event)
@@ -179,24 +182,34 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         span.end = time.perf_counter() - self._epoch
-        stack = self._stack()
-        if stack and stack[-1] == span.span_id:
-            stack.pop()
-        elif span.span_id in stack:  # pragma: no cover - misnested exit
-            stack.remove(span.span_id)
         with self._lock:
             if self._stream is not None:
                 self._stream.write_span(span)
             self.spans.append(span)
 
-    # -- bookkeeping -------------------------------------------------------
+    # -- handing events between processes ----------------------------------
 
-    def _stack(self) -> List[int]:
-        """Per-thread stack of open span ids (parent tracking)."""
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def drain(self) -> Tuple[List[Span], List[InstantEvent]]:
+        """Remove and return every recorded span and instant."""
+        with self._lock:
+            taken = (self.spans, self.instants)
+            self.spans, self.instants = [], []
+        return taken
+
+    def adopt(self, spans: Sequence[Span],
+              instants: Sequence[InstantEvent]) -> None:
+        """Keep events a forked worker recorded (and streamed) in memory.
+
+        They are not written again: the worker's inherited stream already
+        wrote each one, so only the stream's count grows.
+        """
+        with self._lock:
+            self.spans += spans
+            self.instants += instants
+            if self._stream is not None:
+                self._stream.written += len(spans) + len(instants)
+
+    # -- bookkeeping -------------------------------------------------------
 
     def _thread_index(self) -> int:
         """Small stable integer per OS thread (Chrome-trace ``tid``)."""
@@ -212,7 +225,6 @@ class Tracer:
             self.spans.clear()
             self.instants.clear()
             self._thread_ids.clear()
-            self._next_id = 1
             self._epoch = time.perf_counter()
 
     # -- queries -----------------------------------------------------------
@@ -222,11 +234,6 @@ class Tracer:
         with self._lock:
             return [s for s in self.spans if s.name == name]
 
-    def children(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` among finished spans."""
-        with self._lock:
-            return [s for s in self.spans if s.parent_id == span.span_id]
-
     def by_name(self) -> Dict[str, List[Span]]:
         """Finished spans grouped by name."""
         out: Dict[str, List[Span]] = {}
@@ -235,13 +242,45 @@ class Tracer:
                 out.setdefault(span.name, []).append(span)
         return out
 
-    def summary_rows(self) -> List[Tuple[str, int, float, float, float]]:
-        """Per-name aggregate: (name, count, total_s, mean_s, max_s)."""
-        rows = []
-        for name, spans in sorted(self.by_name().items()):
-            durs = [s.duration for s in spans]
-            total = sum(durs)
-            rows.append(
-                (name, len(durs), total, total / len(durs), max(durs))
-            )
-        return rows
+    def summary_rows(self) -> List[Tuple[str, Dict[str, float]]]:
+        """Per-name duration summary: ``(name, describe(durations))``."""
+        return [
+            (name, describe([s.duration for s in spans]))
+            for name, spans in sorted(self.by_name().items())
+        ]
+
+
+def percentile(ordered: Sequence[float], p: float) -> float:
+    """Exact ``p``-th percentile of sorted ``ordered`` (0.0 when empty).
+
+    Linear interpolation between the two closest ranks.
+    """
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    low, high = ordered[lo], ordered[hi]
+    if frac == 0.0:
+        return low
+    # low + (high - low) * frac is exact for equal neighbours and
+    # monotone in p; the clamp keeps rounding (or an overflowing
+    # high - low) inside [low, high].
+    return min(max(low + (high - low) * frac, low), high)
+
+
+def describe(values: Sequence[float]) -> Dict[str, float]:
+    """count / total / mean / p50 / p95 / max of ``values`` in one dict."""
+    ordered = sorted(values)
+    total = sum(ordered)
+    return {
+        "count": len(ordered),
+        "total": total,
+        "mean": total / len(ordered) if ordered else 0.0,
+        "p50": percentile(ordered, 50),
+        "p95": percentile(ordered, 95),
+        "max": ordered[-1] if ordered else 0.0,
+    }

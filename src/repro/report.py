@@ -223,23 +223,25 @@ def _effects_section() -> List[str]:
 
 
 def _metrics_section(estimator: Optional[Estimator] = None) -> List[str]:
-    """Counters and latency histograms collected while the report ran."""
+    """Span summary of what the report ran, plus the cache statistics."""
     lines = [
-        "## Observability — metrics collected during this report",
+        "## Observability — spans recorded during this report",
         "",
-        "Per-pass latency histograms (`pass.*`) decompose Table IV's",
-        "per-design estimation time; sweeps price points from compiled",
-        "class plans instead (`estimate.plans.compiled` counts the classes,",
-        "`estimate.plan_s` times the evaluated blocks); `dse.*` counters",
-        "census the sampled spaces; `estimation.cache.*` counters",
-        "explain how much of the sweep the memoization layer absorbed;",
-        "`dram.*` counters/histograms (transfers, bytes, contention",
-        "cycles, interleave efficiency) show how much simulated memory",
-        "time was queueing behind sibling streams.",
+        "The per-design pass spans (`estimate`, `cycles`, `area`,",
+        "`area.raw`, `area.nn`) decompose Table IV's per-design estimation",
+        "time; sweeps price points from compiled class plans instead",
+        "(`estimate.compile` spans, one per class; `estimate.plan` spans",
+        "time the evaluated blocks, and `area.nn.batch` totals the points",
+        "they priced). The `explore.*` attribute totals census the",
+        "sampled spaces (sampled, illegal, valid, unfit); the `simulate`",
+        "attributes (transfers, DRAM bytes, contention cycles) show how",
+        "much simulated memory time was queueing behind sibling streams;",
+        "the cache table below shows how much of the sweeps the",
+        "memoization layer absorbed.",
         "See docs/observability.md and docs/estimation_performance.md.",
         "",
         "```",
-        obs.metrics().summary_table(title=None),
+        obs.span_summary(obs.tracer()),
         "```",
     ]
     lines += _estimation_cache_section(estimator)
@@ -270,18 +272,18 @@ def build_report(
 ) -> str:
     """Render the consolidated evaluation report as markdown.
 
-    Unless metrics collection is already on (e.g. the caller is tracing),
-    the report enables :mod:`repro.obs` metrics for its own duration so
-    the closing section can show where the evaluation time went.
+    Unless span recording is already on (e.g. the caller is tracing),
+    the report turns :mod:`repro.obs` on for its own duration so the
+    closing section can show where the evaluation time went.
     ``workers`` routes the DSE sweeps (Table III, Figure 6) through the
     sharded :mod:`repro.runtime` engine — identical results, less
     wall-clock on multicore hosts.
     """
     chosen = sections or ["table3", "table4", "figure6", "effects", "metrics"]
-    own_metrics = "metrics" in chosen and not obs.metrics_enabled()
+    own_metrics = "metrics" in chosen and not obs.trace_enabled()
     if own_metrics:
-        obs.metrics().reset()
-        obs.enable(metrics=True)
+        obs.reset()
+        obs.enable()
     parts: List[str] = [
         "# Evaluation report — DHDL reproduction",
         "",
@@ -303,5 +305,5 @@ def build_report(
             parts += _metrics_section(estimator) + [""]
     finally:
         if own_metrics:
-            obs.enable(metrics=False)
+            obs.disable()
     return "\n".join(parts)

@@ -14,13 +14,19 @@ shard indices:
   method, created *after* the estimator exists, so every worker inherits
   the trained models through copy-on-write memory and pays no cold
   start. The executor's queue hands the next shard to whichever worker
-  frees up first; busy fractions land in ``dse.worker.*.utilization``.
+  frees up first; :meth:`RunOutcome.utilization` gives each worker's
+  busy fraction.
 
-Each completed shard emits a ``dse.shard.done`` instant from the
-parent. Point outcome counters and the latency histogram are recorded
-once, after the merge, by the explorer. Platforms without ``fork``
-fall back to the serial path rather than re-training one estimator per
-worker; the engine reports the effective worker count.
+Workers inherit the parent's :mod:`repro.obs` state and record exactly
+as a serial run does: their spans stream to the parent's trace file
+(tagged with the worker's pid) as they finish, and each
+:class:`ShardOutcome` carries the events its shard recorded, which the
+parent adds to its in-memory tracer without writing them again. Each
+completed shard emits a ``dse.shard.done`` instant from the parent.
+Point outcome counts are recorded once, after the merge, by the
+explorer. Platforms without ``fork`` fall back to the serial path rather
+than re-training one estimator per worker; the engine reports the
+effective worker count.
 
 Checkpointing is per shard: whichever process runs a shard is the only
 writer of its JSONL file (:mod:`repro.runtime.checkpoint`), so there is
@@ -38,7 +44,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..estimation.estimator import DesignPoint
@@ -55,8 +61,9 @@ class ShardOutcome:
     """One shard's fresh or restored records plus bookkeeping.
 
     ``worker`` is the executing worker's pid in forked runs (0 for the
-    in-process path and for restored records); the pool aggregates
-    per-worker busy time from it. One shard may have two outcomes: its
+    in-process path and for restored records); per-worker busy time is
+    aggregated from it. ``events`` holds the spans and instants a forked
+    worker recorded for the shard. One shard may have two outcomes: its
     restored records and its freshly estimated ones.
     """
 
@@ -67,6 +74,7 @@ class ShardOutcome:
     estimated: int = 0
     restored: int = 0
     worker: int = 0
+    events: Tuple[Sequence, Sequence] = ((), ())
 
 
 @dataclass
@@ -81,6 +89,15 @@ class RunOutcome:
     def steals(self) -> int:
         """Forked shards queued past the first fill (perfbench reads it)."""
         return max(sum(1 for o in self.outcomes if o.worker) - self.workers, 0)
+
+    def utilization(self) -> List[float]:
+        """Each forked worker's busy fraction of the wall time, by pid."""
+        busy_s: Dict[int, float] = {}
+        for o in self.outcomes:
+            if o.worker:
+                busy_s[o.worker] = busy_s.get(o.worker, 0.0) + o.elapsed_s
+        return [round(min(busy_s[pid] / self.elapsed_s, 1.0), 4)
+                for pid in sorted(busy_s)]
 
 
 def outcomes_from_states(
@@ -121,7 +138,7 @@ def run_shard(
     the unit of work: one
     :meth:`~repro.estimation.estimator.Estimator.estimate_points` call
     prices it, and one ``writer.write`` call checkpoints and fsyncs its
-    records. Each record's latency is an even share of its block's time.
+    records.
     """
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
@@ -133,13 +150,11 @@ def run_shard(
     ]
     for lo in range(0, len(todo), BLOCK_POINTS):
         block = todo[lo:lo + BLOCK_POINTS]
-        t0 = time.perf_counter()
         estimates = estimator.estimate_points(
             benchmark, dataset, [params for _, params in block]
         )
-        share = (time.perf_counter() - t0) / len(block)
         records = [
-            DesignPoint(params, estimate, index, share)
+            DesignPoint(params, estimate, index)
             for (index, params), estimate in zip(block, estimates)
         ]
         outcome.records += records
@@ -166,23 +181,28 @@ def _run_pending(index: int) -> ShardOutcome:
 
     Shard data, the estimator, the checkpoint store and the heartbeat
     come from the run state; only the shard index crosses a process
-    boundary. ``worker`` is set to the pid only inside a forked child.
+    boundary. Inside a forked child, ``worker`` is set to the pid and
+    ``events`` to what the child's tracer recorded for the shard.
     """
     run = _RUN
     assert run is not None, "shard run without run state"
+    forked = os.getpid() != run["parent"]
+    if forked:
+        obs.tracer().drain()  # the parent's events, inherited at fork
     shard = run["shards"][index]
     writer = run["store"].writer(shard) if run["store"] else None
     try:
         outcome = run_shard(
             run["benchmark"], run["estimator"], run["dataset"], shard,
             writer=writer, skip=run["skip"].get(index),
-            on_block=run["heartbeat"].progress,
+            on_block=None if forked else run["heartbeat"].progress,
         )
     finally:
         if writer is not None:
             writer.close()
-    if os.getpid() != run["parent"]:
+    if forked:
         outcome.worker = os.getpid()
+        outcome.events = obs.tracer().drain()
     return outcome
 
 
@@ -212,7 +232,6 @@ class _Heartbeat:
             return
         elapsed = time.perf_counter() - self._start
         rate = self._done / elapsed if elapsed > 0 else 0.0
-        obs.gauge("dse.points_per_sec").set(rate)
         obs.instant(
             "dse.progress",
             bench=self._bench,
@@ -224,7 +243,6 @@ class _Heartbeat:
     def shard(self, outcome: ShardOutcome) -> None:
         """Record a completed shard's heartbeat instant."""
         self._shards_done += 1
-        obs.gauge("dse.shards.completed").set(self._shards_done)
         rate = (outcome.estimated / outcome.elapsed_s
                 if outcome.elapsed_s > 0 else 0.0)
         obs.instant(
@@ -286,7 +304,6 @@ def run_plan(
         "skip": {index: set(state.records)
                  for index, state in states.items() if state.records},
     }
-    busy_s: Dict[int, float] = {}
     try:
         with ExitStack() as stack:
             mapper = map
@@ -295,28 +312,15 @@ def run_plan(
                 # full collection there would copy every page it touches.
                 gc.freeze()
                 stack.callback(gc.unfreeze)
-                # Workers run quiet: their records carry the latencies,
-                # and spans/metrics in a child's collectors are lost.
                 mapper = stack.enter_context(ProcessPoolExecutor(
                     max_workers=min(workers, len(pending)),
                     mp_context=multiprocessing.get_context("fork"),
-                    initializer=obs.disable,
                 )).map
             for outcome in mapper(_run_pending, pending):
-                if outcome.worker:
-                    busy_s[outcome.worker] = (
-                        busy_s.get(outcome.worker, 0.0) + outcome.elapsed_s
-                    )
+                obs.tracer().adopt(*outcome.events)
                 heartbeat.shard(outcome)
                 run.outcomes.append(outcome)
     finally:
         _RUN = None
     run.elapsed_s = time.perf_counter() - start
-    # Forked runs only: each worker's busy fraction of the wall time.
-    if busy_s:
-        obs.gauge("dse.workers.active").set(len(busy_s))
-    for slot, pid in enumerate(sorted(busy_s)):
-        obs.gauge(f"dse.worker.{slot}.utilization").set(
-            round(min(busy_s[pid] / run.elapsed_s, 1.0), 4)
-        )
     return run

@@ -7,19 +7,16 @@ efficiency loss when multiple streams interleave at the controller, and
 per-command issue overhead. The estimator's simpler model (Section IV-B1)
 is validated against this one, yielding the paper's ~6% runtime error.
 
-When :mod:`repro.obs` metrics are on, every transfer also feeds the
-memory-contention instruments — ``dram.transfers`` / ``dram.bytes`` /
-``dram.contention_cycles`` counters plus ``dram.wait_cycles`` and
-``dram.interleave_efficiency`` histograms — so ``repro report
---metrics`` (or any traced command) shows how much of a design's memory
-time is queueing behind sibling streams rather than moving data.
+Each transfer's ``wait`` is its contention penalty; the simulator sums
+it into :attr:`repro.sim.SimResult.contention_cycles`, which the
+``simulate`` span carries, so a traced run shows how much of a design's
+memory time is queueing behind sibling streams rather than moving data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import obs
 from ..ir.memops import TileTransfer
 from ..target.board import Board
 
@@ -81,13 +78,6 @@ def simulate_transfer(
     # same port width.
     solo_rate = min(board.bytes_per_cycle, port_bytes_per_cycle)
     wait_cycles = max(stream_cycles - total_bytes / max(solo_rate, 1e-9), 0.0)
-
-    if obs.metrics_enabled():
-        obs.counter("dram.transfers").inc()
-        obs.counter("dram.bytes").inc(total_bytes)
-        obs.counter("dram.contention_cycles").inc(int(wait_cycles))
-        obs.histogram("dram.wait_cycles").observe(wait_cycles)
-        obs.histogram("dram.interleave_efficiency").observe(eff)
 
     return TransferTiming(
         total=total,

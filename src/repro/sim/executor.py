@@ -48,6 +48,10 @@ class SimResult:
     board: Board
     per_controller: Dict[str, float] = field(default_factory=dict)
     dram_bytes: int = 0
+    # Executed tile transfers, and their cycles queued behind sibling
+    # streams (:attr:`repro.sim.dram.TransferTiming.wait`).
+    transfers: int = 0
+    contention_cycles: float = 0.0
 
     @property
     def seconds(self) -> float:
@@ -63,13 +67,17 @@ class SimResult:
 
 def simulate(design: Design, board: Board = MAIA) -> SimResult:
     """Simulate the execution of ``design``, returning measured cycles."""
-    with obs.timed("simulate", "pass.simulate_s", design=design.name) as sp:
+    with obs.span("simulate", design=design.name) as sp:
         result = SimResult(design.name, 0.0, board)
         total = 0.0
         for top in design.top_controllers:
             total += _run(top, board, 0, result)
         result.cycles = total
-        sp.set(cycles=total, dram_bytes=result.dram_bytes)
+        sp.set(
+            cycles=total, dram_bytes=result.dram_bytes,
+            transfers=result.transfers,
+            contention_cycles=result.contention_cycles,
+        )
     return result
 
 
@@ -78,7 +86,10 @@ def _run(
 ) -> float:
     if isinstance(ctrl, TileTransfer):
         timing = simulate_transfer(ctrl, board, streams + 1)
-        result.dram_bytes += timing.bytes_moved * executions(ctrl)
+        runs = executions(ctrl)
+        result.transfers += runs
+        result.dram_bytes += timing.bytes_moved * runs
+        result.contention_cycles += timing.wait * runs
         cycles = timing.total
     elif isinstance(ctrl, Pipe):
         cycles = _run_pipe(ctrl)

@@ -7,7 +7,6 @@ import pickle
 
 import pytest
 
-from repro import obs
 from repro.apps import get_benchmark
 from repro.estimation import (
     CachedTemplateModels,
@@ -19,15 +18,6 @@ from repro.estimation import (
 from repro.estimation.cache import MISS
 from repro.target import MAIA
 
-
-@pytest.fixture(autouse=True)
-def clean_obs():
-    """Cache counters mirror into obs; keep the globals quiet between tests."""
-    obs.disable()
-    obs.reset()
-    yield
-    obs.disable()
-    obs.reset()
 
 
 class TestLRUCache:
@@ -82,20 +72,6 @@ class TestLRUCache:
         cache.clear()
         assert len(cache) == 0 and "a" not in cache
         assert cache.hits == 1
-
-    def test_counters_mirror_into_obs_when_enabled(self):
-        obs.enable(metrics=True)
-        cache = LRUCache("unit", 1)
-        cache.get("x")  # miss
-        cache.put("x", 1)
-        cache.get("x")  # hit
-        cache.put("y", 2)  # evict
-        counts = obs.metrics().to_dict()["counters"]
-        assert counts["estimation.cache.hit"] == 1
-        assert counts["estimation.cache.miss"] == 1
-        assert counts["estimation.cache.evict"] == 1
-        assert counts["estimation.cache.unit.hit"] == 1
-
 
 class TestCachedTemplateModels:
     def test_predictions_match_and_memoize(self, estimator):

@@ -1,4 +1,4 @@
-"""Estimator cold-start observability: spans and histograms."""
+"""Estimator cold-start observability: the characterize/train spans."""
 
 import pytest
 
@@ -19,20 +19,18 @@ def collected():
 class TestColdStartSpans:
     def test_characterize_and_train_traced(self, collected):
         Estimator(MAIA, training_samples=40, seed=11)
-        names = {s.name for s in obs.tracer().spans}
-        assert {"estimator.characterize", "estimator.train"} <= names
-        char_s = obs.metrics().histogram("estimator.characterize_s")
-        train_s = obs.metrics().histogram("estimator.train_s")
-        assert char_s.count == 1 and char_s.total > 0
-        assert train_s.count == 1 and train_s.total > 0
+        (char_s,) = obs.tracer().find("estimator.characterize")
+        (train_s,) = obs.tracer().find("estimator.train")
+        assert char_s.duration > 0 and char_s.attrs == {"board": MAIA.name}
+        assert train_s.duration > 0 and train_s.attrs["samples"] == 40
 
     def test_provided_models_skip_cold_start(self, collected):
         warm = Estimator(MAIA, training_samples=40, seed=11)
         obs.reset()
         Estimator(MAIA, templates=warm.templates,
                   corrections=warm.corrections)
-        assert obs.metrics().histogram("estimator.characterize_s").count == 0
-        assert obs.metrics().histogram("estimator.train_s").count == 0
+        assert not obs.tracer().find("estimator.characterize")
+        assert not obs.tracer().find("estimator.train")
 
 
 class TestShippedModelsColdStart:
@@ -41,5 +39,3 @@ class TestShippedModelsColdStart:
         default_estimator()
         names = {s.name for s in obs.tracer().spans}
         assert not names & {"estimator.characterize", "estimator.train"}
-        assert obs.metrics().histogram("estimator.characterize_s").count == 0
-        assert obs.metrics().histogram("estimator.train_s").count == 0

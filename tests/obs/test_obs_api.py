@@ -1,5 +1,6 @@
 """Tests for the module-level obs facade and pipeline instrumentation."""
 
+import os
 import time
 
 import pytest
@@ -23,40 +24,57 @@ def clean_obs():
 
 class TestFacade:
     def test_disabled_by_default(self):
-        assert not obs.trace_enabled() and not obs.metrics_enabled()
+        assert not obs.trace_enabled()
         assert obs.span("x") is obs.NULL_SPAN
 
     def test_enable_disable_individual(self):
+        """Either flag turns span recording on; false values turn it off."""
         obs.enable(trace=True)
-        assert obs.trace_enabled() and not obs.metrics_enabled()
-        obs.enable(metrics=True)
-        assert obs.metrics_enabled()
-        obs.enable(metrics=False)
-        assert obs.trace_enabled() and not obs.metrics_enabled()
+        assert obs.trace_enabled()
         obs.disable()
+        assert not obs.trace_enabled()
+        obs.enable(metrics=True)
+        assert obs.trace_enabled()
+        obs.enable(metrics=False)
+        assert not obs.trace_enabled()
+        obs.enable(trace=False, metrics=True)
+        assert obs.trace_enabled()
+        obs.enable(trace=False, metrics=False)
         assert not obs.trace_enabled()
 
     def test_enable_no_args_enables_both(self):
         obs.enable()
-        assert obs.trace_enabled() and obs.metrics_enabled()
+        assert obs.trace_enabled()
+        with obs.span("x"):
+            obs.instant("y")
+        assert [s.name for s in obs.tracer().spans] == ["x"]
+        assert [e.name for e in obs.tracer().instants] == ["y"]
 
-    def test_timed_records_span_and_histogram(self):
+    def test_span_records_duration_and_attrs(self):
         obs.enable()
-        with obs.timed("pass", "pass.latency_s", design="d") as span:
+        with obs.span("pass", design="d") as span:
             span.set(cycles=9)
         (span,) = obs.tracer().find("pass")
         assert span.attrs == {"design": "d", "cycles": 9}
-        assert obs.histogram("pass.latency_s").count == 1
+        ((name, summary),) = obs.tracer().summary_rows()
+        assert name == "pass" and summary["count"] == 1
+        assert summary["total"] == span.duration
 
-    def test_timed_metrics_only(self):
+    def test_metrics_flag_records_spans(self):
+        """``--metrics`` reads the same spans a trace file gets."""
         obs.enable(metrics=True)
-        with obs.timed("pass", "pass.latency_s"):
+        with obs.span("pass"):
             pass
-        assert obs.tracer().spans == []
-        assert obs.histogram("pass.latency_s").count == 1
+        assert [s.name for s in obs.tracer().spans] == ["pass"]
+        assert "pass" in obs.span_summary(obs.tracer())
 
-    def test_timed_disabled_is_noop_singleton(self):
-        assert obs.timed("pass", "h") is obs.NULL_SPAN
+
+def inside(outer, inner):
+    """Whether ``inner`` ran within ``outer`` on the same thread."""
+    return (
+        (outer.pid, outer.thread_id) == (inner.pid, inner.thread_id)
+        and outer.start <= inner.start and inner.end <= outer.end
+    )
 
 
 class TestPipelineInstrumentation:
@@ -81,29 +99,27 @@ class TestPipelineInstrumentation:
         (exp,) = tracer.find("explore")
         assert exp.attrs["bench"] == "dotproduct"
         assert exp.attrs["points"] == len(result.points)
-
-        estimates = tracer.find("estimate")
-        assert estimates and all(
-            s.parent_id == exp.span_id for s in estimates
+        assert exp.attrs["sampled"] == result.legal_sampled
+        assert exp.attrs["valid"] + exp.attrs["unfit"] == len(result.points)
+        assert exp.attrs["restored"] == 0
+        assert exp.attrs["illegal"] == result.legal_sampled - len(
+            result.points
         )
+
+        # One estimate span per point, each with its passes inside it.
+        estimates = tracer.find("estimate")
+        assert len(estimates) == len(result.points)
+        assert all(inside(exp, s) for s in estimates)
         for name in ("cycles", "area"):
             spans = tracer.find(name)
             assert len(spans) == len(estimates)
-            est_ids = {s.span_id for s in estimates}
-            assert all(s.parent_id in est_ids for s in spans)
+            assert all(any(inside(e, s) for e in estimates) for s in spans)
         assert tracer.find("area.nn"), "NN correction pass not traced"
+        assert all("batch" not in s.attrs for s in tracer.find("area.nn"))
 
-        snap = obs.metrics().to_dict()
-        counts = snap["counters"]
-        assert counts["dse.points.sampled"] == result.legal_sampled
-        assert (
-            counts["dse.points.valid"] + counts["dse.points.unfit"]
-            == len(result.points)
-        )
-        assert counts["estimate.calls"] == len(result.points)
-        hist = snap["histograms"]["dse.point_latency_s"]
-        assert hist["count"] == len(result.points)
-        assert 0 < hist["p50"] <= hist["p95"] <= hist["max"]
+        latency = dict(tracer.summary_rows())["estimate"]
+        assert latency["count"] == len(result.points)
+        assert 0 < latency["p50"] <= latency["p95"] <= latency["max"]
 
         progress = [
             e for e in tracer.instants if e.name == "dse.progress"
@@ -115,9 +131,10 @@ class TestPipelineInstrumentation:
     ):
         """The cached estimator compiles each class once and traces one
         estimate.plan span per evaluated block instead of per-point
-        estimate spans, plus estimation.cache.* counters."""
+        estimate spans; the cache statistics stay on the caches."""
         assert estimator.caches is not None
         estimator.caches.clear()  # session fixture may be warm already
+        misses = estimator.caches.template.misses
         monkeypatch.setattr(pool, "PROGRESS_EVERY", 5)
         obs.enable()
         bench = get_benchmark("dotproduct")
@@ -128,25 +145,22 @@ class TestPipelineInstrumentation:
         compiles = tracer.find("estimate.compile")
         plans = tracer.find("estimate.plan")
         assert compiles and plans
-        assert all(s.parent_id == exp.span_id for s in compiles + plans)
+        assert all(inside(exp, s) for s in compiles + plans)
         for span in compiles:
             assert span.attrs["bench"] == "dotproduct"
             assert span.attrs["nodes"] > 0 and span.attrs["terms"] > 0
+            assert "refused" not in span.attrs
         assert {s.attrs["class"] for s in plans} == {
             s.attrs["class"] for s in compiles
         }
         assert sum(s.attrs["n"] for s in plans) == len(result.points)
         # Points are priced without per-design cycle/area passes.
         assert not tracer.find("cycles") and not tracer.find("area.raw")
+        assert not tracer.find("estimate")
         # One vectorized NN pass per block, not one per design.
-        assert len(tracer.find("area.nn")) == 1
-
-        counts = obs.metrics().to_dict()["counters"]
-        assert counts["estimate.calls"] == len(result.points)
-        assert counts["estimate.plans.compiled"] == len(compiles)
-        assert counts.get("estimation.cache.miss", 0) > 0
-        hist = obs.metrics().to_dict()["histograms"]["dse.point_latency_s"]
-        assert hist["count"] == len(result.points)
+        (nn,) = tracer.find("area.nn")
+        assert nn.attrs["batch"] == len(result.points)
+        assert estimator.caches.template.misses > misses
 
     def test_serial_progress_once_per_thousand_points(self, estimator):
         """Progress is checked once per priced block: a 2,500-point
@@ -154,13 +168,36 @@ class TestPipelineInstrumentation:
         obs.enable(trace=True, metrics=True)
         explore(get_benchmark("dotproduct"), estimator, max_points=2_500)
         progress = [
-            e.attrs["points"] for e in obs.tracer().instants
+            e.attrs for e in obs.tracer().instants
             if e.name == "dse.progress"
         ]
         assert pool.PROGRESS_EVERY == 1_000
-        assert progress == [1_000, 2_000]
-        gauges = obs.metrics().to_dict()["gauges"]
-        assert gauges["dse.points_per_sec"] > 0
+        assert [e["points"] for e in progress] == [1_000, 2_000]
+        assert all(e["points_per_sec"] > 0 for e in progress)
+
+    @pytest.mark.skipif(not pool.fork_available(), reason="needs fork")
+    def test_forked_workers_record_like_serial(self, estimator):
+        """Worker spans reach the parent's tracer, tagged with worker pids."""
+        bench = get_benchmark("dotproduct")
+        estimator.caches.clear()  # every point priced, none served cached
+        obs.enable()
+        result = explore(bench, estimator, max_points=600, seed=3,
+                         workers=2, shards=4)
+        tracer = obs.tracer()
+        plan_pids = {s.pid for s in tracer.find("estimate.plan")}
+        assert len(plan_pids - {os.getpid()}) >= 2
+        assert sum(
+            s.attrs["batch"] for s in tracer.find("area.nn")
+        ) == len(result.points)
+        (exp,) = tracer.find("explore")
+        assert exp.pid == os.getpid()
+        assert exp.attrs["active_workers"] == len(exp.attrs["utilization"])
+        assert 1 <= exp.attrs["active_workers"] <= 2
+        assert all(0.0 <= u <= 1.0 for u in exp.attrs["utilization"])
+        forked_names = set(tracer.by_name())
+        obs.reset()
+        explore(bench, estimator, max_points=600, seed=3)
+        assert forked_names == set(obs.tracer().by_name())
 
     def test_simulate_traces_controller_hierarchy(self, estimator):
         obs.enable(trace=True)
@@ -179,15 +216,11 @@ class TestPipelineInstrumentation:
         ~1 ms a real estimate takes (acceptance criterion)."""
         obs.disable()
         n = 1000
-        hist = obs.histogram("dse.point_latency_s")
-        cnt = obs.counter("dse.points.valid")
         start = time.perf_counter()
         for _ in range(n):
-            t0 = time.perf_counter()
-            with obs.timed("estimate", "estimate.latency_s", design="d"):
-                pass
-            hist.observe(time.perf_counter() - t0)
-            cnt.inc()
+            with obs.span("estimate", design="d"):
+                with obs.span("cycles", design="d"):
+                    pass
         elapsed = time.perf_counter() - start
         # 1000 points at ~1 ms each -> 5% budget is 50 ms; the null path
         # measures in the hundreds of microseconds. Generous CI bound:

@@ -1,6 +1,11 @@
 """Tests for trace export sinks (repro.obs.sinks)."""
 
+import copy
 import json
+import multiprocessing
+import os
+
+import pytest
 
 from repro import obs
 from repro.obs import ChromeTraceWriter, Tracer, span_summary
@@ -56,7 +61,7 @@ class TestChromeTrace:
             assert ev["ts"] >= 0 and ev["dur"] >= 0
             assert ev["ts"] == span.start * 1e6
             assert ev["dur"] == span.duration * 1e6
-            assert ev["pid"] == 1 and ev["tid"] >= 1
+            assert ev["pid"] == os.getpid() and ev["tid"] >= 1
 
     def test_nested_span_timestamps_contained_in_parent(self, tmp_path):
         _, doc = written_trace(tmp_path)
@@ -69,7 +74,7 @@ class TestChromeTrace:
     def test_instants_and_metadata(self, tmp_path):
         _, doc = written_trace(tmp_path)
         assert doc[0] == {
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+            "name": "process_name", "ph": "M", "pid": os.getpid(), "tid": 0,
             "args": {"name": "repro"},
         }
         instants = [e for e in doc if e["ph"] == "i"]
@@ -77,6 +82,7 @@ class TestChromeTrace:
         assert instants[0]["args"]["points"] == 1000
         assert instants[0]["args"]["points_per_sec"] == 850.0
         assert instants[0]["s"] == "t" and instants[0]["tid"] >= 1
+        assert instants[0]["pid"] == os.getpid()
 
     def test_attrs_coerced_to_jsonable(self, tmp_path):
         def record(stream):
@@ -138,6 +144,62 @@ class TestStreaming:
         assert writer.written == 1
         assert len(tracer.spans) == 1  # still kept in memory
 
+    def test_adopted_events_are_counted_not_rewritten(self, tmp_path):
+        """A forked worker streams through its copy of the writer; the
+        parent keeps the drained events and counts them, writing none."""
+        path = tmp_path / "trace.json"
+        writer = ChromeTraceWriter(path)
+        parent = Tracer(enabled=True)
+        parent.attach_stream(writer)
+        worker = Tracer(enabled=True)
+        worker.attach_stream(copy.copy(writer))  # shares the open file
+        with worker.span("estimate.plan", n=32):
+            pass
+        worker.instant("tick")
+        parent.adopt(*worker.drain())
+        assert worker.spans == [] and worker.instants == []
+        with parent.span("explore"):
+            pass
+        writer.close()
+        doc = json.loads(path.read_text())
+        assert [e["name"] for e in doc[1:]] == [
+            "estimate.plan", "tick", "explore"
+        ]
+        assert writer.written == len(doc) == 4
+        assert [s.name for s in parent.spans] == ["estimate.plan", "explore"]
+        assert [e.name for e in parent.instants] == ["tick"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork",
+    )
+    def test_forked_writers_never_tear_a_line(self, tmp_path):
+        """More writer processes than cores, each appending large events
+        to the inherited file: every event lands whole, exactly once."""
+        path = tmp_path / "trace.json"
+        writer = ChromeTraceWriter(path)
+        tracer = Tracer(enabled=True)
+        tracer.attach_stream(writer)
+        payload = "x" * 20_000  # several pages per write
+
+        def record(worker):
+            for i in range(40):
+                tracer.instant("tick", worker=worker, i=i, payload=payload)
+
+        ctx = multiprocessing.get_context("fork")
+        procs = [ctx.Process(target=record, args=(w,)) for w in range(6)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive() and proc.exitcode == 0
+        writer.close()
+        doc = json.loads(path.read_text())
+        ticks = [(e["args"]["worker"], e["args"]["i"]) for e in doc[1:]]
+        assert sorted(ticks) == [(w, i) for w in range(6) for i in range(40)]
+        assert all(e["args"]["payload"] == payload for e in doc[1:])
+        assert len({e["pid"] for e in doc[1:]}) == 6
+
     def test_stream_trace_round_trip(self, tmp_path):
         path = tmp_path / "stream.json"
         obs.reset()
@@ -166,3 +228,23 @@ class TestSpanSummary:
 
     def test_empty_tracer(self):
         assert "no spans recorded" in span_summary(Tracer(enabled=True))
+
+    def test_attribute_totals(self):
+        """Numeric attributes are totalled per span or instant name."""
+        tracer = Tracer(enabled=True)
+        with tracer.span("explore", valid=42, bench="gemm"):
+            with tracer.span("area.nn", batch=30, fits=True, share=0.25):
+                pass
+            with tracer.span("area.nn", batch=12, share=0.25):
+                pass
+        tracer.instant("dse.progress", points=1000)
+        table = span_summary(tracer)
+        rows = {line.split()[0]: line.split() for line in table.splitlines()}
+        assert rows["area.nn"][1] == "2" and rows["explore"][1] == "1"
+        assert "p50" in table and "p95" in table
+        assert rows["area.nn.batch"][1] == "42"
+        assert rows["area.nn.share"][1] == "0.500"
+        assert rows["explore.valid"][1] == "42"
+        assert rows["dse.progress.points"][1] == "1,000"
+        # Strings and booleans are not totalled.
+        assert "explore.bench" not in rows and "area.nn.fits" not in rows

@@ -59,17 +59,19 @@ class TestKillResume:
         explore(bench, estimator, max_points=POINTS, seed=SEED,
                 shards=4, checkpoint_dir=ckpt)
         obs.reset()
-        obs.enable(metrics=True)
+        obs.enable()
         try:
             resumed = explore(bench, estimator, max_points=POINTS,
                               seed=SEED, shards=4, checkpoint_dir=ckpt,
                               resume=True)
-            calls = obs.metrics().counter("estimate.calls").value
-            restored = obs.metrics().counter("dse.points.restored").value
+            priced = [s.name for s in obs.tracer().spans
+                      if s.name in ("estimate", "estimate.plan", "area.nn")]
+            (exp,) = obs.tracer().find("explore")
+            restored = exp.attrs["restored"]
         finally:
             obs.disable()
             obs.reset()
-        assert calls == 0  # completed shards are never re-estimated
+        assert priced == []  # completed shards are never re-estimated
         assert restored == POINTS
         assert resumed.restored == POINTS
         assert fingerprint(resumed) == fingerprint(serial)

@@ -52,13 +52,14 @@ def test_one_shard_two_workers_identical_to_serial(estimator, serial):
     """Fewer shards than workers: the pool forks one worker per shard."""
     bench = get_benchmark("tpchq6")
     obs.reset()
-    obs.enable(metrics=True)
+    obs.enable()
     try:
         result = explore(
             bench, estimator, max_points=POINTS, seed=SEED,
             shards=1, workers=2,
         )
-        active = obs.metrics().to_dict()["gauges"]["dse.workers.active"]
+        (exp,) = obs.tracer().find("explore")
+        active = exp.attrs["active_workers"]
     finally:
         obs.disable()
         obs.reset()

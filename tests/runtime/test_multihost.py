@@ -70,15 +70,18 @@ class TestTwoHostMerge:
         """merge-checkpoints runs the same accounting pass as explore."""
         def point_counters(run):
             obs.reset()
-            obs.enable(metrics=True)
+            obs.enable()
             try:
                 run()
-                counters = obs.metrics().to_dict()["counters"]
+                (top,) = obs.tracer().find("explore") or obs.tracer().find(
+                    "merge_checkpoints"
+                )
             finally:
                 obs.disable()
                 obs.reset()
-            return {name: value for name, value in counters.items()
-                    if name.startswith("dse.points.")}
+            return {name: top.attrs[name] for name in (
+                "points", "sampled", "illegal", "valid", "unfit", "restored"
+            )}
 
         ckpt = tmp_path / "shared"
         ranged_explore(bench, estimator, ckpt, 0, 3)
@@ -87,10 +90,10 @@ class TestTwoHostMerge:
             lambda: explore(bench, estimator, max_points=POINTS, seed=SEED)
         )
         merged = point_counters(lambda: merge_checkpoints(ckpt, estimator))
-        assert swept["dse.points.sampled"] == POINTS
-        assert swept["dse.points.restored"] == 0
+        assert swept["sampled"] == POINTS
+        assert swept["restored"] == 0
         # Every merged point is restored; the outcome split is the sweep's.
-        assert merged == {**swept, "dse.points.restored": POINTS}
+        assert merged == {**swept, "restored": POINTS}
 
     @given(
         split=st.integers(min_value=1, max_value=SHARDS - 1),

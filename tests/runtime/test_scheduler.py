@@ -1,10 +1,10 @@
-"""Forked pool with more shards than workers: gauges and kill/resume.
+"""Forked pool with more shards than workers: utilization, kill/resume.
 
 The pool's observable behaviour — the queued-shard count, per-worker
-utilization gauges — and its crash story: a 7-shard, 2-worker sweep
-killed while workers are draining queued shards must resume to the
-exact serial point set, including when the kill tears a JSONL line in
-half.
+utilization on the ``explore`` span — and its crash story: a 7-shard,
+2-worker sweep killed while workers are draining queued shards must
+resume to the exact serial point set, including when the kill tears a
+JSONL line in half.
 """
 
 import os
@@ -50,19 +50,18 @@ class TestStealAccounting:
 
     def test_utilization_gauges_recorded(self, estimator, bench):
         obs.reset()
-        obs.enable(metrics=True)
+        obs.enable()
         try:
             explore(bench, estimator, max_points=POINTS, seed=SEED,
                     shards=7, workers=2)
-            doc = obs.metrics().to_dict()
+            (exp,) = obs.tracer().find("explore")
         finally:
             obs.disable()
             obs.reset()
-        gauges = doc["gauges"]
-        active = int(gauges["dse.workers.active"])
+        active = exp.attrs["active_workers"]
         assert 1 <= active <= 2
-        for slot in range(active):
-            utilization = gauges[f"dse.worker.{slot}.utilization"]
+        assert len(exp.attrs["utilization"]) == active
+        for utilization in exp.attrs["utilization"]:
             assert 0.0 <= utilization <= 1.0
 
 

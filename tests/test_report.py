@@ -42,15 +42,16 @@ class TestReport:
 
     def test_metrics_section_shows_pipeline_instruments(self, report_text):
         assert "## Observability" in report_text
-        assert "estimate.calls" in report_text
-        assert "dse.point_latency_s" in report_text
-        assert "pass.cycles_s" in report_text
+        rows = {line.split()[0] for line in report_text.splitlines()
+                if line.strip()}
+        assert {"estimate", "cycles", "area", "explore"} <= rows
+        assert {"explore.sampled", "explore.valid"} <= rows
 
     def test_metrics_collection_turned_off_after_report(self, estimator):
         from repro import obs
 
         build_report(estimator, dse_points=40, sections=["metrics"])
-        assert not obs.metrics_enabled()
+        assert not obs.trace_enabled()
 
     def test_markdown_tables_well_formed(self, report_text):
         for line in report_text.splitlines():
