@@ -33,6 +33,7 @@ numbers behind the paper's "75,000 points in seconds" DSE claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -77,9 +78,9 @@ class ExplorationResult:
     def valid_points(self) -> List[DesignPoint]:
         return [p for p in self.points if p.valid]
 
-    @property
+    @cached_property
     def pareto(self) -> List[DesignPoint]:
-        """Pareto-optimal valid designs: minimize (cycles, ALMs)."""
+        """Pareto-optimal valid designs: minimize (cycles, ALMs); cached."""
         return pareto_front(
             self.valid_points, key=lambda p: (p.cycles, float(p.alms))
         )

@@ -438,6 +438,8 @@ class _Lowering:
         """An IRError rule: the point is illegal unless it holds."""
         if all(a.const for a in args):
             return  # held at the compile-time point, so at every point
+        if template == "{} <= {}" and args[0].src == args[1].src:
+            return  # an int is never above itself
         line = "if not (" + template.format(*(a.src for a in args)) + "):"
         if line not in self._seen:
             self._seen[line] = _const(True)
@@ -488,7 +490,8 @@ class _Lowering:
             for i, (extent, step) in enumerate(chain.dims):
                 e = self.field(chain, ("dims", i, 0), extent)
                 s = self.field(chain, ("dims", i, 1), step)
-                self.check("{} > 0 and {} > 0", e, s)
+                self.check("{} > 0", e)
+                self.check("{} > 0", s)
                 counts.append(self.op("-(-{} // {})", e, s))
             self._memo[key] = counts
         return self._memo[key]  # type: ignore[return-value]

@@ -7,9 +7,11 @@
   timeline. Each event is one append write, one per line; the format
   makes the closing ``]`` optional, so a killed run still leaves a
   loadable file.
-* :func:`span_summary` — per-span-name wall-clock distribution plus the
-  totals of every numeric attribute: what the CLI's ``--metrics`` flag
-  prints, the quickest answer to "where did the time go".
+* :func:`span_summary` — per-span-name wall-clock distribution, the
+  totals of the numeric attributes that count work, and the last value
+  of the settings, ids, rates and running counts: what the CLI's
+  ``--metrics`` flag prints, the quickest answer to "where did the time
+  go".
 
 These sinks record this process's wall clock (and its forked workers').
 The modeled hardware schedule in *simulated* time is drawn by
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from .trace import InstantEvent, Span, Tracer
 
@@ -83,12 +85,22 @@ class ChromeTraceWriter:
         self._fd = None
 
 
+# Attributes that mean nothing summed: settings, ids, rates and running
+# counts (every attribute of the dse.progress heartbeat is one of these).
+_LAST_VALUES = frozenset({
+    "seed", "workers", "active_workers", "shard", "completed_shards",
+    "total_shards", "points_per_sec",
+})
+
+
 def span_summary(tracer: Tracer) -> str:
     """The tracer's events as human-readable tables (CLI ``--metrics``).
 
     One row per span name — count, total, mean, p50, p95 and max wall
-    time, percentiles exact — then the totals of each numeric attribute
-    per span and instant name (``explore.valid``, ``area.nn.batch``).
+    time, percentiles exact — then, per ``<event name>.<attribute>``, the
+    totals of what events counted (``explore.valid``,
+    ``dse.shard.done.estimated``), then the last value of the
+    :data:`_LAST_VALUES` and of ``dse.progress`` (``dse.progress.points``).
     """
     lines = [_rule("spans")]
     rows = tracer.summary_rows()
@@ -105,24 +117,22 @@ def span_summary(tracer: Tracer) -> str:
                 f"{_fmt(s['mean'])} {_fmt(s['p50'])} {_fmt(s['p95'])} "
                 f"{_fmt(s['max'])}"
             )
-    totals = _attribute_totals(tracer.spans + tracer.instants)
-    if totals:
-        lines.append(_rule("attribute totals"))
-        for key, total in sorted(totals.items()):
-            value = f"{total:,}" if isinstance(total, int) else f"{total:,.3f}"
-            lines.append(f"{key:48s} {value:>18s}")
-    return "\n".join(lines)
-
-
-def _attribute_totals(events: List[Any]) -> Dict[str, Union[int, float]]:
-    """Sum of every numeric attribute, keyed ``<event name>.<attribute>``."""
-    totals: Dict[str, Union[int, float]] = {}
-    for event in events:
+    totals, last = {}, {}  # type: Dict[str, Any], Dict[str, Any]
+    for event in tracer.spans + tracer.instants:
         for attr, value in event.attrs.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 key = f"{event.name}.{attr}"
-                totals[key] = totals.get(key, 0) + value
-    return totals
+                if attr in _LAST_VALUES or event.name == "dse.progress":
+                    last[key] = value
+                else:
+                    totals[key] = totals.get(key, 0) + value
+    for title, values in (("attribute totals", totals), ("last values", last)):
+        if values:
+            lines.append(_rule(title))
+            for key, n in sorted(values.items()):
+                text = f"{n:,}" if isinstance(n, int) else f"{n:,.3f}"
+                lines.append(f"{key:48s} {text:>18s}")
+    return "\n".join(lines)
 
 
 def _rule(title: str) -> str:

@@ -36,9 +36,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, IO, Optional, Sequence, Union
+from typing import Dict, IO, Optional, Sequence, Tuple, Union
 
 from ..estimation.area import AreaEstimate
 from ..estimation.counts import Counts
@@ -76,6 +76,25 @@ def estimate_to_doc(est: Estimate) -> Dict[str, object]:
     }
 
 
+def estimate_row(est: Estimate) -> Tuple[object, ...]:
+    """An :class:`Estimate` as one flat tuple in :func:`estimate_to_doc`
+    order: its design name, then its 15 numbers as the estimate holds them."""
+    area, raw = est.area, est.area.raw
+    return (
+        est.design_name, est.cycles, est.seconds,
+        area.alms, area.dsps, area.brams, area.regs,
+        raw.luts_packable, raw.luts_unpackable, raw.regs, raw.dsps, raw.brams,
+        area.routing_luts, area.duplicated_regs, area.duplicated_brams,
+        area.unavailable_luts,
+    )
+
+
+def estimate_from_row(row: Sequence[object], board: Board) -> Estimate:
+    """The :class:`Estimate` of an :func:`estimate_row` row, on ``board``."""
+    area = AreaEstimate(*row[3:7], Counts(*row[7:12]), *row[12:])
+    return Estimate(row[0], row[1], row[2], area, board)
+
+
 def estimate_from_doc(doc: Dict[str, object], board: Board) -> Estimate:
     """Rebuild an :class:`Estimate` written by :func:`estimate_to_doc`.
 
@@ -84,23 +103,48 @@ def estimate_from_doc(doc: Dict[str, object], board: Board) -> Estimate:
     raises :class:`CheckpointError`.
     """
     try:
-        area = dict(doc["area"])  # type: ignore[arg-type]
-        raw = Counts(**area.pop("raw"))
-        return Estimate(
-            design_name=doc["design"],  # type: ignore[arg-type]
-            cycles=doc["cycles"],  # type: ignore[arg-type]
-            seconds=doc["seconds"],  # type: ignore[arg-type]
-            area=AreaEstimate(raw=raw, **area),
-            board=board,
-        )
+        area, raw = doc["area"], doc["area"]["raw"]  # type: ignore[index]
+        if len(area) != len(_AREA_KEYS) or len(raw) != len(_RAW_KEYS):
+            raise KeyError("unexpected estimate fields")
+        return estimate_from_row((
+            doc["design"], doc["cycles"], doc["seconds"],  # type: ignore
+            *(area[key] for key in _AREA_KEYS[:4]),
+            *(raw[key] for key in _RAW_KEYS),
+            *(area[key] for key in _AREA_KEYS[5:]),
+        ), board)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed estimate in checkpoint: {exc!r}")
 
 
+_AREA_KEYS = [f.name for f in fields(AreaEstimate)]  # "raw" is the fifth
+_RAW_KEYS = [f.name for f in fields(Counts)]
+# A point line without its CRC; estimate_to_doc's JSON, a slot per value.
+_POINT = '{"t": "p", "i": %d, "params": %s, "est": %s}'
+_ESTIMATE = json.dumps(estimate_to_doc(
+    estimate_from_row(("%s",) * 16, None)  # type: ignore[arg-type]
+)).replace('"%s"', "%s")
+
+
+def _point_line(record: DesignPoint) -> str:
+    """:func:`_line` of a point record's doc, byte for byte: the row's
+    numbers spelled by :mod:`json`, each in its slot of the template."""
+    est, text = record.estimate, "null"
+    if est is not None:
+        row = estimate_row(est)
+        text = _ESTIMATE % (
+            json.dumps(row[0]), *json.dumps(row[1:])[1:-1].split(", ")
+        )
+    return _seal(_POINT % (record.index, json.dumps(record.params), text))
+
+
+def _seal(body: str) -> str:
+    """One shard-file line: the JSON object ``body``, closed by its CRC-32."""
+    return f"{body[:-1]}{_CRC_KEY}{zlib.crc32(body.encode())}}}\n"
+
+
 def _line(doc: Dict[str, object]) -> str:
     """One shard-file line: ``doc`` as JSON, closed by its CRC-32."""
-    body = json.dumps(doc)
-    return f"{body[:-1]}{_CRC_KEY}{zlib.crc32(body.encode())}}}\n"
+    return _seal(json.dumps(doc))
 
 
 def _parse_line(line: str) -> Optional[Dict[str, object]]:
@@ -136,16 +180,7 @@ class ShardWriter:
     def write(self, records: Sequence[DesignPoint]) -> None:
         """Append one block of point records and fsync them together."""
         assert self._fh is not None, "writer already closed"
-        self._fh.write("".join(
-            _line({
-                "t": "p",
-                "i": record.index,
-                "params": record.params,
-                "est": None if record.estimate is None
-                else estimate_to_doc(record.estimate),
-            })
-            for record in records
-        ))
+        self._fh.write("".join(_point_line(r) for r in records))
         self._sync()
 
     def done(self, shard: Shard) -> None:

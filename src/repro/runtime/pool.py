@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .. import obs
 from ..estimation.estimator import DesignPoint
 from .checkpoint import BLOCK_POINTS, CheckpointStore, ShardState
+from .checkpoint import estimate_from_row, estimate_row
 from .sharding import Shard, ShardPlan, require_positive
 
 # Emit a dse.progress instant each time the in-process priced-point count
@@ -75,6 +76,25 @@ class ShardOutcome:
     restored: int = 0
     worker: int = 0
     events: Tuple[Sequence, Sequence] = ((), ())
+
+    def __reduce__(self):
+        # Records go home as flat rows, far cheaper to pickle than objects.
+        rows = [(r.index, r.params, r.restored,
+                 None if r.estimate is None else estimate_row(r.estimate))
+                for r in self.records]
+        board = next((r.estimate.board for r in self.records
+                      if r.estimate is not None), None)
+        return _outcome_from_rows, ({**vars(self), "records": rows}, board)
+
+
+def _outcome_from_rows(fields: Dict, board) -> ShardOutcome:
+    """Rebuild, in the parent, the outcome a worker pickled as rows."""
+    fields["records"] = [
+        DesignPoint(params, None if row is None
+                    else estimate_from_row(row, board), index, restored)
+        for index, params, restored, row in fields["records"]
+    ]
+    return ShardOutcome(**fields)
 
 
 @dataclass
@@ -180,9 +200,9 @@ def _run_pending(index: int) -> ShardOutcome:
     """Run pending shard ``index`` in this process, parent or forked child.
 
     Shard data, the estimator, the checkpoint store and the heartbeat
-    come from the run state; only the shard index crosses a process
-    boundary. Inside a forked child, ``worker`` is set to the pid and
-    ``events`` to what the child's tracer recorded for the shard.
+    come from the run state; only the shard index goes out, and rows come
+    back (:meth:`ShardOutcome.__reduce__`). Inside a forked child, ``worker``
+    is set to the pid and ``events`` to what its tracer recorded.
     """
     run = _RUN
     assert run is not None, "shard run without run state"

@@ -56,6 +56,22 @@ class TestExploration:
         assert dp_result.pareto_sample(1) == dp_result.pareto[:1]
         assert dp_result.pareto[0].cycles == dp_result.best.cycles
 
+    def test_pareto_is_computed_once(self, estimator, monkeypatch):
+        from repro.dse import explorer
+
+        original, calls = explorer.pareto_front, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "pareto_front", counted)
+        result = explore(get_benchmark("dotproduct"), estimator,
+                         max_points=60, seed=3)
+        front = result.pareto
+        assert result.pareto_sample(3) and result.pareto is front
+        assert len(calls) == 1
+
     def test_deterministic_given_seed(self, estimator):
         bench = get_benchmark("tpchq6")
         r1 = explore(bench, estimator, max_points=40, seed=5)

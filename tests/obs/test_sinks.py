@@ -248,3 +248,35 @@ class TestSpanSummary:
         assert rows["dse.progress.points"][1] == "1,000"
         # Strings and booleans are not totalled.
         assert "explore.bench" not in rows and "area.nn.fits" not in rows
+
+    def test_settings_and_instants_show_their_last_value(self):
+        """Seeds, worker counts, running counts, rates and shard ids mean
+        nothing summed: the summary shows their last value. What each
+        shard counted is still totalled."""
+        tracer = Tracer(enabled=True)
+        for seed in (1, 5):
+            with tracer.span("explore", seed=seed, workers=2, valid=10):
+                pass
+        for points in (1000, 2000, 3000):
+            tracer.instant("dse.progress", points=points,
+                           points_per_sec=850.0)
+        for shard in range(4):
+            tracer.instant("dse.shard.done", shard=shard, points=750,
+                           estimated=700 + shard, restored=50 - shard,
+                           points_per_sec=900.0 + shard,
+                           completed_shards=shard + 1, total_shards=4)
+        table = span_summary(tracer)
+        rows = {line.split()[0]: line.split() for line in table.splitlines()}
+        assert rows["explore.valid"][1] == "20"
+        assert rows["explore.seed"][1] == "5"
+        assert rows["explore.workers"][1] == "2"
+        assert rows["dse.progress.points"][1] == "3,000"
+        assert rows["dse.progress.points_per_sec"][1] == "850.000"
+        assert rows["dse.shard.done.shard"][1] == "3"
+        assert rows["dse.shard.done.points"][1] == "3,000"
+        assert rows["dse.shard.done.estimated"][1] == "2,806"
+        assert rows["dse.shard.done.restored"][1] == "194"
+        assert rows["dse.shard.done.points_per_sec"][1] == "903.000"
+        assert rows["dse.shard.done.completed_shards"][1] == "4"
+        assert rows["dse.shard.done.total_shards"][1] == "4"
+        assert table.index("attribute totals") < table.index("last values")

@@ -200,6 +200,18 @@ class TestObservabilityFlags:
         assert "explore.valid" in rows and "explore.unfit" in rows
         assert "p95" in text
 
+    def test_explore_metrics_do_not_sum_running_counts(self, estimator):
+        code, text = run_cli(
+            estimator, "explore", "dotproduct", "--points", "3000",
+            "--seed", "7", "--metrics",
+        )
+        assert code == 0
+        rows = {line.split()[0]: line.split() for line in text.splitlines()
+                if line.strip()}
+        assert rows["dse.progress.points"][1] == "3,000"
+        assert rows["explore.seed"][1] == "7"
+        assert rows["dse.shard.done.shard"][1] == "0"
+
     def test_estimate_metrics_summary(self, estimator):
         code, text = run_cli(
             estimator, "estimate", "tpchq6", "--metrics"
