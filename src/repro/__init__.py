@@ -21,33 +21,41 @@ simulator (:mod:`repro.synth`) and a cycle-level runtime simulator
 substitution rationale and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from . import apps, codegen, cpu, dse, estimation, hls, ir, patterns, sim, synth, target
-from .estimation import Estimator, default_estimator
-from .dse import explore
-from .ir import Design
-from .sim import FunctionalSim, simulate
-from .synth import synthesize
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Design",
-    "Estimator",
-    "FunctionalSim",
-    "__version__",
-    "apps",
-    "codegen",
-    "cpu",
-    "default_estimator",
-    "dse",
-    "estimation",
-    "explore",
-    "hls",
-    "ir",
-    "patterns",
-    "sim",
-    "simulate",
-    "synth",
-    "synthesize",
-    "target",
-]
+
+def lazy_exports(package: str, exports: dict):
+    """A package's module ``__getattr__`` and ``__dir__``: each name of
+    ``exports`` (name -> defining submodule), and each submodule, is
+    imported on first use, so a command pays only for what it runs."""
+    namespace = importlib.import_module(package).__dict__
+
+    def __getattr__(name: str):
+        if name in exports:
+            module = importlib.import_module(f"{package}.{exports[name]}")
+            namespace[name] = value = getattr(module, name)
+            return value
+        try:
+            return importlib.import_module(f"{package}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{package}.{name}":
+                raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted({*namespace, *exports, *namespace.get("__all__", ())})
+
+    return __getattr__, __dir__
+
+
+_SUBPACKAGES = ["apps", "codegen", "cpu", "dse", "estimation", "hls", "ir",
+                "patterns", "sim", "synth", "target"]
+_EXPORTS = {
+    "Design": "ir", "Estimator": "estimation",
+    "FunctionalSim": "sim", "default_estimator": "estimation",
+    "explore": "dse", "simulate": "sim", "synthesize": "synth",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(["__version__", *_SUBPACKAGES, *_EXPORTS])

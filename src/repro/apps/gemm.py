@@ -55,11 +55,9 @@ class GEMM(Benchmark):
         space.bool_param("mp_rows")
         space.constrain(lambda p: p["tile_k"] % p["par_k"] == 0)
         space.constrain(lambda p: p["tile_n"] % p["par_n"] == 0)
-        space.constrain(
-            lambda p: p["tile_m"] * p["tile_k"] <= MAX_TILE_WORDS
-            and p["tile_k"] * p["tile_n"] <= MAX_TILE_WORDS
-            and p["tile_m"] * p["tile_n"] <= MAX_TILE_WORDS
-        )
+        space.constrain(lambda p: p["tile_m"] * p["tile_k"] <= MAX_TILE_WORDS)
+        space.constrain(lambda p: p["tile_k"] * p["tile_n"] <= MAX_TILE_WORDS)
+        space.constrain(lambda p: p["tile_m"] * p["tile_n"] <= MAX_TILE_WORDS)
         return space
 
     def default_params(self, dataset: Dataset) -> Params:

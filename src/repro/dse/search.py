@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..apps.registry import Benchmark, Dataset
-from ..estimation.cache import point_key
 from ..estimation.estimator import DesignPoint, Estimate, Estimator
 from ..params import BoolParam, IntParam, ParamSpace
 from ..runtime import require_positive
@@ -74,9 +73,9 @@ def local_search(
 ) -> SearchResult:
     """Randomized hill climbing on runtime over the legal space.
 
-    A per-search ``seen`` map preserves the walk's budget/trajectory
-    semantics (each distinct point costs one evaluation per search).
-    Unseen points go through
+    A per-search ``seen`` map, keyed by each point's index in the space,
+    preserves the walk's budget/trajectory semantics (each distinct point
+    costs one evaluation per search). Unseen points go through
     :meth:`~repro.estimation.estimator.Estimator.estimate_points`, whose
     shared design-point cache skips points any earlier search or
     exploration already priced.
@@ -90,17 +89,19 @@ def local_search(
     space = benchmark.param_space(dataset)
     rng = random.Random(seed)
     result = SearchResult(benchmark.name, dataset)
-    seen: Dict[Tuple, Optional[Estimate]] = {}
+    seen: Dict[int, Optional[Estimate]] = {}
 
     def evaluate(point: Point) -> Optional[Estimate]:
-        key = point_key(benchmark.name, dataset, point)
-        if key in seen:
-            return seen[key]
+        index = space.encode(point)
+        if index in seen:
+            return seen[index]
         if result.evaluations >= budget:
             return None
         result.evaluations += 1
-        (estimate,) = estimator.estimate_points(benchmark, dataset, [point])
-        seen[key] = estimate
+        (estimate,) = estimator.estimate_points(
+            benchmark, dataset, [point], [index]
+        )
+        seen[index] = estimate
         if estimate is None:
             return None
         if estimate.fits():

@@ -43,7 +43,7 @@ path (property-tested in ``tests/estimation/test_cache_equivalence.py``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .characterize import TemplateModels
 from .counts import Counts
@@ -162,16 +162,11 @@ class CachedTemplateModels:
 
 
 def point_key(
-    bench_name: str,
-    dataset: Dict[str, int],
-    params: Dict[str, object],
+    bench_name: str, dataset: Dict[str, int], index: Optional[int]
 ) -> Tuple:
-    """Canonical cache key for one (benchmark, dataset, parameters) point."""
-    return (
-        bench_name,
-        tuple(sorted(dataset.items())),
-        tuple(sorted(params.items())),
-    )
+    """Canonical cache key of the point at ``index`` in the benchmark's
+    space on ``dataset`` (:meth:`~repro.params.ParamSpace.encode`)."""
+    return (bench_name, tuple(sorted(dataset.items())), index)
 
 
 class EstimationCaches:

@@ -20,7 +20,7 @@ from .area import AreaEstimate, hybrid_area
 from .cache import MISS, EstimationCaches, point_key
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
-from .plan import price_points
+from .plan import family_of, price_points
 from .train import DEFAULT_SAMPLES, CorrectionModels, train_corrections
 
 
@@ -175,16 +175,23 @@ class Estimator:
         )
 
     def estimate_points(
-        self, benchmark, dataset, params_list: Sequence[Dict[str, object]]
+        self,
+        benchmark,
+        dataset,
+        params_list: Sequence[Dict[str, object]],
+        indices: Optional[Sequence[int]] = None,
     ) -> List[Optional[Estimate]]:
         """Estimates for parameter points of one benchmark, in order.
 
         ``None`` marks an IR-illegal point (its build raises
-        :class:`~repro.ir.IRError`). With caching on, repeat points are
-        served from the ``points`` cache and fresh ones are priced from
-        per-class plans (:mod:`repro.estimation.plan`) without building
-        their IR; every estimate is bit-identical to building the design
-        and calling :meth:`estimate`. With ``cache=False`` each point is
+        :class:`~repro.ir.IRError`). ``indices`` are the points' indices
+        in the benchmark's space, when the caller holds them; otherwise
+        each dict is encoded. With caching on, repeat points are served
+        from the ``points`` cache (keyed by index; a dict outside the
+        space is never cached) and fresh ones are priced from per-class
+        plans (:mod:`repro.estimation.plan`) without building their IR;
+        every estimate is bit-identical to building the design and
+        calling :meth:`estimate`. With ``cache=False`` each point is
         built and estimated that way.
         """
         if self.caches is None:
@@ -192,22 +199,29 @@ class Estimator:
                 self._estimate_built(benchmark, dataset, params)
                 for params in params_list
             ]
+        family = family_of(self, benchmark, dataset)
+        if indices is None:
+            indices = [family.index(params) for params in params_list]
+        name, data, _ = point_key(benchmark.name, dataset, None)
         points = self.caches.points
         out: List[Optional[Estimate]] = []
         misses = []
-        for params in params_list:
-            key = point_key(benchmark.name, dataset, params)
-            hit = points.get(key)
+        for params, index in zip(params_list, indices):
+            key = (name, data, index)  # point_key's layout
+            hit = MISS if index is None else points.get(key)
             if hit is MISS:
                 misses.append((len(out), key, params))
             out.append(hit)  # type: ignore[arg-type]
         if misses:
             priced = price_points(
-                self, benchmark, dataset, [params for _, _, params in misses]
+                self, benchmark, dataset, [params for _, _, params in misses],
+                [family.class_key(params, key[2])
+                 for _, key, params in misses],
             )
-            for (index, key, _), estimate in zip(misses, priced):
-                points.put(key, estimate)
-                out[index] = estimate
+            for (i, key, _), estimate in zip(misses, priced):
+                if key[2] is not None:
+                    points.put(key, estimate)
+                out[i] = estimate
         return out
 
     def _estimate_built(self, benchmark, dataset, params) -> Optional[Estimate]:

@@ -120,21 +120,22 @@ class ClassPlan:
 # -- pricing ------------------------------------------------------------------
 
 
-def price_points(estimator, benchmark, dataset, params_list):
+def price_points(estimator, benchmark, dataset, params_list, classes):
     """Estimates for ``params_list`` (``None`` = IR-illegal), in order.
 
-    Points are grouped by structural class; each class is compiled on
-    first sight (``estimate.compile`` span) and evaluated per block
-    (``estimate.plan`` span). Classes a plan cannot express, and points
-    whose parameters are not plain integers, take the per-design path.
+    Points are grouped by their structural class (``classes``, from
+    :meth:`_Family.class_key`); each class is compiled on first sight
+    (``estimate.compile`` span) and evaluated per block (``estimate.plan``
+    span). Classes a plan cannot express, and points whose class is
+    ``None``, take the per-design path.
     """
     from .estimator import Estimate  # local import: estimator imports us
 
-    family = _family(estimator, benchmark, dataset)
+    family = family_of(estimator, benchmark, dataset)
     out: List[object] = [None] * len(params_list)
     groups: Dict[object, List[int]] = {}
-    for i, params in enumerate(params_list):
-        groups.setdefault(family.class_key(params), []).append(i)
+    for i, key in enumerate(classes):
+        groups.setdefault(key, []).append(i)
     rows: List[Tuple[int, ClassPlan, Row]] = []
     for key, indices in groups.items():
         points = [params_list[i] for i in indices]
@@ -188,10 +189,33 @@ class _Family:
         self.toggle_names = [
             p.name for p in self.space.params if isinstance(p, BoolParam)
         ]
+        # (stride, size, candidates) of each toggle's index digit.
+        self.toggle_digits = []
+        stride = 1
+        for p in reversed(self.space.params):
+            if isinstance(p, BoolParam):
+                self.toggle_digits.insert(0, (stride, p.size, p.candidates))
+            stride *= p.size
         self.plans: Dict[tuple, Optional[ClassPlan]] = {}
 
-    def class_key(self, params: Dict[str, object]) -> Optional[tuple]:
-        """The point's toggle tuple, or None if a plan cannot price it."""
+    def index(self, params: Dict[str, object]) -> Optional[int]:
+        """``params``' index in the space, or None if it is not a point."""
+        try:
+            return self.space.encode(params)
+        except ValueError:
+            return None
+
+    def class_key(
+        self, params: Dict[str, object], index: Optional[int] = None
+    ) -> Optional[tuple]:
+        """The point's toggle tuple, or None if a plan cannot price it.
+
+        A point of the space reads it from its index's toggle digits;
+        any other dict (``index=None``) from its values.
+        """
+        if index is not None:
+            return tuple([values[index // stride % size]
+                          for stride, size, values in self.toggle_digits])
         if params.keys() != self.names:
             return None
         for name in self.int_names:
@@ -224,7 +248,8 @@ class _Family:
         return plan
 
 
-def _family(estimator, benchmark, dataset) -> _Family:
+def family_of(estimator, benchmark, dataset) -> _Family:
+    """The estimator's plan family for ``benchmark`` on ``dataset``."""
     plans = estimator.caches.plans
     key = (benchmark.name, tuple(sorted(dataset.items())))
     family = plans.get(key)

@@ -16,13 +16,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..synth.synthesis import synthesize
 from ..target.board import MAIA, Board
 from .characterize import TemplateModels
 from .counts import Counts
 from .features import design_features
 from .nn import MLP, MLPConfig, MLPStack, fit_linear
-from .samples import generate_sample_design
 
 DEFAULT_SAMPLES = 200
 
@@ -152,7 +150,11 @@ def sample_dataset(
     ``(duplicated-BRAM fraction, routing fraction)`` pairs for the samples
     with at least one BRAM.
     """
-    from .area import raw_area  # local import to avoid a module cycle
+    # Local imports: area would be a module cycle, and synthesis and the
+    # sample generator load only when a board is actually trained.
+    from ..synth.synthesis import synthesize
+    from .area import raw_area
+    from .samples import generate_sample_design
 
     features: List[List[float]] = []
     targets: Dict[str, List[float]] = {

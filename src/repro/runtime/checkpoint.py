@@ -18,9 +18,11 @@ and decodes every readable record, estimate included. Complete shards
 are never re-estimated; partial shards re-estimate only their missing
 global indices and append to the same file. JSON round-trips floats
 exactly, so a resumed Pareto front is byte-identical to an uninterrupted
-run's. A record that fails its CRC, is malformed, or names parameters
-other than the plan's point at its index is refused before any file is
-truncated; only a half-written final line (the kill point) is dropped.
+run's. A record that fails its CRC, is malformed, or whose parameters
+do not encode to the plan's point index at its position is refused
+before any file is truncated; only a half-written final line (the kill
+point) is dropped. Lines keep carrying ``params``, not the index, so
+checkpoints written before points were indices restore unchanged.
 
 The manifest always describes the *global* run (full shard partition and
 point count), even when the writing plan covers only a shard range: N
@@ -38,11 +40,12 @@ import os
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, IO, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from ..estimation.area import AreaEstimate
 from ..estimation.counts import Counts
 from ..estimation.estimator import DesignPoint, Estimate
+from ..params import ParamSpace
 from ..target.board import Board
 from .sharding import Shard, ShardPlan
 
@@ -125,16 +128,28 @@ _ESTIMATE = json.dumps(estimate_to_doc(
 )).replace('"%s"', "%s")
 
 
-def _point_line(record: DesignPoint) -> str:
+def params_spellings(space: ParamSpace) -> List[Dict[object, str]]:
+    """Per parameter, in declaration order: each candidate's ``"name":
+    value`` member as :mod:`json` spells it (``true``/``false`` for
+    toggles), so a point's params object is a join, not a dump."""
+    return [{value: f"{json.dumps(p.name)}: {json.dumps(value)}"
+             for value in p.candidates} for p in space.params]
+
+
+def _point_line(record: DesignPoint, spellings: List[Dict[object, str]]) -> str:
     """:func:`_line` of a point record's doc, byte for byte: the row's
-    numbers spelled by :mod:`json`, each in its slot of the template."""
+    numbers spelled by :mod:`json`, each in its slot of the template, and
+    the params joined from ``spellings`` (:func:`params_spellings` of the
+    space whose decoded point, keys in declaration order, they are)."""
     est, text = record.estimate, "null"
     if est is not None:
         row = estimate_row(est)
         text = _ESTIMATE % (
             json.dumps(row[0]), *json.dumps(row[1:])[1:-1].split(", ")
         )
-    return _seal(_POINT % (record.index, json.dumps(record.params), text))
+    params = ", ".join([spelled[value] for spelled, value
+                        in zip(spellings, record.params.values())])
+    return _seal(_POINT % (record.index, "{%s}" % params, text))
 
 
 def _seal(body: str) -> str:
@@ -172,15 +187,19 @@ class ShardWriter:
     :data:`BLOCK_POINTS` records, the ``done`` marker, or the close.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
+    def __init__(
+        self, path: Union[str, Path], spellings: List[Dict[object, str]]
+    ) -> None:
         self.path = Path(path)
+        self.spellings = spellings
         # Safe to append: begin() left it absent or cut to its readable prefix.
         self._fh: Optional[IO[str]] = open(self.path, "a")
 
     def write(self, records: Sequence[DesignPoint]) -> None:
         """Append one block of point records and fsync them together."""
         assert self._fh is not None, "writer already closed"
-        self._fh.write("".join(_point_line(r) for r in records))
+        spellings = self.spellings
+        self._fh.write("".join(_point_line(r, spellings) for r in records))
         self._sync()
 
     def done(self, shard: Shard) -> None:
@@ -222,6 +241,8 @@ class CheckpointStore:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
+        # The run's params spellings, set by begin() (writers use them).
+        self.spellings: Optional[List[Dict[object, str]]] = None
 
     def shard_path(self, index: int) -> Path:
         """Path of shard ``index``'s JSONL file."""
@@ -267,6 +288,7 @@ class CheckpointStore:
         checkpoint is left untouched.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.spellings = params_spellings(plan.space)
         if resume:
             states = self.load(benchmark, dataset, plan, board)
             for index, state in states.items():
@@ -319,15 +341,18 @@ class CheckpointStore:
             self._manifest_doc(benchmark, dataset, plan), "resume"
         )
         return {
-            shard.index: self._load_shard(shard, board)
+            shard.index: self._load_shard(shard, plan.space, board)
             for shard in plan.shards
         }
 
-    def _load_shard(self, shard: Shard, board: Board) -> ShardState:
+    def _load_shard(
+        self, shard: Shard, space: ParamSpace, board: Board
+    ) -> ShardState:
         state = ShardState()
         path = self.shard_path(shard.index)
         if not path.exists():
             return state
+        planned = space.points(shard.points)
         for raw in path.read_bytes().splitlines(keepends=True):
             doc = (_parse_line(raw.decode(errors="replace"))
                    if raw.endswith(b"\n") else None)
@@ -343,17 +368,23 @@ class CheckpointStore:
             if type(index) is not int or index not in shard.indices:
                 raise CheckpointError(
                     f"{path} contains point index {index!r}, outside shard "
-                    f"{shard.index}'s range [{shard.start}, {shard.stop})"
+                    f"{shard.index}'s range [{shard.start}, "
+                    f"{shard.indices.stop})"
                 )
-            point = shard.points[index - shard.start]
-            if doc.get("params") != point or "est" not in doc:
+            offset = index - shard.start
+            try:
+                matches = (space.encode(doc.get("params"))  # type: ignore
+                           == shard.points[offset])
+            except ValueError:
+                matches = False
+            if not matches or "est" not in doc:
                 raise CheckpointError(
                     f"{path}: record {index} does not match the planned "
-                    f"point {point!r}"
+                    f"point {planned[offset]!r}"
                 )
             est = doc["est"]
             state.records[index] = DesignPoint(
-                point,
+                planned[offset],
                 None if est is None else estimate_from_doc(est, board),
                 index,
                 restored=True,
@@ -365,8 +396,9 @@ class CheckpointStore:
         return state
 
     def writer(self, shard: Shard) -> ShardWriter:
-        """Open the shard's JSONL file for appending."""
-        return ShardWriter(self.shard_path(shard.index))
+        """Open the shard's JSONL file for appending (after :meth:`begin`)."""
+        assert self.spellings is not None, "writer() before begin()"
+        return ShardWriter(self.shard_path(shard.index), self.spellings)
 
 
 def read_manifest(directory: Union[str, Path]) -> Dict[str, object]:

@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..estimation.estimator import DesignPoint
+from ..params import ParamSpace
 from .checkpoint import BLOCK_POINTS, CheckpointStore, ShardState
 from .checkpoint import estimate_from_row, estimate_row
 from .sharding import Shard, ShardPlan, require_positive
@@ -144,6 +145,7 @@ def run_shard(
     benchmark,
     estimator,
     dataset,
+    space: ParamSpace,
     shard: Shard,
     writer=None,
     skip: Optional[Set[int]] = None,
@@ -152,7 +154,9 @@ def run_shard(
     """Estimate every point of ``shard`` not in ``skip``.
 
     Runs in the parent (serial path) or inside a forked worker (parallel
-    path). ``on_block`` is called with each priced block's point count.
+    path), and decodes the shard's point indices in ``space`` into the
+    records' parameter dicts. ``on_block`` is called with each priced
+    block's point count.
 
     A block of :data:`~repro.runtime.checkpoint.BLOCK_POINTS` points is
     the unit of work: one
@@ -163,25 +167,23 @@ def run_shard(
     skip = skip or set()
     outcome = ShardOutcome(shard=shard.index, planned=len(shard))
     start = time.perf_counter()
-    todo = [
-        (shard.start + offset, params)
-        for offset, params in enumerate(shard.points)
-        if shard.start + offset not in skip
-    ]
+    todo = [i for i in shard.indices if i not in skip]
+    codes = shard.points[[i - shard.start for i in todo]].tolist()
+    params = space.points(codes)
     for lo in range(0, len(todo), BLOCK_POINTS):
-        block = todo[lo:lo + BLOCK_POINTS]
+        block = slice(lo, lo + BLOCK_POINTS)
         estimates = estimator.estimate_points(
-            benchmark, dataset, [params for _, params in block]
+            benchmark, dataset, params[block], codes[block]
         )
         records = [
-            DesignPoint(params, estimate, index)
-            for (index, params), estimate in zip(block, estimates)
+            DesignPoint(point, estimate, index) for point, estimate, index
+            in zip(params[block], estimates, todo[block])
         ]
         outcome.records += records
         if writer is not None:
             writer.write(records)
         if on_block is not None:
-            on_block(len(block))
+            on_block(len(records))
     outcome.estimated = len(todo)
     if writer is not None:
         writer.done(shard)
@@ -213,8 +215,8 @@ def _run_pending(index: int) -> ShardOutcome:
     writer = run["store"].writer(shard) if run["store"] else None
     try:
         outcome = run_shard(
-            run["benchmark"], run["estimator"], run["dataset"], shard,
-            writer=writer, skip=run["skip"].get(index),
+            run["benchmark"], run["estimator"], run["dataset"],
+            run["space"], shard, writer=writer, skip=run["skip"].get(index),
             on_block=None if forked else run["heartbeat"].progress,
         )
     finally:
@@ -319,6 +321,7 @@ def run_plan(
     heartbeat = _Heartbeat(plan.total_points, plan.n_shards, benchmark.name)
     _RUN = {
         "benchmark": benchmark, "estimator": estimator, "dataset": dataset,
+        "space": plan.space,
         "shards": {shard.index: shard for shard in plan.shards},
         "store": store, "heartbeat": heartbeat, "parent": os.getpid(),
         "skip": {index: set(state.records)

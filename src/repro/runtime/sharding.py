@@ -1,30 +1,17 @@
 """Deterministic partitioning of a seeded search space into shards.
 
-The engine's determinism guarantee starts here: a :class:`ShardPlan` is
-built by drawing the *exact same* seeded sample the serial explorer draws
-(:meth:`repro.params.ParamSpace.sample` with ``random.Random(seed)``) and
-then splitting that list into N contiguous, disjoint shards. Because the
-sample is taken once, centrally, before any partitioning, the union of
-the shards is byte-identical to the serial enumeration for every shard
-count — sampling is the cheap part of DSE (RNG draws plus legality
-checks); the expensive build/estimate work is what the shards distribute.
-
-``shard_range=(lo, hi)`` assigns a plan only the shards with global
-index in ``[lo, hi)``. Because the *partition* is computed over the full
-sample regardless of the range, disjoint ranges on disjoint hosts tile
-the exact serial point set — the multi-host protocol's foundation (see
-``docs/runtime.md``).
+The serial explorer's seeded sample of point indices is drawn once and
+split into contiguous, disjoint shards, so their union is the serial
+sample for every shard count; each worker decodes only its own shard.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..params import ParamSpace
-
-Point = Dict[str, object]
 
 
 def require_positive(name: str, value: object) -> None:
@@ -33,28 +20,20 @@ def require_positive(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shard:
-    """One contiguous slice of the sampled point list.
-
-    ``start`` is the global index of the shard's first point; global
-    indices (``start + offset``) identify points across checkpointing,
-    merging, and conservation checks.
-    """
+    """One contiguous slice of the sample: ``points`` holds the points'
+    indices in the space; ``start + offset`` is a point's global index
+    (its position in the sample) across checkpointing and merging."""
 
     index: int
     start: int
-    points: Sequence[Point]
-
-    @property
-    def stop(self) -> int:
-        """Global index one past the shard's last point."""
-        return self.start + len(self.points)
+    points: Sequence[int]  # an int64 array
 
     @property
     def indices(self) -> range:
         """Global indices covered by this shard."""
-        return range(self.start, self.stop)
+        return range(self.start, self.start + len(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -62,17 +41,13 @@ class Shard:
 
 @dataclass
 class ShardPlan:
-    """A partitioned enumeration of one benchmark's sampled space.
-
-    ``shards`` holds only the shards *assigned* to this plan. For a
-    whole-run plan that is the full partition; for a ranged plan
-    (``shard_range``) it is a contiguous subset of it. ``planned_shards``
-    and ``global_points`` always describe the full partition, so every
-    host in a multi-host split writes the same run manifest.
-    """
+    """A partitioned sample of ``space``; ``shards`` holds the *assigned*
+    shards, while ``planned_shards`` and ``global_points`` describe the
+    full partition, so every host of a split writes the same manifest."""
 
     seed: int
     max_points: int
+    space: ParamSpace
     shards: List[Shard] = field(default_factory=list)
     space_cardinality: int = 0
     planned_shards: int = 0
@@ -86,7 +61,6 @@ class ShardPlan:
 
     @property
     def n_shards(self) -> int:
-        """Number of assigned shards in the plan."""
         return len(self.shards)
 
     @property
@@ -95,65 +69,35 @@ class ShardPlan:
         return self.n_shards < self.planned_shards
 
 
-def plan_shards(
-    space: ParamSpace,
-    seed: int,
-    max_points: int,
-    shards: int = 1,
-    shard_range: Optional[Tuple[int, int]] = None,
-) -> ShardPlan:
-    """Sample ``space`` exactly as the serial explorer would, then split.
-
-    Raises :class:`ValueError` for a ``max_points`` or shard count that
-    is not a positive integer: an empty sweep is never silent. The
-    partition is contiguous and balanced: the first ``total % shards``
-    shards get one extra point. A plan may contain fewer (non-empty)
-    shards than requested when the sample is small.
-
-    ``shard_range=(lo, hi)`` assigns the plan only the shards with index
-    in ``[lo, hi)`` — the full partition is still computed first, so
-    disjoint ranges across hosts tile the serial point set exactly.
-    """
+def plan_shards(space: ParamSpace, seed: int, max_points: int,
+                shards: int = 1,
+                shard_range: Optional[Tuple[int, int]] = None) -> ShardPlan:
+    """Sample ``space`` as the serial explorer does, then split it; the
+    first ``total % shards`` shards get one extra point, and empty
+    trailing shards are dropped. ``shard_range=(lo, hi)`` keeps shards
+    ``lo..hi-1`` of the full partition, so disjoint ranges on disjoint
+    hosts tile the serial sample (``docs/runtime.md``)."""
     require_positive("max_points", max_points)
     require_positive("shards", shards)
-    rng = random.Random(seed)
-    sampled = space.sample(rng, max_points)
-    plan = ShardPlan(
-        seed=seed, max_points=max_points, space_cardinality=space.cardinality,
-        global_points=len(sampled),
-    )
+    sampled = space.sample_indices(random.Random(seed), max_points)
     base, extra = divmod(len(sampled), shards)
-    start = 0
-    all_shards: List[Shard] = []
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        if size == 0:
-            break  # fewer points than shards: drop empty trailing shards
-        all_shards.append(
-            Shard(
-                index=index,
-                start=start,
-                points=tuple(sampled[start:start + size]),
+    bounds = [0]
+    for i in range(min(shards, len(sampled))):
+        bounds.append(bounds[-1] + base + (i < extra))
+    partition = [Shard(i, lo, sampled[lo:hi])
+                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    plan = ShardPlan(seed, max_points, space, partition, space.cardinality,
+                     len(partition), len(sampled))
+    if shard_range is not None:
+        lo, hi = shard_range
+        if not all(type(v) is int for v in shard_range):
+            raise ValueError(
+                f"shard_range must be a pair of integers, got {shard_range!r}"
             )
-        )
-        start += size
-    plan.planned_shards = len(all_shards)
-    if shard_range is None:
-        plan.shards = all_shards
-        return plan
-    lo, hi = shard_range
-    if not (isinstance(lo, int) and isinstance(hi, int)) or isinstance(
-        lo, bool
-    ) or isinstance(hi, bool):
-        raise ValueError(
-            f"shard_range must be a pair of integers, got {shard_range!r}"
-        )
-    if not (0 <= lo < hi <= plan.planned_shards):
-        raise ValueError(
-            f"shard_range {lo}:{hi} outside the plan's "
-            f"{plan.planned_shards} shards (need 0 <= lo < hi <= "
-            f"{plan.planned_shards})"
-        )
-    plan.shard_range = (lo, hi)
-    plan.shards = [s for s in all_shards if lo <= s.index < hi]
+        if not 0 <= lo < hi <= len(partition):
+            raise ValueError(
+                f"shard_range {lo}:{hi} outside the plan's {len(partition)} "
+                f"shards (need 0 <= lo < hi <= {len(partition)})"
+            )
+        plan.shard_range, plan.shards = (lo, hi), partition[lo:hi]
     return plan

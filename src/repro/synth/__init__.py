@@ -5,19 +5,19 @@ DESIGN.md for the substitution rationale. The estimator is validated
 against this module's post-place-and-route reports.
 """
 
-from .netlist import Netlist, asap_schedule, expand
-from .report import SynthReport
-from .synthesis import design_fingerprint, synthesize
-from .timing import achieved_fmax_hz, design_max_stage_ns, meets_clock
+from .. import lazy_exports
 
-__all__ = [
-    "Netlist",
-    "SynthReport",
-    "achieved_fmax_hz",
-    "asap_schedule",
-    "design_fingerprint",
-    "design_max_stage_ns",
-    "expand",
-    "meets_clock",
-    "synthesize",
-]
+# Each exported name and the module that defines it, imported on first use.
+_EXPORTS = {
+    "Netlist": "netlist",
+    "asap_schedule": "netlist",
+    "expand": "netlist",
+    "SynthReport": "report",
+    "design_fingerprint": "synthesis",
+    "synthesize": "synthesis",
+    "achieved_fmax_hz": "timing",
+    "design_max_stage_ns": "timing",
+    "meets_clock": "timing",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

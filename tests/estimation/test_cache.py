@@ -113,10 +113,11 @@ class TestCachedTemplateModels:
 
 class TestEstimationCaches:
     def test_point_key_canonicalizes_ordering(self):
-        a = point_key("b", {"n": 1, "m": 2}, {"x": 3, "y": 4})
-        b = point_key("b", {"m": 2, "n": 1}, {"y": 4, "x": 3})
-        assert a == b
-        assert point_key("other", {"n": 1, "m": 2}, {"x": 3, "y": 4}) != a
+        a = point_key("b", {"n": 1, "m": 2}, 7)
+        b = point_key("b", {"m": 2, "n": 1}, 7)
+        assert a == b and hash(a) == hash(b)
+        assert point_key("other", {"n": 1, "m": 2}, 7) != a
+        assert point_key("b", {"n": 1, "m": 2}, 8) != a
 
     def test_summary_lines_and_stats(self):
         caches = EstimationCaches()

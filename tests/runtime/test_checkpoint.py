@@ -375,6 +375,20 @@ class TestCorruptRecordsRefused:
             return doc
         self._check(estimator, written, tmp_path, edit, "planned point")
 
+    @pytest.mark.parametrize("params", [
+        {"tile": 3},  # not a candidate of the planned point's space
+        {"extra": 1},  # a key the space does not have
+        None,  # not an object at all
+    ], ids=["non-candidate", "extra-key", "null"])
+    def test_params_that_encode_to_no_planned_point(
+        self, estimator, written, tmp_path, params
+    ):
+        def edit(doc):
+            doc["params"] = (None if params is None
+                             else {**doc["params"], **params})
+            return doc
+        self._check(estimator, written, tmp_path, edit, "planned point")
+
     def test_non_integer_index(self, estimator, written, tmp_path):
         def edit(doc):
             doc["i"] = float(doc["i"])  # equal to an index in range
@@ -481,3 +495,46 @@ class TestCheckpointFuzz:
             except CheckpointError:
                 return
             assert full_fingerprint(resumed) == written[1]
+
+
+#: A 200-point, 2-shard tpchq6 checkpoint (seed 1) written by the code
+#: before points were indices: its lines carry only parameter dicts.
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "tpchq6-200x2"
+
+
+class TestOlderCheckpoint:
+    """The fixture was written by ``repro explore``, so it is compared with
+    sweeps on the shipped models (:func:`default_estimator`)."""
+
+    @pytest.fixture()
+    def estimator(self):
+        from repro.estimation import default_estimator
+
+        return default_estimator()
+
+    def test_resumes_and_merges_to_the_same_front(self, estimator, tmp_path):
+        from repro.dse import merge_checkpoints
+
+        bench = get_benchmark("tpchq6")
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FIXTURE, ckpt)
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        resumed = explore(bench, estimator, max_points=200, seed=1, shards=2,
+                          checkpoint_dir=ckpt, resume=True)
+        merged = merge_checkpoints(ckpt, estimator)
+        fresh = explore(bench, estimator, max_points=200, seed=1)
+        assert resumed.restored == merged.restored == 200
+        assert full_fingerprint(resumed) == full_fingerprint(fresh)
+        assert full_fingerprint(merged) == full_fingerprint(fresh)
+        front = [(p.params, estimate_to_doc(p.estimate)) for p in fresh.pareto]
+        for result in (resumed, merged):
+            assert [(p.params, estimate_to_doc(p.estimate))
+                    for p in result.pareto] == front
+        # Nothing was re-estimated, so nothing was rewritten.
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+
+    def test_a_rewrite_is_byte_identical(self, estimator, tmp_path):
+        explore(get_benchmark("tpchq6"), estimator, max_points=200, seed=1,
+                shards=2, checkpoint_dir=tmp_path)
+        for path in FIXTURE.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()

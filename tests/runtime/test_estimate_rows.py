@@ -1,7 +1,8 @@
 """Flat estimate rows: the checkpoint line and the forked return trip.
 
 A priced point leaves a worker as one flat row (:func:`estimate_row`):
-the shard writer formats its checkpoint line from the row, and a forked
+the shard writer formats its checkpoint line from the row (and the
+point's params from per-candidate spellings), and a forked
 worker's :class:`ShardOutcome` pickles its records as rows. Both must be
 invisible: the line is byte for byte what the JSON encoder writes for
 the record's doc, and a forked record pickles to the same bytes as the
@@ -24,7 +25,8 @@ from repro import obs
 from repro.apps import get_benchmark
 from repro.estimation import Estimator
 from repro.estimation.estimator import DesignPoint
-from repro.params import IntParam
+from repro.ir.node import IRError
+from repro.params import BoolParam, IntParam, ParamSpace
 from repro.runtime import (
     estimate_from_doc,
     estimate_to_doc,
@@ -38,6 +40,7 @@ from repro.runtime.checkpoint import (
     _point_line,
     estimate_from_row,
     estimate_row,
+    params_spellings,
 )
 from repro.target.board import MAIA
 
@@ -70,7 +73,11 @@ def plain(row) -> bool:
 def test_point_line_is_the_json_encoders(index, params, row):
     est = None if row is None else estimate_from_row(row, MAIA)
     record = DesignPoint(params, est, index)
-    line = _point_line(record)
+    space = ParamSpace()  # one whose point ``params`` is
+    for name, value in params.items():
+        space.add(BoolParam(name) if type(value) is bool
+                  else IntParam(name, (value,)))
+    line = _point_line(record, params_spellings(space))
     assert line == _line({
         "t": "p", "i": index, "params": params,
         "est": None if est is None else estimate_to_doc(est),
@@ -103,19 +110,30 @@ def sorted_records(run):
     )
 
 
-def with_illegal_points(plan, space):
-    """``plan`` with every tenth point's integer parameters set to 0.
+def with_illegal_points(plan, bench, dataset):
+    """``plan`` with every tenth point replaced by an IR-illegal one.
 
     Sampled points are legal, and no sampled gda point fails the IR
-    build; zero extents and par factors do, so their records carry a
+    build. Some points the space's constraints reject (a row tile that
+    its par factor does not divide) do, so their records carry a
     ``None`` estimate.
     """
-    zero = {p.name: 0 for p in space.params if isinstance(p, IntParam)}
+    space = plan.space
+    everything = np.arange(space.cardinality)
+    illegal = []
+    for index in everything[~space.legal(everything)].tolist():
+        try:
+            bench.build(dataset, **space.points([index])[0])
+        except IRError:
+            illegal.append(index)
+            if len(illegal) == plan.total_points // 10:
+                break
+    planted = iter(illegal)
     plan.shards = [
-        replace(shard, points=[
-            dict(point, **zero) if (shard.start + k) % 10 == 0 else point
-            for k, point in enumerate(shard.points)
-        ])
+        replace(shard, points=np.array([
+            next(planted) if (shard.start + k) % 10 == 0 else index
+            for k, index in enumerate(shard.points.tolist())
+        ]))
         for shard in plan.shards
     ]
     return plan
@@ -128,7 +146,7 @@ def test_forked_records_pickle_like_serial_ones(estimator):
     bench = get_benchmark("gda")
     dataset = bench.default_dataset()
     space = bench.param_space(dataset)
-    plan = with_illegal_points(plan_shards(space, 3, 1200, 4), space)
+    plan = with_illegal_points(plan_shards(space, 3, 1200, 4), bench, dataset)
 
     def sweep(workers):
         fresh = Estimator(

@@ -19,7 +19,8 @@ def serial_sample(space, seed, max_points):
 
 
 def sampled(plan):
-    return [point for shard in plan.shards for point in shard.points]
+    """The plan's points as parameter dicts, decoded from its indices."""
+    return plan.space.points([i for shard in plan.shards for i in shard.points])
 
 
 class TestPlanShards:
