@@ -30,9 +30,10 @@ compiled class plans and caches (bit-identical results; see
 
 Bad input (an unknown benchmark, a non-positive count, a malformed
 flag or flag value, a missing argument, a shard range outside the plan,
-an output file in a missing directory, an unusable checkpoint
-directory) is a one-line ``repro: error: ...`` on stderr and exit
-status 2.
+an output file that is a directory or in a missing one, a checkpoint
+directory that is a file, lies under one or has no usable manifest) is
+a one-line ``repro: error: ...`` on stderr and exit status 2. The
+parser's ``type=`` callables check every flag value before any work.
 
 Invoke as ``python -m repro ...``.
 """
@@ -40,19 +41,16 @@ Invoke as ``python -m repro ...``.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import obs
-from .apps import all_benchmarks, get_benchmark
-from .codegen import generate_maxj
-from .dse import explore, merge_checkpoints
-from .estimation import Estimator, default_estimator
-from .estimation.power import estimate_power
-from .ir import IRError
-from .runtime import CheckpointError, ConservationError
+
+if TYPE_CHECKING:  # handlers import what they run; see ``_main``
+    from .estimation import Estimator
 
 
 class UsageError(SystemExit):
@@ -71,7 +69,8 @@ class _Parser(argparse.ArgumentParser):
     """Argparse with every parse error raised as a :class:`UsageError`.
 
     Subparsers inherit the class, so a bad flag value or a missing
-    argument anywhere is one ``repro: error:`` line, not a usage block.
+    argument anywhere is one ``repro: error:`` line, not a usage block;
+    the ``type=`` callables below raise :class:`UsageError` themselves.
     """
 
     def error(self, message: str):
@@ -80,6 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _benchmark(name: str):
     """The named benchmark, or a usage error listing the valid names."""
+    from .apps import all_benchmarks, get_benchmark
+
     try:
         return get_benchmark(name)
     except KeyError:
@@ -89,24 +90,60 @@ def _benchmark(name: str):
         ) from None
 
 
-def _build(bench, params: Dict[str, object]):
-    """The default-dataset design at ``params``, or a usage error."""
+def _count(flag: str, minimum: int = 1, hint: str = ""):
+    """The type of a count flag: an integer of at least ``minimum``."""
+    kind = "positive" if minimum else "non-negative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise UsageError(
+                f"{flag} expects a {kind} integer (got {text!r}){hint}"
+            )
+        return value
+
+    return parse
+
+
+def _shard_range(text: str) -> Tuple[int, int]:
+    """The type of ``--shard-range A:B``: a half-open ``(A, B)`` tuple."""
+    lo, sep, hi = text.partition(":")
     try:
-        return bench.build(bench.default_dataset(), **params)
-    except IRError as exc:
-        raise UsageError(f"illegal design point {params}: {exc}") from None
+        bounds = (int(lo), int(hi))
+        problem = None if 0 <= bounds[0] < bounds[1] else "0 <= A < B"
+    except ValueError:
+        problem = "integer bounds A:B" if sep else "A:B (half-open, e.g. 0:4)"
+    if problem:
+        raise UsageError(f"--shard-range expects {problem}, got {text!r}")
+    return bounds
 
 
-def _positive(value: int, flag: str) -> None:
-    if value < 1:
-        raise UsageError(f"{flag} expects a positive integer (got {value})")
+def _output_path(flag: str):
+    """The type of an output-file flag: a file in an existing directory,
+    checked while parsing so a typo'd directory fails before any work."""
+
+    def check(path: str) -> str:
+        if path and Path(path).is_dir():
+            raise UsageError(f"{flag} {path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"{flag} {path}: no such directory")
+        return path
+
+    return check
 
 
-def _non_negative(value: int, flag: str) -> None:
-    if value < 0:
+def _checkpoint_dir(path: str) -> str:
+    """The type of ``--checkpoint-dir``/``--resume``: a directory, or a
+    path that can become one (no component of it is an existing file)."""
+    part = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not part.is_dir():
         raise UsageError(
-            f"{flag} expects a non-negative integer (got {value})"
+            f"checkpoint directory {path}: {part} is not a directory"
         )
+    return path
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
@@ -134,20 +171,12 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
     return out
 
 
-def _estimator_for(args, estimator: Optional[Estimator]) -> Estimator:
-    """The injected estimator, or the shared default honoring ``--no-cache``.
+def _design(args):
+    """``args``' benchmark at its ``--set`` point: ``(params, design)``,
+    or a usage error."""
+    from .ir import IRError
 
-    ``--no-cache`` shares the same trained models (no recharacterization)
-    but disables the estimation memoization layer — the escape hatch that
-    demonstrates cached results are bit-identical (see
-    ``docs/estimation_performance.md``).
-    """
-    if estimator is not None:
-        return estimator
-    return default_estimator(cache=not getattr(args, "no_cache", False))
-
-
-def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
+    bench, overrides = args.benchmark, _parse_overrides(args.set or [])
     dataset = bench.default_dataset()
     params = bench.default_params(dataset)
     unknown = set(overrides) - set(params)
@@ -156,27 +185,26 @@ def _resolve_params(bench, overrides: Dict[str, object]) -> Dict[str, object]:
             f"unknown parameters for {bench.name}: {sorted(unknown)} "
             f"(valid: {sorted(params)})"
         )
-    coerced = dict(overrides)
     for key, value in overrides.items():
         default = params[key]
-        if isinstance(default, bool) != isinstance(value, bool):
+        to_int = isinstance(default, int) and isinstance(value, float)
+        if (isinstance(default, bool) != isinstance(value, bool)
+                or to_int and not value.is_integer()):
             kind = "true or false" if isinstance(default, bool) else "an integer"
             raise UsageError(
                 f"--set {key}: {bench.name} expects {kind} (got {value!r})"
             )
-        if isinstance(value, float) and isinstance(default, int):
-            if not value.is_integer():
-                raise UsageError(
-                    f"--set {key}: {bench.name} expects an integer "
-                    f"(got {value!r})"
-                )
-            coerced[key] = int(value)
-    params.update(coerced)
-    return params
+        params[key] = int(value) if to_int else value
+    try:
+        return params, bench.build(dataset, **params)
+    except IRError as exc:
+        raise UsageError(f"illegal design point {params}: {exc}") from None
 
 
-def cmd_list(args, out) -> int:
+def cmd_list(args, out, estimator=None) -> int:
     """``repro list``: print the Table II benchmark inventory."""
+    from .apps import all_benchmarks
+
     print(f"{'name':14s} {'description':45s} dataset", file=out)
     for bench in all_benchmarks():
         ds = ", ".join(f"{k}={v:,}" for k, v in bench.default_dataset().items())
@@ -184,12 +212,9 @@ def cmd_list(args, out) -> int:
     return 0
 
 
-def cmd_estimate(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_estimate(args, out, estimator: Estimator) -> int:
     """``repro estimate``: estimate one design point."""
-    bench = _benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = _build(bench, params)
-    estimator = _estimator_for(args, estimator)
+    params, design = _design(args)
     est = estimator.estimate(design)
     util = est.utilization()
     print(f"design point: {params}", file=out)
@@ -201,93 +226,21 @@ def cmd_estimate(args, out, estimator: Optional[Estimator] = None) -> int:
     return 0
 
 
-def _parse_shard_range(text: str):
-    """Parse ``--shard-range A:B`` into an ``(A, B)`` half-open tuple."""
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise UsageError(
-            f"--shard-range expects A:B (half-open, e.g. 0:4), got {text!r}"
-        )
-    try:
-        bounds = (int(lo), int(hi))
-    except ValueError:
-        raise UsageError(
-            f"--shard-range expects integer bounds A:B, got {text!r}"
-        ) from None
-    if bounds[0] < 0 or bounds[1] <= bounds[0]:
-        raise UsageError(
-            f"--shard-range expects 0 <= A < B, got {text!r}"
-        )
-    return bounds
-
-
-#: Output-file flags, checked before any work so a typo'd directory fails
-#: fast instead of after a whole sweep.
-_OUTPUT_FLAGS = (
-    ("trace", "--trace"), ("sim_trace", "--sim-trace"), ("csv", "--csv"),
-    ("output", "--output"),
-)
-
-
-def _check_output_paths(args) -> None:
-    for attr, flag in _OUTPUT_FLAGS:
-        path = getattr(args, attr, None)
-        if not path:
-            continue
-        if Path(path).is_dir():
-            raise UsageError(f"{flag} {path}: is a directory")
-        if not Path(path).parent.is_dir():
-            raise UsageError(f"{flag} {path}: no such directory")
-
-
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise UsageError(
-            f"--workers expects a positive integer (got {args.workers}); "
-            "use --workers 1 for the serial path"
-        )
-
-
-def _parse_shards(text: Optional[str]) -> Optional[int]:
-    """``--shards``: None (one per worker) or a positive int."""
-    if text is None:
-        return None
-    try:
-        shards = int(text)
-    except ValueError:
-        shards = 0
-    if shards < 1:
-        raise UsageError(
-            f"--shards expects a positive integer (got {text!r}); "
-            "omit it to default to one shard per worker"
-        )
-    return shards
-
-
 def _parse_parallel_args(args):
-    """Validate the --workers/--shards/--checkpoint-dir/... combinations."""
-    _check_workers(args)
-    shards = _parse_shards(args.shards)
-    shard_range = None
-    if getattr(args, "shard_range", None):
-        shard_range = _parse_shard_range(args.shard_range)
-    checkpoint_dir = args.checkpoint_dir
-    resume = False
-    if args.resume:
-        if checkpoint_dir and checkpoint_dir != args.resume:
-            raise UsageError(
-                "--resume DIR already names the checkpoint directory; "
-                "drop --checkpoint-dir (or make them match)"
-            )
-        checkpoint_dir = args.resume
-        resume = True
-    if shard_range is not None and checkpoint_dir is None:
+    """Pair --resume with --checkpoint-dir: ``(checkpoint_dir, resume)``."""
+    if args.resume and args.checkpoint_dir not in (None, "", args.resume):
+        raise UsageError(
+            "--resume DIR already names the checkpoint directory; "
+            "drop --checkpoint-dir (or make them match)"
+        )
+    checkpoint_dir = args.resume or args.checkpoint_dir
+    if args.shard_range is not None and checkpoint_dir is None:
         raise UsageError(
             "--shard-range requires --checkpoint-dir: ranged sweeps only "
             "make sense when their shards land somewhere "
             "'repro merge-checkpoints' can reunite them"
         )
-    return shards, shard_range, checkpoint_dir, resume
+    return checkpoint_dir, bool(args.resume)
 
 
 def _print_pareto(result, show: int, out) -> None:
@@ -301,24 +254,23 @@ def _print_pareto(result, show: int, out) -> None:
         )
 
 
-def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_explore(args, out, estimator: Estimator) -> int:
     """``repro explore``: sample the design space and print the Pareto front."""
-    _positive(args.points, "--points")
-    _non_negative(args.show, "--show")
-    shards, shard_range, checkpoint_dir, resume = _parse_parallel_args(args)
-    bench = _benchmark(args.benchmark)
-    estimator = _estimator_for(args, estimator)
+    from .dse import explore
+    from .runtime import CheckpointError
+
+    checkpoint_dir, resume = _parse_parallel_args(args)
     try:
         result = explore(
-            bench, estimator, max_points=args.points, seed=args.seed,
-            shards=shards, workers=args.workers,
+            args.benchmark, estimator, max_points=args.points,
+            seed=args.seed, shards=args.shards, workers=args.workers,
             checkpoint_dir=checkpoint_dir, resume=resume,
-            shard_range=shard_range,
+            shard_range=args.shard_range,
         )
     except CheckpointError as exc:
         raise UsageError(str(exc)) from None
     except ValueError as exc:
-        if shard_range is None:
+        if args.shard_range is None:
             raise
         raise UsageError(str(exc)) from None  # range outside the plan
     parallel = ""
@@ -340,8 +292,6 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
     )
     _print_pareto(result, args.show, out)
     if args.csv:
-        import csv
-
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             names = list(result.points[0].params) if result.points else []
@@ -356,9 +306,7 @@ def cmd_explore(args, out, estimator: Optional[Estimator] = None) -> int:
     return 0
 
 
-def cmd_merge_checkpoints(
-    args, out, estimator: Optional[Estimator] = None
-) -> int:
+def cmd_merge_checkpoints(args, out, estimator: Estimator) -> int:
     """``repro merge-checkpoints``: reunite a checkpoint dir, estimate nothing.
 
     The collection step of a multi-host sweep: after N hosts ran
@@ -367,8 +315,9 @@ def cmd_merge_checkpoints(
     prints the same summary/Pareto table a single-host explore would
     have. A missing range or duplicated shard fails loudly.
     """
-    _non_negative(args.show, "--show")
-    estimator = _estimator_for(args, estimator)
+    from .dse import merge_checkpoints
+    from .runtime import CheckpointError, ConservationError
+
     try:
         result = merge_checkpoints(args.directory, estimator)
     except (CheckpointError, ConservationError) as exc:
@@ -383,14 +332,12 @@ def cmd_merge_checkpoints(
     return 0
 
 
-def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_speedup(args, out, estimator: Estimator) -> int:
     """``repro speedup``: best design vs the modeled CPU baseline."""
     from .report import best_speedup
     from .sim import build_timeline
 
-    _positive(args.points, "--points")
-    bench = _benchmark(args.benchmark)
-    estimator = _estimator_for(args, estimator)
+    bench = args.benchmark
     found = best_speedup(bench, estimator, args.points, seed=args.seed)
     if found is None:
         print("no valid design found", file=out)
@@ -414,28 +361,30 @@ def cmd_speedup(args, out, estimator: Optional[Estimator] = None) -> int:
     return 0
 
 
-def cmd_codegen(args, out) -> int:
-    """``repro codegen``: emit MaxJ for one design point."""
-    bench = _benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = _build(bench, params)
-    source = generate_maxj(design)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(source)
-        print(f"wrote {len(source.splitlines())} lines to {args.output}",
-              file=out)
+def _emit(text: str, path: Optional[str], out, what: str) -> int:
+    """Write ``text`` to ``-o PATH`` and say so, or print it."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {path}", file=out)
     else:
-        print(source, file=out)
+        print(text, file=out)
     return 0
 
 
-def cmd_power(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_codegen(args, out, estimator=None) -> int:
+    """``repro codegen``: emit MaxJ for one design point."""
+    from .codegen import generate_maxj
+
+    source = generate_maxj(_design(args)[1])
+    return _emit(source, args.output, out, f"{len(source.splitlines())} lines")
+
+
+def cmd_power(args, out, estimator: Estimator) -> int:
     """``repro power``: power/energy estimate (extension)."""
-    bench = _benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    design = _build(bench, params)
-    estimator = _estimator_for(args, estimator)
+    from .estimation.power import estimate_power
+
+    params, design = _design(args)
     area = estimator.estimate_area(design)
     cycles = estimator.estimate_cycles(design)
     power = estimate_power(design, area, cycles, estimator.board)
@@ -449,19 +398,15 @@ def cmd_power(args, out, estimator: Optional[Estimator] = None) -> int:
     return 0
 
 
-def cmd_analyze(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_analyze(args, out, estimator: Estimator) -> int:
     """``repro analyze``: bottleneck + roofline diagnosis (extension)."""
     from .analysis import analyze, diagnose
     from .sim import simulate as _simulate
 
-    bench = _benchmark(args.benchmark)
-    params = _resolve_params(bench, _parse_overrides(args.set or []))
-    dataset = bench.default_dataset()
-    design = _build(bench, params)
-    estimator = _estimator_for(args, estimator)
+    _, design = _design(args)
     diag = diagnose(design, estimator)
     print(diag.summary(), file=out)
-    flops = bench.flops(dataset)
+    flops = args.benchmark.flops(args.benchmark.default_dataset())
     if flops > 0:
         runtime = _simulate(design).seconds
         point = analyze(design, flops, runtime, estimator.board)
@@ -476,26 +421,18 @@ def cmd_analyze(args, out, estimator: Optional[Estimator] = None) -> int:
     return 0
 
 
-def cmd_report(args, out, estimator: Optional[Estimator] = None) -> int:
+def cmd_report(args, out, estimator: Estimator) -> int:
     """``repro report``: consolidated evaluation report."""
     from .report import build_report
 
-    _check_workers(args)
-    _positive(args.points, "--points")
-    estimator = _estimator_for(args, estimator)
     text = build_report(estimator, dse_points=args.points,
                         workers=args.workers)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote report to {args.output}", file=out)
-    else:
-        print(text, file=out)
-    return 0
+    return _emit(text, args.output, out, "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse command tree."""
+    """The argparse command tree: each subcommand's ``run`` default is its
+    handler, and ``prices`` says whether that handler needs an estimator."""
     parser = _Parser(
         prog="repro",
         description="DHDL reproduction: estimate, explore, and generate "
@@ -506,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Observability flags shared by the instrumented pipeline commands.
     obs_flags = argparse.ArgumentParser(add_help=False)
     obs_flags.add_argument(
-        "--trace", metavar="FILE.json",
+        "--trace", metavar="FILE.json", type=_output_path("--trace"),
         help="stream a Chrome trace-event file of the run as spans "
         "finish; a killed run keeps a loadable partial trace (open in "
         "chrome://tracing or https://ui.perfetto.dev)",
@@ -526,109 +463,92 @@ def build_parser() -> argparse.ArgumentParser:
         "see docs/estimation_performance.md)",
     )
 
-    sub.add_parser("list", help="list the Table II benchmarks")
+    def command(name, run, help, parents=(), prices=True, bench=True,
+                design=False):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(run=run, prices=prices)
+        if bench:
+            p.add_argument("benchmark", type=_benchmark,
+                           help="benchmark name (see 'repro list')")
+        if design:
+            p.add_argument("--set", nargs="*", metavar="K=V",
+                           help="override design parameters")
+        return p
 
-    def add_bench(p):
-        p.add_argument("benchmark", help="benchmark name (see 'repro list')")
+    workers_flag = _count("--workers",
+                          hint="; use --workers 1 for the serial path")
+    show_flag = _count("--show", minimum=0)
 
-    p = sub.add_parser("estimate", help="estimate one design point",
-                       parents=[obs_flags])
-    add_bench(p)
-    p.add_argument("--set", nargs="*", metavar="K=V",
-                   help="override design parameters")
+    command("list", cmd_list, "list the Table II benchmarks", prices=False,
+            bench=False)
 
-    p = sub.add_parser("explore", help="design space exploration",
-                       parents=[obs_flags, cache_flags])
-    add_bench(p)
-    p.add_argument("--points", type=int, default=1000)
+    command("estimate", cmd_estimate, "estimate one design point",
+            [obs_flags], design=True)
+
+    p = command("explore", cmd_explore, "design space exploration",
+                [obs_flags, cache_flags])
+    p.add_argument("--points", type=_count("--points"), default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--show", type=int, default=8,
+    p.add_argument("--show", type=show_flag, default=8,
                    help="Pareto points to print")
-    p.add_argument("--csv", help="dump all points to a CSV file")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--csv", type=_output_path("--csv"),
+                   help="dump all points to a CSV file")
+    p.add_argument("--workers", type=workers_flag, default=1,
                    help="worker processes (forked after estimator "
                    "training; 1 = serial in-process)")
-    p.add_argument("--shards", default=None, metavar="N",
+    p.add_argument("--shards", metavar="N", type=_count(
+                       "--shards", hint="; omit it to default to one "
+                       "shard per worker"),
                    help="sampling shards (default: one per worker; any "
                    "count yields identical points for a fixed seed)")
-    p.add_argument("--shard-range", metavar="A:B",
+    p.add_argument("--shard-range", metavar="A:B", type=_shard_range,
                    help="sweep only shards A..B-1 of the full partition "
                    "(multi-host: disjoint ranges into one "
                    "--checkpoint-dir, then 'repro merge-checkpoints')")
-    p.add_argument("--checkpoint-dir", metavar="DIR",
+    p.add_argument("--checkpoint-dir", metavar="DIR", type=_checkpoint_dir,
                    help="write per-shard JSONL checkpoints to DIR")
-    p.add_argument("--resume", metavar="DIR",
+    p.add_argument("--resume", metavar="DIR", type=_checkpoint_dir,
                    help="resume a killed sweep from DIR's checkpoints "
                    "(skips completed work)")
 
-    p = sub.add_parser(
-        "merge-checkpoints",
-        help="merge a (multi-host) checkpoint directory into the full "
-        "point set — no estimation",
-        parents=[obs_flags],
-    )
+    p = command("merge-checkpoints", cmd_merge_checkpoints,
+                "merge a (multi-host) checkpoint directory into the full "
+                "point set — no estimation", [obs_flags], bench=False)
     p.add_argument("directory", metavar="DIR",
                    help="checkpoint directory written by one or more "
                    "'repro explore --checkpoint-dir' runs")
-    p.add_argument("--show", type=int, default=8,
+    p.add_argument("--show", type=show_flag, default=8,
                    help="Pareto points to print")
 
-    p = sub.add_parser("speedup", help="best design vs the CPU baseline",
-                       parents=[obs_flags, cache_flags])
-    add_bench(p)
-    p.add_argument("--points", type=int, default=1000)
+    p = command("speedup", cmd_speedup, "best design vs the CPU baseline",
+                [obs_flags, cache_flags])
+    p.add_argument("--points", type=_count("--points"), default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sim-trace", metavar="FILE.json",
+                   type=_output_path("--sim-trace"),
                    help="write a simulated-time Chrome trace of the best "
                    "design's controller schedule (1 cycle = 1 us tick; "
                    "open in https://ui.perfetto.dev)")
 
-    p = sub.add_parser("codegen", help="emit MaxJ for a design point",
-                       parents=[obs_flags])
-    add_bench(p)
-    p.add_argument("--set", nargs="*", metavar="K=V")
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    p = command("codegen", cmd_codegen, "emit MaxJ for a design point",
+                [obs_flags], prices=False, design=True)
+    p.add_argument("-o", "--output", type=_output_path("--output"),
+                   help="output file (default: stdout)")
 
-    p = sub.add_parser("power", help="power/energy estimate (extension)")
-    add_bench(p)
-    p.add_argument("--set", nargs="*", metavar="K=V")
+    command("power", cmd_power, "power/energy estimate (extension)",
+            design=True)
+    command("analyze", cmd_analyze,
+            "bottleneck + roofline diagnosis (extension)", design=True)
 
-    p = sub.add_parser(
-        "analyze", help="bottleneck + roofline diagnosis (extension)"
-    )
-    add_bench(p)
-    p.add_argument("--set", nargs="*", metavar="K=V")
-
-    p = sub.add_parser("report", help="consolidated evaluation report",
-                       parents=[cache_flags])
-    p.add_argument("--points", type=int, default=400,
+    p = command("report", cmd_report, "consolidated evaluation report",
+                [cache_flags], bench=False)
+    p.add_argument("--points", type=_count("--points"), default=400,
                    help="DSE budget per benchmark")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=workers_flag, default=1,
                    help="worker processes for the report's DSE sweeps")
-    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    p.add_argument("-o", "--output", type=_output_path("--output"),
+                   help="output file (default: stdout)")
     return parser
-
-
-def _dispatch(args, out, estimator: Optional[Estimator]) -> int:
-    if args.command == "list":
-        return cmd_list(args, out)
-    if args.command == "estimate":
-        return cmd_estimate(args, out, estimator)
-    if args.command == "explore":
-        return cmd_explore(args, out, estimator)
-    if args.command == "merge-checkpoints":
-        return cmd_merge_checkpoints(args, out, estimator)
-    if args.command == "speedup":
-        return cmd_speedup(args, out, estimator)
-    if args.command == "codegen":
-        return cmd_codegen(args, out)
-    if args.command == "power":
-        return cmd_power(args, out, estimator)
-    if args.command == "analyze":
-        return cmd_analyze(args, out, estimator)
-    if args.command == "report":
-        return cmd_report(args, out, estimator)
-    raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def main(argv: Optional[List[str]] = None, out=None,
@@ -644,11 +564,17 @@ def main(argv: Optional[List[str]] = None, out=None,
 def _main(argv, out, estimator) -> int:
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
-    _check_output_paths(args)
+    if estimator is None and args.prices:
+        # ``--no-cache`` shares the same trained models (no
+        # recharacterization) but disables the estimation memoization
+        # layer — the escape hatch that demonstrates cached results are
+        # bit-identical (see ``docs/estimation_performance.md``).
+        from .estimation import default_estimator
+
+        estimator = default_estimator(cache=not getattr(args, "no_cache", False))
     trace_file = getattr(args, "trace", None)
-    want_metrics = bool(getattr(args, "metrics", False))
-    if not (trace_file or want_metrics):
-        return _dispatch(args, out, estimator)
+    if not (trace_file or getattr(args, "metrics", False)):
+        return args.run(args, out, estimator)
 
     obs.reset()
     obs.enable()
@@ -656,11 +582,11 @@ def _main(argv, out, estimator) -> int:
     # finishes, so a killed run keeps its trace so far.
     writer = obs.stream_trace(trace_file) if trace_file else None
     try:
-        code = _dispatch(args, out, estimator)
+        return args.run(args, out, estimator)
     finally:
         obs.disable()
         obs.stop_trace()
-        if want_metrics:
+        if args.metrics:
             print(obs.span_summary(obs.tracer()), file=out)
         if writer is not None:
             print(
@@ -668,8 +594,4 @@ def _main(argv, out, estimator) -> int:
                 "(open in chrome://tracing or https://ui.perfetto.dev)",
                 file=out,
             )
-    return code
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

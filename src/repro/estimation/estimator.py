@@ -65,14 +65,12 @@ class DesignPoint:
     ``estimate`` is ``None`` for points whose build raised an
     :class:`~repro.ir.node.IRError` (structurally illegal points the
     space's legality predicates cannot express). ``index`` is the point's
-    global position in the seeded sample, and ``restored`` marks records
-    loaded from a checkpoint rather than estimated this run.
+    global position in the seeded sample.
     """
 
     params: Dict[str, object]
     estimate: Optional[Estimate]
     index: int = 0
-    restored: bool = False
 
     @property
     def illegal(self) -> bool:

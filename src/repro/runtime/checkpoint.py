@@ -387,7 +387,6 @@ class CheckpointStore:
                 planned[offset],
                 None if est is None else estimate_from_doc(est, board),
                 index,
-                restored=True,
             )
         if state.complete and len(state.records) != len(shard):
             # A 'done' marker without all records means the file was

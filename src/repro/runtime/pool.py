@@ -80,7 +80,7 @@ class ShardOutcome:
 
     def __reduce__(self):
         # Records go home as flat rows, far cheaper to pickle than objects.
-        rows = [(r.index, r.params, r.restored,
+        rows = [(r.index, r.params,
                  None if r.estimate is None else estimate_row(r.estimate))
                 for r in self.records]
         board = next((r.estimate.board for r in self.records
@@ -92,8 +92,8 @@ def _outcome_from_rows(fields: Dict, board) -> ShardOutcome:
     """Rebuild, in the parent, the outcome a worker pickled as rows."""
     fields["records"] = [
         DesignPoint(params, None if row is None
-                    else estimate_from_row(row, board), index, restored)
-        for index, params, restored, row in fields["records"]
+                    else estimate_from_row(row, board), index)
+        for index, params, row in fields["records"]
     ]
     return ShardOutcome(**fields)
 

@@ -364,7 +364,7 @@ class TestHostileInput:
         """A bad flag value or a missing positional is not a usage block."""
         for argv, match in (
             (["explore", "dotproduct", "--points", "abc"],
-             "argument --points: invalid int value: 'abc'"),
+             "--points expects a positive integer \\(got 'abc'\\)"),
             (["explore", "dotproduct", "--seed", "x"],
              "argument --seed: invalid int value"),
             (["explore"], "required: benchmark"),
@@ -522,6 +522,21 @@ class TestHostileInput:
         )
         assert not (tmp_path / "nope").exists()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint-dir", "--resume"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_checkpoint_dir_is_a_file(self, estimator, capsys, tmp_path,
+                                      flag, under):
+        """A checkpoint directory that is a file, or lies under one."""
+        path = tmp_path / "file"
+        path.write_text("not a directory\n")
+        self.assert_usage_error(
+            estimator, capsys,
+            ["explore", "dotproduct", "--points", "10",
+             flag, str(path / "sub" if under else path)],
+            f"checkpoint directory .*: {path} is not a directory",
+        )
+        assert path.read_text() == "not a directory\n"
+
     def test_subprocess_exit_status(self, tmp_path):
         import os
         import subprocess
@@ -549,15 +564,15 @@ class TestStreamingTraceFlag:
         stream = tmp_path / "trace.json"
         seen = []
 
-        def dispatch(*args):
+        def cmd_explore(*args):
             seen.append(json.loads(stream.read_text() + "]"))
             with obs.span("inside"):
                 pass
             seen.append(json.loads(stream.read_text() + "]"))
-            return real_dispatch(*args)
+            return real_explore(*args)
 
-        real_dispatch = cli._dispatch
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        real_explore = cli.cmd_explore
+        monkeypatch.setattr(cli, "cmd_explore", cmd_explore)
         code, text = run_cli(
             estimator, "explore", "tpchq6", "--points", "10",
             "--trace", str(stream),

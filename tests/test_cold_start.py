@@ -1,7 +1,8 @@
 """Cold start: a command imports what it runs, and no more, up front.
 
-Package inits are lazy (:func:`repro.lazy_exports`) and a benchmark
-lookup imports only that benchmark's module, so set-up loads less code.
+Package inits are lazy (:func:`repro.lazy_exports`), a benchmark lookup
+imports only that benchmark's module, and each CLI subcommand imports
+its modules in its handler, so set-up loads less code.
 Import cost must not move into the timed work instead: once an estimator
 exists, a sweep and a search import no further ``repro`` module.
 """
@@ -59,6 +60,21 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
     for lazy in ("repro.synth.synthesis", "repro.estimation.train",
                  "repro.sim", "repro.codegen", "repro.hls"):
         assert lazy not in loaded
+
+
+def test_cli_import_loads_no_pipeline():
+    """The CLI imports what a subcommand runs in its handler, so
+    ``import repro.cli`` (``--help``, argument errors) loads no numpy and
+    none of the pipeline."""
+    loaded = run_fresh("""
+import json, sys
+import repro.cli
+print(json.dumps(sorted(sys.modules)))
+""")
+    heavy = ("numpy", "repro.dse", "repro.runtime", "repro.estimation",
+             "repro.apps")
+    assert [m for m in loaded
+            if any(m == h or m.startswith(h + ".") for h in heavy)] == []
 
 
 def test_lazy_names_resolve():
