@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -555,10 +556,18 @@ def main(argv: Optional[List[str]] = None, out=None,
          estimator: Optional[Estimator] = None) -> int:
     """CLI entry point; ``out`` and ``estimator`` are injectable for tests."""
     try:
-        return _main(argv, out, estimator)
+        status = _main(argv, out, estimator)
+        (out or sys.stdout).flush()
+        return status
     except UsageError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         raise
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head -1``): stop
+        # quietly, with stdout on devnull so the flush at exit cannot fail
+        # again, and exit 141, a shell's status for a SIGPIPE kill.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _main(argv, out, estimator) -> int:

@@ -21,7 +21,7 @@ assemble their result through the same merge-and-verify step.
 When observability is enabled (:mod:`repro.obs`), the ``explore`` and
 ``merge_checkpoints`` spans carry the point outcome counts
 (``points``, ``sampled``, ``illegal``, ``valid``, ``unfit``,
-``restored``) from the verified conservation ledger — the same
+``restored``) from the verified merge — the same
 attributes for serial, forked, resumed and merged runs — and forked
 runs add each worker's busy fraction (``active_workers``,
 ``utilization``). The pool adds ``dse.progress`` instants carrying
@@ -43,8 +43,9 @@ from ..estimation.estimator import DesignPoint, Estimator
 from ..runtime import (
     CheckpointError,
     CheckpointStore,
+    ShardOutcome,
+    joined_outcome,
     merge_outcomes,
-    outcomes_from_states,
     plan_shards,
     read_manifest,
     require_positive,
@@ -188,28 +189,29 @@ def explore(
 def _merged_result(
     benchmark: Benchmark, dataset: Dataset, plan, outcomes, span, **extra
 ) -> ExplorationResult:
-    """Merge shard outcomes, prove conservation, record counts, wrap up.
+    """Merge shard outcomes (proving conservation), record counts, wrap up.
 
     The one result assembly behind :func:`explore` and
     :func:`merge_checkpoints`: the verified point counts go on ``span``;
     ``extra`` fills the run-only fields.
     """
-    records, conservation = merge_outcomes(plan, outcomes)
-    conservation.verify()
+    records = merge_outcomes(plan, outcomes)
+    points = [record for record in records if not record.illegal]
+    valid = sum(1 for point in points if point.valid)
+    restored = sum(outcome.restored for outcome in outcomes)
     span.set(
-        points=conservation.valid + conservation.unfit,
-        sampled=conservation.planned, illegal=conservation.illegal,
-        valid=conservation.valid, unfit=conservation.unfit,
-        restored=conservation.restored,
+        points=len(points), sampled=len(records),
+        illegal=len(records) - len(points), valid=valid,
+        unfit=len(points) - valid, restored=restored,
     )
     return ExplorationResult(
         benchmark=benchmark.name,
         dataset=dataset,
-        points=[record for record in records if not record.illegal],
+        points=points,
         space_cardinality=plan.space_cardinality,
         legal_sampled=plan.total_points,
         shards=plan.n_shards,
-        restored=conservation.restored,
+        restored=restored,
         total_shards=plan.planned_shards,
         shard_range=plan.shard_range,
         **extra,
@@ -224,9 +226,10 @@ def merge_checkpoints(
 
     Reads the run manifest, re-plans the full shard partition from it,
     loads every shard file — however many hosts' ``--shard-range`` runs
-    produced them — and reassembles the global point list under the
-    Conservation ledger. The result is bit-identical to the serial sweep
-    the manifest describes; a missing range or a duplicated shard is a
+    produced them — as one restored outcome per planned shard, and
+    reassembles the global point list through the same merge. The result
+    is bit-identical to the serial sweep the manifest describes; a
+    missing range or a duplicated shard is a
     :class:`~repro.runtime.ConservationError`, never a silently smaller
     front.
     """
@@ -258,7 +261,8 @@ def merge_checkpoints(
         states = CheckpointStore(directory).load(
             benchmark.name, dataset, plan, estimator.board
         )
-        result = _merged_result(
-            benchmark, dataset, plan, outcomes_from_states(plan, states), sp,
-        )
+        outcomes = [joined_outcome(shard, states[shard.index].records,
+                                   ShardOutcome(shard.index))
+                     for shard in plan.shards]
+        result = _merged_result(benchmark, dataset, plan, outcomes, sp)
     return result

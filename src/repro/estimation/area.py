@@ -46,13 +46,11 @@ class RawArea:
     """Output of the raw-counting pass."""
 
     counts: Counts = field(default_factory=Counts)
-    by_tag: Dict[str, Counts] = field(default_factory=dict)
     wire_bits: float = 0.0
 
-    def add(self, tag: str, counts: Counts) -> None:
-        """Accumulate one template's counts under a category tag."""
+    def add(self, counts: Counts) -> None:
+        """Accumulate one template's counts."""
         self.counts.add(counts)
-        self.by_tag.setdefault(tag, Counts()).add(counts)
 
 
 @dataclass
@@ -117,10 +115,10 @@ class _ScopedRawArea:
         self._raw = raw
         self._factor = factor
 
-    def add(self, tag: str, counts: Counts) -> None:
+    def add(self, counts: Counts) -> None:
         if self._factor != 1:
             counts = counts.scaled(self._factor)
-        self._raw.add(tag, counts)
+        self._raw.add(counts)
 
 
 # -- per-template counting -------------------------------------------------------
@@ -131,7 +129,6 @@ def _count_controller(
 ) -> None:
     if ctrl.cchain is not None:
         raw.add(
-            "counter",
             models.predict(
                 "counter", {"ndims": len(ctrl.cchain.dims), "par": ctrl.par}
             ),
@@ -140,7 +137,6 @@ def _count_controller(
         _count_pipe(ctrl, models, raw)
     elif isinstance(ctrl, TileTransfer):
         raw.add(
-            "tile_transfer",
             models.predict(
                 "tile_transfer",
                 {
@@ -151,13 +147,13 @@ def _count_controller(
             ),
         )
     elif isinstance(ctrl, MetaPipe):
-        raw.add("control", models.predict("metapipe", {"n": len(ctrl.stages)}))
+        raw.add(models.predict("metapipe", {"n": len(ctrl.stages)}))
         _count_outer_prims(ctrl, models, raw)
         _count_accum(ctrl, models, raw)
     elif isinstance(ctrl, Parallel):
-        raw.add("control", models.predict("parallel", {"n": len(ctrl.stages)}))
+        raw.add(models.predict("parallel", {"n": len(ctrl.stages)}))
     elif isinstance(ctrl, Sequential):
-        raw.add("control", models.predict("sequential", {"n": len(ctrl.stages)}))
+        raw.add(models.predict("sequential", {"n": len(ctrl.stages)}))
         _count_outer_prims(ctrl, models, raw)
         _count_accum(ctrl, models, raw)
 
@@ -165,7 +161,7 @@ def _count_controller(
 def _count_outer_prims(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
     for node in ctrl.body_prims:
         if isinstance(node, Prim):
-            raw.add("prim", models.predict_prim(node.op, node.tp, node.width))
+            raw.add(models.predict_prim(node.op, node.tp, node.width))
 
 
 def _count_accum(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
@@ -175,26 +171,24 @@ def _count_accum(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None
     tp = target.tp
     if isinstance(target, BRAM):
         width = target.banks
-        raw.add("accum", models.predict_prim(op, tp, width))
+        raw.add(models.predict_prim(op, tp, width))
         raw.add(
-            "accum",
             models.predict(
                 "load", {"bits": tp.bits, "width": width, "banks": target.banks}
             ),
         )
         raw.add(
-            "accum",
             models.predict(
                 "store", {"bits": tp.bits, "width": width, "banks": target.banks}
             ),
         )
     else:
-        raw.add("accum", models.predict_prim(op, tp, 1))
+        raw.add(models.predict_prim(op, tp, 1))
 
 
 def _count_pipe(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
     body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    raw.add("control", models.predict("pipe", {"n": len(body)}))
+    raw.add(models.predict("pipe", {"n": len(body)}))
 
     fused_adds = _predict_fma_fusions(body)
     for node in body:
@@ -202,10 +196,9 @@ def _count_pipe(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
             counts = models.predict_prim(node.op, node.tp, node.width)
             if node.nid in fused_adds:
                 counts = counts.scaled(EST_FMA_DISCOUNT)
-            raw.add("prim", counts)
+            raw.add(counts)
         elif isinstance(node, LoadOp):
             raw.add(
-                "load",
                 models.predict(
                     "load",
                     {
@@ -217,7 +210,6 @@ def _count_pipe(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
             )
         elif isinstance(node, StoreOp):
             raw.add(
-                "store",
                 models.predict(
                     "store",
                     {
@@ -241,8 +233,8 @@ def _count_reduce_tree(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None
         counts = models.predict_prim(op, tp, tree_ops)
         if tp.is_float and op in ("add", "sub"):
             counts = counts.scaled(EST_TREE_DISCOUNT)
-        raw.add("reduce_tree", counts)
-    raw.add("reduce_tree", models.predict_prim(op, tp, 1))
+        raw.add(counts)
+    raw.add(models.predict_prim(op, tp, 1))
 
 
 def _predict_fma_fusions(body: List[Node]) -> set:
@@ -290,7 +282,7 @@ def _count_delays(body: List[Node], raw: RawArea) -> None:
     """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
     for inp, slack in delay_slacks(body):
         bits = inp.tp.bits * max(inp.width, 1)
-        raw.add("delay", delay_counts(bits, slack))
+        raw.add(delay_counts(bits, slack))
 
 
 def _count_memory(
@@ -309,15 +301,13 @@ def _count_memory(
             },
         )
         counts.brams = blocks
-        raw.add("bram", counts)
+        raw.add(counts)
     elif isinstance(mem, PriorityQueue):
         raw.add(
-            "pqueue",
             models.predict("pqueue", {"depth": mem.depth, "bits": mem.tp.bits}),
         )
     elif isinstance(mem, Reg):
         raw.add(
-            "reg",
             models.predict(
                 "reg", {"bits": mem.tp.bits, "double": mem.double_buffered}
             ),

@@ -12,8 +12,8 @@ job engine:
   heartbeats into :mod:`repro.obs`;
 * :mod:`~repro.runtime.checkpoint` — append-only per-shard JSONL
   checkpoints and kill/resume;
-* :mod:`~repro.runtime.merge` — global reassembly with conservation
-  checks.
+* :mod:`~repro.runtime.merge` — one outcome per shard, concatenated in
+  plan order under conservation checks.
 
 See ``docs/runtime.md`` for the architecture and the determinism and
 resume guarantees.
@@ -27,12 +27,12 @@ from .checkpoint import (
     estimate_to_doc,
     read_manifest,
 )
-from .merge import Conservation, ConservationError, merge_outcomes
+from .merge import ConservationError, merge_outcomes
 from .pool import (
     RunOutcome,
     ShardOutcome,
     fork_available,
-    outcomes_from_states,
+    joined_outcome,
     run_plan,
     run_shard,
 )
@@ -46,7 +46,6 @@ from .sharding import (
 __all__ = [
     "CheckpointError",
     "CheckpointStore",
-    "Conservation",
     "ConservationError",
     "RunOutcome",
     "Shard",
@@ -56,8 +55,8 @@ __all__ = [
     "estimate_from_doc",
     "estimate_to_doc",
     "fork_available",
+    "joined_outcome",
     "merge_outcomes",
-    "outcomes_from_states",
     "plan_shards",
     "read_manifest",
     "require_positive",

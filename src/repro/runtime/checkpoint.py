@@ -28,9 +28,9 @@ The manifest always describes the *global* run (full shard partition and
 point count), even when the writing plan covers only a shard range: N
 hosts sweeping disjoint ``--shard-range`` subsets into one directory all
 write/validate the same manifest. ``repro merge-checkpoints`` reads the
-manifest back, re-plans the full partition, and merges every shard file
-under the Conservation ledger — the multi-host merge protocol (see
-``docs/runtime.md``).
+manifest back, re-plans the full partition, and merges one outcome per
+shard file, refusing a missing or foreign point — the multi-host merge
+protocol (see ``docs/runtime.md``).
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
 """Merging shard results into the global point list.
 
-:func:`merge_outcomes` reassembles shard outcomes — any number per
-shard, in any order, such as a shard's restored records and its fresh
-ones — into the exact global sample order (the serial explorer's
-order) while proving
-conservation: every planned global index present exactly once, fresh
-plus restored counts summing to the plan, nothing dropped or duplicated.
-Violations raise :class:`ConservationError` — a wrong parallel merge
-must never masquerade as a smaller design space. The Pareto front is
-then computed once over the merged list (:mod:`repro.dse.pareto`).
+:func:`merge_outcomes` walks the plan's shards in order and concatenates
+their outcomes, one per shard with its records in global index order,
+so the result is the serial explorer's order without a sort. The walk
+is the conservation proof: a dropped shard, a duplicated outcome, or an
+outcome missing a planned index or holding a foreign one raises
+:class:`ConservationError` — a wrong parallel merge must never
+masquerade as a smaller design space. The Pareto front is then computed
+once over the merged list (:mod:`repro.dse.pareto`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..estimation.estimator import DesignPoint
 from .pool import ShardOutcome
@@ -25,79 +23,34 @@ class ConservationError(RuntimeError):
     """A sharded run lost, duplicated, or fabricated design points."""
 
 
-@dataclass
-class Conservation:
-    """Point accounting for one sharded run (the no-loss proof)."""
-
-    planned: int = 0
-    merged: int = 0
-    estimated: int = 0
-    restored: int = 0
-    illegal: int = 0
-    valid: int = 0
-    unfit: int = 0
-    duplicate_indices: int = 0
-    missing_indices: int = 0
-
-    def verify(self) -> None:
-        """Raise :class:`ConservationError` unless the books balance."""
-        problems: List[str] = []
-        if self.duplicate_indices:
-            problems.append(
-                f"{self.duplicate_indices} duplicated point indices"
-            )
-        if self.missing_indices:
-            problems.append(f"{self.missing_indices} missing point indices")
-        if self.merged != self.planned:
-            problems.append(
-                f"merged {self.merged} points but planned {self.planned}"
-            )
-        if self.estimated + self.restored != self.planned:
-            problems.append(
-                f"estimated ({self.estimated}) + restored "
-                f"({self.restored}) != planned ({self.planned})"
-            )
-        if self.illegal + self.valid + self.unfit != self.planned:
-            problems.append(
-                f"outcome counts (illegal {self.illegal} + valid "
-                f"{self.valid} + unfit {self.unfit}) != planned "
-                f"({self.planned})"
-            )
-        if problems:
-            raise ConservationError(
-                "sharded explore dropped or duplicated points: "
-                + "; ".join(problems)
-            )
-
-
 def merge_outcomes(
     plan: ShardPlan, outcomes: Sequence[ShardOutcome]
-) -> Tuple[List[DesignPoint], Conservation]:
-    """Reassemble shard outcomes into global order, with accounting.
+) -> List[DesignPoint]:
+    """Concatenate one outcome per planned shard into global order.
 
-    Returns records sorted by global index (the serial enumeration
-    order) and the filled-in :class:`Conservation`; call
-    :meth:`Conservation.verify` to enforce it.
+    Raises :class:`ConservationError`, naming the shard, unless every
+    planned shard has exactly one outcome whose record indices are the
+    shard's own, in order, and no outcome belongs to an unplanned shard.
     """
-    stats = Conservation(planned=plan.total_points)
-    expected = {index for shard in plan.shards for index in shard.indices}
-    seen: Dict[int, DesignPoint] = {}
+    by_shard: Dict[int, List[ShardOutcome]] = {}
     for outcome in outcomes:
-        stats.estimated += outcome.estimated
-        stats.restored += outcome.restored
-        for record in outcome.records:
-            if record.index in seen or record.index not in expected:
-                stats.duplicate_indices += 1
-                continue
-            seen[record.index] = record
-            if record.illegal:
-                stats.illegal += 1
-            elif record.estimate.fits():
-                stats.valid += 1
-            else:
-                stats.unfit += 1
-    stats.missing_indices = len(expected) - len(seen)
-    stats.merged = len(seen)
-    records = [seen[index] for index in sorted(seen)]
-    return records, stats
-
+        by_shard.setdefault(outcome.shard, []).append(outcome)
+    records: List[DesignPoint] = []
+    for shard in plan.shards:
+        found = by_shard.pop(shard.index, [])
+        if len(found) != 1:
+            raise ConservationError(
+                f"conservation: shard {shard.index} has {len(found)} "
+                "outcomes, not 1 (dropped or duplicated)"
+            )
+        if [r.index for r in found[0].records] != list(shard.indices):
+            raise ConservationError(
+                f"conservation: shard {shard.index}'s records are not its "
+                f"planned indices {shard.start}..{shard.indices.stop - 1} "
+                "(missing or foreign points)"
+            )
+        records += found[0].records
+    if by_shard:
+        raise ConservationError(f"conservation: shard {min(by_shard)} "
+                                "is not in the plan")
+    return records

@@ -22,7 +22,7 @@ as a serial run does: their spans stream to the parent's trace file
 (tagged with the worker's pid) as they finish, and each
 :class:`ShardOutcome` carries the events its shard recorded, which the
 parent adds to its in-memory tracer without writing them again. Each
-completed shard emits a ``dse.shard.done`` instant from the parent.
+shard emits one ``dse.shard.done`` instant from the parent.
 Point outcome counts are recorded once, after the merge, by the
 explorer. Platforms without ``fork`` fall back to the serial path rather
 than re-training one estimator per worker; the engine reports the
@@ -31,8 +31,9 @@ effective worker count.
 Checkpointing is per shard: whichever process runs a shard is the only
 writer of its JSONL file (:mod:`repro.runtime.checkpoint`), so there is
 no cross-process file contention, and a resumed run only estimates
-indices missing from the files. Restored records form outcomes of
-their own (:func:`outcomes_from_states`), ahead of the fresh ones.
+indices missing from the files. Each planned shard yields one outcome:
+a complete shard is not dispatched, and a partial shard's restored
+records join its fresh ones in the parent (:func:`joined_outcome`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..estimation.estimator import DesignPoint
@@ -60,20 +62,18 @@ PROGRESS_EVERY = 1_000
 
 @dataclass
 class ShardOutcome:
-    """One shard's fresh or restored records plus bookkeeping.
+    """One shard's records, in global index order, plus bookkeeping.
 
-    ``worker`` is the executing worker's pid in forked runs (0 for the
-    in-process path and for restored records); per-worker busy time is
-    aggregated from it. ``events`` holds the spans and instants a forked
-    worker recorded for the shard. One shard may have two outcomes: its
-    restored records and its freshly estimated ones.
+    ``restored`` of the records came from the checkpoint; the rest were
+    estimated. ``worker`` is the executing worker's pid in forked runs (0
+    for the in-process path and for complete restored shards); per-worker
+    busy time is aggregated from it. ``events`` holds the spans and
+    instants a forked worker recorded for the shard.
     """
 
     shard: int
-    planned: int
     records: List[DesignPoint] = field(default_factory=list)
     elapsed_s: float = 0.0
-    estimated: int = 0
     restored: int = 0
     worker: int = 0
     events: Tuple[Sequence, Sequence] = ((), ())
@@ -121,24 +121,15 @@ class RunOutcome:
                 for pid in sorted(busy_s)]
 
 
-def outcomes_from_states(
-    plan: ShardPlan, states: Dict[int, ShardState]
-) -> List[ShardOutcome]:
-    """One outcome per shard with checkpoint-restored records.
-
-    Also the whole input of ``merge-checkpoints``, where the merge's
-    conservation check proves the shard files hold exactly the planned
-    points: a missing or duplicated index is a hard error.
-    """
-    outcomes: List[ShardOutcome] = []
-    for shard in plan.shards:
-        restored = states.get(shard.index, ShardState()).records
-        if restored:
-            outcomes.append(ShardOutcome(
-                shard=shard.index, planned=len(shard),
-                records=list(restored.values()), restored=len(restored),
-            ))
-    return outcomes
+def joined_outcome(shard: Shard, restored: Dict[int, DesignPoint],
+                   outcome: ShardOutcome) -> ShardOutcome:
+    """Join ``restored`` records into ``shard``'s fresh ``outcome``, in
+    index order; an index neither holds is left out, for the merge to
+    refuse."""
+    records = {**restored, **{r.index: r for r in outcome.records}}
+    outcome.records = [records[i] for i in shard.indices if i in records]
+    outcome.restored = len(restored)
+    return outcome
 
 
 def run_shard(
@@ -148,7 +139,7 @@ def run_shard(
     space: ParamSpace,
     shard: Shard,
     writer=None,
-    skip: Optional[Set[int]] = None,
+    skip: Container[int] = (),
     on_block: Optional[Callable[[int], None]] = None,
 ) -> ShardOutcome:
     """Estimate every point of ``shard`` not in ``skip``.
@@ -164,8 +155,7 @@ def run_shard(
     prices it, and one ``writer.write`` call checkpoints and fsyncs its
     records.
     """
-    skip = skip or set()
-    outcome = ShardOutcome(shard=shard.index, planned=len(shard))
+    outcome = ShardOutcome(shard=shard.index)
     start = time.perf_counter()
     todo = [i for i in shard.indices if i not in skip]
     codes = shard.points[[i - shard.start for i in todo]].tolist()
@@ -184,7 +174,6 @@ def run_shard(
             writer.write(records)
         if on_block is not None:
             on_block(len(records))
-    outcome.estimated = len(todo)
     if writer is not None:
         writer.done(shard)
     outcome.elapsed_s = time.perf_counter() - start
@@ -216,7 +205,8 @@ def _run_pending(index: int) -> ShardOutcome:
     try:
         outcome = run_shard(
             run["benchmark"], run["estimator"], run["dataset"],
-            run["space"], shard, writer=writer, skip=run["skip"].get(index),
+            run["space"], shard, writer=writer,
+            skip=run["restored"].get(index, ()),
             on_block=None if forked else run["heartbeat"].progress,
         )
     finally:
@@ -265,14 +255,15 @@ class _Heartbeat:
     def shard(self, outcome: ShardOutcome) -> None:
         """Record a completed shard's heartbeat instant."""
         self._shards_done += 1
-        rate = (outcome.estimated / outcome.elapsed_s
+        estimated = len(outcome.records) - outcome.restored
+        rate = (estimated / outcome.elapsed_s
                 if outcome.elapsed_s > 0 else 0.0)
         obs.instant(
             "dse.shard.done",
             bench=self._bench,
             shard=outcome.shard,
-            points=outcome.planned,
-            estimated=outcome.estimated,
+            points=len(outcome.records),
+            estimated=estimated,
             restored=outcome.restored,
             points_per_sec=round(rate, 1),
             completed_shards=self._shards_done,
@@ -291,10 +282,10 @@ def run_plan(
 ) -> RunOutcome:
     """Execute ``plan``: estimate every point not restored from ``store``.
 
-    Returns the restored outcomes (:func:`outcomes_from_states`) followed
-    by one fresh :class:`ShardOutcome` per shard that was not already
-    complete — the merge layer's input, which sorts records globally.
-    Forked workers inherit the estimator, warm estimation caches
+    Returns one :class:`ShardOutcome` per planned shard: the complete
+    shards' first, built from their restored records without dispatching
+    them, then the pending shards' as they finish, their restored records
+    joined in. Forked workers inherit the estimator, warm estimation caches
     included, through copy-on-write; each child's caches then grow
     privately.
     """
@@ -311,21 +302,18 @@ def run_plan(
         workers = 1
 
     start = time.perf_counter()
-    run = RunOutcome(
-        outcomes=outcomes_from_states(plan, states), workers=workers,
-    )
-    pending = [
-        shard.index for shard in plan.shards
-        if not states.get(shard.index, ShardState()).complete
-    ]
+    run = RunOutcome(workers=workers)
     heartbeat = _Heartbeat(plan.total_points, plan.n_shards, benchmark.name)
+    shards = {shard.index: shard for shard in plan.shards}
+    restored = {index: state.records
+                for index, state in states.items() if state.records}
+    complete = {index for index, state in states.items() if state.complete}
+    pending = [index for index in shards if index not in complete]
     _RUN = {
         "benchmark": benchmark, "estimator": estimator, "dataset": dataset,
         "space": plan.space,
-        "shards": {shard.index: shard for shard in plan.shards},
-        "store": store, "heartbeat": heartbeat, "parent": os.getpid(),
-        "skip": {index: set(state.records)
-                 for index, state in states.items() if state.records},
+        "shards": shards, "store": store, "heartbeat": heartbeat,
+        "parent": os.getpid(), "restored": restored,
     }
     try:
         with ExitStack() as stack:
@@ -339,8 +327,14 @@ def run_plan(
                     max_workers=min(workers, len(pending)),
                     mp_context=multiprocessing.get_context("fork"),
                 )).map
-            for outcome in mapper(_run_pending, pending):
+            # A complete shard is not dispatched: its outcome is empty
+            # until its restored records join it.
+            for outcome in chain(map(ShardOutcome, sorted(complete)),
+                                 mapper(_run_pending, pending)):
                 obs.tracer().adopt(*outcome.events)
+                if outcome.shard in restored:
+                    outcome = joined_outcome(shards[outcome.shard],
+                                             restored[outcome.shard], outcome)
                 heartbeat.shard(outcome)
                 run.outcomes.append(outcome)
     finally:

@@ -20,12 +20,6 @@ def dp_design():
 
 
 class TestRawCounts:
-    def test_by_tag_breakdown(self, estimator, dp_design):
-        raw = raw_area(dp_design, estimator.templates)
-        assert {"prim", "load", "tile_transfer", "bram", "control"} <= set(
-            raw.by_tag
-        )
-
     def test_counts_nonnegative(self, estimator, dp_design):
         raw = raw_area(dp_design, estimator.templates)
         c = raw.counts

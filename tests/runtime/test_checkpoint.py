@@ -168,6 +168,40 @@ class TestKillResume:
         assert (ckpt / "shard-0000.jsonl").exists()
         assert (ckpt / "shard-0002.jsonl").read_bytes() == complete
 
+    def test_resume_heartbeat_reports_every_shard_once(
+        self, estimator, bench, tmp_path
+    ):
+        """A 1,000-point, 2-shard sweep whose shard 0 is cut to 300
+        lines: the resume reports shard 0 as 300 restored + 200
+        estimated, and complete shard 1 as 500 restored."""
+        ckpt = tmp_path / "ckpt"
+        explore(bench, estimator, max_points=1000, seed=SEED, shards=2,
+                checkpoint_dir=ckpt)
+        cut = ckpt / "shard-0000.jsonl"
+        cut.write_text("\n".join(cut.read_text().splitlines()[:300]) + "\n")
+        obs.reset()
+        obs.enable()
+        try:
+            explore(bench, estimator, max_points=1000, seed=SEED, shards=2,
+                    checkpoint_dir=ckpt, resume=True)
+            done = [e.attrs for e in obs.tracer().instants
+                    if e.name == "dse.shard.done"]
+        finally:
+            obs.disable()
+            obs.reset()
+        by_shard = {e["shard"]: e for e in done}
+        assert len(done) == len(by_shard) == 2
+        assert {k: by_shard[0][k] for k in ("points", "estimated",
+                                           "restored")} == {
+            "points": 500, "estimated": 200, "restored": 300}
+        assert {k: by_shard[1][k] for k in ("points", "estimated",
+                                           "restored")} == {
+            "points": 500, "estimated": 0, "restored": 500}
+        assert all(e["estimated"] + e["restored"] == e["points"]
+                   for e in done)
+        assert sorted(e["completed_shards"] for e in done) == [1, 2]
+        assert all(e["total_shards"] == 2 for e in done)
+
 
 class _FailingEstimator:
     """``estimator``, except that its k-th pricing call raises."""

@@ -4,7 +4,7 @@ The protocol under ``--shard-range`` / ``repro merge-checkpoints``: N
 hosts sweep disjoint shard ranges of one global partition into a shared
 checkpoint directory (shared filesystem or rsync'd afterwards), each
 writing the same global manifest, and the merge tool
-reassembles the union under the Conservation ledger — bit-identical to
+reassembles the union under the merge's conservation checks — bit-identical to
 the serial sweep, or a loud error, never a silently smaller front.
 """
 

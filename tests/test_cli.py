@@ -553,6 +553,31 @@ class TestHostileInput:
         assert proc.stderr.startswith("repro: error: unknown benchmark")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["list"], ["explore", "dotproduct", "--points", "300"],
+    ])
+    def test_closed_stdout_is_quiet(self, argv):
+        """``repro list | head -1``: a reader that closes the pipe early
+        leaves stderr empty; here it is closed before the first write."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 141
+
 
 class TestStreamingTraceFlag:
     def test_trace_streams_spans(self, estimator, tmp_path, monkeypatch):
