@@ -161,8 +161,8 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
         except ValueError:
             try:
                 # Float passthrough for parameters that accept one
-                # (e.g. capacity fractions); integer-only parameters
-                # reject it downstream via the space's legality check.
+                # (e.g. capacity fractions); for an integer parameter
+                # `_design` converts an integral float and refuses the rest.
                 out[key] = float(value)
             except ValueError:
                 raise UsageError(

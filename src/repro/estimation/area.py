@@ -21,16 +21,15 @@ these are a real error source, as the paper observes for gemm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design, replication
+from ..ir.graph import Design, delay_slacks, replication
 from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, Node, Value
 from ..ir.primitives import LoadOp, Prim, StoreOp
-from ..synth.netlist import DELAY_BRAM_THRESHOLD, asap_schedule
 from ..target.board import MAIA, Board
 from .characterize import TemplateModels
 from .counts import Counts
@@ -39,6 +38,9 @@ from .counts import Counts
 # estimator's guesses; the toolchain's true behavior differs slightly.
 EST_FMA_DISCOUNT = 0.72
 EST_TREE_DISCOUNT = 0.75
+# Delay (in cycles) above which the estimator puts a balancing delay line
+# in block RAM rather than shift registers.
+EST_DELAY_BRAM_THRESHOLD = 16
 
 
 @dataclass
@@ -256,26 +258,12 @@ def _predict_fma_fusions(body: List[Node]) -> set:
 def delay_counts(bits: int, slack: int) -> Counts:
     """Balancing ``slack`` cycles of a ``bits``-wide edge (slack > 0).
 
-    Short delays are shift registers; beyond ``DELAY_BRAM_THRESHOLD``
+    Short delays are shift registers; beyond ``EST_DELAY_BRAM_THRESHOLD``
     cycles the delay line moves into block RAM.
     """
-    if slack > DELAY_BRAM_THRESHOLD:
+    if slack > EST_DELAY_BRAM_THRESHOLD:
         return Counts(brams=max(1.0, bits * slack / (20 * 1024 * 0.8)))
     return Counts(regs=bits * slack)
-
-
-def delay_slacks(body: List[Node]) -> Iterator[Tuple[Value, int]]:
-    """``(input, slack)`` of each body edge the ASAP schedule leaves slack
-    on (paper Section IV-B2); constants need no balancing."""
-    times = asap_schedule(body)
-    for node in body:
-        start = times[node.nid][0]
-        for inp in getattr(node, "inputs", []):
-            if inp.nid not in times or isinstance(inp, Const):
-                continue
-            slack = start - times[inp.nid][1]
-            if slack > 0:
-                yield inp, slack
 
 
 def _count_delays(body: List[Node], raw: RawArea) -> None:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..ir.primitives import OP_INFO
-from ..synth.microbench import characterize
 from ..target.device import STRATIX_V, Device
 from .counts import Counts
 
@@ -229,6 +228,8 @@ class TemplateModels:
 
 def characterize_templates(device: Device = STRATIX_V) -> TemplateModels:
     """Run all characterization microbenchmarks and fit template models."""
+    from ..synth.microbench import characterize
+
     models = TemplateModels(device)
     for key, spec in _build_specs().items():
         rows: List[List[float]] = []

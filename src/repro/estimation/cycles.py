@@ -20,11 +20,12 @@ from typing import Dict
 
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design, overlap_streams, weighted_transfers
+from ..ir.graph import (
+    Design, overlap_streams, pipe_latency, weighted_transfers,
+)
 from ..ir.memops import TileTransfer
 from ..ir.node import Const
 from ..ir.primitives import op_latency
-from ..synth.netlist import asap_schedule
 from ..target.board import MAIA, Board
 
 # Fixed model constants (fabric cycles).
@@ -127,12 +128,6 @@ def metapipe_cycles(iterations: int, stage_cycles) -> float:
 def sequential_cycles(iterations: int, stage_cycles) -> float:
     """Stages one after another, every iteration."""
     return iterations * sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
-
-
-def pipe_latency(body) -> int:
-    """Critical-path latency of a Pipe body (1 for an empty body)."""
-    times = asap_schedule(body)
-    return max((end for _, end in times.values()), default=1)
 
 
 def _pipe_cycles(pipe: Pipe) -> float:

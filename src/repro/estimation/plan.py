@@ -63,7 +63,7 @@ from ..ir.controllers import (
     Pipe,
     Sequential,
 )
-from ..ir.graph import Design, max_depth
+from ..ir.graph import Design, delay_slacks, max_depth, pipe_latency
 from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, IRError, Node, Value
@@ -76,7 +76,6 @@ from .area import (
     _predict_fma_fusions,
     bram_blocks,
     delay_counts,
-    delay_slacks,
 )
 from .counts import Counts
 from .cycles import (
@@ -84,7 +83,6 @@ from .cycles import (
     metapipe_cycles,
     parallel_cycles,
     pipe_cycles,
-    pipe_latency,
     sequential_cycles,
     stream_cycles,
 )

@@ -10,6 +10,13 @@ Finalization derives the properties the paper's tools infer automatically:
 * vector widths of primitive nodes from enclosing Pipe parallelization;
 * banking factors of on-chip memories from accessor vector widths;
 * double-buffering of communication buffers between MetaPipe stages.
+
+The module also holds the structure computations that the estimator, the
+cycle simulator and the synthesis substrate share, so that each reads the
+design the same way: loop replication and execution counts, transfer
+streams, nesting depth, DRAM traffic, and the ASAP schedule of a Pipe
+body with its critical-path latency and per-edge delay slack (paper
+Section IV-B).
 """
 
 from __future__ import annotations
@@ -369,6 +376,46 @@ def total_dram_bytes(design: Design) -> float:
         for t in design.tile_transfers()
     )
     return bits / 8.0
+
+
+def asap_schedule(body: Sequence[Node]) -> Dict[int, Tuple[int, int]]:
+    """ASAP ``(start, end)`` cycle of each Pipe body node, keyed by node
+    id (paper Section IV-B2). Body order is creation order, which is
+    topological; inputs from outside the body are ready at cycle 0."""
+    times: Dict[int, Tuple[int, int]] = {}
+    for node in body:
+        start = 0
+        for inp in getattr(node, "inputs", []):
+            if inp.nid in times:
+                start = max(start, times[inp.nid][1])
+        if isinstance(node, Prim):
+            latency = node.latency
+        elif isinstance(node, (LoadOp, StoreOp)):
+            latency = node.LATENCY
+        else:
+            latency = 0
+        times[node.nid] = (start, start + latency)
+    return times
+
+
+def pipe_latency(body: Sequence[Node]) -> int:
+    """Critical-path latency of a Pipe body (1 for an empty body)."""
+    times = asap_schedule(body)
+    return max((end for _, end in times.values()), default=1)
+
+
+def delay_slacks(body: Sequence[Node]) -> Iterator[Tuple[Value, int]]:
+    """``(input, slack)`` of each body edge the ASAP schedule leaves slack
+    on, in body order (paper Section IV-B2); constants need no balancing."""
+    times = asap_schedule(body)
+    for node in body:
+        start = times[node.nid][0]
+        for inp in getattr(node, "inputs", []):
+            if inp.nid not in times or isinstance(inp, Const):
+                continue
+            slack = start - times[inp.nid][1]
+            if slack > 0:
+                yield inp, slack
 
 
 def _belongs_in_children(node: Node) -> bool:

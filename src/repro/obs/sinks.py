@@ -88,8 +88,8 @@ class ChromeTraceWriter:
 # Attributes that mean nothing summed: settings, ids, rates and running
 # counts (every attribute of the dse.progress heartbeat is one of these).
 _LAST_VALUES = frozenset({
-    "seed", "workers", "active_workers", "shard", "completed_shards",
-    "total_shards", "points_per_sec",
+    "seed", "workers", "budget", "shards", "samples", "active_workers",
+    "shard", "completed_shards", "total_shards", "points_per_sec",
 })
 
 

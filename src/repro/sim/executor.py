@@ -24,12 +24,11 @@ from typing import Dict
 from .. import obs
 from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
 from ..ir.graph import (
-    Design, executions, overlap_streams, weighted_transfers,
+    Design, executions, overlap_streams, pipe_latency, weighted_transfers,
 )
 from ..ir.memops import TileTransfer
 from ..ir.node import Const
 from ..ir.primitives import op_latency
-from ..synth.netlist import asap_schedule
 from ..target.board import MAIA, Board
 from .dram import simulate_transfer
 
@@ -133,10 +132,8 @@ def _run(
 
 def _run_pipe(pipe: Pipe) -> float:
     body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    times = asap_schedule(body)
-    latency = max((end for _, end in times.values()), default=1)
     n = pipe.iterations
-    cycles = PIPE_HANDSHAKE + latency + max(n - 1, 0)
+    cycles = PIPE_HANDSHAKE + pipe_latency(body) + max(n - 1, 0)
     if pipe.accum is not None and pipe.result is not None:
         tp = getattr(pipe.result, "tp", None)
         if tp is not None:

@@ -10,7 +10,6 @@ from .. import lazy_exports
 # Each exported name and the module that defines it, imported on first use.
 _EXPORTS = {
     "Netlist": "netlist",
-    "asap_schedule": "netlist",
     "expand": "netlist",
     "SynthReport": "report",
     "design_fingerprint": "synthesis",

@@ -24,7 +24,7 @@ from ..ir.controllers import (
     Pipe,
     Sequential,
 )
-from ..ir.graph import Design, max_depth, replication
+from ..ir.graph import Design, delay_slacks, max_depth, replication
 from ..ir.memories import BRAM, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
 from ..ir.node import Const, Node, Value
@@ -180,7 +180,7 @@ def _expand_pipe(pipe: Pipe, netlist: Netlist, device: Device) -> None:
             )
 
     _expand_reduce_tree(pipe, netlist)
-    _expand_delays(pipe, body, netlist, device)
+    _expand_delays(body, netlist, device)
 
 
 def _expand_reduce_tree(pipe: Pipe, netlist: Netlist) -> None:
@@ -223,53 +223,13 @@ def _find_fma_fusions(
     return fused
 
 
-def asap_schedule(body: List[Node]) -> Dict[int, Tuple[int, int]]:
-    """ASAP start/end times for each body node (paper Section IV-B2)."""
-    times: Dict[int, Tuple[int, int]] = {}
-
-    def latency(node: Node) -> int:
-        if isinstance(node, Prim):
-            return node.latency
-        if isinstance(node, (LoadOp, StoreOp)):
-            return node.LATENCY
-        return 0
-
-    body_ids = {n.nid for n in body}
-    for node in body:  # nodes are in creation (topological) order
-        start = 0
-        for inp in getattr(node, "inputs", []):
-            if inp.nid in times:
-                start = max(start, times[inp.nid][1])
-            elif inp.nid not in body_ids:
-                start = max(start, 0)
-        times[node.nid] = (start, start + latency(node))
-    return times
-
-
-def _expand_delays(
-    pipe: Pipe, body: List[Node], netlist: Netlist, device: Device
-) -> None:
+def _expand_delays(body: List[Node], netlist: Netlist, device: Device) -> None:
     """Delay-balancing resources for dataflow slack inside a Pipe body."""
-    times = asap_schedule(body)
-    for node in body:
-        start = times[node.nid][0]
-        for inp in getattr(node, "inputs", []):
-            if inp.nid not in times or isinstance(inp, Const):
-                continue
-            slack = start - times[inp.nid][1]
-            if slack <= 0:
-                continue
-            bits = inp.tp.bits * max(inp.width, 1)
-            if slack > DELAY_BRAM_THRESHOLD:
-                netlist.add(
-                    "delay",
-                    at.delay_cost(bits * slack, True, device.bram_blocks_for),
-                )
-            else:
-                netlist.add(
-                    "delay",
-                    at.delay_cost(bits * slack, False, device.bram_blocks_for),
-                )
+    for inp, slack in delay_slacks(body):
+        bits = inp.tp.bits * max(inp.width, 1)
+        netlist.add("delay", at.delay_cost(
+            bits * slack, slack > DELAY_BRAM_THRESHOLD, device.bram_blocks_for
+        ))
 
 
 # -- memories -----------------------------------------------------------------------

@@ -255,8 +255,11 @@ class TestSpanSummary:
         shard counted is still totalled."""
         tracer = Tracer(enabled=True)
         for seed in (1, 5):
-            with tracer.span("explore", seed=seed, workers=2, valid=10):
+            with tracer.span("explore", seed=seed, workers=2, budget=200,
+                             shards=2, valid=10):
                 pass
+        with tracer.span("estimator.train", samples=200):
+            pass
         for points in (1000, 2000, 3000):
             tracer.instant("dse.progress", points=points,
                            points_per_sec=850.0)
@@ -270,6 +273,9 @@ class TestSpanSummary:
         assert rows["explore.valid"][1] == "20"
         assert rows["explore.seed"][1] == "5"
         assert rows["explore.workers"][1] == "2"
+        assert rows["explore.budget"][1] == "200"
+        assert rows["explore.shards"][1] == "2"
+        assert rows["estimator.train.samples"][1] == "200"
         assert rows["dse.progress.points"][1] == "3,000"
         assert rows["dse.progress.points_per_sec"][1] == "850.000"
         assert rows["dse.shard.done.shard"][1] == "3"

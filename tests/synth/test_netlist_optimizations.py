@@ -4,12 +4,12 @@ import pytest
 
 from repro.ir import Design, Float32, Int32
 from repro.ir import builder as hw
+from repro.ir.graph import asap_schedule
 from repro.synth import expand
 from repro.synth.netlist import (
     BRAM_COALESCE_WORDS,
     DELAY_BRAM_THRESHOLD,
     FMA_FUSION_DISCOUNT,
-    asap_schedule,
 )
 from repro.target import STRATIX_V
 

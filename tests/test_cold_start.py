@@ -5,6 +5,8 @@ imports only that benchmark's module, and each CLI subcommand imports
 its modules in its handler, so set-up loads less code.
 Import cost must not move into the timed work instead: once an estimator
 exists, a sweep and a search import no further ``repro`` module.
+Pricing never loads the synthesis substrate the estimator is scored
+against: the estimator and the cycle simulator are analyses over the IR.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def run_fresh(code: str) -> object:
 
 
 def test_warm_explore_and_search_import_no_repro_module(tmp_path):
-    new = run_fresh(f"""
+    new, synth = run_fresh(f"""
 import json, sys
 from repro.apps import get_benchmark
 from repro.dse import explore, local_search
@@ -41,10 +43,18 @@ loaded = set(sys.modules)
 explore(bench, estimator, max_points=300, seed=1, shards=2,
         checkpoint_dir={str(tmp_path)!r})
 local_search(bench, estimator, budget=40, seed=2)
-print(json.dumps(sorted(m for m in set(sys.modules) - loaded
-                        if m.split(".")[0] == "repro")))
+new = sorted(m for m in set(sys.modules) - loaded
+             if m.split(".")[0] == "repro")
+import repro.sim
+dataset = bench.default_dataset()
+design = bench.build(dataset, **bench.default_params(dataset))
+estimator.estimate(design)
+repro.sim.simulate(design)
+print(json.dumps([new, sorted(m for m in sys.modules if m == "repro.synth"
+                              or m.startswith("repro.synth."))]))
 """)
     assert new == []
+    assert synth == []
 
 
 def test_lookups_import_only_what_they_name():
