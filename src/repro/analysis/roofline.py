@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..ir.graph import Design, replication, total_dram_bytes
-from ..ir.node import Const
 from ..ir.primitives import Prim
 from ..target.board import MAIA, Board
 
@@ -47,8 +46,8 @@ def count_design_flops_per_iteration(design: Design) -> float:
     lanes = 0.0
     for pipe in design.pipes():
         rep = replication(pipe)
-        for node in pipe.body_prims:
-            if isinstance(node, Prim) and not isinstance(node, Const):
+        for node in pipe.body:
+            if isinstance(node, Prim):
                 if node.op in _FLOP_OPS and node.tp.is_float:
                     lanes += node.width * rep
         if pipe.accum is not None and pipe.par > 1:

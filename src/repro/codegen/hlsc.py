@@ -169,9 +169,7 @@ class HLSCGenerator:
         )
 
     def _emit_pipe_body(self, pipe: Pipe) -> None:
-        for node in pipe.body_prims:
-            if isinstance(node, Const):
-                continue
+        for node in pipe.body:
             if isinstance(node, Prim):
                 self._emit(
                     f"{_c_type(node.tp)} {self._name(node)} = "

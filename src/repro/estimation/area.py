@@ -2,10 +2,11 @@
 
 Two-step approach:
 
-1. **Raw counting** — walk the design's IR and sum the characterized
-   template models for every node, including delay-balancing resources
-   computed from an ASAP schedule of each Pipe body (slack times path
-   width, registers below a threshold, BRAM delay lines above it).
+1. **Raw counting** — the estimator's walk (:mod:`repro.estimation.walk`)
+   sums the characterized template models over the design, including
+   delay-balancing resources from an ASAP schedule of each Pipe body
+   (slack times path width; registers below a threshold, BRAM delay
+   lines above it). This module holds its constants and lookups.
 
 2. **Design-level corrections** — feed the raw counts into the trained
    neural networks to estimate routing LUTs, duplicated registers, and
@@ -21,15 +22,10 @@ these are a real error source, as the paper observes for gemm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from .. import obs
-from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import Design, delay_slacks, replication
-from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
-from ..ir.memops import TileTransfer
-from ..ir.node import Const, Node, Value
-from ..ir.primitives import LoadOp, Prim, StoreOp
+from ..ir.graph import Design
 from ..target.board import MAIA, Board
 from .characterize import TemplateModels
 from .counts import Counts
@@ -49,10 +45,6 @@ class RawArea:
 
     counts: Counts = field(default_factory=Counts)
     wire_bits: float = 0.0
-
-    def add(self, counts: Counts) -> None:
-        """Accumulate one template's counts."""
-        self.counts.add(counts)
 
 
 @dataclass
@@ -87,172 +79,19 @@ class AreaEstimate:
 
 
 def raw_area(design: Design, models: TemplateModels) -> RawArea:
-    """Sum characterized template models over every node in the design.
+    """The walk's template terms and wire bits on the design's numbers.
 
     Outer-loop parallelization replicates hardware, so every template's
-    counts are scaled by the replication factor of its scope.
-
-    ``models`` is either the :class:`TemplateModels` themselves or a
-    memoizing :class:`~repro.estimation.cache.CachedTemplateModels` view
-    of them; the walk is the same and so are the results, bit for bit.
+    counts are scaled by the replication factor of its scope. ``models``
+    is the :class:`TemplateModels` or a memoizing
+    :class:`~repro.estimation.cache.CachedTemplateModels` view of them;
+    the results are the same, bit for bit.
     """
-    raw = RawArea()
-    device = models.device
-    for ctrl in design.controllers():
-        scoped = _ScopedRawArea(raw, replication(ctrl))
-        _count_controller(ctrl, models, scoped)
-    for mem in design.onchip_mems():
-        scoped = _ScopedRawArea(raw, replication(mem))
-        _count_memory(mem, models, scoped, device)
-    for node in design.nodes:
-        if isinstance(node, Value) and not isinstance(node, Const):
-            raw.wire_bits += node.tp.bits * max(node.width, 1) * replication(node)
-    return raw
+    from .walk import Numbers, area_terms, wire_bits  # the walk imports us
 
-
-class _ScopedRawArea:
-    """RawArea view scaling every contribution by a replication factor."""
-
-    def __init__(self, raw: RawArea, factor: int) -> None:
-        self._raw = raw
-        self._factor = factor
-
-    def add(self, counts: Counts) -> None:
-        if self._factor != 1:
-            counts = counts.scaled(self._factor)
-        self._raw.add(counts)
-
-
-# -- per-template counting -------------------------------------------------------
-
-
-def _count_controller(
-    ctrl: Controller, models: TemplateModels, raw: RawArea
-) -> None:
-    if ctrl.cchain is not None:
-        raw.add(
-            models.predict(
-                "counter", {"ndims": len(ctrl.cchain.dims), "par": ctrl.par}
-            ),
-        )
-    if isinstance(ctrl, Pipe):
-        _count_pipe(ctrl, models, raw)
-    elif isinstance(ctrl, TileTransfer):
-        raw.add(
-            models.predict(
-                "tile_transfer",
-                {
-                    "bits": ctrl.offchip.tp.bits,
-                    "par": ctrl.par,
-                    "num_commands": ctrl.num_commands,
-                },
-            ),
-        )
-    elif isinstance(ctrl, MetaPipe):
-        raw.add(models.predict("metapipe", {"n": len(ctrl.stages)}))
-        _count_outer_prims(ctrl, models, raw)
-        _count_accum(ctrl, models, raw)
-    elif isinstance(ctrl, Parallel):
-        raw.add(models.predict("parallel", {"n": len(ctrl.stages)}))
-    elif isinstance(ctrl, Sequential):
-        raw.add(models.predict("sequential", {"n": len(ctrl.stages)}))
-        _count_outer_prims(ctrl, models, raw)
-        _count_accum(ctrl, models, raw)
-
-
-def _count_outer_prims(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
-    for node in ctrl.body_prims:
-        if isinstance(node, Prim):
-            raw.add(models.predict_prim(node.op, node.tp, node.width))
-
-
-def _count_accum(ctrl: Controller, models: TemplateModels, raw: RawArea) -> None:
-    if ctrl.accum is None:
-        return
-    op, target = ctrl.accum
-    tp = target.tp
-    if isinstance(target, BRAM):
-        width = target.banks
-        raw.add(models.predict_prim(op, tp, width))
-        raw.add(
-            models.predict(
-                "load", {"bits": tp.bits, "width": width, "banks": target.banks}
-            ),
-        )
-        raw.add(
-            models.predict(
-                "store", {"bits": tp.bits, "width": width, "banks": target.banks}
-            ),
-        )
-    else:
-        raw.add(models.predict_prim(op, tp, 1))
-
-
-def _count_pipe(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    raw.add(models.predict("pipe", {"n": len(body)}))
-
-    fused_adds = _predict_fma_fusions(body)
-    for node in body:
-        if isinstance(node, Prim):
-            counts = models.predict_prim(node.op, node.tp, node.width)
-            if node.nid in fused_adds:
-                counts = counts.scaled(EST_FMA_DISCOUNT)
-            raw.add(counts)
-        elif isinstance(node, LoadOp):
-            raw.add(
-                models.predict(
-                    "load",
-                    {
-                        "bits": node.tp.bits,
-                        "width": node.width,
-                        "banks": node.mem.banks,
-                    },
-                ),
-            )
-        elif isinstance(node, StoreOp):
-            raw.add(
-                models.predict(
-                    "store",
-                    {
-                        "bits": node.mem.tp.bits,
-                        "width": node.width,
-                        "banks": node.mem.banks,
-                    },
-                ),
-            )
-    _count_reduce_tree(pipe, models, raw)
-    _count_delays(body, raw)
-
-
-def _count_reduce_tree(pipe: Pipe, models: TemplateModels, raw: RawArea) -> None:
-    if pipe.accum is None or not isinstance(pipe.result, Value):
-        return
-    op, _ = pipe.accum
-    tp = pipe.result.tp
-    tree_ops = max(pipe.par - 1, 0)
-    if tree_ops:
-        counts = models.predict_prim(op, tp, tree_ops)
-        if tp.is_float and op in ("add", "sub"):
-            counts = counts.scaled(EST_TREE_DISCOUNT)
-        raw.add(counts)
-    raw.add(models.predict_prim(op, tp, 1))
-
-
-def _predict_fma_fusions(body: List[Node]) -> set:
-    consumers: Dict[int, List[Node]] = {}
-    for node in body:
-        for inp in getattr(node, "inputs", []):
-            consumers.setdefault(inp.nid, []).append(node)
-    fused = set()
-    for node in body:
-        if not (isinstance(node, Prim) and node.op == "mul" and node.tp.is_float):
-            continue
-        outs = consumers.get(node.nid, [])
-        if len(outs) == 1 and isinstance(outs[0], Prim):
-            if outs[0].op in ("add", "sub") and outs[0].tp.is_float:
-                fused.add(outs[0].nid)
-    return fused
+    numbers = Numbers(models)
+    area_terms(numbers, design)
+    return RawArea(numbers.raw(), wire_bits(numbers, design))
 
 
 def delay_counts(bits: int, slack: int) -> Counts:
@@ -264,42 +103,6 @@ def delay_counts(bits: int, slack: int) -> Counts:
     if slack > EST_DELAY_BRAM_THRESHOLD:
         return Counts(brams=max(1.0, bits * slack / (20 * 1024 * 0.8)))
     return Counts(regs=bits * slack)
-
-
-def _count_delays(body: List[Node], raw: RawArea) -> None:
-    """Delay-balancing resources from ASAP slack (paper Section IV-B2)."""
-    for inp, slack in delay_slacks(body):
-        bits = inp.tp.bits * max(inp.width, 1)
-        raw.add(delay_counts(bits, slack))
-
-
-def _count_memory(
-    mem: OnChipMemory, models: TemplateModels, raw: RawArea, device
-) -> None:
-    if isinstance(mem, BRAM):
-        blocks = bram_blocks(
-            mem.size, mem.banks, mem.tp.bits, mem.double_buffered, device
-        )
-        counts = models.predict(
-            "bram",
-            {
-                "banks": mem.banks,
-                "bits": mem.tp.bits,
-                "double": mem.double_buffered,
-            },
-        )
-        counts.brams = blocks
-        raw.add(counts)
-    elif isinstance(mem, PriorityQueue):
-        raw.add(
-            models.predict("pqueue", {"depth": mem.depth, "bits": mem.tp.bits}),
-        )
-    elif isinstance(mem, Reg):
-        raw.add(
-            models.predict(
-                "reg", {"bits": mem.tp.bits, "double": mem.double_buffered}
-            ),
-        )
 
 
 def bram_blocks(size: int, banks: int, bits: int, double: bool, device) -> float:
@@ -365,10 +168,14 @@ def hybrid_area(
 ) -> AreaEstimate:
     """Raw counts + NN corrections + LUT packing -> final area estimate.
 
-    ``models`` is as for :func:`raw_area`; ``corrections`` is a
-    :class:`repro.estimation.train.CorrectionModels`.
+    The per-design path: :func:`raw_area` and
+    :func:`~repro.estimation.features.design_features` run the walk on
+    the design's numbers, both looked up per call (perfbench wraps them).
+    Class plans run the same walk on symbols and share
+    :func:`_finalize_area`. ``models`` is as for :func:`raw_area`;
+    ``corrections`` is a :class:`repro.estimation.train.CorrectionModels`.
     """
-    from .features import design_features  # local import to avoid cycle
+    from .features import design_features  # per call, like raw_area
 
     device = board.device
     with obs.span("area", design=design.name):

@@ -13,18 +13,19 @@ without changing a single estimated bit:
   :class:`~repro.estimation.characterize.TemplateModels` keyed on
   ``(template key, canonical parameter tuple)``. Cache values are plain
   number tuples; every lookup reconstructs a fresh
-  :class:`~repro.estimation.counts.Counts`, so callers that mutate the
-  result (the BRAM block override) never alias cached state.
+  :class:`~repro.estimation.counts.Counts`, so a caller that changes
+  the result never aliases cached state (the walk changes none: it
+  copies the five values out and sets the BRAM block count in its copy).
 * :class:`EstimationCaches` — the bundle an
   :class:`~repro.estimation.estimator.Estimator` owns: template
   predictions, a design-point estimate cache shared by guided search
   and the sharded explore runner, and the compiled class plans.
 
-The per-design walk (:func:`~repro.estimation.cycles.estimate_cycles`,
-:func:`~repro.estimation.area.hybrid_area`) takes no cache: template
-memoization reaches it only as the ``models`` argument, a
-:class:`CachedTemplateModels` view or the raw
-:class:`~repro.estimation.characterize.TemplateModels`.
+The estimator's walk (:mod:`repro.estimation.walk`) takes no cache:
+template memoization reaches it only as the ``models`` it predicts from,
+a :class:`CachedTemplateModels` view or the raw
+:class:`~repro.estimation.characterize.TemplateModels`, on the
+per-design path and in the plan compiler alike.
 
 The LRU caches hold plain data (tuples, floats,
 :class:`~repro.estimation.counts.Counts`, pickled-tested
@@ -126,8 +127,9 @@ class CachedTemplateModels:
 
     Keys are ``(template key, canonical sorted parameter tuple)``; values
     are the five predicted resource numbers. Every hit reconstructs a
-    fresh :class:`Counts`, so downstream mutation (e.g. the analytic BRAM
-    block override in ``_count_memory``) cannot corrupt the cache.
+    fresh :class:`Counts`, so no caller can corrupt the cache by changing
+    one (the walk copies the values out and overrides the BRAM block
+    count in its copy).
     """
 
     __slots__ = ("_models", "_cache")
@@ -155,10 +157,9 @@ class CachedTemplateModels:
         )
         return counts
 
-    def predict_prim(self, op: str, tp, width: int) -> Counts:
-        """Memoized :meth:`TemplateModels.predict_prim`."""
-        key = self._models.prim_key(op, tp)
-        return self.predict(key, {"bits": tp.bits, "width": width})
+    def prim_key(self, op: str, tp) -> str:
+        """:meth:`TemplateModels.prim_key` (nothing to memoize)."""
+        return self._models.prim_key(op, tp)
 
 
 def point_key(

@@ -18,21 +18,3 @@ class Counts:
     @property
     def luts(self) -> float:
         return self.luts_packable + self.luts_unpackable
-
-    def add(self, other: "Counts") -> None:
-        """Accumulate another count vector into this one."""
-        self.luts_packable += other.luts_packable
-        self.luts_unpackable += other.luts_unpackable
-        self.regs += other.regs
-        self.dsps += other.dsps
-        self.brams += other.brams
-
-    def scaled(self, factor: float) -> "Counts":
-        """A copy with every resource scaled by ``factor``."""
-        return Counts(
-            self.luts_packable * factor,
-            self.luts_unpackable * factor,
-            self.regs * factor,
-            self.dsps * factor,
-            self.brams * factor,
-        )

@@ -1,11 +1,12 @@
 """Cycle count estimation (paper Section IV-B1).
 
-The analysis is recursive over the hierarchical IR: the runtime of MetaPipe
-and Sequential nodes is calculated from the runtimes of the controllers
-they contain, Pipe bodies contribute their critical-path latency (ASAP
-schedule, II=1), and tile transfers are modeled from the number and length
-of memory commands, available off-chip bandwidth, and contention from
-competing accessors.
+The analysis is recursive over the hierarchical IR (the estimator's walk,
+:mod:`repro.estimation.walk`): the runtime of MetaPipe and Sequential
+nodes is calculated from the runtimes of the controllers they contain,
+Pipe bodies contribute their critical-path latency (ASAP schedule,
+II=1), and tile transfers are modeled from the number and length of
+memory commands, available off-chip bandwidth, and contention from
+competing accessors. This module holds the per-kind formulas.
 
 The MetaPipe formula is the paper's:
 
@@ -19,12 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .. import obs
-from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe, Sequential
-from ..ir.graph import (
-    Design, overlap_streams, pipe_latency, weighted_transfers,
-)
+from ..ir.controllers import Pipe
+from ..ir.graph import Design
 from ..ir.memops import TileTransfer
-from ..ir.node import Const
 from ..ir.primitives import op_latency
 from ..target.board import MAIA, Board
 
@@ -51,65 +49,19 @@ class CycleEstimate:
 
 def estimate_cycles(design: Design, board: Board = MAIA) -> CycleEstimate:
     """Estimate the total runtime of ``design`` on ``board`` in cycles."""
+    from .walk import Numbers, cycles  # the walk imports these formulas
+
     with obs.span("cycles", design=design.name) as sp:
         estimate = CycleEstimate(0.0, board)
-        total = 0.0
-        for top in design.top_controllers:
-            total += _controller_cycles(top, board, 0, estimate)
-        estimate.total = total
-        sp.set(cycles=total)
+        estimate.total = cycles(
+            Numbers(board=board), design, estimate.per_controller
+        )
+        sp.set(cycles=estimate.total)
     return estimate
 
 
-def _controller_cycles(
-    ctrl: Controller,
-    board: Board,
-    contention: int,
-    estimate: CycleEstimate,
-) -> float:
-    if isinstance(ctrl, TileTransfer):
-        cycles = transfer_cycles(ctrl, board, contention + 1)
-    elif isinstance(ctrl, Pipe):
-        cycles = _pipe_cycles(ctrl)
-    elif isinstance(ctrl, Parallel):
-        # Children run concurrently: each child's transfers compete with
-        # every *other* child's transfers (plus anything already active).
-        cycles = parallel_cycles(
-            _controller_cycles(
-                child, board, overlap_streams(ctrl, child, contention),
-                estimate,
-            )
-            for child in ctrl.stages
-        )
-    elif isinstance(ctrl, MetaPipe):
-        # Stages overlap in steady state: their transfers compete for DRAM.
-        cycles = metapipe_cycles(ctrl.iterations, [
-            _controller_cycles(
-                child, board, overlap_streams(ctrl, child, contention),
-                estimate,
-            )
-            for child in ctrl.stages
-        ])
-    elif isinstance(ctrl, Sequential):
-        # Stages run one at a time, but replicated loop bodies (par > 1)
-        # execute concurrently and compete for DRAM.
-        cycles = sequential_cycles(ctrl.iterations, [
-            _controller_cycles(
-                child,
-                board,
-                contention + (ctrl.par - 1) * weighted_transfers(child),
-                estimate,
-            )
-            for child in ctrl.stages
-        ])
-    else:  # pragma: no cover - exhaustive over controller kinds
-        cycles = 0.0
-    estimate.per_controller[ctrl.key] = cycles
-    return cycles
-
-
-# The per-kind formulas below take plain numbers so the class-plan path
-# (repro.estimation.plan) evaluates exactly the same float operations.
+# The formulas below take plain numbers: the walk (repro.estimation.walk)
+# calls them on a design's numbers and class plans call them on a point's.
 
 
 def parallel_cycles(child_cycles) -> float:
@@ -128,14 +80,6 @@ def metapipe_cycles(iterations: int, stage_cycles) -> float:
 def sequential_cycles(iterations: int, stage_cycles) -> float:
     """Stages one after another, every iteration."""
     return iterations * sum(c + SEQ_STAGE_SYNC for c in stage_cycles)
-
-
-def _pipe_cycles(pipe: Pipe) -> float:
-    """Latency of one Pipe: critical path + (N-1) at II=1 (+ reduce drain)."""
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-    return pipe_cycles(
-        pipe_latency(body), pipe.iterations, pipe.par, drain_latency(pipe)
-    )
 
 
 def drain_latency(pipe: Pipe):

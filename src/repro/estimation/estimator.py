@@ -94,7 +94,10 @@ class DesignPoint:
 class Estimator:
     """Fast design analysis: cycle counts plus hybrid area estimation.
 
-    With ``cache=True`` (the default) the estimator owns an
+    Both paths run the estimator's one walk (:mod:`repro.estimation.walk`):
+    :meth:`estimate` on a built design's numbers, :meth:`estimate_points`
+    through class plans that ran it once on symbols. With ``cache=True``
+    (the default) the estimator owns an
     :class:`~repro.estimation.cache.EstimationCaches` bundle that
     memoizes template predictions, whole design points, and the compiled
     per-class plans behind :meth:`estimate_points`. Cached results are
@@ -102,9 +105,9 @@ class Estimator:
     ``--no-cache`` CLI flag) to build and estimate every design from
     scratch.
 
-    ``models`` is what the area walk and the plan compiler predict
-    template costs from: the bundle's memoizing view of ``templates``,
-    or ``templates`` itself with ``cache=False``.
+    ``models`` is what the walk predicts template costs from, on both
+    paths: the bundle's memoizing view of ``templates``, or
+    ``templates`` itself with ``cache=False``.
 
     Without injected models, ``MAIA`` at seed 7 and ``DEFAULT_SAMPLES``
     loads the shipped ``models/maia.json`` (what it would train); any

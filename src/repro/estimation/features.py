@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..ir.controllers import MetaPipe
-from ..ir.graph import Design, max_depth
-from ..ir.memops import TileTransfer
+from ..ir.graph import Design
 from .counts import Counts
 
 N_FEATURES = 11
@@ -22,17 +20,9 @@ N_FEATURES = 11
 
 def design_features(design: Design, raw: Counts, wire_bits: float) -> List[float]:
     """The 11-element feature vector for one design instance."""
-    controllers = list(design.controllers())
-    return feature_vector(
-        raw,
-        wire_bits,
-        n_controllers=len(controllers),
-        n_metapipes=sum(1 for c in controllers if isinstance(c, MetaPipe)),
-        n_transfers=sum(1 for c in controllers if isinstance(c, TileTransfer)),
-        depth=max_depth(design),
-        # A design without on-chip memories counts as one bank.
-        total_banks=sum(m.banks for m in design.onchip_mems()) or 1,
-    )
+    from .walk import Numbers, features  # the walk imports feature_vector
+
+    return features(Numbers(), design, raw, wire_bits)
 
 
 def feature_vector(
@@ -44,7 +34,8 @@ def feature_vector(
     depth: int,
     total_banks: int,
 ) -> List[float]:
-    """:func:`design_features` from the numbers it reads off the design."""
+    """The features from the raw counts and the numbers the walk reads off
+    a design (:func:`repro.estimation.walk.features`)."""
     return [
         math.log10(1.0 + raw.luts_packable),
         math.log10(1.0 + raw.luts_unpackable),

@@ -15,31 +15,27 @@ field the builder did *not* record differs between the two, the class's
 structure depends on its parameters in a way a plan cannot follow, and
 it is priced per point instead.
 
-Everything the estimator derives from the IR is then lowered into one
-straight-line Python function of the parameter values: vector widths and
-banking, replication, the value-dependent :class:`~repro.ir.IRError`
-checks, the cycle model (Pipe latency from the class's single ASAP
-schedule, the transfer/contention model, the MetaPipe formula), the
-ordered raw template terms with their FMA/tree discounts, delay
-balancing and BRAM blocks, the wire bits, and the 11 NN features.
-Constant subexpressions are folded while compiling. The generated code
-replays the oracle's float operations in the oracle's order — the
-per-kind formulas are the very functions the per-design path calls — and
-template values come from the scalar :meth:`TemplateModels.predict` on
-each distinct parameter tuple, so a plan's estimate is bit-identical to
-building the design and calling :meth:`Estimator.estimate
-<repro.estimation.estimator.Estimator.estimate>` (the oracle).
+The estimator's walk (:mod:`repro.estimation.walk`) then runs once on
+:class:`_Symbols`: the cost model the per-design path evaluates on a
+design's numbers is lowered into one straight-line Python function of
+the parameter values, constants folded while compiling. The symbol
+backend alone derives what the builder and ``Design.finalize`` derive
+from parameters — the value-dependent :class:`~repro.ir.IRError` checks,
+vector widths, banking, replication and transfer streams. The generated
+code replays the walk's float operations in the walk's order and takes
+template values from the scalar :meth:`TemplateModels.predict`, so a
+plan's estimate is bit-identical to building the design and calling
+:meth:`Estimator.estimate <repro.estimation.estimator.Estimator.estimate>`.
 
-The evaluation form is plain Python, not numpy: a sweep hands a block of
-at most 100 points (``runtime.checkpoint.BLOCK_POINTS``), split over its
-classes, to :func:`price_points` and guided search prices one point at
-a time, so per-call array overhead would outweigh any vector
-win (``docs/estimation_performance.md``). A helper call whose arguments
-are not all constants becomes a subscript of a :class:`_Table` — ``T0``,
-``T1``, ... for template predictions, ``DELAY``, ``BRAM_BLOCKS`` and
-``STREAM`` (device and board bound at compile time) — a dict that fills
-a missing key once, so a repeat costs one C-level lookup and no Python
-frame. The NN corrections run as one
+The evaluation form is plain Python, not numpy: a sweep hands blocks of
+at most 100 points (``runtime.checkpoint.BLOCK_POINTS``) to
+:func:`price_points` and guided search prices one point at a time, so
+per-call array overhead would outweigh any vector win
+(``docs/estimation_performance.md``). A ``lookup`` or template whose
+arguments are not all constants becomes a subscript of a :class:`_Table`
+(``T0``, ``T1``, ... for templates; ``DELAY``, ``BRAM_BLOCKS``,
+``STREAM``), a dict that fills a missing key once, so a repeat costs one
+C-level lookup. The NN corrections run as one
 :meth:`~repro.estimation.train.CorrectionModels.predict_batch` per block.
 """
 
@@ -47,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import (
@@ -55,38 +52,15 @@ from typing import (
 
 from .. import obs
 from ..ir.builder import Param
-from ..ir.controllers import (
-    Controller,
-    CounterChain,
-    MetaPipe,
-    Parallel,
-    Pipe,
-    Sequential,
-)
-from ..ir.graph import Design, delay_slacks, max_depth, pipe_latency
-from ..ir.memories import BRAM, OnChipMemory, PriorityQueue, Reg
+from ..ir.controllers import Controller, CounterChain, Pipe
+from ..ir.graph import Design
+from ..ir.memories import BRAM, OnChipMemory
 from ..ir.memops import TileTransfer
-from ..ir.node import Const, IRError, Node, Value
-from ..ir.primitives import LoadOp, Prim, StoreOp
+from ..ir.node import IRError, Node
 from ..params import BoolParam, IntParam, ParamSpace
-from .area import (
-    EST_FMA_DISCOUNT,
-    EST_TREE_DISCOUNT,
-    _finalize_area,
-    _predict_fma_fusions,
-    bram_blocks,
-    delay_counts,
-)
+from . import walk
+from .area import _finalize_area
 from .counts import Counts
-from .cycles import (
-    drain_latency,
-    metapipe_cycles,
-    parallel_cycles,
-    pipe_cycles,
-    sequential_cycles,
-    stream_cycles,
-)
-from .features import feature_vector
 
 #: The Counts fields, in constructor order.
 _FIELDS = ("luts_packable", "luts_unpackable", "regs", "dsps", "brams")
@@ -307,7 +281,7 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
         if not _same_shape(design, second):
             return None
         estimator = family.estimator
-        return _Lowering(
+        return _Symbols(
             design, estimator.templates, estimator.models, estimator.board,
         ).plan(f"{family.benchmark.name}:{label}", label)
     return None  # a one-point class: nothing to check the shape against
@@ -379,12 +353,16 @@ def _const(value: object) -> _Sym:
     return _Sym(repr(value), value, True)
 
 
-class _Lowering:
-    """Walks one compiled design exactly as the oracle passes do.
+class _Symbols:
+    """The walk's symbol backend (:mod:`repro.estimation.walk`).
 
-    Every number the oracle derives becomes a :class:`_Sym`: constants
+    Every number the walk computes becomes a :class:`_Sym`: constants
     fold while compiling, everything that depends on a parameter becomes
-    a line (or an inline expression) of the generated function.
+    a line (or an inline expression) of the generated function. What
+    :meth:`Design.finalize <repro.ir.graph.Design.finalize>` and the
+    builder's checks derive from parameters — the IRError rules, vector
+    widths, banking, replication and transfer streams — is derived here
+    on symbols, independently of the IR code that derives it on numbers.
     """
 
     def __init__(self, design: Design, models, predictor, board) -> None:
@@ -394,12 +372,14 @@ class _Lowering:
         # memoized view, so classes of a family share their predictions.
         self.predictor = predictor
         self.bound = design.bindings
-        self.env: Dict[str, object] = dict(_HELPERS, ZERO=(0.0,) * len(_FIELDS))
+        # What generated code names besides its tables; ``call`` adds the
+        # formulas it uses.
+        self.env: Dict[str, object] = {
+            "Counts": Counts, "ZERO": (0.0,) * len(_FIELDS)}
         # The tables generated code subscripts; T0, T1, ... join on first use.
         self.tables: Dict[str, _Table] = {
-            "DELAY": _Table(delay_counts),
-            "BRAM_BLOCKS": _Table(lambda *k: bram_blocks(*k, board.device)),
-            "STREAM": _Table(lambda *k: stream_cycles(*k[:4], board, k[4])),
+            name: _Table(fn)
+            for name, fn in walk.tables(board.device, board).items()
         }
         self.lines: List[str] = []
         self.params: Dict[str, _Sym] = {}
@@ -410,52 +390,24 @@ class _Lowering:
         self._memo: Dict[object, _Sym] = {}
         self._seen: Dict[str, _Sym] = {}
         self._width: Dict[int, _Sym] = {}
-        # Compiled constant folders, one per (template, arity).
-        self._folders: Dict[Tuple[str, int], Callable] = {}
 
     # -- expression helpers ----------------------------------------------------
 
-    def _fold(self, template: str, args: Sequence[_Sym]) -> Optional[_Sym]:
-        """Evaluate ``template`` now if every argument is a constant."""
-        if not all(a.const for a in args):
-            return None
-        fn = self._folders.get((template, len(args)))
-        if fn is None:
-            names = [f"a{i}" for i in range(len(args))]
-            fn = self._folders[(template, len(args))] = eval(
-                f"lambda {', '.join(names)}: {template.format(*names)}",
-                dict(_HELPERS),
-            )
-        return _const(fn(*(a.value for a in args)))
-
-    def op(self, template: str, *args: _Sym) -> _Sym:
-        """A value bound to a local of the generated function.
+    def op(self, template: str, *args: _Sym, fold=None) -> _Sym:
+        """A value bound to a local of the generated function, or
+        ``fold`` of the arguments now if they are all constants.
 
         Every helper the generated code calls is pure, so an expression
         that was already computed is reused rather than emitted again.
         """
-        folded = self._fold(template, args)
-        if folded is not None:
-            return folded
+        if fold is not None and all(a.const for a in args):
+            return _const(fold(*(a.value for a in args)))
         source = template.format(*(a.src for a in args))
         sym = self._seen.get(source)
         if sym is None:
             sym = self._seen[source] = _Sym(f"v{len(self.lines)}")
             self.lines.append(f"{sym.src} = {source}")
         return sym
-
-    def expr(self, template: str, *args: _Sym) -> _Sym:
-        """A value inlined into whichever expression uses it."""
-        folded = self._fold(template, args)
-        if folded is not None:
-            return folded
-        return _Sym("(" + template.format(*(a.src for a in args)) + ")")
-
-    def lookup(self, table: str, *args: _Sym) -> _Sym:
-        """``table``'s function of ``args``: folded, or a table subscript."""
-        if all(a.const for a in args):
-            return _const(self.tables[table].fn(*(a.value for a in args)))
-        return self.op(table + "[" + "{}, " * len(args) + "]", *args)
 
     def check(self, template: str, *args: _Sym) -> None:
         """An IRError rule: the point is illegal unless it holds."""
@@ -468,216 +420,72 @@ class _Lowering:
             self._seen[line] = _const(True)
             self.lines.append(line + " return None")
 
-    # Integer arithmetic is exact in any order, so constants are gathered
-    # and identities dropped; float terms are never reassociated.
+    # -- the walk's arithmetic -------------------------------------------------
 
-    def product(self, syms: Sequence[_Sym]) -> _Sym:
+    const = staticmethod(_const)
+
+    # Integer arithmetic is exact in any order, so constants are gathered
+    # and integer identities dropped; float terms are never reassociated
+    # (the walk adds floats two at a time).
+
+    def add(self, *syms: _Sym) -> _Sym:
+        out = _const(sum(s.value for s in syms if s.const))
+        for sym in syms:
+            if not sym.const:
+                out = sym if _is_int(out, 0) else self.op("{} + {}", out, sym)
+        return out
+
+    def mul(self, *syms: _Sym) -> _Sym:
         const = math.prod(s.value for s in syms if s.const)
         out = _const(const)
         for sym in syms:
             if not sym.const and const != 0:
-                out = sym if out.const and out.value == 1 else self.op(
-                    "{} * {}", out, sym
-                )
+                out = sym if _is_int(out, 1) else self.op("{} * {}", out, sym)
         return out
 
-    def total(self, syms: Sequence[_Sym]) -> _Sym:
-        out = _const(sum(s.value for s in syms if s.const))
-        for sym in syms:
-            if not sym.const:
-                out = sym if out.const and out.value == 0 else self.op(
-                    "{} + {}", out, sym
-                )
-        return out
-
-    def field(self, node: Node, path: tuple, value: object) -> _Sym:
-        """An int IR field: the parameter it is bound to, or its value."""
-        name = self.bound.get((node.nid, path))
-        if name is None:
-            return _const(int(value))
-        sym = self.params.get(name)
-        if sym is None:
-            sym = self.params[name] = _Sym(f"p{len(self.params)}")
-        return sym
-
-    # -- derived IR quantities (what Design.finalize infers) -------------------
-
-    def par(self, ctrl: Controller) -> _Sym:
-        return self.field(ctrl, ("par",), ctrl.par)
-
-    def counts(self, chain: CounterChain) -> List[_Sym]:
-        """Per-dimension iteration counts, after the chain's own checks."""
-        key = ("counts", chain.nid)
-        if key not in self._memo:
-            counts = []
-            for i, (extent, step) in enumerate(chain.dims):
-                e = self.field(chain, ("dims", i, 0), extent)
-                s = self.field(chain, ("dims", i, 1), step)
-                self.check("{} > 0", e)
-                self.check("{} > 0", s)
-                counts.append(self.op("-(-{} // {})", e, s))
-            self._memo[key] = counts
-        return self._memo[key]  # type: ignore[return-value]
-
-    def iterations(self, ctrl: Controller) -> _Sym:
-        if ctrl.cchain is None:
-            return _const(1)
+    def max(self, *syms: _Sym) -> _Sym:
         return self.op(
-            "{} // {}", self.product(self.counts(ctrl.cchain)), self.par(ctrl)
-        )
+            "max(" + ", ".join("{}" for _ in syms) + ")", *syms, fold=max)
 
-    def width(self, node: Node) -> _Sym:
-        return self._width.get(node.nid, _const(1))
-
-    def lanes(self, width: _Sym) -> _Sym:
-        """``max(width, 1)``, as the oracle sizes wires and delays."""
-        return self.op("max({}, 1)", width)
-
-    def banks(self, mem: OnChipMemory) -> _Sym:
-        key = ("banks", mem.nid)
-        if key not in self._memo:
-            widths: Dict[str, _Sym] = {}
-            for acc in mem.readers + mem.writers:
-                sym = self.width(acc)
-                widths.setdefault(sym.src, sym)
-            for node in self.design.nodes:
-                if isinstance(node, TileTransfer) and node.bram is mem:
-                    sym = self.par(node)
-                    widths.setdefault(sym.src, sym)
-            syms = list(widths.values())
-            if not syms:
-                self._memo[key] = _const(1)
-            elif len(syms) == 1:
-                self._memo[key] = syms[0]
+    def call(self, fn: Callable, *args) -> _Sym:
+        """``fn`` of ``args``; a list argument is passed as a tuple."""
+        self.env[fn.__name__] = fn
+        parts, flat, values = [], [], []
+        for arg in args:
+            if isinstance(arg, list):
+                parts.append("(" + "{}, " * len(arg) + ")")
+                flat += arg
+                values.append([a.value for a in arg])
             else:
-                self._memo[key] = self.op(
-                    "max(" + ", ".join("{}" for _ in syms) + ")", *syms
-                )
-        return self._memo[key]
+                parts.append("{}")
+                flat.append(arg)
+                values.append(arg.value)
+        if all(a.const for a in flat):
+            return _const(fn(*values))
+        return self.op(fn.__name__ + "(" + ", ".join(parts) + ")", *flat)
 
-    def replication(self, node: Node) -> _Sym:
-        pars = [
-            self.par(c) for c in node.ancestors() if not isinstance(c, Pipe)
-        ]
-        key = ("rep",) + tuple(p.src for p in pars)
-        if key not in self._memo:
-            self._memo[key] = self.product(pars)
-        return self._memo[key]
+    def lookup(self, table: str, *args: _Sym) -> _Sym:
+        """``table``'s function of ``args``: folded, or a table subscript."""
+        if all(a.const for a in args):
+            return _const(self.tables[table].fn(*(a.value for a in args)))
+        return self.op(table + "[" + "{}, " * len(args) + "]", *args)
 
-    def sizes(self, transfer: TileTransfer) -> List[_Sym]:
-        return [
-            self.field(transfer, ("sizes", i), size)
-            for i, size in enumerate(transfer.sizes)
-        ]
-
-    def num_commands(self, transfer: TileTransfer) -> _Sym:
-        sizes = self.sizes(transfer)
-        return _const(1) if len(sizes) == 1 else self.product(sizes[:-1])
-
-    # -- passes ----------------------------------------------------------------
-
-    def legality(self) -> None:
-        """The value-dependent IRError rules of every node, in build order."""
-        for node in self.design.nodes:
-            if isinstance(node, BRAM):
-                for i, dim in enumerate(node.dims):
-                    self.check("{} > 0", self.field(node, ("dims", i), dim))
-            elif isinstance(node, Controller):
-                par = self.par(node)
-                self.check("{} >= 1", par)
-                if node.cchain is not None and not (par.const and par.value == 1):
-                    self.check("{} % {} == 0", self.counts(node.cchain)[-1], par)
-                if isinstance(node, TileTransfer):
-                    sizes = self.sizes(node)
-                    for size, dim in zip(sizes, node.offchip.dims):
-                        self.check("0 < {} <= {}", size, _const(dim))
-                    bram = node.bram
-                    capacity = self.product(
-                        [self.field(bram, ("dims", i), d)
-                         for i, d in enumerate(bram.dims)]
-                    )
-                    self.check("{} <= {}", self.product(sizes), capacity)
-        for ctrl in self.design.controllers():
-            if isinstance(ctrl, Pipe):
-                par = self.par(ctrl)
-                for node in ctrl.body_prims:
-                    self._width[node.nid] = par
-                if ctrl.cchain is not None:
-                    for it in ctrl.cchain.iters:
-                        self._width[it.nid] = par
-
-    def weighted(self, ctrl: Controller) -> _Sym:
-        """:func:`~repro.ir.graph.weighted_transfers`."""
-        if isinstance(ctrl, TileTransfer):
-            return _const(1)
-        key = ("weighted", ctrl.nid)
-        if key not in self._memo:
-            total = self.total([self.weighted(c) for c in ctrl.stages])
-            if not isinstance(ctrl, Pipe):
-                total = self.product([total, self.par(ctrl)])
-            self._memo[key] = total
-        return self._memo[key]
-
-    def overlap(self, parent: Controller, child: Controller, contention):
-        stages = self.total([self.weighted(c) for c in parent.stages])
-        others = self.product([self.par(parent), stages])
-        mine = self.op("-{}", self.weighted(child))
-        return self.total([contention, others, mine])
-
-    def cycles(self, ctrl: Controller, contention: _Sym) -> _Sym:
-        """:func:`~repro.estimation.cycles._controller_cycles`."""
-        if isinstance(ctrl, TileTransfer):
-            return self.lookup(
-                "STREAM", _const(ctrl.offchip.tp.bits), self.sizes(ctrl)[-1],
-                self.num_commands(ctrl), self.par(ctrl),
-                self.total([contention, _const(1)]),
-            )
-        if isinstance(ctrl, Pipe):
-            body = [n for n in ctrl.body_prims if not isinstance(n, Const)]
-            return self.op(
-                "pipe_cycles({}, {}, {}, {})",
-                _const(pipe_latency(body)), self.iterations(ctrl),
-                self.par(ctrl), _const(drain_latency(ctrl)),
-            )
-        if isinstance(ctrl, Parallel):
-            children = [
-                self.cycles(c, self.overlap(ctrl, c, contention))
-                for c in ctrl.stages
-            ]
-            return self.op(
-                "parallel_cycles(" + _tuple(len(children)) + ")", *children
-            )
-        if isinstance(ctrl, MetaPipe):
-            children = [
-                self.cycles(c, self.overlap(ctrl, c, contention))
-                for c in ctrl.stages
-            ]
-        else:
-            assert isinstance(ctrl, Sequential), ctrl
-            children = [
-                self.cycles(c, self.total([contention, self.product([
-                    self.total([self.par(ctrl), _const(-1)]), self.weighted(c),
-                ])]))
-                for c in ctrl.stages
-            ]
-        kind = "metapipe_cycles" if isinstance(ctrl, MetaPipe) else (
-            "sequential_cycles"
-        )
-        return self.op(
-            kind + "({}, " + _tuple(len(children)) + ")",
-            self.iterations(ctrl), *children,
-        )
-
-    # -- raw area terms --------------------------------------------------------
+    def attr(self, value: _Sym, name: str) -> _Sym:
+        if value.const:
+            return _const(getattr(value.value, name))
+        return _Sym(f"{value.src}.{name}")
 
     def template(
         self, key: str, params: Dict[str, _Sym], guard: Optional[_Sym] = None
-    ) -> List[_Sym]:
+    ) -> Optional[List[_Sym]]:
         """One template's five predicted resource values.
 
         With a ``guard``, the template is only predicted where the guard
-        is non-zero and reads as all zeros elsewhere.
+        is non-zero and reads as all zeros elsewhere; a guard that is
+        zero at every point gives ``None``.
         """
+        if guard is not None and guard.const and not guard.value:
+            return None
         names, args = tuple(params), list(params.values())
         if all(a.const for a in args):
             values = (a.value for a in args)
@@ -701,17 +509,8 @@ class _Lowering:
             for i, f in enumerate(_FIELDS)
         ]
 
-    def prim(
-        self, op: str, tp, width: _Sym, guard: Optional[_Sym] = None
-    ) -> List[_Sym]:
-        return self.template(
-            self.models.prim_key(op, tp),
-            {"bits": _const(tp.bits), "width": width},
-            guard,
-        )
-
-    def add(self, values: List[_Sym], *scales: _Sym) -> None:
-        """``raw.add``: accumulate ``values`` times each scale, in order."""
+    def term(self, values: List[_Sym], *scales: _Sym) -> None:
+        """Accumulate ``values`` times each scale, in order."""
         self.terms += 1
         for i, value in enumerate(values):
             if value.const and value.value == 0.0:
@@ -719,177 +518,154 @@ class _Lowering:
             for scale in scales:
                 if scale.const and scale.value == 1:
                     continue
-                value = self.expr("{} * {}", value, scale)
+                # Inlined into the sum: a product used once.
+                value = _const(value.value * scale.value) if (
+                    value.const and scale.const
+                ) else _Sym(f"({value.src} * {scale.src})")
             if value.const:
                 if not self.sums[i]:  # still in the constant prefix
                     self.prefix[i] += value.value
                     continue
             self.sums[i].append(value.src)
 
-    def count_controller(self, ctrl: Controller, factor: _Sym) -> None:
-        """:func:`~repro.estimation.area._count_controller`."""
-        if ctrl.cchain is not None:
-            self.add(self.template("counter", {
-                "ndims": _const(len(ctrl.cchain.dims)), "par": self.par(ctrl),
-            }), factor)
-        if isinstance(ctrl, Pipe):
-            self.count_pipe(ctrl, factor)
-        elif isinstance(ctrl, TileTransfer):
-            self.add(self.template("tile_transfer", {
-                "bits": _const(ctrl.offchip.tp.bits),
-                "par": self.par(ctrl),
-                "num_commands": self.num_commands(ctrl),
-            }), factor)
-        elif isinstance(ctrl, (MetaPipe, Sequential, Parallel)):
-            kind = type(ctrl).__name__.lower()
-            self.add(
-                self.template(kind, {"n": _const(len(ctrl.stages))}), factor
-            )
-            if not isinstance(ctrl, Parallel):
-                for node in ctrl.body_prims:
-                    if isinstance(node, Prim):
-                        self.add(
-                            self.prim(node.op, node.tp, self.width(node)),
-                            factor,
-                        )
-                self.count_accum(ctrl, factor)
+    def raw(self) -> _Sym:
+        fields = [
+            " + ".join([repr(prefix)] + sums)
+            for prefix, sums in zip(self.prefix, self.sums)
+        ]
+        self.lines.append("raw = Counts(" + ", ".join(fields) + ")")
+        return _Sym("raw")
 
-    def count_accum(self, ctrl: Controller, factor: _Sym) -> None:
-        if ctrl.accum is None:
-            return
-        op, target = ctrl.accum
-        tp = target.tp
-        if isinstance(target, BRAM):
-            banks = self.banks(target)
-            self.add(self.prim(op, tp, banks), factor)
-            for kind in ("load", "store"):
-                self.add(self.template(kind, {
-                    "bits": _const(tp.bits), "width": banks, "banks": banks,
-                }), factor)
-        else:
-            self.add(self.prim(op, tp, _const(1)), factor)
+    # -- derived IR quantities (what the builder and finalize derive) ----------
 
-    def count_pipe(self, pipe: Pipe, factor: _Sym) -> None:
-        body = [n for n in pipe.body_prims if not isinstance(n, Const)]
-        self.add(self.template("pipe", {"n": _const(len(body))}), factor)
-        fused = _predict_fma_fusions(body)
-        for node in body:
-            if isinstance(node, Prim):
-                values = self.prim(node.op, node.tp, self.width(node))
-                if node.nid in fused:
-                    self.add(values, _const(EST_FMA_DISCOUNT), factor)
-                else:
-                    self.add(values, factor)
-            elif isinstance(node, (LoadOp, StoreOp)):
-                kind = "load" if isinstance(node, LoadOp) else "store"
-                bits = node.tp.bits if kind == "load" else node.mem.tp.bits
-                self.add(self.template(kind, {
-                    "bits": _const(bits),
-                    "width": self.width(node),
-                    "banks": self.banks(node.mem),
-                }), factor)
-        self.count_reduce_tree(pipe, factor)
-        self.count_delays(body, factor)
+    def field(self, node: Node, path: tuple, value: object) -> _Sym:
+        """An int IR field: the parameter it is bound to, or its value."""
+        name = self.bound.get((node.nid, path))
+        if name is None:
+            return _const(int(value))
+        sym = self.params.get(name)
+        if sym is None:
+            sym = self.params[name] = _Sym(f"p{len(self.params)}")
+        return sym
 
-    def count_reduce_tree(self, pipe: Pipe, factor: _Sym) -> None:
-        if pipe.accum is None or not isinstance(pipe.result, Value):
-            return
-        op, _ = pipe.accum
-        tp = pipe.result.tp
-        tree_ops = self.op("max({} - 1, 0)", self.par(pipe))
-        if not tree_ops.const or tree_ops.value:
-            # Without a tree the terms read as zeros, and adding zero to a
-            # non-negative sum is exact.
-            values = self.prim(op, tp, tree_ops, guard=tree_ops)
-            if tp.is_float and op in ("add", "sub"):
-                self.add(values, _const(EST_TREE_DISCOUNT), factor)
-            else:
-                self.add(values, factor)
-        self.add(self.prim(op, tp, _const(1)), factor)
+    def par(self, ctrl: Controller) -> _Sym:
+        return self.field(ctrl, ("par",), ctrl.par)
 
-    def count_delays(self, body: List[Node], factor: _Sym) -> None:
-        """:func:`~repro.estimation.area._count_delays`."""
-        for inp, slack in delay_slacks(body):
-            bits = self.product(
-                [_const(inp.tp.bits), self.lanes(self.width(inp))]
-            )
-            delay = self.lookup("DELAY", bits, _const(slack))
-            regs, brams = (
-                _const(getattr(delay.value, f)) if delay.const
-                else _Sym(f"{delay.src}.{f}") for f in ("regs", "brams"))
-            zero = _const(0.0)
-            self.add([zero, zero, regs, zero, brams], factor)
+    def counts(self, chain: CounterChain) -> List[_Sym]:
+        """Per-dimension iteration counts, after the chain's own checks."""
+        key = ("counts", chain.nid)
+        if key not in self._memo:
+            counts = []
+            for i, (extent, step) in enumerate(chain.dims):
+                e = self.field(chain, ("dims", i, 0), extent)
+                s = self.field(chain, ("dims", i, 1), step)
+                self.check("{} > 0", e)
+                self.check("{} > 0", s)
+                counts.append(self.op(
+                    "-(-{} // {})", e, s, fold=lambda e, s: -(-e // s)))
+            self._memo[key] = counts
+        return self._memo[key]  # type: ignore[return-value]
 
-    def count_memory(self, mem: OnChipMemory, factor: _Sym) -> None:
-        """:func:`~repro.estimation.area._count_memory`."""
-        bits = _const(mem.tp.bits)
-        double = _const(mem.double_buffered)
-        if isinstance(mem, BRAM):
-            banks = self.banks(mem)
-            values = self.template(
-                "bram", {"banks": banks, "bits": bits, "double": double}
-            )
-            size = self.product(
-                [self.field(mem, ("dims", i), d) for i, d in enumerate(mem.dims)]
-            )
-            values[4] = self.lookup("BRAM_BLOCKS", size, banks, bits, double)
-            self.add(values, factor)
-        elif isinstance(mem, PriorityQueue):
-            self.add(self.template(
-                "pqueue", {"depth": _const(mem.depth), "bits": bits}
-            ), factor)
-        elif isinstance(mem, Reg):
-            self.add(
-                self.template("reg", {"bits": bits, "double": double}), factor
-            )
+    def iterations(self, ctrl: Controller) -> _Sym:
+        if ctrl.cchain is None:
+            return _const(1)
+        return self.op("{} // {}", self.mul(*self.counts(ctrl.cchain)),
+                       self.par(ctrl), fold=operator.floordiv)
 
-    def wire_bits(self) -> _Sym:
-        """Sum of bits x width x replication over non-constant values.
+    def width(self, node: Node) -> _Sym:
+        return self._width.get(node.nid, _const(1))
 
-        Every partial sum is an integer well below 2**53, so grouping the
-        terms gives exactly the oracle's float.
-        """
-        groups: Dict[Tuple[str, str], List[object]] = {}
+    def banks(self, mem: OnChipMemory) -> _Sym:
+        key = ("banks", mem.nid)
+        if key not in self._memo:
+            widths: Dict[str, _Sym] = {}
+            for acc in mem.readers + mem.writers:
+                sym = self.width(acc)
+                widths.setdefault(sym.src, sym)
+            for node in self.design.nodes:
+                if isinstance(node, TileTransfer) and node.bram is mem:
+                    sym = self.par(node)
+                    widths.setdefault(sym.src, sym)
+            syms = list(widths.values()) or [_const(1)]
+            self._memo[key] = syms[0] if len(syms) == 1 else self.max(*syms)
+        return self._memo[key]
+
+    def replication(self, node: Node) -> _Sym:
+        pars = [
+            self.par(c) for c in node.ancestors() if not isinstance(c, Pipe)
+        ]
+        key = ("rep",) + tuple(p.src for p in pars)
+        if key not in self._memo:
+            self._memo[key] = self.mul(*pars)
+        return self._memo[key]
+
+    def sizes(self, node) -> List[_Sym]:
+        """A transfer's tile sizes or a BRAM's dims."""
+        name = "sizes" if isinstance(node, TileTransfer) else "dims"
+        return [
+            self.field(node, (name, i), size)
+            for i, size in enumerate(getattr(node, name))
+        ]
+
+    def num_commands(self, transfer: TileTransfer) -> _Sym:
+        sizes = self.sizes(transfer)
+        return _const(1) if len(sizes) == 1 else self.mul(*sizes[:-1])
+
+    def weighted(self, ctrl: Controller) -> _Sym:
+        """:func:`~repro.ir.graph.weighted_transfers`."""
+        if isinstance(ctrl, TileTransfer):
+            return _const(1)
+        key = ("weighted", ctrl.nid)
+        if key not in self._memo:
+            total = self.add(*[self.weighted(c) for c in ctrl.stages])
+            if not isinstance(ctrl, Pipe):
+                total = self.mul(total, self.par(ctrl))
+            self._memo[key] = total
+        return self._memo[key]
+
+    def overlap(self, parent: Controller, child: Controller, contention):
+        """:func:`~repro.ir.graph.overlap_streams`."""
+        stages = self.add(*[self.weighted(c) for c in parent.stages])
+        others = self.mul(self.par(parent), stages)
+        mine = self.op("-{}", self.weighted(child), fold=operator.neg)
+        return self.add(contention, others, mine)
+
+    def legality(self) -> None:
+        """The value-dependent IRError rules of every node, in build order,
+        then the vector width of every Pipe body node."""
         for node in self.design.nodes:
-            if isinstance(node, Value) and not isinstance(node, Const):
-                width, rep = self.width(node), self.replication(node)
-                group = groups.setdefault((width.src, rep.src), [0, width, rep])
-                group[0] += node.tp.bits
-        total = self.total([
-            self.product([_const(bits), self.lanes(width), rep])
-            for bits, width, rep in groups.values()
-        ])
-        return self.op("0.0 + {}", total)
+            if isinstance(node, BRAM):
+                for size in self.sizes(node):
+                    self.check("{} > 0", size)
+            elif isinstance(node, Controller):
+                par = self.par(node)
+                self.check("{} >= 1", par)
+                if node.cchain is not None and not (par.const and par.value == 1):
+                    self.check("{} % {} == 0", self.counts(node.cchain)[-1], par)
+                if isinstance(node, TileTransfer):
+                    sizes = self.sizes(node)
+                    for size, dim in zip(sizes, node.offchip.dims):
+                        self.check("0 < {} <= {}", size, _const(dim))
+                    capacity = self.mul(*self.sizes(node.bram))
+                    self.check("{} <= {}", self.mul(*sizes), capacity)
+        for ctrl in self.design.controllers():
+            if isinstance(ctrl, Pipe):
+                par = self.par(ctrl)
+                for node in ctrl.body_prims:
+                    self._width[node.nid] = par
+                if ctrl.cchain is not None:
+                    for it in ctrl.cchain.iters:
+                        self._width[it.nid] = par
 
     # -- assembly --------------------------------------------------------------
 
     def plan(self, filename: str, label: str) -> ClassPlan:
         design = self.design
         self.legality()
-        cycles = _const(0.0)
-        for top in design.top_controllers:
-            cycles = self.op("{} + {}", cycles, self.cycles(top, _const(0)))
-        for ctrl in design.controllers():
-            self.count_controller(ctrl, self.replication(ctrl))
-        mems = list(design.onchip_mems())
-        for mem in mems:
-            self.count_memory(mem, self.replication(mem))
-        fields = []
-        for prefix, sums in zip(self.prefix, self.sums):
-            fields.append(" + ".join([repr(prefix)] + sums))
-        self.lines.append("raw = Counts(" + ", ".join(fields) + ")")
-        controllers = list(design.controllers())
-        banks = self.total([self.banks(m) for m in mems]) if mems else _const(1)
-        feats = self.op(
-            "feature_vector({}, {}, {}, {}, {}, {}, {})",
-            _Sym("raw"),
-            self.wire_bits(),
-            _const(len(controllers)),
-            _const(sum(isinstance(c, MetaPipe) for c in controllers)),
-            _const(sum(isinstance(c, TileTransfer) for c in controllers)),
-            _const(max_depth(design)),
-            banks,
-        )
+        cycles = walk.cycles(self, design)
+        walk.area_terms(self, design)
+        raw = self.raw()
+        feats = walk.features(self, design, raw, walk.wire_bits(self, design))
         self.lines.append(f"return {cycles.src}, raw, {feats.src}")
         head = [f"{sym.src} = p[{name!r}]" for name, sym in self.params.items()]
         source = "def evaluate(p):\n" + "".join(
@@ -908,20 +684,9 @@ class _Lowering:
         )
 
 
-#: The pure functions generated code (and constant folding) may call.
-_HELPERS: Dict[str, object] = {
-    "Counts": Counts,
-    "pipe_cycles": pipe_cycles,
-    "parallel_cycles": parallel_cycles,
-    "metapipe_cycles": metapipe_cycles,
-    "sequential_cycles": sequential_cycles,
-    "feature_vector": feature_vector,
-}
-
-
-def _tuple(n: int) -> str:
-    """A tuple display of ``n`` format placeholders."""
-    return "(" + "".join("{}, " for _ in range(n)) + ")"
+def _is_int(sym: _Sym, value: int) -> bool:
+    """Whether ``sym`` is the integer constant ``value`` (an identity)."""
+    return sym.const and type(sym.value) is int and sym.value == value
 
 
 class _Table(dict):

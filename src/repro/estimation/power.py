@@ -114,14 +114,14 @@ def estimate_power(
         dram_w=dram,
         activity=activity,
         runtime_s=runtime_s,
-        breakdown={
-            "logic": logic * activity,
-            "dsp": dsp * activity,
-            "bram": bram * activity,
-            "regs": regs * activity,
-            "static": static,
-            "dram": dram,
-        },
+        breakdown=dict(
+            logic=logic * activity,
+            dsp=dsp * activity,
+            bram=bram * activity,
+            regs=regs * activity,
+            static=static,
+            dram=dram,
+        ),
     )
 
 

@@ -30,7 +30,6 @@ from typing import Dict, List, Tuple
 
 from ..ir.controllers import Controller, Pipe
 from ..ir.graph import Design
-from ..ir.node import Const
 from ..ir.primitives import LoadOp, Prim, StoreOp
 
 # Functional-unit classes available to the binder, per replicated region.
@@ -125,10 +124,7 @@ class HLSTool:
         last_writer: Dict[int, int] = {}
         for pipe in design.pipes():
             body = [
-                n
-                for n in pipe.body_prims
-                if isinstance(n, (Prim, LoadOp, StoreOp))
-                and not isinstance(n, Const)
+                n for n in pipe.body if isinstance(n, (Prim, LoadOp, StoreOp))
             ]
             window = min(int(pipe.iterations * pipe.par), self.trace_window)
             for it in range(window):
@@ -149,10 +145,7 @@ class HLSTool:
         uid = 0
         for pipe in design.pipes():
             body = [
-                n
-                for n in pipe.body_prims
-                if isinstance(n, (Prim, LoadOp, StoreOp))
-                and not isinstance(n, Const)
+                n for n in pipe.body if isinstance(n, (Prim, LoadOp, StoreOp))
             ]
             if pipeline_outer:
                 unroll = pipe.iterations * pipe.par

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .node import IRError, Node, Value
+from .node import Const, IRError, Node, Value
 from .memories import OnChipMemory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -177,6 +177,12 @@ class Pipe(Controller):
         pattern: str = "map",
     ) -> None:
         super().__init__(design, name, cchain, par, pattern)
+
+    @property
+    def body(self) -> List[Node]:
+        """The pipelined body: primitive nodes in program order, without
+        constants (they are wired in, never scheduled or built)."""
+        return [n for n in self.body_prims if not isinstance(n, Const)]
 
 
 class MetaPipe(Controller):

@@ -27,7 +27,6 @@ from ..ir.graph import (
     Design, executions, overlap_streams, pipe_latency, weighted_transfers,
 )
 from ..ir.memops import TileTransfer
-from ..ir.node import Const
 from ..ir.primitives import op_latency
 from ..target.board import MAIA, Board
 from .dram import simulate_transfer
@@ -131,9 +130,8 @@ def _run(
 
 
 def _run_pipe(pipe: Pipe) -> float:
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
     n = pipe.iterations
-    cycles = PIPE_HANDSHAKE + pipe_latency(body) + max(n - 1, 0)
+    cycles = PIPE_HANDSHAKE + pipe_latency(pipe.body) + max(n - 1, 0)
     if pipe.accum is not None and pipe.result is not None:
         tp = getattr(pipe.result, "tp", None)
         if tp is not None:

@@ -27,7 +27,7 @@ from ..ir.controllers import (
 from ..ir.graph import Design, delay_slacks, max_depth, replication
 from ..ir.memories import BRAM, PriorityQueue, Reg
 from ..ir.memops import TileTransfer
-from ..ir.node import Const, Node, Value
+from ..ir.node import Node, Value
 from ..ir.primitives import LoadOp, Prim, StoreOp
 from ..target.device import Device
 from . import atoms as at
@@ -156,7 +156,7 @@ def _expand_accum(ctrl: Controller, netlist: Netlist, device: Device) -> None:
 
 
 def _expand_pipe(pipe: Pipe, netlist: Netlist, device: Device) -> None:
-    body = [n for n in pipe.body_prims if not isinstance(n, Const)]
+    body = pipe.body
     netlist.add("pipe", at.pipe_control_cost(len(body)))
 
     consumers = _consumer_map(body)

@@ -13,7 +13,6 @@ from typing import Dict
 
 from ..ir.controllers import Pipe
 from ..ir.graph import Design
-from ..ir.node import Const
 from ..ir.primitives import LoadOp, Prim, StoreOp
 
 # Propagation delay of one pipeline stage of each op, in nanoseconds.
@@ -60,9 +59,7 @@ def design_max_stage_ns(design: Design, congestion: float = 1.0) -> float:
     """Slowest pipeline stage anywhere in the design."""
     worst = 1.0
     for pipe in design.pipes():
-        for node in pipe.body_prims:
-            if isinstance(node, Const):
-                continue
+        for node in pipe.body:
             worst = max(worst, stage_delay_ns(node, congestion))
     return worst
 

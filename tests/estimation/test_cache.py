@@ -84,7 +84,7 @@ class TestCachedTemplateModels:
         assert caches.template.hits == 1 and caches.template.misses == 1
 
     def test_hits_return_fresh_counts_not_aliases(self, estimator):
-        """_count_memory mutates predict results; hits must never alias."""
+        """Callers may change a predicted Counts; hits must never alias."""
         caches = EstimationCaches()
         cached = caches.wrap_templates(estimator.templates)
         params = {"banks": 4, "bits": 32, "double": False}

@@ -93,6 +93,24 @@ class TestStageStructure:
         assert [s.kind for s in m.stages] == ["Pipe"]
         assert len(m.body_prims) >= 1
 
+    def test_pipe_body_drops_constants_and_keeps_order(self):
+        from repro.ir.node import Const
+
+        with Design("d"):
+            with hw.sequential("top"):
+                buf = hw.bram("buf", Float32, 16)
+                with hw.pipe("p", [(16, 1)]) as p:
+                    (i,) = p.iters
+                    x = buf[i] * hw.const(2.0, Float32)
+                    buf[i] = x + 1.0
+        consts = [n.nid for n in p.body_prims if isinstance(n, Const)]
+        assert len(consts) == 2
+        assert [n.nid for n in p.body] == [
+            n.nid for n in p.body_prims if n.nid not in consts]
+        assert [n.nid for n in p.body] == sorted(n.nid for n in p.body)
+        assert [type(n).__name__ for n in p.body] == [
+            "LoadOp", "Prim", "Prim", "StoreOp"]
+
     def test_parallel_requires_pattern_map(self):
         with Design("d"):
             with hw.sequential("top"):
