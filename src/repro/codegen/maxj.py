@@ -159,7 +159,7 @@ class MaxJGenerator:
             )
             return
         if isinstance(ctrl, Pipe):
-            for node in ctrl.body_prims:
+            for node in ctrl.body:
                 self._emit_prim(node)
             if ctrl.accum is not None and isinstance(ctrl.result, Value):
                 op, target = ctrl.accum
@@ -176,8 +176,6 @@ class MaxJGenerator:
             )
 
     def _emit_prim(self, node: Node) -> None:
-        if isinstance(node, Const):
-            return
         if isinstance(node, Prim):
             args = [self._ref(v) for v in node.inputs]
             if node.op == "mux":

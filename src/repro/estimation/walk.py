@@ -36,6 +36,7 @@ The protocol a backend implements:
 from __future__ import annotations
 
 import math
+import operator
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
@@ -330,11 +331,10 @@ class Numbers:
 
     def term(self, values, *scales) -> None:
         """Add ``values`` times each scale to the running sums, in order."""
-        sums = self.sums
-        for i, value in enumerate(values):
-            for scale in scales:
-                value = value * scale
-            sums[i] += value
+        for scale in scales:
+            if scale != 1:  # most scopes are not replicated
+                values = [value * scale for value in values]
+        self.sums = list(map(operator.add, self.sums, values))
 
     def raw(self) -> Counts:
         """The raw counts of every term so far."""
