@@ -311,6 +311,8 @@ class Numbers:
         self.tables = tables(device, board)
         self.sums = [0.0] * 5
 
+    # Python's own arithmetic. Builtins and attrgetters do not bind to
+    # the instance, so only the lambdas need ``staticmethod``.
     const = staticmethod(lambda value: value)
     add = staticmethod(lambda *xs: sum(xs))
     mul = staticmethod(lambda *xs: math.prod(xs))
