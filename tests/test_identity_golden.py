@@ -14,6 +14,14 @@
 * ``explore`` — index, params, cycles, seconds and area of every point
   of ``explore(max_points=300, seed=3)`` (the compiled class plans) on
   each Table II benchmark.
+* ``fronts`` — the Pareto-front indices of ``explore(max_points=3000,
+  seed=3)`` on each Table II benchmark (kept as lists, not digests).
+* ``shards`` — the checkpoint directory (file names and bytes) of a
+  1,500-point, 3-shard sweep of each Table II benchmark. The serial run,
+  ``workers=2``, a resume after ``shard-0000.jsonl`` is cut mid-line and
+  three ``shard_range`` runs into one directory must all give it, and
+  :func:`~repro.dse.merge_checkpoints` of the ranged directory must
+  return the serial points.
 
 One digest per (benchmark, dataset) and per explored benchmark, so a
 failure names where a number moved. Any refactor of the IR, estimator,
@@ -29,11 +37,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import shutil
+import tempfile
 from pathlib import Path
 
 from repro.apps import all_benchmarks
 from repro.apps.extras import all_extras
-from repro.dse import explore
+from repro.dse import explore, merge_checkpoints
 from repro.estimation import Estimator, estimate_cycles
 from repro.ir import IRError
 from repro.sim import simulate
@@ -45,6 +55,9 @@ SEED = 7
 PER_DATASET = 12
 EXPLORE_POINTS = 300
 EXPLORE_SEED = 3
+FRONT_POINTS = 3000
+SHARD_POINTS = 1500
+SHARD_COUNT = 3
 
 
 def _sha(lines) -> str:
@@ -97,6 +110,52 @@ def explore_digests(estimator: Estimator) -> dict:
     return out
 
 
+def front_indices(estimator: Estimator) -> dict:
+    """Table II benchmark -> Pareto-front indices of its seeded sweep."""
+    return {
+        bench.name: [p.index for p in explore(
+            bench, estimator, max_points=FRONT_POINTS, seed=EXPLORE_SEED
+        ).pareto]
+        for bench in all_benchmarks()
+    }
+
+
+def dir_digest(directory: Path) -> str:
+    """SHA-256 of a directory's file names and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def checkpointed(bench, estimator: Estimator, directory: Path, **kwargs):
+    """The golden's checkpointed sweep of ``bench`` into ``directory``."""
+    return explore(
+        bench, estimator, max_points=SHARD_POINTS, seed=EXPLORE_SEED,
+        shards=SHARD_COUNT, checkpoint_dir=directory, **kwargs,
+    )
+
+
+def cut_mid_line(path: Path) -> None:
+    """Truncate a shard file halfway through its middle line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    keep = len(lines) // 2
+    size = sum(map(len, lines[:keep])) + len(lines[keep]) // 2
+    with path.open("r+b") as fh:
+        fh.truncate(size)
+
+
+def shard_digests(estimator: Estimator, root: Path) -> dict:
+    """Table II benchmark -> digest of its serial checkpoint directory."""
+    out = {}
+    for bench in all_benchmarks():
+        checkpointed(bench, estimator, root / bench.name)
+        out[bench.name] = dir_digest(root / bench.name)
+    return out
+
+
 def views(estimator: Estimator):
     """The per-design oracle and a plan-pricing estimator on one model."""
     kwargs = dict(templates=estimator.templates,
@@ -105,11 +164,13 @@ def views(estimator: Estimator):
             Estimator(estimator.board, **kwargs))
 
 
-def golden_doc(estimator: Estimator) -> dict:
+def golden_doc(estimator: Estimator, root: Path) -> dict:
     cold, cached = views(estimator)
     return {
         "designs": design_digests(cold),
         "explore": explore_digests(cached),
+        "fronts": front_indices(cached),
+        "shards": shard_digests(cached, root),
     }
 
 
@@ -134,7 +195,38 @@ def test_explore_matches_identity_golden(estimator):
     assert not moved, moved
 
 
+def test_fronts_match_identity_golden(estimator):
+    _, cached = views(estimator)
+    assert front_indices(cached) == load_golden()["fronts"]
+
+
+def test_shard_files_match_identity_golden(estimator, tmp_path):
+    """Every way of running the checkpointed sweep writes the same bytes."""
+    _, cached = views(estimator)
+    want = load_golden()["shards"]
+    moved = []
+    for bench in all_benchmarks():
+        root = tmp_path / bench.name
+        serial = checkpointed(bench, cached, root / "serial")
+        checkpointed(bench, cached, root / "workers2", workers=2)
+        shutil.copytree(root / "serial", root / "resumed")
+        cut_mid_line(root / "resumed" / "shard-0000.jsonl")
+        checkpointed(bench, cached, root / "resumed", resume=True)
+        for lo in range(SHARD_COUNT):
+            checkpointed(bench, cached, root / "ranged",
+                         shard_range=(lo, lo + 1))
+        for variant in ("serial", "workers2", "resumed", "ranged"):
+            if dir_digest(root / variant) != want.get(bench.name):
+                moved.append(f"{bench.name}/{variant}")
+        merged = merge_checkpoints(root / "ranged", cached)
+        if merged.points != serial.points:
+            moved.append(f"{bench.name}/merged")
+    assert not moved, moved
+
+
 if __name__ == "__main__":
-    doc = golden_doc(Estimator(MAIA, training_samples=120, seed=7))
+    with tempfile.TemporaryDirectory() as root:
+        doc = golden_doc(Estimator(MAIA, training_samples=120, seed=7),
+                         Path(root))
     GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
