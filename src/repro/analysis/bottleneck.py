@@ -14,10 +14,10 @@ space. This module automates that reasoning for a single design point:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..estimation.cycles import CycleEstimate
-from ..estimation.estimator import Estimate, Estimator
+from ..estimation.estimator import Estimator
 from ..estimation.power import bandwidth_utilization
 from ..ir.controllers import Controller, Pipe
 from ..ir.graph import Design, executions
@@ -69,15 +69,12 @@ def _leaf_shares(
     return [(c, s / total) for c, s in shares]
 
 
-def diagnose(
-    design: Design,
-    estimator: Estimator,
-    estimate: Optional[Estimate] = None,
-) -> Bottleneck:
+def diagnose(design: Design, estimator: Estimator) -> Bottleneck:
     """Attribute a design point's performance to its binding constraints."""
-    estimate = estimate or estimator.estimate(design)
     cycles = estimator.estimate_cycles(design)
-    util = estimate.utilization()
+    area = estimator.estimate_area(design)
+    device = estimator.board.device
+    util = area.utilization(device)
     binding = max(util, key=util.get)
 
     shares = _leaf_shares(design, cycles)
@@ -117,7 +114,7 @@ def diagnose(
                 f"{100 * util[binding]:.0f}%; increase its parallelization "
                 "factor"
             )
-    if not estimate.fits():
+    if not area.fits(device):
         hints.insert(0, "design does not fit the device — reduce "
                         "parallelization or tile sizes")
     return Bottleneck(

@@ -24,6 +24,10 @@ from ..runtime import require_positive
 
 Point = Dict[str, object]
 
+# Random starting points drawn per batch; batches repeat until the
+# budget is spent, so this sets the draw order, not the number of starts.
+STARTS_PER_BATCH = 6
+
 
 @dataclass
 class SearchResult:
@@ -68,7 +72,6 @@ def local_search(
     estimator: Estimator,
     dataset: Optional[Dataset] = None,
     budget: int = 300,
-    restarts: int = 6,
     seed: int = 1,
 ) -> SearchResult:
     """Randomized hill climbing on runtime over the legal space.
@@ -80,11 +83,13 @@ def local_search(
     shared design-point cache skips points any earlier search or
     exploration already priced.
 
-    Raises :class:`ValueError` unless ``budget`` and ``restarts`` are
-    positive integers.
+    The walk restarts from :data:`STARTS_PER_BATCH` fresh random points
+    at a time until the budget is spent; ``SearchResult.restarts``
+    counts the starts it climbed from.
+
+    Raises :class:`ValueError` unless ``budget`` is a positive integer.
     """
     require_positive("budget", budget)
-    require_positive("restarts", restarts)
     dataset = dataset or benchmark.default_dataset()
     space = benchmark.param_space(dataset)
     rng = random.Random(seed)
@@ -113,9 +118,9 @@ def local_search(
         return estimate
 
     # Keep restarting from fresh random points until the probe budget is
-    # spent; `restarts` only sets how many starts are drawn per batch.
+    # spent.
     while result.evaluations < budget:
-        starts = space.sample(rng, restarts)
+        starts = space.sample(rng, STARTS_PER_BATCH)
         if not starts:
             break
         evals_before = result.evaluations

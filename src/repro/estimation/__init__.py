@@ -17,7 +17,6 @@ _EXPORTS = {
     "Counts": "counts",
     "CycleEstimate": "cycles",
     "estimate_cycles": "cycles",
-    "transfer_cycles": "cycles",
     "Estimate": "estimator",
     "Estimator": "estimator",
     "default_estimator": "estimator",
@@ -34,8 +33,6 @@ _EXPORTS = {
     "save_estimator": "store",
     "CorrectionModels": "train",
     "train_corrections": "train",
-    "CrossValidationReport": "validation",
-    "cross_validate": "validation",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = sorted(_EXPORTS)

@@ -219,12 +219,6 @@ class TemplateModels:
             key = f"prim:{op}:fix"
         return key
 
-    def predict_prim(self, op: str, tp, width: int) -> Counts:
-        """Estimate one primitive node's resources by op and operand type."""
-        return self.predict(
-            self.prim_key(op, tp), {"bits": tp.bits, "width": width}
-        )
-
 
 def characterize_templates(device: Device = STRATIX_V) -> TemplateModels:
     """Run all characterization microbenchmarks and fit template models."""

@@ -22,7 +22,6 @@ from typing import Dict
 from .. import obs
 from ..ir.controllers import Pipe
 from ..ir.graph import Design
-from ..ir.memops import TileTransfer
 from ..ir.primitives import op_latency
 from ..target.board import MAIA, Board
 
@@ -100,24 +99,6 @@ def pipe_cycles(latency: int, iterations: int, par: int, drain) -> int:
     return cycles
 
 
-def transfer_cycles(
-    transfer: TileTransfer, board: Board, contention: int
-) -> float:
-    """Cycles for one tile load/store including command issue and bandwidth.
-
-    The transfer streams ``words`` at a rate bounded by (a) its own
-    parallelization factor (words accepted per fabric cycle) and (b) a fair
-    share of achievable DRAM bandwidth across ``contention`` concurrent
-    streams. Command issue is pipelined but each distinct command (one per
-    non-contiguous row) pays an issue gap; the DRAM round-trip latency is
-    paid once.
-    """
-    return stream_cycles(
-        transfer.offchip.tp.bits, transfer.contiguous_words,
-        transfer.num_commands, transfer.par, board, contention,
-    )
-
-
 def stream_cycles(
     word_bits: int,
     contiguous_words: int,
@@ -126,7 +107,16 @@ def stream_cycles(
     board: Board,
     contention: int,
 ) -> float:
-    """:func:`transfer_cycles` on the transfer's plain numbers."""
+    """Cycles for one tile load/store including command issue and bandwidth.
+
+    The transfer streams its words at a rate bounded by (a) its own
+    parallelization factor ``par`` (words accepted per fabric cycle) and
+    (b) a fair share of achievable DRAM bandwidth across ``contention``
+    concurrent streams. Command issue is pipelined but each of the
+    ``num_commands`` commands (one per non-contiguous row of
+    ``contiguous_words`` words) pays an issue gap; the DRAM round-trip
+    latency is paid once.
+    """
     # Each command moves one contiguous row, rounded up to whole bursts
     # (the estimator models "the number and length of memory commands").
     row_bits = contiguous_words * word_bits

@@ -16,6 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# Encog's RPROP step sizes: initial, growth and shrink factors, bounds.
+INIT_UPDATE = 0.1
+ETA_PLUS = 1.2
+ETA_MINUS = 0.5
+MAX_UPDATE = 50.0
+MIN_UPDATE = 1e-6
+
 
 @dataclass
 class MLPConfig:
@@ -25,11 +32,6 @@ class MLPConfig:
     n_hidden: int = 6
     epochs: int = 400
     seed: int = 0
-    init_update: float = 0.1
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    max_update: float = 50.0
-    min_update: float = 1e-6
 
 
 class MLP:
@@ -103,20 +105,19 @@ class MLP:
         ys = (y - self.y_mean) / self.y_std
 
         params = [self.w1, self.b1, self.w2, self.b2]
-        updates = [np.full_like(p, self.config.init_update) for p in params]
+        updates = [np.full_like(p, INIT_UPDATE) for p in params]
         prev_grads = [np.zeros_like(p) for p in params]
-        c = self.config
         self.loss_history = []
 
-        for _ in range(c.epochs):
+        for _ in range(self.config.epochs):
             grads, loss = self._gradients(xs, ys)
             self.loss_history.append(loss)
             for p, g, u, pg in zip(params, grads, updates, prev_grads):
                 sign = g * pg
                 grew = sign > 0
                 shrank = sign < 0
-                u[grew] = np.minimum(u[grew] * c.eta_plus, c.max_update)
-                u[shrank] = np.maximum(u[shrank] * c.eta_minus, c.min_update)
+                u[grew] = np.minimum(u[grew] * ETA_PLUS, MAX_UPDATE)
+                u[shrank] = np.maximum(u[shrank] * ETA_MINUS, MIN_UPDATE)
                 g = g.copy()
                 g[shrank] = 0.0  # iRPROP-: skip update after sign change
                 p -= np.sign(g) * u

@@ -21,7 +21,7 @@ from .types import (
     common_type,
 )
 from .node import Const, IRError, Node, Value
-from .primitives import OP_INFO, LoadOp, Prim, StoreOp, op_latency, op_uses_dsp
+from .primitives import OP_INFO, LoadOp, Prim, StoreOp, op_latency
 from .memories import BRAM, ArgOut, OffChipMem, OnChipMemory, PriorityQueue, Reg
 from .controllers import (
     Controller,
@@ -80,5 +80,4 @@ __all__ = [
     "current_design",
     "format_design",
     "op_latency",
-    "op_uses_dsp",
 ]

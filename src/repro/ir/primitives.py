@@ -1,14 +1,14 @@
 """Primitive DHDL nodes: arithmetic, logic, muxes, and on-chip loads/stores.
 
 Each primitive carries an operation name from :data:`OP_INFO`, which records
-the template-independent metadata the rest of the system needs: pipeline
-latency in fabric-clock cycles (at the paper's 150 MHz target) and whether
-the operation maps to DSP blocks for floating-point / wide-multiply work.
+the template-independent metadata the rest of the system needs: arity and
+pipeline latency in fabric-clock cycles (at the paper's 150 MHz target).
 
-Area numbers deliberately do *not* live here: the synthesis substrate
-(:mod:`repro.synth`) holds the ground-truth costs and the estimator
-(:mod:`repro.estimation`) holds models *fitted* from characterization runs,
-mirroring the paper's methodology.
+Area knowledge deliberately does *not* live here, not even which ops map
+to DSP blocks: the synthesis substrate (:mod:`repro.synth`) holds the
+ground-truth costs and the estimator (:mod:`repro.estimation`) holds
+models *fitted* from characterization runs, mirroring the paper's
+methodology.
 """
 
 from __future__ import annotations
@@ -32,35 +32,33 @@ class OpInfo:
     arity: int
     latency_fix: int  # pipeline latency for fixed-point operands
     latency_flt: int  # pipeline latency for floating-point operands
-    uses_dsp_flt: bool  # floating-point version maps to DSPs
-    uses_dsp_fix: bool = False  # fixed-point version maps to DSPs (multipliers)
 
 
 OP_INFO = {
     info.name: info
     for info in [
-        OpInfo("add", 2, 1, 7, True),
-        OpInfo("sub", 2, 1, 7, True),
-        OpInfo("mul", 2, 2, 6, True, uses_dsp_fix=True),
-        OpInfo("div", 2, 16, 28, False),
-        OpInfo("lt", 2, 1, 2, False),
-        OpInfo("gt", 2, 1, 2, False),
-        OpInfo("le", 2, 1, 2, False),
-        OpInfo("ge", 2, 1, 2, False),
-        OpInfo("eq", 2, 1, 2, False),
-        OpInfo("ne", 2, 1, 2, False),
-        OpInfo("and", 2, 1, 1, False),
-        OpInfo("or", 2, 1, 1, False),
-        OpInfo("not", 1, 1, 1, False),
-        OpInfo("neg", 1, 1, 1, False),
-        OpInfo("abs", 1, 1, 1, False),
-        OpInfo("mux", 3, 1, 1, False),
-        OpInfo("sqrt", 1, 16, 28, False),
-        OpInfo("log", 1, 16, 26, True),
-        OpInfo("exp", 1, 16, 24, True),
-        OpInfo("floor", 1, 1, 2, False),
-        OpInfo("min", 2, 1, 3, False),
-        OpInfo("max", 2, 1, 3, False),
+        OpInfo("add", 2, 1, 7),
+        OpInfo("sub", 2, 1, 7),
+        OpInfo("mul", 2, 2, 6),
+        OpInfo("div", 2, 16, 28),
+        OpInfo("lt", 2, 1, 2),
+        OpInfo("gt", 2, 1, 2),
+        OpInfo("le", 2, 1, 2),
+        OpInfo("ge", 2, 1, 2),
+        OpInfo("eq", 2, 1, 2),
+        OpInfo("ne", 2, 1, 2),
+        OpInfo("and", 2, 1, 1),
+        OpInfo("or", 2, 1, 1),
+        OpInfo("not", 1, 1, 1),
+        OpInfo("neg", 1, 1, 1),
+        OpInfo("abs", 1, 1, 1),
+        OpInfo("mux", 3, 1, 1),
+        OpInfo("sqrt", 1, 16, 28),
+        OpInfo("log", 1, 16, 26),
+        OpInfo("exp", 1, 16, 24),
+        OpInfo("floor", 1, 1, 2),
+        OpInfo("min", 2, 1, 3),
+        OpInfo("max", 2, 1, 3),
     ]
 }
 
@@ -69,12 +67,6 @@ def op_latency(op: str, tp: HWType) -> int:
     """Pipeline latency of ``op`` on operands of type ``tp``."""
     info = OP_INFO[op]
     return info.latency_flt if tp.is_float else info.latency_fix
-
-
-def op_uses_dsp(op: str, tp: HWType) -> bool:
-    """Whether ``op`` on operands of type ``tp`` maps to DSP blocks."""
-    info = OP_INFO[op]
-    return info.uses_dsp_flt if tp.is_float else info.uses_dsp_fix
 
 
 class Prim(Value):
@@ -101,10 +93,6 @@ class Prim(Value):
     @property
     def latency(self) -> int:
         return op_latency(self.op, self.tp)
-
-    @property
-    def uses_dsp(self) -> bool:
-        return op_uses_dsp(self.op, self.tp)
 
 
 class LoadOp(Value):

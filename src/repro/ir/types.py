@@ -151,11 +151,3 @@ def common_type(a: HWType, b: HWType) -> HWType:
         f"no common type between {a.short_name()} and {b.short_name()}; "
         "insert an explicit conversion"
     )
-
-
-def require_same_family(a: HWType, b: HWType, op: str) -> None:
-    """Raise unless ``a`` and ``b`` can legally appear in the same ``op``."""
-    try:
-        common_type(a, b)
-    except TypeError_ as exc:
-        raise TypeError_(f"operands of '{op}' are incompatible: {exc}") from exc

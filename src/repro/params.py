@@ -40,11 +40,6 @@ def divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
-def divisors_up_to(n: int, cap: int) -> List[int]:
-    """Divisors of ``n`` that are at most ``cap``."""
-    return [d for d in divisors(n) if d <= cap]
-
-
 class _Sized:
     @property
     def size(self) -> int:

@@ -1,8 +1,8 @@
 """Simulation substrate: cycle-level runtime ground truth + functional execution.
 
-:func:`build_timeline` is the one layout of a simulated schedule: its
-intervals feed both the ASCII Gantt chart and the simulated-time Chrome
-trace (:meth:`Timeline.to_chrome_trace`, ``repro speedup --sim-trace``).
+:func:`build_timeline` is the one layout of a simulated schedule; the
+simulated-time Chrome trace (:meth:`Timeline.to_chrome_trace`,
+``repro speedup --sim-trace``) renders its intervals.
 """
 
 from .dram import TransferTiming, interleave_efficiency, simulate_transfer

@@ -55,13 +55,6 @@ class SimResult:
     def seconds(self) -> float:
         return self.cycles / self.board.fabric_clock_hz
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Achieved DRAM bandwidth in bytes/second."""
-        if self.cycles == 0:
-            return 0.0
-        return self.dram_bytes / self.seconds
-
 
 def simulate(design: Design, board: Board = MAIA) -> SimResult:
     """Simulate the execution of ``design``, returning measured cycles."""

@@ -7,10 +7,10 @@ children share a start, MetaPipe stages overlap after their fill delay.
 One *representative* outer iteration is laid out (steady state), which is
 what you want when eyeballing where time goes.
 
-`render_ascii` gives a terminal-friendly chart; `to_chrome_trace` gives
-the Chrome trace-event JSON behind ``repro speedup --sim-trace`` (1 cycle
-= 1 µs tick, loadable in https://ui.perfetto.dev), with each overlapping
-sibling of a Parallel or MetaPipe on its own lane.
+`to_chrome_trace` renders it as the Chrome trace-event JSON behind
+``repro speedup --sim-trace`` (1 cycle = 1 µs tick, loadable in
+https://ui.perfetto.dev), with each overlapping sibling of a Parallel or
+MetaPipe on its own lane.
 """
 
 from __future__ import annotations
@@ -48,25 +48,6 @@ class Timeline:
     @property
     def makespan(self) -> float:
         return max((iv.end for iv in self.intervals), default=0.0)
-
-    def overlapping(self, a: str, b: str) -> bool:
-        """Do the (first) intervals of controllers ``a`` and ``b`` overlap?"""
-        ia = next(iv for iv in self.intervals if iv.name == a)
-        ib = next(iv for iv in self.intervals if iv.name == b)
-        return ia.start < ib.end and ib.start < ia.end
-
-    def render_ascii(self, width: int = 64) -> str:
-        """A terminal Gantt chart of the laid-out intervals."""
-        span = self.makespan or 1.0
-        lines = [f"timeline: {self.design_name} "
-                 f"({span:,.0f} cycles; one execution per controller)"]
-        for iv in self.intervals:
-            lo = int(iv.start / span * width)
-            hi = max(int(iv.end / span * width), lo + 1)
-            bar = " " * lo + "#" * (hi - lo)
-            label = ("  " * iv.depth + iv.name)[:24]
-            lines.append(f"{label:24s}|{bar:<{width}}|")
-        return "\n".join(lines)
 
     def to_chrome_trace(self) -> List[Dict[str, Any]]:
         """The intervals as Chrome trace-event slices (1 cycle = 1 µs).

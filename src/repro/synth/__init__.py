@@ -14,9 +14,6 @@ _EXPORTS = {
     "SynthReport": "report",
     "design_fingerprint": "synthesis",
     "synthesize": "synthesis",
-    "achieved_fmax_hz": "timing",
-    "design_max_stage_ns": "timing",
-    "meets_clock": "timing",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = sorted(_EXPORTS)

@@ -89,7 +89,7 @@ class TestLocalSearch:
         assert a.trajectory == b.trajectory
         assert a.best.params == b.best.params
 
-    @pytest.mark.parametrize("knob", ["budget", "restarts"])
+    @pytest.mark.parametrize("knob", ["budget"])
     def test_rejects_non_positive_knobs(self, estimator, knob):
         bench = get_benchmark("tpchq6")
         for bad in (0, -1):

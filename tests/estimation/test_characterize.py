@@ -8,6 +8,13 @@ from repro.ir.types import Float32, Int32
 from repro.target import STRATIX_V
 
 
+def prim(models, op, tp, width):
+    """A primitive's predicted counts, priced as the estimator's walk does."""
+    return models.predict(
+        models.prim_key(op, tp), {"bits": tp.bits, "width": width}
+    )
+
+
 @pytest.fixture(scope="module")
 def models():
     return characterize_templates(STRATIX_V)
@@ -29,7 +36,7 @@ class TestCharacterization:
         assert worst < 0.12  # average relative residual per family
 
     def test_predict_returns_counts(self, models):
-        counts = models.predict_prim("add", Float32, 4)
+        counts = prim(models, "add", Float32, 4)
         assert isinstance(counts, Counts)
         assert counts.luts > 0 and counts.regs > 0
 
@@ -39,24 +46,24 @@ class TestCharacterization:
 
     def test_prediction_nonnegative_everywhere(self, models):
         for width in (1, 3, 5, 24, 96):
-            counts = models.predict_prim("mux", Float32, width)
+            counts = prim(models, "mux", Float32, width)
             assert counts.luts >= 0 and counts.regs >= 0
 
     def test_float_add_costs_more_than_int(self, models):
-        f = models.predict_prim("add", Float32, 1)
-        i = models.predict_prim("add", Int32, 1)
+        f = prim(models, "add", Float32, 1)
+        i = prim(models, "add", Int32, 1)
         assert f.luts > i.luts
 
     def test_mul_dsp_prediction_close_to_integer(self, models):
         for width in (1, 8, 32):
-            counts = models.predict_prim("mul", Float32, width)
+            counts = prim(models, "mul", Float32, width)
             assert counts.dsps == pytest.approx(width, rel=0.15)
 
     def test_interpolates_between_characterized_widths(self, models):
         # Width 24 was never characterized (grid has 16 and 32).
-        lo = models.predict_prim("add", Float32, 16).luts
-        mid = models.predict_prim("add", Float32, 24).luts
-        hi = models.predict_prim("add", Float32, 32).luts
+        lo = prim(models, "add", Float32, 16).luts
+        mid = prim(models, "add", Float32, 24).luts
+        hi = prim(models, "add", Float32, 32).luts
         assert lo < mid < hi
 
     def test_bram_model_analytic_blocks(self, models):

@@ -12,6 +12,13 @@ from hypothesis import strategies as st
 from repro.ir.types import Float32, Int32
 
 
+def prim(models, op, tp, width):
+    """A primitive's predicted counts, priced as the estimator's walk does."""
+    return models.predict(
+        models.prim_key(op, tp), {"bits": tp.bits, "width": width}
+    )
+
+
 @pytest.fixture(scope="module")
 def models(estimator):
     return estimator.templates
@@ -25,8 +32,8 @@ class TestPrimModels:
     @settings(max_examples=40, deadline=None)
     @given(op=ops, width=widths)
     def test_monotone_in_width(self, models, op, width):
-        narrow = models.predict_prim(op, Float32, width)
-        wide = models.predict_prim(op, Float32, width * 2)
+        narrow = prim(models, op, Float32, width)
+        wide = prim(models, op, Float32, width * 2)
         assert wide.luts >= narrow.luts
         assert wide.regs >= narrow.regs
         assert wide.dsps >= narrow.dsps
@@ -34,13 +41,13 @@ class TestPrimModels:
     @settings(max_examples=20, deadline=None)
     @given(width=widths)
     def test_float_dearer_than_int(self, models, width):
-        flt = models.predict_prim("add", Float32, width)
-        fix = models.predict_prim("add", Int32, width)
+        flt = prim(models, "add", Float32, width)
+        fix = prim(models, "add", Int32, width)
         assert flt.luts > fix.luts
 
     def test_transcendentals_dearest(self, models):
-        cheap = models.predict_prim("add", Float32, 1).luts
-        dear = models.predict_prim("log", Float32, 1).luts
+        cheap = prim(models, "add", Float32, 1).luts
+        dear = prim(models, "log", Float32, 1).luts
         assert dear > 3 * cheap
 
 

@@ -119,14 +119,12 @@ class TestPrimConstruction:
             node = d.add_binop("mul", a, a)
         assert isinstance(node, Prim)
         assert node.latency == 6  # float multiply
-        assert node.uses_dsp
 
     def test_fixed_op_latency_differs(self):
         with Design("d") as d:
             a = d.as_value(1, like=Int32)
             node = d.add_binop("add", a, a)
         assert node.latency == 1
-        assert not node.uses_dsp
 
     def test_mux_requires_bool_condition(self):
         from repro.ir.primitives import make_mux

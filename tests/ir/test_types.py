@@ -15,7 +15,6 @@ from repro.ir.types import (
     Int32,
     TypeError_,
     common_type,
-    require_same_family,
 )
 
 
@@ -99,10 +98,6 @@ class TestCommonType:
 
     def test_bits_join(self):
         assert common_type(Bool, Bool) == Bool
-
-    def test_require_same_family_error_mentions_op(self):
-        with pytest.raises(TypeError_, match="mul"):
-            require_same_family(Float32, Int32, "mul")
 
 
 @given(

@@ -45,10 +45,13 @@ class TestIssueBoundRegime:
 
     def test_estimator_also_models_issue_bound(self):
         """The estimator's per-command gap must catch the same regime."""
-        from repro.estimation.cycles import CMD_ISSUE_GAP, transfer_cycles
+        from repro.estimation.cycles import CMD_ISSUE_GAP, stream_cycles
 
         t = make_2d_transfer(rows=256, row_words=4)
-        est = transfer_cycles(t, MAIA, contention=1)
+        est = stream_cycles(
+            t.offchip.tp.bits, t.contiguous_words, t.num_commands, t.par,
+            MAIA, contention=1,
+        )
         assert est >= MAIA.dram_latency_cycles + 256 * CMD_ISSUE_GAP
 
 

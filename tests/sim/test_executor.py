@@ -81,9 +81,9 @@ class TestHierarchy:
         assert result.dram_bytes >= 2 * 65536 * 4
         assert result.dram_bytes < 2.2 * 65536 * 4
 
-    def test_effective_bandwidth_below_board_peak(self):
+    def test_achieved_bandwidth_below_board_peak(self):
         result = simulate(streaming_design(par=64))
-        assert result.effective_bandwidth <= MAIA.dram_effective_bw
+        assert result.dram_bytes / result.seconds <= MAIA.dram_effective_bw
 
 
 class TestDramModel:

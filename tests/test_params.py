@@ -11,7 +11,6 @@ from repro.params import (
     IntParam,
     ParamSpace,
     divisors,
-    divisors_up_to,
 )
 
 
@@ -29,9 +28,6 @@ class TestDivisors:
             divisors(0)
         with pytest.raises(ValueError):
             divisors(-4)
-
-    def test_divisors_up_to_cap(self):
-        assert divisors_up_to(100, 10) == [1, 2, 4, 5, 10]
 
     @given(st.integers(1, 100_000))
     def test_all_divide(self, n):
