@@ -35,12 +35,16 @@ per-call array overhead would outweigh any vector win
 arguments are not all constants becomes a subscript of a :class:`_Table`
 (``T0``, ``T1``, ... for templates; ``DELAY``, ``BRAM_BLOCKS``,
 ``STREAM``), a dict that fills a missing key once, so a repeat costs one
-C-level lookup. The NN corrections run as one
+C-level lookup. Tables belong to the family, one per lookup function and
+one per template ``(key, parameter names)``, so a key one class filled
+is a hit for every other class. A product the raw counts use more than
+once (identical Pipes) is one local. The NN corrections run as one
 :meth:`~repro.estimation.train.CorrectionModels.predict_batch` per block.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -77,7 +81,8 @@ class ClassPlan:
 
     ``evaluate(params)`` returns ``(cycles, raw counts, features)`` for a
     point of the class, or ``None`` when its IR would be illegal.
-    ``source`` is the generated function, kept for inspection.
+    ``source`` is the generated function, kept for inspection. ``tables``
+    maps the names ``source`` subscripts to the family's shared tables.
     """
 
     label: str
@@ -169,6 +174,15 @@ class _Family:
                 self.toggle_digits.insert(0, (stride, p.size, p.candidates))
             stride *= p.size
         self.plans: Dict[tuple, Optional[ClassPlan]] = {}
+        # Every plan of the family subscripts these: each function is pure
+        # and bound to the family's one estimator, so a key one class
+        # filled holds for every class.
+        board = estimator.board
+        self.tables: Dict[str, _Table] = {
+            name: _Table(fn)
+            for name, fn in walk.tables(board.device, board).items()
+        }
+        self.templates: Dict[Tuple[str, Tuple[str, ...]], _Table] = {}
 
     def index(self, params: Dict[str, object]) -> Optional[int]:
         """``params``' index in the space, or None if it is not a point."""
@@ -215,7 +229,8 @@ class _Family:
             if plan is None:
                 sp.set(refused="shape depends on parameters")
             else:
-                sp.set(nodes=plan.nodes, terms=plan.terms)
+                sp.set(nodes=plan.nodes, terms=plan.terms,
+                       lines=plan.source.count("\n"))
         self.plans[key] = plan
         return plan
 
@@ -280,10 +295,8 @@ def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
             continue
         if not _same_shape(design, second):
             return None
-        estimator = family.estimator
-        return _Symbols(
-            design, estimator.templates, estimator.models, estimator.board,
-        ).plan(f"{family.benchmark.name}:{label}", label)
+        return _Symbols(design, family).plan(
+            f"{family.benchmark.name}:{label}", label)
     return None  # a one-point class: nothing to check the shape against
 
 
@@ -306,9 +319,9 @@ def _same_shape(a: Design, b: Design) -> bool:
         if fx.keys() != fy.keys():
             return False
         for name, value in fx.items():
-            if name in _DERIVED or name[0] == "_":
-                continue
             other = fy[name]
+            if value is other or name in _DERIVED or name[0] == "_":
+                continue
             if (x.nid, name) in bound_fields:
                 value = _masked(value, x.nid, (name,), bound)
                 other = _masked(other, x.nid, (name,), bound)
@@ -318,6 +331,8 @@ def _same_shape(a: Design, b: Design) -> bool:
 
 
 def _same(x, y) -> bool:
+    if x is y:
+        return True
     if isinstance(x, Node):
         return isinstance(y, Node) and x.nid == y.nid
     if isinstance(x, (list, tuple)):
@@ -353,6 +368,9 @@ def _const(value: object) -> _Sym:
     return _Sym(repr(value), value, True)
 
 
+_ONE = _const(1)
+
+
 class _Symbols:
     """The walk's symbol backend (:mod:`repro.estimation.walk`).
 
@@ -365,31 +383,35 @@ class _Symbols:
     on symbols, independently of the IR code that derives it on numbers.
     """
 
-    def __init__(self, design: Design, models, predictor, board) -> None:
+    def __init__(self, design: Design, family: _Family) -> None:
         self.design = design
-        self.models = models
+        self.family = family
+        self.models = family.estimator.templates
         # Template values come from ``predictor.predict``: the estimator's
         # memoized view, so classes of a family share their predictions.
-        self.predictor = predictor
+        self.predictor = family.estimator.models
         self.bound = design.bindings
         # What generated code names besides its tables; ``call`` adds the
         # formulas it uses.
         self.env: Dict[str, object] = {
             "Counts": Counts, "ZERO": (0.0,) * len(_FIELDS)}
-        # The tables generated code subscripts; T0, T1, ... join on first use.
-        self.tables: Dict[str, _Table] = {
-            name: _Table(fn)
-            for name, fn in walk.tables(board.device, board).items()
-        }
+        # The family's tables generated code subscripts; T0, T1, ... join
+        # on first use.
+        self.tables: Dict[str, _Table] = dict(family.tables)
         self.lines: List[str] = []
         self.params: Dict[str, _Sym] = {}
         self.sums: List[List[str]] = [[] for _ in _FIELDS]
         self.prefix = [0.0] * len(_FIELDS)
         self.terms = 0
+        # Each product ``term`` adds to a sum: its source -> its operands.
+        self._products: Dict[str, Tuple[str, str]] = {}
         self._templates: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+        self._rows: Dict[tuple, List[_Sym]] = {}
         self._memo: Dict[object, _Sym] = {}
         self._seen: Dict[str, _Sym] = {}
         self._width: Dict[int, _Sym] = {}
+        # The transfers into each BRAM, in build order (``legality``).
+        self._transfers: Dict[int, List[TileTransfer]] = {}
 
     # -- expression helpers ----------------------------------------------------
 
@@ -487,6 +509,13 @@ class _Symbols:
         if guard is not None and guard.const and not guard.value:
             return None
         names, args = tuple(params), list(params.values())
+        # A repeated call (identical Pipes of one class) reuses its row.
+        row = (key, names, guard and guard.src, *[a.src for a in args])
+        if row not in self._rows:
+            self._rows[row] = self._template_row(key, names, args, guard)
+        return list(self._rows[row])
+
+    def _template_row(self, key, names, args, guard) -> List[_Sym]:
         if all(a.const for a in args):
             values = (a.value for a in args)
             return [_const(v) for v in _template_values(
@@ -494,8 +523,9 @@ class _Symbols:
         table = self._templates.get((key, names))
         if table is None:
             table = self._templates[(key, names)] = f"T{len(self._templates)}"
-            self.tables[table] = _Table(functools.partial(
-                _template_values, self.predictor, key, names))
+            self.tables[table] = self.family.templates.setdefault(
+                (key, names), _Table(functools.partial(
+                    _template_values, self.predictor, key, names)))
         call = f"{table}[" + "".join(f"{a.src}, " for a in args) + "]"
         call += "" if guard is None else f" if {guard.src} else ZERO"
         prefix = self._seen.get(call)
@@ -518,10 +548,12 @@ class _Symbols:
             for scale in scales:
                 if scale.const and scale.value == 1:
                     continue
-                # Inlined into the sum: a product used once.
-                value = _const(value.value * scale.value) if (
-                    value.const and scale.const
-                ) else _Sym(f"({value.src} * {scale.src})")
+                if value.const and scale.const:
+                    value = _const(value.value * scale.value)
+                    continue
+                src = f"({value.src} * {scale.src})"
+                self._products.setdefault(src, (value.src, scale.src))
+                value = _Sym(src)
             if value.const:
                 if not self.sums[i]:  # still in the constant prefix
                     self.prefix[i] += value.value
@@ -529,8 +561,30 @@ class _Symbols:
             self.sums[i].append(value.src)
 
     def raw(self) -> _Sym:
+        """The raw counts; a product used more than once is named first.
+
+        A local holds the same IEEE product as the inline expression and
+        the sums still add in order, so naming it changes no bit.
+        """
+        uses = collections.Counter(s for sums in self.sums for s in sums)
+        named = set()
+        for src, operands in reversed(self._products.items()):  # outer first
+            n = uses[src]
+            if n > 1:
+                named.add(src)
+                n = 1  # the local's one definition
+            for operand in operands:
+                uses[operand] += n
+        text: Dict[str, str] = {}
+        for src, (a, b) in self._products.items():  # inner first
+            expr = f"{text.get(a, a)} * {text.get(b, b)}"
+            if src in named:
+                text[src] = f"v{len(self.lines)}"
+                self.lines.append(f"{text[src]} = {expr}")
+            else:
+                text[src] = f"({expr})"
         fields = [
-            " + ".join([repr(prefix)] + sums)
+            " + ".join([repr(prefix)] + [text.get(s, s) for s in sums])
             for prefix, sums in zip(self.prefix, self.sums)
         ]
         self.lines.append("raw = Counts(" + ", ".join(fields) + ")")
@@ -573,7 +627,7 @@ class _Symbols:
                        self.par(ctrl), fold=operator.floordiv)
 
     def width(self, node: Node) -> _Sym:
-        return self._width.get(node.nid, _const(1))
+        return self._width.get(node.nid, _ONE)
 
     def banks(self, mem: OnChipMemory) -> _Sym:
         key = ("banks", mem.nid)
@@ -582,21 +636,20 @@ class _Symbols:
             for acc in mem.readers + mem.writers:
                 sym = self.width(acc)
                 widths.setdefault(sym.src, sym)
-            for node in self.design.nodes:
-                if isinstance(node, TileTransfer) and node.bram is mem:
-                    sym = self.par(node)
-                    widths.setdefault(sym.src, sym)
+            for node in self._transfers.get(mem.nid, ()):
+                sym = self.par(node)
+                widths.setdefault(sym.src, sym)
             syms = list(widths.values()) or [_const(1)]
             self._memo[key] = syms[0] if len(syms) == 1 else self.max(*syms)
         return self._memo[key]
 
     def replication(self, node: Node) -> _Sym:
-        pars = [
-            self.par(c) for c in node.ancestors() if not isinstance(c, Pipe)
-        ]
-        key = ("rep",) + tuple(p.src for p in pars)
+        key = ("rep", node.parent)  # nodes of one scope share ancestors
         if key not in self._memo:
-            self._memo[key] = self.mul(*pars)
+            self._memo[key] = self.mul(*[
+                self.par(c) for c in node.ancestors()
+                if not isinstance(c, Pipe)
+            ])
         return self._memo[key]
 
     def sizes(self, node) -> List[_Sym]:
@@ -643,6 +696,7 @@ class _Symbols:
                 if node.cchain is not None and not (par.const and par.value == 1):
                     self.check("{} % {} == 0", self.counts(node.cchain)[-1], par)
                 if isinstance(node, TileTransfer):
+                    self._transfers.setdefault(node.bram.nid, []).append(node)
                     sizes = self.sizes(node)
                     for size, dim in zip(sizes, node.offchip.dims):
                         self.check("0 < {} <= {}", size, _const(dim))

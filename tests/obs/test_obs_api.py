@@ -149,6 +149,7 @@ class TestPipelineInstrumentation:
         for span in compiles:
             assert span.attrs["bench"] == "dotproduct"
             assert span.attrs["nodes"] > 0 and span.attrs["terms"] > 0
+            assert span.attrs["lines"] > 0
             assert "refused" not in span.attrs
         assert {s.attrs["class"] for s in plans} == {
             s.attrs["class"] for s in compiles
