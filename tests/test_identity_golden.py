@@ -22,6 +22,12 @@
   three ``shard_range`` runs into one directory must all give it, and
   :func:`~repro.dse.merge_checkpoints` of the ranged directory must
   return the serial points.
+* ``searches`` — on a fresh plan-pricing estimator per Table II
+  benchmark, ``explore(max_points=1000, seed=3)`` then
+  :func:`~repro.dse.local_search` at budget 300 for seeds 1 and 2, so
+  the walks hit the point cache and price single points. Each search's
+  evaluations, restarts, trajectory, best params and the best point's
+  (cycles, ALMs, DSPs, BRAMs) — rounded fields, as in ``estimates.json``.
 
 One digest per (benchmark, dataset) and per explored benchmark, so a
 failure names where a number moved. Any refactor of the IR, estimator,
@@ -43,7 +49,7 @@ from pathlib import Path
 
 from repro.apps import all_benchmarks
 from repro.apps.extras import all_extras
-from repro.dse import explore, merge_checkpoints
+from repro.dse import explore, local_search, merge_checkpoints
 from repro.estimation import Estimator, estimate_cycles
 from repro.ir import IRError
 from repro.sim import simulate
@@ -58,6 +64,9 @@ EXPLORE_SEED = 3
 FRONT_POINTS = 3000
 SHARD_POINTS = 1500
 SHARD_COUNT = 3
+SEARCH_EXPLORE_POINTS = 1000
+SEARCH_BUDGET = 300
+SEARCH_SEEDS = (1, 2)
 
 
 def _sha(lines) -> str:
@@ -156,6 +165,30 @@ def shard_digests(estimator: Estimator, root: Path) -> dict:
     return out
 
 
+def search_lines(bench, estimator: Estimator):
+    """One ``repr`` line per seeded search after the seeded sweep."""
+    explore(bench, estimator, max_points=SEARCH_EXPLORE_POINTS,
+            seed=EXPLORE_SEED)
+    for seed in SEARCH_SEEDS:
+        result = local_search(bench, estimator, budget=SEARCH_BUDGET,
+                              seed=seed)
+        best = result.best
+        yield repr((
+            seed, result.evaluations, result.restarts, result.trajectory,
+            None if best is None else (
+                best.params, best.cycles, best.alms, best.estimate.dsps,
+                best.estimate.brams),
+        ))
+
+
+def search_digests(estimator: Estimator) -> dict:
+    """Table II benchmark -> digest of its searches on a fresh estimator."""
+    return {
+        bench.name: _sha(search_lines(bench, views(estimator)[1]))
+        for bench in all_benchmarks()
+    }
+
+
 def views(estimator: Estimator):
     """The per-design oracle and a plan-pricing estimator on one model."""
     kwargs = dict(templates=estimator.templates,
@@ -171,6 +204,7 @@ def golden_doc(estimator: Estimator, root: Path) -> dict:
         "explore": explore_digests(cached),
         "fronts": front_indices(cached),
         "shards": shard_digests(cached, root),
+        "searches": search_digests(estimator),
     }
 
 
@@ -198,6 +232,11 @@ def test_explore_matches_identity_golden(estimator):
 def test_fronts_match_identity_golden(estimator):
     _, cached = views(estimator)
     assert front_indices(cached) == load_golden()["fronts"]
+
+
+def test_searches_match_identity_golden(estimator):
+    moved = _mismatches(load_golden()["searches"], search_digests(estimator))
+    assert not moved, moved
 
 
 def test_shard_files_match_identity_golden(estimator, tmp_path):
