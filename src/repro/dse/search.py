@@ -13,13 +13,15 @@ bench compares its sample efficiency against pure random sampling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import DesignPoint, Estimate, Estimator
-from ..params import BoolParam, IntParam, ParamSpace
+from ..params import BoolParam, ParamSpace
 from ..runtime import require_positive
 
 Point = Dict[str, object]
@@ -41,30 +43,28 @@ class SearchResult:
     trajectory: List[float] = field(default_factory=list)
 
 
-def _neighbors(space: ParamSpace, point: Point, rng: random.Random) -> List[Point]:
-    """Points differing from ``point`` in exactly one parameter step."""
-    out: List[Point] = []
-    for param in space.params:
-        current = point[param.name]
-        if isinstance(param, BoolParam):
-            candidate = dict(point)
-            candidate[param.name] = not current
-            out.append(candidate)
-            continue
-        assert isinstance(param, IntParam)
-        values = list(param.candidates)
-        try:
-            idx = values.index(current)
-        except ValueError:  # pragma: no cover - points come from the space
-            continue
-        for step in (-1, 1):
-            j = idx + step
-            if 0 <= j < len(values):
+def _neighbors(
+    space: ParamSpace, index: int, point: Point, rng: random.Random
+) -> List[Tuple[int, Point]]:
+    """``(index, point)`` of the legal points one parameter step from
+    ``point``, the point at ``index``: a toggle flipped, or an integer
+    moved to an adjacent candidate. The index changes by the step times
+    the parameter's stride, so no neighbour is encoded again."""
+    out: List[Tuple[int, Point]] = []
+    sizes = [len(param.candidates) for param in space.params]
+    stride = math.prod(sizes)
+    for param, size in zip(space.params, sizes):
+        stride //= size
+        digit = index // stride % size
+        steps = (1 - 2 * digit,) if isinstance(param, BoolParam) else (-1, 1)
+        for step in steps:
+            j = digit + step
+            if 0 <= j < size:
                 candidate = dict(point)
-                candidate[param.name] = values[j]
-                out.append(candidate)
+                candidate[param.name] = param.candidates[j]
+                out.append((index + step * stride, candidate))
     rng.shuffle(out)
-    return [p for p in out if space.is_legal(p)]
+    return [(i, p) for i, p in out if space.is_legal(p)]
 
 
 def local_search(
@@ -85,7 +85,7 @@ def local_search(
 
     The walk restarts from :data:`STARTS_PER_BATCH` fresh random points
     at a time until the budget is spent; ``SearchResult.restarts``
-    counts the starts it climbed from.
+    counts the starts it climbed from. The call is one ``search`` span.
 
     Raises :class:`ValueError` unless ``budget`` is a positive integer.
     """
@@ -96,8 +96,8 @@ def local_search(
     result = SearchResult(benchmark.name, dataset)
     seen: Dict[int, Optional[Estimate]] = {}
 
-    def evaluate(point: Point) -> Optional[Estimate]:
-        index = space.encode(point)
+    def evaluate(index: int, point: Point) -> Optional[Estimate]:
+        """The point's estimate if it fits the device, else None."""
         if index in seen:
             return seen[index]
         if result.evaluations >= budget:
@@ -106,46 +106,48 @@ def local_search(
         (estimate,) = estimator.estimate_points(
             benchmark, dataset, [point], [index]
         )
-        seen[index] = estimate
+        fitting = seen[index] = (
+            estimate if estimate is not None and estimate.fits() else None
+        )
         if estimate is None:
             return None
-        if estimate.fits():
-            if result.best is None or estimate.cycles < result.best.cycles:
-                result.best = DesignPoint(dict(point), estimate)
+        if fitting is not None and (
+            result.best is None or fitting.cycles < result.best.cycles
+        ):
+            result.best = DesignPoint(dict(point), fitting)
         result.trajectory.append(
             result.best.cycles if result.best else float("inf")
         )
-        return estimate
+        return fitting
 
-    # Keep restarting from fresh random points until the probe budget is
-    # spent.
-    while result.evaluations < budget:
-        starts = space.sample(rng, STARTS_PER_BATCH)
-        if not starts:
-            break
-        evals_before = result.evaluations
-        for start in starts:
-            if result.evaluations >= budget:
+    with obs.span("search", bench=benchmark.name, budget=budget,
+                  seed=seed) as span:
+        # Keep restarting from fresh random points until the probe budget
+        # is spent.
+        while result.evaluations < budget:
+            indices = space.sample_indices(rng, STARTS_PER_BATCH)
+            if not len(indices):
                 break
-            result.restarts += 1
-            current = start
-            current_est = evaluate(current)
-            while result.evaluations < budget:
-                improved = False
-                for neighbor in _neighbors(space, current, rng):
-                    est = evaluate(neighbor)
-                    if est is None:
-                        continue
-                    if est.fits() and (
-                        current_est is None
-                        or not current_est.fits()
-                        or est.cycles < current_est.cycles
-                    ):
-                        current, current_est = neighbor, est
-                        improved = True
-                        break
-                if not improved:
+            evals_before = result.evaluations
+            for current in zip(indices.tolist(), space.points(indices)):
+                if result.evaluations >= budget:
                     break
-        if result.evaluations == evals_before:
-            break  # everything reachable is cached; stop cleanly
+                result.restarts += 1
+                current_est = evaluate(*current)
+                while result.evaluations < budget:
+                    improved = False
+                    for neighbor in _neighbors(space, *current, rng):
+                        est = evaluate(*neighbor)
+                        if est is not None and (
+                            current_est is None
+                            or est.cycles < current_est.cycles
+                        ):
+                            current, current_est = neighbor, est
+                            improved = True
+                            break
+                    if not improved:
+                        break
+            if result.evaluations == evals_before:
+                break  # everything reachable is cached; stop cleanly
+        span.set(evaluations=result.evaluations, restarts=result.restarts)
     return result

@@ -79,9 +79,8 @@ class LRUCache:
     def get(self, key: object) -> object:
         """Return the cached value for ``key``, or :data:`MISS`."""
         data = self._data
-        try:
-            value = data[key]
-        except KeyError:
+        value = data.get(key, MISS)
+        if value is MISS:
             self.misses += 1
             return MISS
         data.move_to_end(key)
@@ -199,6 +198,7 @@ class EstimationCaches:
         self.points = LRUCache("points", DEFAULT_POINT_ENTRIES)
         # One entry per (benchmark, dataset) swept, so unbounded.
         self.plans: Dict[tuple, object] = {}
+        self.last_family: Optional[object] = None  # plan.family_of's memo
 
     def wrap_templates(self, models: TemplateModels) -> CachedTemplateModels:
         """A memoizing predict view over ``models`` backed by this bundle."""
@@ -210,6 +210,7 @@ class EstimationCaches:
         self.schedule.clear()
         self.points.clear()
         self.plans.clear()
+        self.last_family = None
 
     def caches(self) -> List[LRUCache]:
         """The individual caches, in display order."""

@@ -17,7 +17,7 @@ from ..ir.graph import Design
 from ..ir.node import IRError
 from ..target.board import MAIA, Board
 from .area import AreaEstimate, hybrid_area
-from .cache import MISS, EstimationCaches, point_key
+from .cache import MISS, EstimationCaches
 from .characterize import TemplateModels, characterize_templates
 from .cycles import CycleEstimate, estimate_cycles
 from .plan import family_of, price_points
@@ -203,7 +203,7 @@ class Estimator:
         family = family_of(self, benchmark, dataset)
         if indices is None:
             indices = [family.index(params) for params in params_list]
-        name, data, _ = point_key(benchmark.name, dataset, None)
+        name, data = family.key
         points = self.caches.points
         out: List[Optional[Estimate]] = []
         misses = []
@@ -215,7 +215,7 @@ class Estimator:
             out.append(hit)  # type: ignore[arg-type]
         if misses:
             priced = price_points(
-                self, benchmark, dataset, [params for _, _, params in misses],
+                family, [params for _, _, params in misses],
                 [family.class_key(params, key[2])
                  for _, key, params in misses],
             )

@@ -11,8 +11,10 @@ standardization. Training is deterministic given a seed.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,6 +205,64 @@ class MLPStack:
         h = 1.0 / (1.0 + np.exp(-np.clip(z1, -40, 40)))
         y = MLP._affine(h.transpose(1, 0, 2), self.w2, self.b2)[:, 0]
         return np.clip(y * self.y_std + self.y_mean, self.lo, self.hi)
+
+    @functools.cached_property
+    def predict_row(self) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+        """:meth:`predict` of one feature row, as ``K`` Python floats with
+        the same bits, at a fraction of the block forward's ~35 numpy calls.
+
+        A straight-line function generated, on first use, from the weights
+        as ``repr`` literals. It replays the block's operation order:
+        ``(x - mean) / std``, ``x0*w0 + x1*w1 + ...`` then ``+ b``
+        (:meth:`MLP._affine`); the clip and clamps compare as numpy's
+        ``clip`` does (NaN passes, a tie takes the bound). ``exp`` stays
+        one ``np.exp`` call: numpy may run SIMD code that differs from
+        ``math.exp`` in the last bit.
+        """
+        return _row_function(self)
+
+
+def _row_function(stack: MLPStack):
+    """Generate :attr:`MLPStack.predict_row` (see there)."""
+    n_in, n_nets, n_hidden = stack.w1.shape[:3]
+    mean, std, w1, b1, w2, b2, y_std, y_mean, lo, hi = (
+        a.tolist() for a in (stack.x_mean, stack.x_std, stack.w1, stack.b1,
+                             stack.w2, stack.b2, stack.y_std, stack.y_mean,
+                             stack.lo, stack.hi))
+    scaled: Dict[str, str] = {}  # nets trained on one set share x stats
+    names = {  # (input, net) -> the local holding the standardized input
+        (j, k): scaled.setdefault(
+            f"(x{j} - {mean[j][k][0]!r}) / {std[j][k][0]!r}",
+            f"s{len(scaled)}")
+        for j, k in itertools.product(range(n_in), range(n_nets))}
+    lines = [f"{', '.join(f'x{j}' for j in range(n_in))}, = x"]
+    lines += [f"{name} = {expr}" for expr, name in scaled.items()]
+
+    def affine(terms, bias) -> str:
+        return " + ".join(f"{v}*{w!r}" for v, w in terms) + f" + {bias!r}"
+
+    hidden = list(itertools.product(range(n_nets), range(n_hidden)))
+    for k, m in hidden:
+        lines.append(f"z{k}_{m} = " + affine(
+            [(names[j, k], w1[j][k][m][0]) for j in range(n_in)], b1[k][m][0]))
+    clipped = ", ".join(f"40.0 if z{k}_{m} < -40.0 else -40.0 if z{k}_{m} > "
+                        f"40.0 else -z{k}_{m}" for k, m in hidden)
+    lines.append(f"{', '.join(f'e{k}_{m}' for k, m in hidden)}, = "
+                 f"exp(array(({clipped},))).tolist()")
+    for k in range(n_nets):
+        h = [(f"(1.0 / (1.0 + e{k}_{m}))", w2[m][k][0][0])
+             for m in range(n_hidden)]
+        y, low, high = f"y{k}", lo[k][0], hi[k][0]
+        lines += [f"{y} = ({affine(h, b2[k][0][0])}) * {y_std[k][0]!r} + "
+                  f"{y_mean[k][0]!r}",
+                  f"{y} = {y} if {y} > {low!r} or {y} != {y} else {low!r}",
+                  f"{y} = {y} if {y} < {high!r} or {y} != {y} else {high!r}"]
+    lines.append(f"return {', '.join(f'y{k}' for k in range(n_nets))},")
+    source = "def row(x):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"exp": np.exp, "array": np.array,
+                 "inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<MLPStack row>", "exec"), namespace)
+    return namespace["row"]
 
 
 def fit_linear(x: np.ndarray, y: np.ndarray) -> np.ndarray:

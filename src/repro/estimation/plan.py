@@ -64,6 +64,7 @@ from ..ir.node import IRError, Node
 from ..params import BoolParam, IntParam, ParamSpace
 from . import walk
 from .area import _finalize_area
+from .cache import point_key
 from .counts import Counts
 
 #: The Counts fields, in constructor order.
@@ -97,7 +98,7 @@ class ClassPlan:
 # -- pricing ------------------------------------------------------------------
 
 
-def price_points(estimator, benchmark, dataset, params_list, classes):
+def price_points(family, params_list, classes):
     """Estimates for ``params_list`` (``None`` = IR-illegal), in order.
 
     Points are grouped by their structural class (``classes``, from
@@ -108,7 +109,7 @@ def price_points(estimator, benchmark, dataset, params_list, classes):
     """
     from .estimator import Estimate  # local import: estimator imports us
 
-    family = family_of(estimator, benchmark, dataset)
+    estimator = family.estimator
     out: List[object] = [None] * len(params_list)
     groups: Dict[object, List[int]] = {}
     for i, key in enumerate(classes):
@@ -119,7 +120,8 @@ def price_points(estimator, benchmark, dataset, params_list, classes):
         plan = family.plan(key, points) if key is not None else None
         if plan is None:
             for i, params in zip(indices, points):
-                out[i] = estimator._estimate_built(benchmark, dataset, params)
+                out[i] = estimator._estimate_built(
+                    family.benchmark, family.dataset, params)
             continue
         with obs.span("estimate.plan", **{"class": plan.label,
                                           "n": len(points)}):
@@ -131,22 +133,16 @@ def price_points(estimator, benchmark, dataset, params_list, classes):
         return out
     board = estimator.board
     with obs.span("area.nn", batch=len(rows)):
-        routing, dup_regs, unavailable, dup_brams = (
-            estimator.corrections.predict_batch(
-                [row[2] for _, _, row in rows], [row[1] for _, _, row in rows]
-            )
+        corrections = estimator.corrections.predict_batch(
+            [row[2] for _, _, row in rows], [row[1] for _, _, row in rows]
         )
-    for k, (i, plan, (cycles, raw, _)) in enumerate(rows):
-        area = _finalize_area(
-            raw, board.device, float(routing[k]), float(dup_regs[k]),
-            float(unavailable[k]), float(dup_brams[k]),
-        )
+    for (i, plan, (cycles, raw, _)), routing, dup_regs, unavailable, \
+            dup_brams in zip(rows, *(c.tolist() for c in corrections)):
         out[i] = Estimate(
-            design_name=plan.design_name,
-            cycles=cycles,
-            seconds=cycles / board.fabric_clock_hz,
-            area=area,
-            board=board,
+            plan.design_name, cycles, cycles / board.fabric_clock_hz,
+            _finalize_area(raw, board.device, routing, dup_regs,
+                           unavailable, dup_brams),
+            board,
         )
     return out
 
@@ -154,9 +150,10 @@ def price_points(estimator, benchmark, dataset, params_list, classes):
 class _Family:
     """The plans of one (benchmark, dataset), keyed by toggle tuple."""
 
-    def __init__(self, benchmark, dataset, estimator) -> None:
+    def __init__(self, key: tuple, benchmark, dataset, estimator) -> None:
+        self.key = key  # point_key's (name, dataset) prefix
         self.benchmark = benchmark
-        self.dataset = dataset
+        self.dataset = dict(dataset)  # a copy: family_of compares it
         self.estimator = estimator
         self.space: ParamSpace = benchmark.param_space(dataset)
         self.names = frozenset(self.space.names)
@@ -236,13 +233,20 @@ class _Family:
 
 
 def family_of(estimator, benchmark, dataset) -> _Family:
-    """The estimator's plan family for ``benchmark`` on ``dataset``."""
-    plans = estimator.caches.plans
-    key = (benchmark.name, tuple(sorted(dataset.items())))
-    family = plans.get(key)
+    """The estimator's plan family for ``benchmark`` on ``dataset``; the
+    last one found answers a repeat call without keying the dataset."""
+    caches = estimator.caches
+    family = caches.last_family
+    if (family is not None and family.benchmark is benchmark
+            and family.estimator is estimator and family.dataset == dataset):
+        return family
+    key = point_key(benchmark.name, dataset, None)[:2]
+    family = caches.plans.get(key)
     if (family is None or family.benchmark is not benchmark
             or family.estimator is not estimator):
-        family = plans[key] = _Family(benchmark, dataset, estimator)
+        family = caches.plans[key] = _Family(key, benchmark, dataset,
+                                             estimator)
+    caches.last_family = family
     return family
 
 

@@ -67,14 +67,26 @@ class CorrectionModels:
 
         One stacked forward of the three nets over the feature matrix
         (:class:`MLPStack`). It is batch-size invariant, so each row's
-        result is bit for bit the same in a block of any size; the
-        scalar ``predict_*`` calls are one-row blocks. Returns
+        result is bit for bit the same in a block of any size. One row
+        (the scalar ``predict_*`` calls, guided search, the per-design
+        path) takes :attr:`MLPStack.predict_row` and Python floats, which
+        give the block's bits without its per-call numpy cost. Returns
         ``(routing_luts, duplicated_regs, unavailable_luts,
         duplicated_brams)`` arrays of length ``len(raws)``.
         """
         if len(feats_rows) != len(raws):
             raise ValueError(f"expected {len(raws)} feature rows (one per "
                              f"raw count), got {len(feats_rows)}")
+        # A row of the wrong width takes the block path, which raises.
+        if len(raws) == 1 and len(feats_rows[0]) == len(self._stack.x_mean):
+            (raw,) = raws
+            routing, dup_regs, unavailable = self._stack.predict_row(
+                feats_rows[0])
+            routing *= raw.luts
+            return tuple(np.array([
+                routing, dup_regs * raw.regs, unavailable * raw.luts,
+                self.predict_duplicated_brams(routing, raw),
+            ])[:, None])
         if not raws:
             empty = np.empty(0, dtype=float)
             return empty, empty, empty, empty

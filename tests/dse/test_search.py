@@ -96,21 +96,35 @@ class TestLocalSearch:
             with pytest.raises(ValueError, match=f"{knob} must be"):
                 local_search(bench, estimator, **{knob: bad})
 
-    def test_neighbors_stay_legal(self, estimator):
+    def test_neighbors_stay_legal(self):
+        """On every Table II space, each neighbour is legal, one candidate
+        step away and carries its own index, from inner points and from
+        the first and last candidates of every parameter."""
         import random
 
+        from repro.apps import all_benchmarks
         from repro.dse.search import _neighbors
 
-        bench = get_benchmark("dotproduct")
-        ds = bench.default_dataset()
-        space = bench.param_space(ds)
-        point = bench.default_params(ds)
-        for neighbor in _neighbors(space, point, random.Random(0)):
-            assert space.is_legal(neighbor)
-            diffs = sum(
-                1 for k in point if neighbor[k] != point[k]
-            )
-            assert diffs == 1
+        for bench in all_benchmarks():
+            ds = bench.default_dataset()
+            space = bench.param_space(ds)
+            starts = [0, space.cardinality - 1,
+                      space.encode(bench.default_params(ds))]
+            starts += space.sample_indices(random.Random(2), 5).tolist()
+            checked = 0
+            for index in starts:
+                (point,) = space.points([index])
+                for carried, neighbor in _neighbors(space, index, point,
+                                                    random.Random(index)):
+                    assert carried == space.encode(neighbor), bench.name
+                    assert space.is_legal(neighbor)
+                    (moved,) = [p for p in space.params
+                                if neighbor[p.name] != point[p.name]]
+                    steps = (moved.candidates.index(neighbor[moved.name])
+                             - moved.candidates.index(point[moved.name]))
+                    assert abs(steps) == 1
+                    checked += 1
+            assert checked, bench.name
 
 
 class TestParetoND:

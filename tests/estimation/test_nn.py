@@ -157,6 +157,76 @@ class TestStackedForward:
             net.predict(np.zeros((3, 12)))
 
 
+def special_rows(n, seed=0):
+    """``mixed_rows`` with +-inf and NaN features, one to all per row."""
+    x = mixed_rows(n, seed)
+    rng = np.random.default_rng(seed)
+    for i, row in enumerate(x):
+        picks = rng.choice(11, size=1 + i % 11, replace=False)
+        row[picks] = rng.choice([np.inf, -np.inf, np.nan], size=len(picks))
+    return x
+
+
+def same_values(got, want) -> bool:
+    """Bit-equal where ``want`` is a number; NaN exactly where it is NaN
+    (a NaN's sign and payload depend on operand order, not on value)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return bool((np.isnan(got) == nan).all()
+                and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+class TestRowForward:
+    """``MLPStack.predict_row`` gives ``predict``'s bits for one row."""
+
+    CLAMPS = TestStackedForward.CLAMPS
+
+    def rows_match(self, stack, x):
+        block = stack.predict(x)
+        for i, row in enumerate(x.tolist()):
+            got = stack.predict_row(row)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == block[:, i].tobytes(), i
+        return block
+
+    def test_matches_block_on_rows_saturating_the_clip(self):
+        self.rows_match(MLPStack(trained_nets(), self.CLAMPS),
+                        mixed_rows(1024))
+
+    def test_matches_block_with_every_clamp_hit(self):
+        nets = trained_nets()
+        for net in nets:
+            net.y_std *= 20.0
+        block = self.rows_match(MLPStack(nets, self.CLAMPS),
+                                mixed_rows(1024, seed=5))
+        for k, (lo, hi) in enumerate(self.CLAMPS):
+            assert (block[k] == lo).any() and (block[k] == hi).any()
+
+    def test_matches_block_with_infinite_clamps(self):
+        nets = trained_nets()
+        stack = MLPStack(nets, [(-np.inf, np.inf)] * 3)
+        block = self.rows_match(stack, mixed_rows(256, seed=9))
+        for k, net in enumerate(nets):
+            assert net.predict(mixed_rows(256, seed=9)).tobytes() == (
+                block[k].tobytes())
+
+    def test_inf_and_nan_rows_give_the_block_values(self):
+        stack = MLPStack(trained_nets(), self.CLAMPS)
+        x = special_rows(512)
+        with np.errstate(invalid="ignore"):
+            block = stack.predict(x)
+        assert np.isnan(block).any() and not np.isnan(block).all()
+        for i, row in enumerate(x.tolist()):
+            assert same_values(stack.predict_row(row), block[:, i]), i
+
+    def test_built_once_on_first_use(self):
+        stack = MLPStack(trained_nets(), self.CLAMPS)
+        assert "predict_row" not in vars(stack)
+        stack.predict(mixed_rows(4))
+        assert "predict_row" not in vars(stack)
+        assert stack.predict_row is stack.predict_row
+
+
 class TestSerialization:
     def test_roundtrip_identical_predictions(self):
         x, y = make_data(lambda v: v[0] * v[1])

@@ -1,13 +1,14 @@
 """Tests for the module-level obs facade and pipeline instrumentation."""
 
 import os
+import re
 import time
 
 import pytest
 
 from repro import obs
 from repro.apps import get_benchmark
-from repro.dse import explore
+from repro.dse import explore, local_search
 from repro.runtime import pool
 from repro.sim import simulate
 
@@ -162,6 +163,30 @@ class TestPipelineInstrumentation:
         (nn,) = tracer.find("area.nn")
         assert nn.attrs["batch"] == len(result.points)
         assert estimator.caches.template.misses > misses
+
+    def test_one_search_span_per_local_search(self, estimator):
+        """Each guided search is one ``search`` span: its settings when it
+        opens, its evaluations and restarts when it closes, and the
+        pricing it caused inside it."""
+        bench = get_benchmark("tpchq6")
+        obs.enable()
+        results = [local_search(bench, estimator, budget=budget, seed=seed)
+                   for budget, seed in ((40, 3), (25, 8))]
+        tracer = obs.tracer()
+        spans = tracer.find("search")
+        assert [s.attrs for s in spans] == [
+            {"bench": "tpchq6", "budget": budget, "seed": seed,
+             "evaluations": r.evaluations, "restarts": r.restarts}
+            for r, (budget, seed) in zip(results, ((40, 3), (25, 8)))
+        ]
+        assert all(s.attrs["evaluations"] > 0 for s in spans)
+        for name in ("estimate.plan", "area.nn"):
+            assert all(any(inside(s, p) for s in spans)
+                       for p in tracer.find(name))
+        summary = obs.span_summary(tracer)
+        total = sum(r.evaluations for r in results)
+        assert re.search(rf"search\.evaluations +{total:,}\n", summary)
+        assert re.search(r"search\.budget +25\n", summary)
 
     def test_serial_progress_once_per_thousand_points(self, estimator):
         """Progress is checked once per priced block: a 2,500-point
