@@ -106,9 +106,8 @@ def local_search(
         (estimate,) = estimator.estimate_points(
             benchmark, dataset, [point], [index]
         )
-        fitting = seen[index] = (
-            estimate if estimate is not None and estimate.fits() else None
-        )
+        fits = estimate is not None and estimate.fits()
+        fitting = seen[index] = estimate if fits else None
         if estimate is None:
             return None
         if fitting is not None and (

@@ -68,9 +68,8 @@ class CorrectionModels:
         One stacked forward of the three nets over the feature matrix
         (:class:`MLPStack`). It is batch-size invariant, so each row's
         result is bit for bit the same in a block of any size. One row
-        (the scalar ``predict_*`` calls, guided search, the per-design
-        path) takes :attr:`MLPStack.predict_row` and Python floats, which
-        give the block's bits without its per-call numpy cost. Returns
+        (scalar calls, guided search, the per-design path) takes
+        :attr:`MLPStack.predict_row`: the same bits, one numpy call. Returns
         ``(routing_luts, duplicated_regs, unavailable_luts,
         duplicated_brams)`` arrays of length ``len(raws)``.
         """

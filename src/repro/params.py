@@ -138,7 +138,10 @@ class ParamSpace:
 
     def is_legal(self, point: Point) -> bool:
         """Whether ``point`` satisfies every registered constraint."""
-        return all(c(point) for c in self.constraints)
+        for constraint in self.constraints:  # a loop: search calls this a lot
+            if not constraint(point):
+                return False
+        return True
 
     def legal(self, indices) -> np.ndarray:
         """Which of ``indices`` are legal, as a boolean mask. A constraint
