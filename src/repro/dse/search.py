@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..apps.registry import Benchmark, Dataset
 from ..estimation.estimator import DesignPoint, Estimate, Estimator
+from ..estimation.plan import family_of
 from ..params import BoolParam, ParamSpace
 from ..runtime import require_positive
 
@@ -91,7 +92,10 @@ def local_search(
     """
     require_positive("budget", budget)
     dataset = dataset or benchmark.default_dataset()
-    space = benchmark.param_space(dataset)
+    if estimator.caches is None:
+        space = benchmark.param_space(dataset)
+    else:  # the space the estimator's plan family already holds
+        space = family_of(estimator, benchmark, dataset).space
     rng = random.Random(seed)
     result = SearchResult(benchmark.name, dataset)
     seen: Dict[int, Optional[Estimate]] = {}

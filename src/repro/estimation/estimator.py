@@ -96,11 +96,11 @@ class Estimator:
 
     Both paths run the estimator's one walk (:mod:`repro.estimation.walk`):
     :meth:`estimate` on a built design's numbers, :meth:`estimate_points`
-    through class plans that ran it once on symbols. With ``cache=True``
+    through plans that ran it once on symbols. With ``cache=True``
     (the default) the estimator owns an
     :class:`~repro.estimation.cache.EstimationCaches` bundle that
     memoizes template predictions, whole design points, and the compiled
-    per-class plans behind :meth:`estimate_points`. Cached results are
+    per-family plans behind :meth:`estimate_points`. Cached results are
     bit-identical to the cold path; pass ``cache=False`` (the
     ``--no-cache`` CLI flag) to build and estimate every design from
     scratch.
@@ -189,8 +189,8 @@ class Estimator:
         in the benchmark's space, when the caller holds them; otherwise
         each dict is encoded. With caching on, repeat points are served
         from the ``points`` cache (keyed by index; a dict outside the
-        space is never cached) and fresh ones are priced from per-class
-        plans (:mod:`repro.estimation.plan`) without building their IR;
+        space is never cached) and fresh ones are priced from the
+        family's plan (:mod:`repro.estimation.plan`) without building IR;
         every estimate is bit-identical to building the design and
         calling :meth:`estimate`. With ``cache=False`` each point is
         built and estimated that way.
@@ -216,8 +216,7 @@ class Estimator:
         if misses:
             priced = price_points(
                 family, [params for _, _, params in misses],
-                [family.class_key(params, key[2])
-                 for _, key, params in misses],
+                [key[2] for _, key, _ in misses],
             )
             for (i, key, _), estimate in zip(misses, priced):
                 if key[2] is not None:

@@ -1,44 +1,41 @@
-"""Class plans: compile each structural class once, price points flat.
+"""Class plans: compile each benchmark family once, price points flat.
 
 A DHDL design is a parameterized template (paper Fig. 3): tile sizes and
-parallelization factors bind into a controller tree whose *shape* only
-the MetaPipe toggles change. A design space therefore falls into a
-handful of structural classes, one per (benchmark, dataset, toggle
-tuple), and every point of a class has the same controllers, memories
-and primitives — only the numbers differ.
+parallelization factors bind into a controller tree, and a MetaPipe
+toggle only chooses whether one loop is a MetaPipe or a Sequential. So
+all points of a (benchmark, dataset) family form one structural class.
 
-:class:`ClassPlan` exploits that. It builds the class's IR once with
-:class:`~repro.ir.builder.Param` integers, so the builder records which
-IR fields come straight from a parameter (loop dims, ``par``, BRAM dims,
-tile sizes). A second legal point of the class is built too; if any
-field the builder did *not* record differs between the two, the class's
-structure depends on its parameters in a way a plan cannot follow, and
-it is priced per point instead.
+:class:`ClassPlan` exploits that. It builds the family's IR once with
+:class:`~repro.ir.builder.Param` values, so the builder records which IR
+fields come straight from a parameter (loop dims, ``par``, BRAM dims,
+tile sizes, each ``loop(metapipe_=...)`` toggle). One more point per
+other toggle combination is built, at integers that differ from the
+first point's where the space allows; if a field the builder did *not*
+record differs — besides a toggled loop's class and the double
+buffering it implies — the structure follows a parameter in a way a
+plan cannot, and the family is priced per design.
 
 The estimator's walk (:mod:`repro.estimation.walk`) then runs once on
-:class:`_Symbols`: the cost model the per-design path evaluates on a
-design's numbers is lowered into one straight-line Python function of
-the parameter values, constants folded while compiling. The symbol
-backend alone derives what the builder and ``Design.finalize`` derive
-from parameters — the value-dependent :class:`~repro.ir.IRError` checks,
-vector widths, banking, replication and transfer streams. The generated
-code replays the walk's float operations in the walk's order and takes
-template values from the scalar :meth:`TemplateModels.predict`, so a
-plan's estimate is bit-identical to building the design and calling
-:meth:`Estimator.estimate <repro.estimation.estimator.Estimator.estimate>`.
+:class:`_Symbols`, which lowers the per-design cost model into one
+Python function of the parameter values, constants folded while
+compiling. The symbol backend alone derives what the builder and
+``Design.finalize`` derive from parameters: the value-dependent
+:class:`~repro.ir.IRError` checks, vector widths, banking, replication,
+transfer streams and, from the toggles, double buffering. A toggled
+loop's cycle subtree becomes an ``if``/``else`` block, so a point runs
+only its own arm. The code replays the walk's float operations in its
+order and takes template values from the scalar
+:meth:`TemplateModels.predict`, so a plan's estimate is bit-identical to
+building the design and calling :meth:`Estimator.estimate
+<repro.estimation.estimator.Estimator.estimate>`.
 
-The evaluation form is plain Python, not numpy: a sweep hands blocks of
-at most 100 points (``runtime.checkpoint.BLOCK_POINTS``) to
-:func:`price_points` and guided search prices one point at a time, so
-per-call array overhead would outweigh any vector win
-(``docs/estimation_performance.md``). A ``lookup`` or template whose
-arguments are not all constants becomes a subscript of a :class:`_Table`
-(``T0``, ``T1``, ... for templates; ``DELAY``, ``BRAM_BLOCKS``,
-``STREAM``), a dict that fills a missing key once, so a repeat costs one
-C-level lookup. Tables belong to the family, one per lookup function and
-one per template ``(key, parameter names)``, so a key one class filled
-is a hit for every other class. A product the raw counts use more than
-once (identical Pipes) is one local. The NN corrections run as one
+The code is plain Python, not numpy: sweeps price blocks of at most 100
+points and guided search one, so per-call array overhead would outweigh
+any vector win (``docs/estimation_performance.md``). A ``lookup`` or
+template of non-constant arguments subscripts a :class:`_Table` of the
+family (``T0``, ``T1``, ... for templates; ``DELAY``, ``BRAM_BLOCKS``,
+``STREAM``), a dict that fills a missing key once. A product the raw
+counts use more than once is one local. The NN corrections run as one
 :meth:`~repro.estimation.train.CorrectionModels.predict_batch` per block.
 """
 
@@ -46,6 +43,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 import random
@@ -56,8 +54,8 @@ from typing import (
 
 from .. import obs
 from ..ir.builder import Param
-from ..ir.controllers import Controller, CounterChain, Pipe
-from ..ir.graph import Design
+from ..ir.controllers import Controller, CounterChain, MetaPipe, Pipe
+from ..ir.graph import Design, bram_transfers, double_buffers, same_shape
 from ..ir.memories import BRAM, OnChipMemory
 from ..ir.memops import TileTransfer
 from ..ir.node import IRError, Node
@@ -70,23 +68,22 @@ from .counts import Counts
 #: The Counts fields, in constructor order.
 _FIELDS = ("luts_packable", "luts_unpackable", "regs", "dsps", "brams")
 
-#: Attempts at drawing a second point that differs in every parameter.
-_SECOND_POINT_TRIES = 64
+#: Attempts at drawing another point that differs in every integer.
+_OTHER_POINT_TRIES = 64
 
 Row = Tuple[float, Counts, List[float]]
 
 
 @dataclass(frozen=True)
 class ClassPlan:
-    """The compiled estimate of one structural class.
+    """The compiled estimate of one (benchmark, dataset) family.
 
     ``evaluate(params)`` returns ``(cycles, raw counts, features)`` for a
-    point of the class, or ``None`` when its IR would be illegal.
+    point of the family, or ``None`` when its IR would be illegal.
     ``source`` is the generated function, kept for inspection. ``tables``
-    maps the names ``source`` subscripts to the family's shared tables.
+    maps the names ``source`` subscripts to the family's tables.
     """
 
-    label: str
     design_name: str
     nodes: int
     terms: int
@@ -98,46 +95,46 @@ class ClassPlan:
 # -- pricing ------------------------------------------------------------------
 
 
-def price_points(family, params_list, classes):
+def price_points(family, params_list, indices):
     """Estimates for ``params_list`` (``None`` = IR-illegal), in order.
 
-    Points are grouped by their structural class (``classes``, from
-    :meth:`_Family.class_key`); each class is compiled on first sight
-    (``estimate.compile`` span) and evaluated per block (``estimate.plan``
-    span). Classes a plan cannot express, and points whose class is
-    ``None``, take the per-design path.
+    ``indices`` are the points' indices in the family's space. The
+    family's plan is compiled on first sight (``estimate.compile`` span)
+    and evaluates the points (``estimate.plan`` span); a refused family's
+    points, and dicts outside the space (index ``None``), take the
+    per-design path.
     """
     from .estimator import Estimate  # local import: estimator imports us
 
     estimator = family.estimator
     out: List[object] = [None] * len(params_list)
-    groups: Dict[object, List[int]] = {}
-    for i, key in enumerate(classes):
-        groups.setdefault(key, []).append(i)
-    rows: List[Tuple[int, ClassPlan, Row]] = []
-    for key, indices in groups.items():
-        points = [params_list[i] for i in indices]
-        plan = family.plan(key, points) if key is not None else None
-        if plan is None:
-            for i, params in zip(indices, points):
+    planned = [i for i, index in enumerate(indices) if index is not None]
+    plan = family.compiled([params_list[i] for i in planned])
+    if plan is None:
+        planned = []
+    if len(planned) < len(params_list):
+        skip = set(planned)
+        for i, params in enumerate(params_list):
+            if i not in skip:
                 out[i] = estimator._estimate_built(
                     family.benchmark, family.dataset, params)
-            continue
-        with obs.span("estimate.plan", **{"class": plan.label,
-                                          "n": len(points)}):
-            for i, params in zip(indices, points):
-                row = plan.evaluate(params)
+    rows: List[Tuple[int, Row]] = []
+    if planned:
+        evaluate = plan.evaluate
+        with obs.span("estimate.plan", n=len(planned)):
+            for i in planned:
+                row = evaluate(params_list[i])
                 if row is not None:
-                    rows.append((i, plan, row))
+                    rows.append((i, row))
     if not rows:
         return out
     board = estimator.board
     with obs.span("area.nn", batch=len(rows)):
         corrections = estimator.corrections.predict_batch(
-            [row[2] for _, _, row in rows], [row[1] for _, _, row in rows]
+            [row[2] for _, row in rows], [row[1] for _, row in rows]
         )
-    for (i, plan, (cycles, raw, _)), routing, dup_regs, unavailable, \
-            dup_brams in zip(rows, *(c.tolist() for c in corrections)):
+    for (i, (cycles, raw, _)), routing, dup_regs, unavailable, dup_brams \
+            in zip(rows, *(c.tolist() for c in corrections)):
         out[i] = Estimate(
             plan.design_name, cycles, cycles / board.fabric_clock_hz,
             _finalize_area(raw, board.device, routing, dup_regs,
@@ -148,7 +145,7 @@ def price_points(family, params_list, classes):
 
 
 class _Family:
-    """The plans of one (benchmark, dataset), keyed by toggle tuple."""
+    """The plan of one (benchmark, dataset) and the tables it reads."""
 
     def __init__(self, key: tuple, benchmark, dataset, estimator) -> None:
         self.key = key  # point_key's (name, dataset) prefix
@@ -156,24 +153,13 @@ class _Family:
         self.dataset = dict(dataset)  # a copy: family_of compares it
         self.estimator = estimator
         self.space: ParamSpace = benchmark.param_space(dataset)
-        self.names = frozenset(self.space.names)
-        self.int_names = [
-            p.name for p in self.space.params if isinstance(p, IntParam)
+        self.toggles = [
+            p for p in self.space.params if isinstance(p, BoolParam)
         ]
-        self.toggle_names = [
-            p.name for p in self.space.params if isinstance(p, BoolParam)
-        ]
-        # (stride, size, candidates) of each toggle's index digit.
-        self.toggle_digits = []
-        stride = 1
-        for p in reversed(self.space.params):
-            if isinstance(p, BoolParam):
-                self.toggle_digits.insert(0, (stride, p.size, p.candidates))
-            stride *= p.size
-        self.plans: Dict[tuple, Optional[ClassPlan]] = {}
-        # Every plan of the family subscripts these: each function is pure
-        # and bound to the family's one estimator, so a key one class
-        # filled holds for every class.
+        self.plan: Optional[ClassPlan] = None
+        self.refused = False  # the shape check failed: price per design
+        # The plan subscripts these: each function is pure and bound to
+        # the family's one estimator.
         board = estimator.board
         self.tables: Dict[str, _Table] = {
             name: _Table(fn)
@@ -188,48 +174,24 @@ class _Family:
         except ValueError:
             return None
 
-    def class_key(
-        self, params: Dict[str, object], index: Optional[int] = None
-    ) -> Optional[tuple]:
-        """The point's toggle tuple, or None if a plan cannot price it.
-
-        A point of the space reads it from its index's toggle digits;
-        any other dict (``index=None``) from its values.
-        """
-        if index is not None:
-            return tuple([values[index // stride % size]
-                          for stride, size, values in self.toggle_digits])
-        if params.keys() != self.names:
-            return None
-        for name in self.int_names:
-            if type(params[name]) is not int:
-                return None
-        return tuple(params[name] for name in self.toggle_names)
-
-    def plan(self, key: tuple, points: Sequence[Dict[str, object]]):
-        """The class's plan, compiling it from ``points`` on first use."""
-        try:
-            return self.plans[key]
-        except KeyError:
-            pass
-        label = ",".join(
-            f"{name}={value}" for name, value in zip(self.toggle_names, key)
-        ) or "-"
-        with obs.span(
-            "estimate.compile", bench=self.benchmark.name, **{"class": label}
-        ) as sp:
-            first = _first_design(self, points)
-            if first is None:
-                sp.set(refused="no legal point")
-                return None  # every point here is illegal; retry later
-            plan = _compile(self, first, label)
-            if plan is None:
-                sp.set(refused="shape depends on parameters")
-            else:
-                sp.set(nodes=plan.nodes, terms=plan.terms,
-                       lines=plan.source.count("\n"))
-        self.plans[key] = plan
-        return plan
+    def compiled(self, points: Sequence[Dict[str, object]]):
+        """The family's plan, compiled from ``points`` on first use; None
+        while no point has built or once the family is refused."""
+        if self.plan is None and not self.refused and points:
+            with obs.span("estimate.compile",
+                          bench=self.benchmark.name) as sp:
+                first = _first_design(self, points)
+                if first is None:
+                    sp.set(refused="no legal point")
+                    return None  # every point here is illegal; retry later
+                self.plan = _compile(self, *first)
+                if self.plan is None:
+                    self.refused = True
+                    sp.set(refused="shape depends on parameters")
+                else:
+                    sp.set(nodes=self.plan.nodes, terms=self.plan.terms,
+                           lines=self.plan.source.count("\n"))
+        return self.plan
 
 
 def family_of(estimator, benchmark, dataset) -> _Family:
@@ -250,15 +212,12 @@ def family_of(estimator, benchmark, dataset) -> _Family:
     return family
 
 
-# -- compiling a class --------------------------------------------------------
+# -- compiling a family -------------------------------------------------------
 
 
 def _build_tagged(family: _Family, params: Dict[str, object]) -> Design:
-    """Build ``params`` with every integer parameter passed as a Param."""
-    tagged = {
-        name: Param(value, name) if name in family.int_names else value
-        for name, value in params.items()
-    }
+    """Build ``params`` with every parameter passed as a Param."""
+    tagged = {name: Param(value, name) for name, value in params.items()}
     return family.benchmark.build(family.dataset, **tagged)
 
 
@@ -271,90 +230,41 @@ def _first_design(family: _Family, points) -> Optional[Tuple[dict, Design]]:
     return None
 
 
-def _other_points(
-    space: ParamSpace, first: Dict[str, object], int_names: List[str]
-) -> Iterator[Dict[str, object]]:
-    """Legal points of ``first``'s class, preferring all-new int values."""
+def _compile(family: _Family, params, design) -> Optional[ClassPlan]:
+    """Lower ``design`` if a build at each other toggle combination (or,
+    without toggles, one more build) has its shape, each at integers
+    that differ from ``params``' where the space allows."""
+    names = [p.name for p in family.toggles]
+    mine = tuple(params[name] for name in names)
+    combos = [combo for combo in itertools.product(
+        *(p.candidates for p in family.toggles)) if combo != mine] or [mine]
     rng = random.Random(0)
-    params = [p for p in space.params if p.name in int_names]
-    for attempt in range(2 * _SECOND_POINT_TRIES):
-        point = dict(first)
-        for param in params:
-            choices = list(param.candidates)
-            if attempt < _SECOND_POINT_TRIES:  # first try: change them all
-                choices = [v for v in choices if v != first[param.name]]
-                choices = choices or list(param.candidates)
-            point[param.name] = rng.choice(choices)
-        if point != first and space.is_legal(point):
-            yield point
-
-
-def _compile(family: _Family, first, label: str) -> Optional[ClassPlan]:
-    """Lower ``first``'s design after checking a second point's shape."""
-    params, design = first
-    for other in _other_points(family.space, params, family.int_names):
-        try:
-            second = _build_tagged(family, other)
-        except IRError:
-            continue
-        if not _same_shape(design, second):
+    for combo in combos:
+        base = dict(params, **dict(zip(names, combo)))
+        other = _first_design(family, (
+            point for point in _other_points(family.space, base, rng)
+            if point != params))
+        if other is None or not same_shape(design, other[1]):
             return None
-        return _Symbols(design, family).plan(
-            f"{family.benchmark.name}:{label}", label)
-    return None  # a one-point class: nothing to check the shape against
+    return _Symbols(design, family).plan()
 
 
-#: Node fields a plan re-derives from parameters, never compared.
-_DERIVED = frozenset(("design", "width", "banks"))
-
-
-def _same_shape(a: Design, b: Design) -> bool:
-    """Whether every IR field except bound and derived ones matches."""
-    if a.name != b.name or a.bindings != b.bindings:
-        return False
-    if len(a.nodes) != len(b.nodes):
-        return False
-    bound = a.bindings
-    bound_fields = {(nid, path[0]) for nid, path in bound}
-    for x, y in zip(a.nodes, b.nodes):
-        if type(x) is not type(y):
-            return False
-        fx, fy = vars(x), vars(y)
-        if fx.keys() != fy.keys():
-            return False
-        for name, value in fx.items():
-            other = fy[name]
-            if value is other or name in _DERIVED or name[0] == "_":
-                continue
-            if (x.nid, name) in bound_fields:
-                value = _masked(value, x.nid, (name,), bound)
-                other = _masked(other, x.nid, (name,), bound)
-            if not _same(value, other):
-                return False
-    return True
-
-
-def _same(x, y) -> bool:
-    if x is y:
-        return True
-    if isinstance(x, Node):
-        return isinstance(y, Node) and x.nid == y.nid
-    if isinstance(x, (list, tuple)):
-        return (type(x) is type(y) and len(x) == len(y)
-                and all(map(_same, x, y)))
-    return type(x) is type(y) and x == y
-
-
-def _masked(value, nid: int, path: tuple, bound) -> object:
-    """``value`` with every parameter-bound entry replaced by its name."""
-    name = bound.get((nid, path))
-    if name is not None:
-        return ("param", name)
-    if isinstance(value, (list, tuple)):
-        return tuple(
-            _masked(v, nid, path + (i,), bound) for i, v in enumerate(value)
-        )
-    return value
+def _other_points(space: ParamSpace, base: Dict[str, object],
+                  rng: random.Random) -> Iterator[Dict[str, object]]:
+    """Legal points with ``base``'s toggles: all-new integers where the
+    space allows, then any, then ``base``'s own."""
+    ints = [p for p in space.params if isinstance(p, IntParam)]
+    for attempt in range(2 * _OTHER_POINT_TRIES):
+        point = dict(base)
+        for param in ints:
+            new = [v for v in param.candidates if v != base[param.name]]
+            point[param.name] = rng.choice(
+                new if new and attempt < _OTHER_POINT_TRIES
+                else param.candidates)
+        if space.is_legal(point):
+            yield point
+    if space.is_legal(base):
+        yield base
 
 
 # -- lowering -----------------------------------------------------------------
@@ -380,21 +290,17 @@ class _Symbols:
 
     Every number the walk computes becomes a :class:`_Sym`: constants
     fold while compiling, everything that depends on a parameter becomes
-    a line (or an inline expression) of the generated function. What
-    :meth:`Design.finalize <repro.ir.graph.Design.finalize>` and the
-    builder's checks derive from parameters — the IRError rules, vector
-    widths, banking, replication and transfer streams — is derived here
-    on symbols, independently of the IR code that derives it on numbers.
+    a line (or an inline expression) of the generated function.
     """
 
     def __init__(self, design: Design, family: _Family) -> None:
         self.design = design
         self.family = family
         self.models = family.estimator.templates
-        # Template values come from ``predictor.predict``: the estimator's
-        # memoized view, so classes of a family share their predictions.
+        # Template values come from the estimator's memoized view.
         self.predictor = family.estimator.models
         self.bound = design.bindings
+        self.toggle_names = {p.name for p in family.toggles}
         # What generated code names besides its tables; ``call`` adds the
         # formulas it uses.
         self.env: Dict[str, object] = {
@@ -402,7 +308,11 @@ class _Symbols:
         # The family's tables generated code subscripts; T0, T1, ... join
         # on first use.
         self.tables: Dict[str, _Table] = dict(family.tables)
+        # The lines of the function body, or of the branch arm being
+        # lowered; locals are numbered in the order they are made.
         self.lines: List[str] = []
+        self.body = self.lines
+        self._locals = itertools.count()
         self.params: Dict[str, _Sym] = {}
         self.sums: List[List[str]] = [[] for _ in _FIELDS]
         self.prefix = [0.0] * len(_FIELDS)
@@ -414,8 +324,9 @@ class _Symbols:
         self._memo: Dict[object, _Sym] = {}
         self._seen: Dict[str, _Sym] = {}
         self._width: Dict[int, _Sym] = {}
-        # The transfers into each BRAM, in build order (``legality``).
-        self._transfers: Dict[int, List[TileTransfer]] = {}
+        self._double: Optional[Dict[int, List[_Sym]]] = None
+        # The transfers into each BRAM, in build order.
+        self._transfers = bram_transfers(design)
 
     # -- expression helpers ----------------------------------------------------
 
@@ -431,12 +342,17 @@ class _Symbols:
         source = template.format(*(a.src for a in args))
         sym = self._seen.get(source)
         if sym is None:
-            sym = self._seen[source] = _Sym(f"v{len(self.lines)}")
+            sym = self._seen[source] = _Sym(self.local())
             self.lines.append(f"{sym.src} = {source}")
         return sym
 
+    def local(self, prefix: str = "v") -> str:
+        """A fresh local name of the generated function."""
+        return f"{prefix}{next(self._locals)}"
+
     def check(self, template: str, *args: _Sym) -> None:
         """An IRError rule: the point is illegal unless it holds."""
+        assert self.lines is self.body, "a guard inside a branch arm"
         if all(a.const for a in args):
             return  # held at the compile-time point, so at every point
         if template == "{} <= {}" and args[0].src == args[1].src:
@@ -513,7 +429,7 @@ class _Symbols:
         if guard is not None and guard.const and not guard.value:
             return None
         names, args = tuple(params), list(params.values())
-        # A repeated call (identical Pipes of one class) reuses its row.
+        # A repeated call (identical Pipes) reuses its row.
         row = (key, names, guard and guard.src, *[a.src for a in args])
         if row not in self._rows:
             self._rows[row] = self._template_row(key, names, args, guard)
@@ -534,7 +450,7 @@ class _Symbols:
         call += "" if guard is None else f" if {guard.src} else ZERO"
         prefix = self._seen.get(call)
         if prefix is None:
-            prefix = self._seen[call] = _Sym(f"t{len(self.lines)}_")
+            prefix = self._seen[call] = _Sym(self.local("t") + "_")
             names = [f"{prefix.src}{i}" for i in range(len(_FIELDS))]
             self.lines.append(", ".join(names) + " = " + call)
         fitted = self.models.coefs[key]
@@ -543,8 +459,53 @@ class _Symbols:
             for i, f in enumerate(_FIELDS)
         ]
 
+    def branch(self, cond: _Sym, if_true: Callable, if_false: Callable):
+        """``if_true()`` where ``cond`` holds, else ``if_false()``.
+
+        A constant condition picks its arm while compiling. Otherwise each
+        arm is lowered on its own copy of the memos, so nothing one arm
+        computed is reused outside it, and generated code runs only the
+        taken arm: an ``if``/``else`` block that assigns each value the
+        arms disagree on to one local or, when neither arm needs a line,
+        one conditional expression per such value.
+        """
+        if cond.const:
+            return if_true() if cond.value else if_false()
+        (lines_t, yes), (lines_f, no) = self._arm(if_true), self._arm(if_false)
+        single = isinstance(yes, _Sym)
+        out = []
+        for a, b in zip([yes] if single else yes, [no] if single else no):
+            if a.src == b.src:  # a constant, or a value from before the branch
+                out.append(a)
+            elif not (lines_t or lines_f):
+                out.append(_Sym(f"({a.src} if {cond.src} else {b.src})"))
+            else:
+                name = self.local()
+                lines_t.append(f"{name} = {a.src}")
+                lines_f.append(f"{name} = {b.src}")
+                out.append(_Sym(name))
+        if lines_t or lines_f:
+            self.lines.append(f"if {cond.src}:")
+            self.lines += ["    " + line for line in lines_t or ["pass"]]
+            self.lines.append("else:")
+            self.lines += ["    " + line for line in lines_f or ["pass"]]
+        return out[0] if single else out
+
+    def _arm(self, fn: Callable) -> Tuple[List[str], object]:
+        """``fn()`` and the lines it emitted, lowered on copies of the
+        memos so that the arm's values stay inside it."""
+        outer = self.lines, self._seen, self._memo, self._rows
+        self.lines = []
+        self._seen, self._memo, self._rows = (
+            dict(self._seen), dict(self._memo), dict(self._rows))
+        try:
+            return self.lines, fn()
+        finally:
+            self.lines, self._seen, self._memo, self._rows = outer
+
     def term(self, values: List[_Sym], *scales: _Sym) -> None:
         """Accumulate ``values`` times each scale, in order."""
+        assert self.lines is self.body, "a term inside a branch arm"
         self.terms += 1
         for i, value in enumerate(values):
             if value.const and value.value == 0.0:
@@ -583,7 +544,7 @@ class _Symbols:
         for src, (a, b) in self._products.items():  # inner first
             expr = f"{text.get(a, a)} * {text.get(b, b)}"
             if src in named:
-                text[src] = f"v{len(self.lines)}"
+                text[src] = self.local()
                 self.lines.append(f"{text[src]} = {expr}")
             else:
                 text[src] = f"({expr})"
@@ -601,10 +562,40 @@ class _Symbols:
         name = self.bound.get((node.nid, path))
         if name is None:
             return _const(int(value))
+        return self.param(name)
+
+    def param(self, name: str) -> _Sym:
+        """The local holding parameter ``name`` (a toggle as a bool)."""
         sym = self.params.get(name)
         if sym is None:
             sym = self.params[name] = _Sym(f"p{len(self.params)}")
         return sym
+
+    def metapipe(self, ctrl: Controller) -> _Sym:
+        """A toggled loop's toggle, else whether ``ctrl`` is a MetaPipe."""
+        name = self.bound.get((ctrl.nid, ("metapipe",)))
+        if name is None:
+            return _const(isinstance(ctrl, MetaPipe))
+        return self.param(name)
+
+    def double_buffered(self, mem: OnChipMemory) -> _Sym:
+        """Whether a MetaPipe double-buffers ``mem``: the loops that would
+        (:func:`~repro.ir.graph.double_buffers`), or-ed by their toggles."""
+        if self._double is None:
+            self._double = {}
+            for ctrl in self.design.controllers():
+                mp = self.metapipe(ctrl)
+                if mp.const and not mp.value:
+                    continue
+                for buf in double_buffers(ctrl, self._transfers):
+                    self._double.setdefault(buf.nid, []).append(mp)
+        syms = {sym.src: sym for sym in self._double.get(mem.nid, ())}
+        if not syms or any(sym.const for sym in syms.values()):
+            return _const(bool(syms))
+        if len(syms) == 1:
+            return next(iter(syms.values()))
+        return self.op("(" + " or ".join("{}" for _ in syms) + ")",
+                       *syms.values())
 
     def par(self, ctrl: Controller) -> _Sym:
         return self.field(ctrl, ("par",), ctrl.par)
@@ -697,10 +688,11 @@ class _Symbols:
             elif isinstance(node, Controller):
                 par = self.par(node)
                 self.check("{} >= 1", par)
-                if node.cchain is not None and not (par.const and par.value == 1):
-                    self.check("{} % {} == 0", self.counts(node.cchain)[-1], par)
+                if node.cchain is not None:  # every chain checks its dims
+                    counts = self.counts(node.cchain)
+                    if not (par.const and par.value == 1):
+                        self.check("{} % {} == 0", counts[-1], par)
                 if isinstance(node, TileTransfer):
-                    self._transfers.setdefault(node.bram.nid, []).append(node)
                     sizes = self.sizes(node)
                     for size, dim in zip(sizes, node.offchip.dims):
                         self.check("0 < {} <= {}", size, _const(dim))
@@ -717,7 +709,7 @@ class _Symbols:
 
     # -- assembly --------------------------------------------------------------
 
-    def plan(self, filename: str, label: str) -> ClassPlan:
+    def plan(self) -> ClassPlan:
         design = self.design
         self.legality()
         cycles = walk.cycles(self, design)
@@ -725,14 +717,17 @@ class _Symbols:
         raw = self.raw()
         feats = walk.features(self, design, raw, walk.wire_bits(self, design))
         self.lines.append(f"return {cycles.src}, raw, {feats.src}")
-        head = [f"{sym.src} = p[{name!r}]" for name, sym in self.params.items()]
+        head = [
+            f"{sym.src} = bool(p[{name!r}])" if name in self.toggle_names
+            else f"{sym.src} = p[{name!r}]"
+            for name, sym in self.params.items()
+        ]
         source = "def evaluate(p):\n" + "".join(
             f"    {line}\n" for line in head + self.lines
         )
         namespace = dict(self.env, **self.tables)
-        exec(compile(source, f"<plan {filename}>", "exec"), namespace)
+        exec(compile(source, f"<plan {design.name}>", "exec"), namespace)
         return ClassPlan(
-            label=label,
             design_name=design.name,
             nodes=len(design.nodes),
             terms=self.terms,

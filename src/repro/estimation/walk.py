@@ -24,12 +24,17 @@ The protocol a backend implements:
 * ``template(key, params, guard=None)``: a template's five predicted
   values (``models.prim_key`` names a primitive's), or ``None`` where
   ``guard`` is zero.
+* ``branch(cond, if_true, if_false)``: the value (or list of values) of
+  the callable ``if_true()`` where ``cond`` holds, else of
+  ``if_false()``.
 * ``term(values, *scales)``: add values times scales to the raw counts,
   which ``raw()`` returns.
 * IR reads: ``par``, ``iterations``, ``width``, ``banks``, ``sizes`` (a
   transfer's tile, a BRAM's dims), ``num_commands``, ``replication``,
-  and the transfer streams ``weighted`` and ``overlap``
-  (:func:`~repro.ir.graph.weighted_transfers`,
+  ``metapipe`` (whether a controller is a MetaPipe: the walk never
+  tests a loop's class itself), ``double_buffered`` (a memory's flag,
+  which follows the MetaPipes), and the transfer streams ``weighted``
+  and ``overlap`` (:func:`~repro.ir.graph.weighted_transfers`,
   :func:`~repro.ir.graph.overlap_streams`).
 """
 
@@ -40,9 +45,7 @@ import operator
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
-from ..ir.controllers import (
-    Controller, MetaPipe, Parallel, Pipe, Sequential,
-)
+from ..ir.controllers import Controller, MetaPipe, Parallel, Pipe
 from ..ir.graph import (
     Design, delay_slacks, max_depth, overlap_streams, pipe_latency,
     replication, weighted_transfers,
@@ -91,29 +94,37 @@ def _cycles(b, ctrl: Controller, contention, record):
             pipe_cycles, b.const(pipe_latency(ctrl.body)), b.iterations(ctrl),
             b.par(ctrl), b.const(drain_latency(ctrl)),
         )
-    elif isinstance(ctrl, Sequential):
-        # Stages run one at a time, but replicated loop bodies (par > 1)
-        # execute concurrently and compete for DRAM.
-        copies = b.add(b.par(ctrl), b.const(-1))
-        value = b.call(sequential_cycles, b.iterations(ctrl), [
-            _cycles(b, c, b.add(contention, b.mul(copies, b.weighted(c))),
-                    record)
-            for c in ctrl.stages
-        ])
-    else:
-        # Parallel children, and MetaPipe stages in steady state, run at
-        # once: their transfers compete for DRAM.
-        stages = [
-            _cycles(b, c, b.overlap(ctrl, c, contention), record)
-            for c in ctrl.stages
-        ]
-        if isinstance(ctrl, Parallel):
-            value = b.call(parallel_cycles, stages)
-        else:
-            value = b.call(metapipe_cycles, b.iterations(ctrl), stages)
+    elif isinstance(ctrl, Parallel):
+        value = b.call(parallel_cycles, _overlapped(b, ctrl, contention, record))
+    else:  # a loop: a MetaPipe or a Sequential, as the backend reads it
+        value = b.branch(
+            b.metapipe(ctrl),
+            lambda: b.call(metapipe_cycles, b.iterations(ctrl),
+                           _overlapped(b, ctrl, contention, record)),
+            lambda: _sequential_cycles(b, ctrl, contention, record),
+        )
     if record is not None:
         record[ctrl.key] = value
     return value
+
+
+def _overlapped(b, ctrl: Controller, contention, record) -> list:
+    # Parallel children, and MetaPipe stages in steady state, run at
+    # once: their transfers compete for DRAM.
+    return [
+        _cycles(b, c, b.overlap(ctrl, c, contention), record)
+        for c in ctrl.stages
+    ]
+
+
+def _sequential_cycles(b, ctrl: Controller, contention, record):
+    # Stages run one at a time, but replicated loop bodies (par > 1)
+    # execute concurrently and compete for DRAM.
+    copies = b.add(b.par(ctrl), b.const(-1))
+    return b.call(sequential_cycles, b.iterations(ctrl), [
+        _cycles(b, c, b.add(contention, b.mul(copies, b.weighted(c))), record)
+        for c in ctrl.stages
+    ])
 
 
 # -- raw area terms (Section IV-B2) ----------------------------------------------
@@ -147,14 +158,20 @@ def _controller_terms(b, ctrl: Controller, factor) -> None:
             "par": b.par(ctrl),
             "num_commands": b.num_commands(ctrl),
         }), factor)
-    elif isinstance(ctrl, (MetaPipe, Sequential, Parallel)):
-        kind = type(ctrl).__name__.lower()
-        b.term(b.template(kind, {"n": b.const(len(ctrl.stages))}), factor)
-        if not isinstance(ctrl, Parallel):
-            for node in ctrl.body_prims:
-                if isinstance(node, Prim):
-                    b.term(_prim(b, node.op, node.tp, b.width(node)), factor)
-            _accum_terms(b, ctrl, factor)
+    elif isinstance(ctrl, Parallel):
+        b.term(b.template("parallel", {"n": b.const(len(ctrl.stages))}),
+               factor)
+    else:  # a loop: a MetaPipe or a Sequential, as the backend reads it
+        n = {"n": b.const(len(ctrl.stages))}
+        b.term(b.branch(
+            b.metapipe(ctrl),
+            lambda: b.template("metapipe", n),
+            lambda: b.template("sequential", n),
+        ), factor)
+        for node in ctrl.body_prims:
+            if isinstance(node, Prim):
+                b.term(_prim(b, node.op, node.tp, b.width(node)), factor)
+        _accum_terms(b, ctrl, factor)
 
 
 def _accum_terms(b, ctrl: Controller, factor) -> None:
@@ -239,7 +256,7 @@ def _fma_fusions(body: List[Node]) -> set:
 
 def _memory_terms(b, mem: OnChipMemory, factor) -> None:
     bits = b.const(mem.tp.bits)
-    double = b.const(mem.double_buffered)
+    double = b.double_buffered(mem)
     if isinstance(mem, BRAM):
         banks = b.banks(mem)
         values = b.template(
@@ -286,7 +303,7 @@ def features(b, design: Design, raw, wires):
     return b.call(
         feature_vector, raw, wires,
         b.const(len(controllers)),
-        b.const(sum(isinstance(c, MetaPipe) for c in controllers)),
+        b.add(*[b.metapipe(c) for c in controllers]),
         b.const(sum(isinstance(c, TileTransfer) for c in controllers)),
         b.const(max_depth(design)),
         # A design without on-chip memories counts as one bank.
@@ -319,6 +336,8 @@ class Numbers:
     max = max
     call = staticmethod(lambda fn, *args: fn(*args))
     attr = getattr
+    branch = staticmethod(lambda cond, if_true, if_false: (
+        if_true() if cond else if_false()))
 
     def lookup(self, table: str, *args):
         """``table``'s function of ``args`` (:func:`tables`)."""
@@ -348,6 +367,8 @@ class Numbers:
     width = attrgetter("width")
     banks = attrgetter("banks")
     num_commands = attrgetter("num_commands")
+    double_buffered = attrgetter("double_buffered")
+    metapipe = staticmethod(lambda ctrl: isinstance(ctrl, MetaPipe))
     sizes = staticmethod(  # a transfer's tile sizes, a BRAM's dims
         lambda node: node.sizes if isinstance(node, TileTransfer) else node.dims
     )

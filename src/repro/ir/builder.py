@@ -18,12 +18,13 @@ All functions operate on the innermost active design
 called with different concrete parameter values to instantiate different
 design points — the paper's metaprogramming model.
 
-A builder called with :class:`Param` integers instead of plain ones also
+A builder called with :class:`Param` values instead of plain ones also
 records which IR fields come straight from a parameter — loop dims,
-parallelization factors, BRAM dims and tile sizes — in
-:attr:`Design.bindings <repro.ir.graph.Design.bindings>`. The class-plan
-compiler (:mod:`repro.estimation.plan`) reads that map to re-price the
-same controller tree at other parameter values without rebuilding it.
+parallelization factors, BRAM dims, tile sizes and the MetaPipe toggle
+of :func:`loop` — in :attr:`Design.bindings
+<repro.ir.graph.Design.bindings>`. The plan compiler
+(:mod:`repro.estimation.plan`) reads that map to re-price the same
+controller tree at other parameter values without rebuilding it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ DimSpec = Union[int, Tuple[int, int]]
 
 
 class Param(int):
-    """An integer ``build()`` keyword that remembers its parameter name.
+    """An integer (or toggle) ``build()`` keyword that remembers its
+    parameter name; a toggle is the int 0 or 1.
 
     Arithmetic on a Param yields a plain ``int``, so only values passed
     through unchanged are recorded; anything derived stays an ordinary
@@ -188,11 +190,15 @@ def loop(
 
     The MetaPipe *toggle* (paper Figure 3: ``M1toggle``, ``M2toggle``)
     selects between a coarse-grained pipeline and sequential execution of
-    the same loop nest.
+    the same loop nest. A :class:`Param` toggle is recorded at the path
+    ``("metapipe",)``: the loop's class is then a bound field.
     """
     if metapipe_:
-        return metapipe(name, dims, par, accum=accum)
-    return sequential(name, dims, par, accum=accum)
+        ctrl = metapipe(name, dims, par, accum=accum)
+    else:
+        ctrl = sequential(name, dims, par, accum=accum)
+    _bind(ctrl, ("metapipe",), metapipe_)
+    return ctrl
 
 
 def parallel(name: Optional[str] = None) -> ctl.Parallel:

@@ -16,7 +16,8 @@ cycle simulator and the synthesis substrate share, so that each reads the
 design the same way: loop replication and execution counts, transfer
 streams, nesting depth, DRAM traffic, and the ASAP schedule of a Pipe
 body with its critical-path latency and per-edge delay slack (paper
-Section IV-B).
+Section IV-B). :func:`same_shape` compares two builds of one builder up
+to the fields their parameters bind, for the estimator's plans.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .controllers import (
     Pipe,
     Sequential,
 )
-from .memops import TileLd, TileSt, TileTransfer
+from .memops import TileTransfer
 from .memories import BRAM, OffChipMem, OnChipMemory, Reg
 from .node import Const, IRError, Node, Value, result_type
 from .primitives import LoadOp, Prim, StoreOp
@@ -164,9 +165,10 @@ class Design:
         """Derive vector widths, banking, and double buffering; validate."""
         if self._scope_stack:
             raise IRError("finalize called with open controller scopes")
+        transfers = bram_transfers(self)
         self._assign_widths()
-        self._infer_banking()
-        self._infer_double_buffering()
+        self._infer_banking(transfers)
+        self._infer_double_buffering(transfers)
         self._validate()
         self.finalized = True
         return self
@@ -181,29 +183,19 @@ class Design:
                     for it in ctrl.cchain.iters:
                         it.width = width
 
-    def _infer_banking(self) -> None:
+    def _infer_banking(self, transfers: Dict[int, List[TileTransfer]]) -> None:
         for mem in self.onchip_mems():
             widths = [a.width for a in mem.readers + mem.writers]
-            for node in self.nodes:
-                if isinstance(node, TileTransfer) and node.bram is mem:
-                    widths.append(node.par)
+            widths += [t.par for t in transfers.get(mem.nid, ())]
             mem.banks = max(widths, default=1)
 
-    def _infer_double_buffering(self) -> None:
+    def _infer_double_buffering(
+        self, transfers: Dict[int, List[TileTransfer]]
+    ) -> None:
         for ctrl in self.controllers():
-            if not isinstance(ctrl, MetaPipe):
-                continue
-            stages = ctrl.stages
-            stage_index = {id(s): i for i, s in enumerate(stages)}
-            for mem in ctrl.local_mems:
-                writes = _accessor_stages(mem, stage_index, writers=True)
-                reads = _accessor_stages(mem, stage_index, writers=False)
-                if writes and reads and min(writes) < max(reads):
+            if isinstance(ctrl, MetaPipe):
+                for mem in double_buffers(ctrl, transfers):
                     mem.double_buffered = True
-            if ctrl.accum is not None:
-                ctrl.accum[1].double_buffered = True
-            if isinstance(ctrl.result, OnChipMemory):
-                ctrl.result.double_buffered = True
 
     def _validate(self) -> None:
         for ctrl in self.controllers():
@@ -305,6 +297,92 @@ class Design:
             "offchip_mems": len(self.offchip_mems),
             "tile_transfers": sum(1 for _ in self.tile_transfers()),
         }
+
+
+def bram_transfers(design: Design) -> Dict[int, List[TileTransfer]]:
+    """Each BRAM's tile transfers, in build order, keyed by its node id."""
+    out: Dict[int, List[TileTransfer]] = {}
+    for node in design.nodes:
+        if isinstance(node, TileTransfer):
+            out.setdefault(node.bram.nid, []).append(node)
+    return out
+
+
+def double_buffers(
+    ctrl: Controller, transfers: Dict[int, List[TileTransfer]]
+) -> List[OnChipMemory]:
+    """The buffers ``ctrl`` double-buffers as a MetaPipe: a local memory
+    written in an earlier stage than one that reads it, the accumulator
+    and the result memory. ``transfers`` is :func:`bram_transfers`."""
+    stage_index = {id(s): i for i, s in enumerate(ctrl.stages)}
+    out = []
+    for mem in ctrl.local_mems:
+        writes = _accessor_stages(mem, stage_index, transfers, writers=True)
+        reads = _accessor_stages(mem, stage_index, transfers, writers=False)
+        if writes and reads and min(writes) < max(reads):
+            out.append(mem)
+    if ctrl.accum is not None:
+        out.append(ctrl.accum[1])
+    if isinstance(ctrl.result, OnChipMemory):
+        out.append(ctrl.result)
+    return out
+
+
+#: Node fields never compared by :func:`same_shape`: the owning design and
+#: what finalize derives.
+_DERIVED = frozenset(("design", "width", "banks", "double_buffered"))
+
+
+def same_shape(a: Design, b: Design) -> bool:
+    """Whether two builds of one builder have one structure: every node
+    field matches except those bound to a parameter (``bindings``) and
+    those finalize derives, and every node's class except a toggled
+    loop's (bound at ``("metapipe",)``)."""
+    if a.name != b.name or a.bindings != b.bindings:
+        return False
+    if len(a.nodes) != len(b.nodes):
+        return False
+    bound = a.bindings
+    bound_fields = {(nid, path[0]) for nid, path in bound}
+    for x, y in zip(a.nodes, b.nodes):
+        if type(x) is not type(y) and (x.nid, "metapipe") not in bound_fields:
+            return False
+        fx, fy = vars(x), vars(y)
+        if fx.keys() != fy.keys():
+            return False
+        for name, value in fx.items():
+            other = fy[name]
+            if value is other or name in _DERIVED or name[0] == "_":
+                continue
+            if (x.nid, name) in bound_fields:
+                value = _masked(value, x.nid, (name,), bound)
+                other = _masked(other, x.nid, (name,), bound)
+            if not _same(value, other):
+                return False
+    return True
+
+
+def _same(x, y) -> bool:
+    if x is y:
+        return True
+    if isinstance(x, Node):
+        return isinstance(y, Node) and x.nid == y.nid
+    if isinstance(x, (list, tuple)):
+        return (type(x) is type(y) and len(x) == len(y)
+                and all(map(_same, x, y)))
+    return type(x) is type(y) and x == y
+
+
+def _masked(value, nid: int, path: tuple, bound) -> object:
+    """``value`` with every parameter-bound entry replaced by its name."""
+    name = bound.get((nid, path))
+    if name is not None:
+        return ("param", name)
+    if isinstance(value, (list, tuple)):
+        return tuple(
+            _masked(v, nid, path + (i,), bound) for i, v in enumerate(value)
+        )
+    return value
 
 
 def replication(node: Node) -> int:
@@ -437,6 +515,7 @@ def _check_index_count(mem: OnChipMemory, indices: Sequence[Value]) -> None:
 def _accessor_stages(
     mem: OnChipMemory,
     stage_index: Dict[int, int],
+    transfers: Dict[int, List[TileTransfer]],
     writers: bool,
 ) -> List[int]:
     """MetaPipe stage indices at which ``mem`` is written (or read).
@@ -445,11 +524,7 @@ def _accessor_stages(
     """
     stages: List[int] = []
     accessors: List[Node] = list(mem.writers if writers else mem.readers)
-    for node in mem.design.nodes:
-        if isinstance(node, TileLd) and node.bram is mem and writers:
-            accessors.append(node)
-        if isinstance(node, TileSt) and node.bram is mem and not writers:
-            accessors.append(node)
+    accessors += [t for t in transfers.get(mem.nid, ()) if t.is_load == writers]
     for acc in accessors:
         chain: List[Node] = [acc] + list(acc.ancestors())
         for anc in chain:

@@ -14,6 +14,7 @@ over which the constraints run as boolean masks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Sequence
@@ -44,6 +45,12 @@ class _Sized:
     @property
     def size(self) -> int:
         return len(self.candidates)  # type: ignore[attr-defined]
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The candidates as an array, made once: :meth:`ParamSpace.decode`
+        indexes it per call."""
+        return np.asarray(self.candidates)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ class ParamSpace:
         rest, columns = np.asarray(indices, dtype=np.int64), {}
         for p in reversed(self.params):
             rest, digit = np.divmod(rest, p.size)
-            columns[p.name] = np.asarray(p.candidates)[digit]
+            columns[p.name] = p.array[digit]
         return dict(reversed(columns.items()))
 
     def encode(self, point: Point) -> int:

@@ -230,7 +230,7 @@ def _metrics_section(estimator: Optional[Estimator] = None) -> List[str]:
         "The per-design pass spans (`estimate`, `cycles`, `area`,",
         "`area.raw`, `area.nn`) decompose Table IV's per-design estimation",
         "time; sweeps price points from compiled class plans instead",
-        "(`estimate.compile` spans, one per class; `estimate.plan` spans",
+        "(`estimate.compile` spans, one per benchmark; `estimate.plan` spans",
         "time the evaluated blocks, and `area.nn.batch` totals the points",
         "they priced). The `explore.*` attribute totals census the",
         "sampled spaces (sampled, illegal, valid, unfit); the `simulate`",

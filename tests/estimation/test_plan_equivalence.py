@@ -18,12 +18,14 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.apps import all_benchmarks
 from repro.apps.extras import all_extras
 from repro.dse import explore, local_search
 from repro.estimation import Estimator
 from repro.estimation.area import bram_blocks, delay_counts
 from repro.estimation.cycles import stream_cycles
+from repro.ir.primitives import Prim
 from repro.params import BoolParam, IntParam
 
 from .test_golden_estimates import POINTS, SEED, load_golden
@@ -94,10 +96,7 @@ def test_every_class_matches_oracle(bench, small, fresh, cold):
     assert any(w is None for w in want), "no IR-illegal point exercised"
     assert_same(bench, dataset, points, got, want)
     family = next(iter(fresh.caches.plans.values()))
-    compiled = [p for p in family.plans.values() if p is not None]
-    assert len(compiled) == len(family.plans) == 2 ** len(
-        family.toggle_names
-    ), "a class fell back to per-point pricing"
+    assert family.plan is not None, "the family fell back to per-point pricing"
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
@@ -116,8 +115,7 @@ def test_plans_subscript_tables_that_hold_direct_calls(name, small, fresh):
     }
     filled = set()
     family = next(iter(fresh.caches.plans.values()))
-    assert len(family.plans) == 2 ** len(family.toggle_names)
-    for plan in family.plans.values():
+    for plan in [family.plan]:
         for line in plan.source.splitlines():
             for helper in ("delay_counts(", "bram_blocks(", "stream_cycles("):
                 assert helper not in line, line
@@ -162,7 +160,52 @@ def test_parameter_dependent_structure_is_refused(fresh, cold, monkeypatch):
     assert_same(bench, dataset, points, got,
                 cold.estimate_points(bench, dataset, points))
     family = next(iter(fresh.caches.plans.values()))
-    assert all(plan is None for plan in family.plans.values())
+    assert family.plan is None and family.refused
+
+
+def test_structure_following_a_toggle_is_refused_whole(fresh, cold,
+                                                       monkeypatch):
+    """A builder that branches on its toggle beyond ``loop(metapipe_=...)``
+    (here: an op that follows it) is priced per point, every class."""
+    bench = next(b for b in BENCHES if b.name == "dotproduct")
+    dataset = bench.small_dataset()
+    build = bench.build
+
+    def build_op_follows_toggle(dataset, **params):
+        design = build(dataset, **params)
+        if params["metapipe"]:
+            mul = next(n for n in design.nodes
+                       if isinstance(n, Prim) and n.op == "mul")
+            mul.op = "add"
+        return design
+
+    monkeypatch.setattr(bench, "build", build_op_follows_toggle)
+    points = class_points(bench.param_space(dataset), per_class=6, seed=2)
+    assert {p["metapipe"] for p in points} == {False, True}
+    got = fresh.estimate_points(bench, dataset, points)
+    assert_same(bench, dataset, points, got,
+                cold.estimate_points(bench, dataset, points))
+    family = next(iter(fresh.caches.plans.values()))
+    assert family.plan is None and family.refused
+
+
+def test_one_compile_reaches_every_toggle_combination(fresh):
+    """An explore whose points hold every toggle combination of kmeans
+    compiles one plan: one ``estimate.compile`` span, no refusal."""
+    bench = next(b for b in BENCHES if b.name == "kmeans")
+    obs.reset()
+    obs.enable()
+    try:
+        result = explore(bench, fresh, max_points=200, seed=1)
+        compiles = obs.tracer().find("estimate.compile")
+    finally:
+        obs.disable()
+        obs.reset()
+    toggles = {(p.params["mp_tiles"], p.params["mp_point"])
+               for p in result.points}
+    assert len(toggles) == 4
+    (span,) = compiles
+    assert "refused" not in span.attrs and span.attrs["nodes"] > 0
 
 
 def golden_rows(result):

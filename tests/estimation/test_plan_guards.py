@@ -33,24 +33,21 @@ def fresh(estimator) -> Estimator:
 
 
 def plan_guards(bench, estimator):
-    """The guard expressions of every compiled class plan of ``bench``."""
+    """The guard expressions of the compiled plan of ``bench``."""
     dataset = bench.default_dataset()
     points = class_points(bench.param_space(dataset), per_class=3, seed=11)
     estimator.estimate_points(bench, dataset, points)
-    family = next(iter(estimator.caches.plans.values()))
-    plans = [plan for plan in family.plans.values() if plan is not None]
-    assert len(plans) == 2 ** len(family.toggle_names)
-    return [
-        [m.group(1) for m in map(GUARD.match, plan.source.splitlines()) if m]
-        for plan in plans
-    ]
+    (family,) = estimator.caches.plans.values()
+    assert family.plan is not None
+    lines = family.plan.source.splitlines()
+    return [m.group(1) for m in map(GUARD.match, lines) if m]
 
 
 @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.name)
 def test_no_guard_always_holds(bench, fresh):
-    for guards in plan_guards(bench, fresh):
-        assert len(set(guards)) == len(guards), guards
-        for guard in guards:
-            assert " and " not in guard, guard
-            assert not SELF_COMPARED.search(guard), guard
-            assert not CONSTANT_COMPARED.search(guard), guard
+    guards = plan_guards(bench, fresh)
+    assert len(set(guards)) == len(guards), guards
+    for guard in guards:
+        assert " and " not in guard, guard
+        assert not SELF_COMPARED.search(guard), guard
+        assert not CONSTANT_COMPARED.search(guard), guard

@@ -1,11 +1,10 @@
-"""Class plans name each repeated product once and share their tables.
+"""Plans name each repeated product once and read the family's tables.
 
 A plan's raw counts add one term per template instance; identical Pipes
-of a class (kmeans's eight distance pipes) repeat the same product, which
-the plan computes once into a local. The lookup and template tables
-belong to the (benchmark, dataset) family, so every class of a benchmark
-subscripts the same table object for the same function, and a key one
-class filled is what any other class reads.
+(kmeans's eight distance pipes) repeat the same product, which the plan
+computes once into a local. The lookup and template tables belong to
+the (benchmark, dataset) family, one table object per function, and
+the order in which toggle classes are priced leaves the same keys.
 """
 
 from __future__ import annotations
@@ -33,14 +32,14 @@ def _fresh(estimator, **kwargs) -> Estimator:
 
 
 def compiled_family(bench, estimator):
-    """The family of ``bench`` on its default dataset, every class compiled."""
+    """The family of ``bench`` on its default dataset, its plan compiled
+    from points of every toggle class."""
     dataset = bench.default_dataset()
     points = class_points(bench.param_space(dataset), per_class=3, seed=11)
     estimator.estimate_points(bench, dataset, points)
     (family,) = estimator.caches.plans.values()
-    plans = [plan for plan in family.plans.values() if plan is not None]
-    assert len(plans) == 2 ** len(family.toggle_names) >= 2
-    return family, plans
+    assert family.plan is not None and family.toggles
+    return family, [family.plan]
 
 
 def table_identity(name, table):
@@ -56,17 +55,20 @@ def test_no_product_repeats_in_the_raw_sums(bench, estimator):
                   if line.lstrip().startswith("raw = Counts(")]
         repeated = [product for product, n in
                     collections.Counter(PRODUCT.findall(raw)).items() if n > 1]
-        assert not repeated, (plan.label, repeated)
+        assert not repeated, (bench.name, repeated)
 
 
 @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.name)
 def test_classes_of_a_family_share_table_objects(bench, estimator):
-    family, plans = compiled_family(bench, _fresh(estimator))
+    family, (plan,) = compiled_family(bench, _fresh(estimator))
     shared = {}
-    for plan in plans:
-        for name, table in plan.tables.items():
-            first = shared.setdefault(table_identity(name, table), table)
-            assert first is table, (plan.label, name)
+    for name, table in plan.tables.items():
+        first = shared.setdefault(table_identity(name, table), table)
+        assert first is table, (bench.name, name)
+        if name in family.tables:
+            assert family.tables[name] is table
+        else:
+            assert family.templates[table.fn.args[1:]] is table
     assert set(family.tables) <= set(shared)
 
 
@@ -93,7 +95,6 @@ def test_tables_filled_by_one_class_price_another(estimator):
         (family,) = fresh.caches.plans.values()
         filled.append({
             table_identity(name, table): set(table)
-            for plan in family.plans.values()
-            for name, table in plan.tables.items()
+            for name, table in family.plan.tables.items()
         })
     assert filled[0] == filled[1]

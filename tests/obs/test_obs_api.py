@@ -130,9 +130,10 @@ class TestPipelineInstrumentation:
     def test_explore_batched_spans_and_cache_counters(
         self, estimator, monkeypatch
     ):
-        """The cached estimator compiles each class once and traces one
-        estimate.plan span per evaluated block instead of per-point
-        estimate spans; the cache statistics stay on the caches."""
+        """The cached estimator compiles the benchmark's one plan and
+        traces one estimate.plan span per evaluated block instead of
+        per-point estimate spans; the cache statistics stay on the
+        caches."""
         assert estimator.caches is not None
         estimator.caches.clear()  # session fixture may be warm already
         misses = estimator.caches.template.misses
@@ -143,18 +144,14 @@ class TestPipelineInstrumentation:
         tracer = obs.tracer()
 
         (exp,) = tracer.find("explore")
-        compiles = tracer.find("estimate.compile")
+        (compile_,) = tracer.find("estimate.compile")
         plans = tracer.find("estimate.plan")
-        assert compiles and plans
-        assert all(inside(exp, s) for s in compiles + plans)
-        for span in compiles:
-            assert span.attrs["bench"] == "dotproduct"
-            assert span.attrs["nodes"] > 0 and span.attrs["terms"] > 0
-            assert span.attrs["lines"] > 0
-            assert "refused" not in span.attrs
-        assert {s.attrs["class"] for s in plans} == {
-            s.attrs["class"] for s in compiles
-        }
+        assert plans
+        assert all(inside(exp, s) for s in [compile_] + plans)
+        assert compile_.attrs["bench"] == "dotproduct"
+        assert compile_.attrs["nodes"] > 0 and compile_.attrs["terms"] > 0
+        assert compile_.attrs["lines"] > 0
+        assert "refused" not in compile_.attrs
         assert sum(s.attrs["n"] for s in plans) == len(result.points)
         # Points are priced without per-design cycle/area passes.
         assert not tracer.find("cycles") and not tracer.find("area.raw")
